@@ -8,7 +8,7 @@ back in the rationals.
 
 from fractions import Fraction
 
-from cayleycert import QuadField, conj, qext_inv, scalar_str
+from cayleycert import QuadField, conj, scalar_str
 
 F = QuadField(-3)
 zeta = F.zeta()
@@ -28,8 +28,8 @@ print()
 x = F.of(Fraction(1), Fraction(1))
 print("Norms are rational: with x = 1 + sqrt(-3),")
 print("  x * conj(x) =", x * conj(x))
-print("  1/x         =", qext_inv(x))
-print("  x * (1/x)   =", x * qext_inv(x))
+print("  1/x         =", x.inverse())
+print("  x * (1/x)   =", x * x.inverse())
 print()
 
 print("Unitary scalars: zeta * conj(zeta) =", zeta * conj(zeta),

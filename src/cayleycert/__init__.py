@@ -13,7 +13,7 @@ self-intersection ledgers, all decided by exact arithmetic.
 from .errors import (CayleyCertError, DegenerateError, FieldMismatchError,
                      PreconditionError, SamplingError, StructureError,
                      TermBudgetError)
-from .field import QuadExt, QuadField, conj, conjugate, qext_arith, qext_inv, scalar_str
+from .field import QuadExt, QuadField, conj, scalar_str
 from .group import (ActionGen, Cocycle, GroupSpec, apply_action, compose_actions,
                     cycle, identity_perm, perm_sign, st_tw_embed, transposition,
                     twist_action)

@@ -4,19 +4,26 @@ Everything in this package is computed over Q or over a quadratic
 extension Q(sqrt(d)) with d a fixed squarefree integer (default -3, which
 hosts the primitive cube root of unity zeta = (-1+sqrt(-3))/2).  Rationals
 are plain ``fractions.Fraction`` values, which are always stored reduced
-with a positive denominator.  Extension elements are ``QuadExt`` pairs
-a + b*sqrt(d) with Fraction parts; arithmetic is exact and the Galois
-involution sqrt(d) -> -sqrt(d) is available on every value through
-:func:`conj`.
+with a positive denominator.
+
+Extension elements are ``QuadExt`` values stored as an integer triple
+(p, q, n) meaning (p + q*sqrt(d))/n, the integral representation of
+Cohen, *A Course in Computational Algebraic Number Theory*, section 4.2.
+The triple is kept canonical, n > 0 and gcd(p, q, n) = 1, so equality is
+tuple equality and field arithmetic is integer arithmetic plus one gcd,
+with no ``Fraction`` built in between.  The discriminant d is validated
+where it enters from outside (the public ``QuadExt`` constructor and
+``QuadField``), once per field and not once per value: arithmetic results
+inherit an already validated d.  The Galois involution
+sqrt(d) -> -sqrt(d) is available on every value through :func:`conj`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DegenerateError, FieldMismatchError, StructureError
-
-Rational = Fraction
 
 
 def _is_squarefree(n: int) -> bool:
@@ -33,113 +40,136 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+def _triple(a, b):
+    """(p, q, n) with (p + q*sqrt(d))/n = a + b*sqrt(d), not yet reduced."""
+    if not isinstance(a, (int, Fraction)) or not isinstance(b, (int, Fraction)):
+        raise TypeError(f"cannot interpret {a!r}, {b!r} as exact rationals")
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return an * bd, bn * ad, ad * bd
 
 
 class QuadExt:
-    """Element a + b*sqrt(d) of the quadratic field Q(sqrt(d)).
+    """Element (p + q*sqrt(d))/n of the quadratic field Q(sqrt(d)).
 
-    d is squarefree and fixed per value; mixing discriminants in
-    arithmetic raises :class:`FieldMismatchError`.  Values are immutable.
+    The integers p, q, n are kept canonical: n > 0 and gcd(p, q, n) = 1.
+    ``QuadExt(a, b, d)`` builds a + b*sqrt(d) from ints or Fractions and
+    validates d; arithmetic results skip that check, because their d comes
+    from a value that was validated when it was built.  ``a``, ``b`` and
+    ``d`` are read-only.  A value with b = 0 is a rational and moves freely
+    between fields; mixing irrational values of different discriminants
+    raises :class:`FieldMismatchError`.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("_pqn", "_d")
 
     def __init__(self, a, b=0, d: int = -3):
         if not _is_squarefree(d) or d == 1:
             raise StructureError(f"discriminant must be squarefree and != 0, 1: {d}")
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-        object.__setattr__(self, "d", d)
+        p, q, n = _triple(a, b)
+        g = gcd(p, q, n)
+        self._pqn = (p, q, n) if g == 1 else (p // g, q // g, n // g)
+        self._d = d
 
-    def __setattr__(self, *args):
-        raise AttributeError("QuadExt values are immutable")
+    @property
+    def a(self) -> Fraction:
+        """Rational part."""
+        p, _, n = self._pqn
+        return Fraction(p, n)
 
-    def _coerce(self, other):
+    @property
+    def b(self) -> Fraction:
+        """Coefficient of sqrt(d)."""
+        _, q, n = self._pqn
+        return Fraction(q, n)
+
+    @property
+    def d(self) -> int:
+        return self._d
+
+    def _operand(self, other):
+        """(p, q, n) of ``other`` in this field; None for a non-scalar."""
         if isinstance(other, QuadExt):
-            if other.d != self.d and other.b != 0 and self.b != 0:
+            if other._d != self._d and other._pqn[1]:
                 raise FieldMismatchError(
-                    f"mixed discriminants: sqrt({self.d}) vs sqrt({other.d})")
-            if other.d != self.d:
-                # one side is rational; move it into this field
-                if other.b == 0:
-                    return QuadExt(other.a, 0, self.d)
-                raise FieldMismatchError(
-                    f"mixed discriminants: sqrt({self.d}) vs sqrt({other.d})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
+                    f"mixed discriminants: sqrt({self._d}) vs sqrt({other._d})")
+            return other._pqn
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        p1, q1, n1 = self._pqn
+        p2, q2, n2 = o
+        if n1 == n2:
+            return _make(p1 + p2, q1 + q2, n1, self._d)
+        return _make(p1 * n2 + p2 * n1, q1 * n2 + q2 * n1, n1 * n2, self._d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.d)
+        p1, q1, n1 = self._pqn
+        p2, q2, n2 = o
+        if n1 == n2:
+            return _make(p1 - p2, q1 - q2, n1, self._d)
+        return _make(p1 * n2 - p2 * n1, q1 * n2 - q2 * n1, n1 * n2, self._d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(o.a - self.a, o.b - self.b, self.d)
+        return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a * o.a + self.d * self.b * o.b,
-                       self.a * o.b + self.b * o.a, self.d)
+        p1, q1, n1 = self._pqn
+        p2, q2, n2 = o
+        return _make(p1 * p2 + self._d * q1 * q2, p1 * q2 + q1 * p2, n1 * n2, self._d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        p, q, n = self._pqn
+        return _make(-p, -q, n, self._d)
 
     def norm(self) -> Fraction:
         """Field norm x * conj(x) = a^2 - d*b^2, always a rational."""
-        return self.a * self.a - self.d * self.b * self.b
+        p, q, n = self._pqn
+        return Fraction(p * p - self._d * q * q, n * n)
 
     def conj(self) -> "QuadExt":
         """Galois conjugate a - b*sqrt(d)."""
-        return QuadExt(self.a, -self.b, self.d)
+        p, q, n = self._pqn
+        return _make(p, -q, n, self._d)
 
     def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n == 0:
-            raise DegenerateError("division by zero in Q(sqrt(%d))" % self.d)
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return _quotient((1, 0, 1), self._pqn, self._d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return _quotient(self._pqn, o, self._d)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _quotient(o, self._pqn, self._d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = QuadExt(1, 0, self.d)
+        out = _make(1, 0, 1, self._d)
         base = self
         while k:
             if k & 1:
@@ -149,27 +179,60 @@ class QuadExt:
         return out
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self._pqn != (0, 0, 1)
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            if self.d != other.d:
-                return self.b == 0 and other.b == 0 and self.a == other.a
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            if self._d != other._d and self._pqn[1]:
+                return False
+            return self._pqn == other._pqn
+        if isinstance(other, int):
+            return self._pqn == (other, 0, 1)
+        if isinstance(other, Fraction):
+            return self._pqn == (other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        p, q, n = self._pqn
+        if not q:
+            return hash(Fraction(p, n))
+        return hash((self.a, self.b, self._d))
 
     def __str__(self):
         return scalar_str(self)
 
     def __repr__(self):
         return f"QuadExt({self.a!r}, {self.b!r}, d={self.d})"
+
+
+_new = object.__new__
+
+
+def _make(p: int, q: int, n: int, d: int) -> QuadExt:
+    """(p + q*sqrt(d))/n for n > 0 and an already validated d, reduced."""
+    g = gcd(p, q, n)
+    if g != 1:
+        p //= g
+        q //= g
+        n //= g
+    x = _new(QuadExt)
+    x._pqn = (p, q, n)
+    x._d = d
+    return x
+
+
+def _quotient(x, y, d: int) -> QuadExt:
+    """x / y for triples x, y of Q(sqrt(d)): multiply through by conj(y)."""
+    p1, q1, n1 = x
+    p2, q2, n2 = y
+    den = n1 * (p2 * p2 - d * q2 * q2)
+    if not den:
+        raise DegenerateError("division by zero in Q(sqrt(%d))" % d)
+    p = n2 * (p1 * p2 - d * q1 * q2)
+    q = n2 * (q1 * p2 - p1 * q2)
+    if den < 0:
+        return _make(-p, -q, -den, d)
+    return _make(p, q, den, d)
 
 
 def conj(x):
@@ -179,10 +242,6 @@ def conj(x):
     if isinstance(x, (int, Fraction)):
         return x
     raise TypeError(f"cannot conjugate {x!r}")
-
-
-def is_zero(x) -> bool:
-    return not x
 
 
 def scalar_str(x) -> str:
@@ -206,29 +265,12 @@ def scalar_str(x) -> str:
     raise TypeError(f"not a scalar: {x!r}")
 
 
-def qext_arith(op: str, x: QuadExt, y: QuadExt) -> QuadExt:
-    """Exact field arithmetic, op in {"add", "sub", "mul"}."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise StructureError(f"unknown op {op!r}")
-
-
-def qext_inv(x: QuadExt) -> QuadExt:
-    """Multiplicative inverse (a - b*sqrt(d)) / (a^2 - d*b^2)."""
-    return x.inverse()
-
-
-def conjugate(x):
-    """Spec-level alias of :func:`conj`."""
-    return conj(x)
-
-
 class QuadField:
-    """Factory fixing one discriminant, so call sites stay uncluttered."""
+    """Factory fixing one discriminant, so call sites stay uncluttered.
+
+    The discriminant is validated here, once; values built by the factory
+    do not check it again.
+    """
 
     def __init__(self, d: int = -3):
         if not _is_squarefree(d) or d == 1:
@@ -236,31 +278,31 @@ class QuadField:
         self.d = d
 
     def of(self, a, b=0) -> QuadExt:
-        return QuadExt(a, b, self.d)
+        return _make(*_triple(a, b), self.d)
 
     @property
     def sqrt(self) -> QuadExt:
-        return QuadExt(0, 1, self.d)
+        return _make(0, 1, 1, self.d)
 
     @property
     def one(self) -> QuadExt:
-        return QuadExt(1, 0, self.d)
+        return _make(1, 0, 1, self.d)
 
     @property
     def zero(self) -> QuadExt:
-        return QuadExt(0, 0, self.d)
+        return _make(0, 0, 1, self.d)
 
     def zeta(self) -> QuadExt:
         """Primitive cube root of unity; only lives in Q(sqrt(-3))."""
         if self.d != -3:
             raise StructureError("zeta requires d = -3")
-        return QuadExt(Fraction(-1, 2), Fraction(1, 2), -3)
+        return _make(-1, 1, 2, -3)
 
     def random(self, rng, span: int = 9, nonzero: bool = False) -> QuadExt:
         while True:
             a = Fraction(rng.randint(-span, span), rng.randint(1, span))
             b = Fraction(rng.randint(-span, span), rng.randint(1, span))
-            x = QuadExt(a, b, self.d)
+            x = _make(*_triple(a, b), self.d)
             if not nonzero or x:
                 return x
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateError, StructureError, TermBudgetError
+from .field import QuadExt, scalar_str
 from .field import conj as scalar_conj
-from .field import scalar_str
 
 DEFAULT_TERM_BUDGET = 10 ** 6
 _term_budget = DEFAULT_TERM_BUDGET
@@ -417,7 +417,7 @@ class RatFunc:
         return RatFunc(self.num.conj_coeffs(), self.den.conj_coeffs())
 
     def __eq__(self, other):
-        if isinstance(other, (RatFunc, int, Fraction)) or other.__class__.__name__ == "QuadExt":
+        if isinstance(other, (RatFunc, int, Fraction, QuadExt)):
             return ratfunc_equal(self, self._coerce(other))
         return NotImplemented
 

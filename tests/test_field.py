@@ -1,12 +1,13 @@
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleycert.errors import DegenerateError, FieldMismatchError, StructureError
-from cayleycert.field import (QuadExt, QuadField, conj, conjugate, qext_arith,
-                              qext_inv, scalar_str)
+from cayleycert.field import QuadExt, QuadField, conj, scalar_str
 
 F = QuadField(-3)
 ZETA = F.zeta()
@@ -30,23 +31,23 @@ def test_zeta_is_primitive_cube_root():
 
 
 def test_inverse_of_one():
-    assert qext_inv(F.one) == 1
+    assert F.one.inverse() == 1
 
 
 def test_inverse_conjugate_over_norm():
     x = F.of(1, 1)
-    assert qext_inv(x) == F.of(Fraction(1, 4), Fraction(-1, 4))
-    assert x * qext_inv(x) == 1
+    assert x.inverse() == F.of(Fraction(1, 4), Fraction(-1, 4))
+    assert x * x.inverse() == 1
 
 
 def test_zeta_inverse_is_zeta_squared():
-    assert qext_inv(ZETA) == ZETA ** 2
+    assert ZETA.inverse() == ZETA ** 2
     assert ZETA ** -1 == ZETA ** 2
 
 
 def test_conjugation_definition():
     assert conj(F.sqrt) == -F.sqrt
-    assert conjugate(ZETA) == ZETA ** 2
+    assert conj(ZETA) == ZETA.conj() == ZETA ** 2
 
 
 def test_conjugation_involution_random():
@@ -58,7 +59,7 @@ def test_conjugation_involution_random():
 
 def test_zero_inverse_raises():
     with pytest.raises(DegenerateError):
-        qext_inv(F.zero)
+        F.zero.inverse()
 
 
 def test_mismatched_discriminants_raise():
@@ -76,15 +77,6 @@ def test_bad_discriminant_rejected():
     for d in (0, 1, 4, 12):
         with pytest.raises(StructureError):
             QuadExt(1, 1, d)
-
-
-def test_qext_arith_dispatch():
-    x, y = F.of(2, 1), F.of(1, -1)
-    assert qext_arith("add", x, y) == F.of(3, 0)
-    assert qext_arith("sub", x, y) == F.of(1, 2)
-    assert qext_arith("mul", x, y) == x * y
-    with pytest.raises(StructureError):
-        qext_arith("div", x, y)
 
 
 def test_serialization_format():
@@ -142,3 +134,196 @@ def test_quadfield_other_discriminants():
         assert conj(r) == -r
         x = K.of(3, 2)
         assert x * x.inverse() == 1
+
+
+# -- oracles for the integer representation ----------------------------------
+#
+# QuadExt stores (p + q*sqrt(d))/n as canonical integers.  Its arithmetic is
+# checked against two independent references: a pair of Fractions (a, b)
+# with the textbook formulas, always available, and sympy's algebraic
+# field Q(sqrt(d)) when sympy is installed.
+
+DISCRIMINANTS = (-3, -1, 2, 5)
+
+
+class PairModel:
+    """a + b*sqrt(d) as two Fractions, computed with the textbook formulas."""
+
+    def __init__(self, a, b, d):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), d
+
+    def __add__(self, o):
+        return PairModel(self.a + o.a, self.b + o.b, self.d)
+
+    def __sub__(self, o):
+        return PairModel(self.a - o.a, self.b - o.b, self.d)
+
+    def __mul__(self, o):
+        return PairModel(self.a * o.a + self.d * self.b * o.b,
+                         self.a * o.b + self.b * o.a, self.d)
+
+    def norm(self):
+        return self.a * self.a - self.d * self.b * self.b
+
+    def inverse(self):
+        n = self.norm()
+        return PairModel(self.a / n, -self.b / n, self.d)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def conj(self):
+        return PairModel(self.a, -self.b, self.d)
+
+    def __eq__(self, o):
+        return (self.a, self.b) == (o.a, o.b)
+
+    def __hash__(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.d))
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        root = f"sqrt({self.d})"
+        tail = {1: root, -1: f"-{root}"}.get(self.b, f"{self.b}*{root}")
+        if self.a == 0:
+            return tail
+        return f"{self.a}{'+' if self.b > 0 else ''}{tail}"
+
+
+def assert_canonical(x: QuadExt):
+    p, q, n = x._pqn
+    assert all(type(v) is int for v in (p, q, n))
+    assert n > 0
+    assert gcd(p, q, n) == 1
+
+
+def assert_matches(x: QuadExt, m: PairModel):
+    assert_canonical(x)
+    assert (x.a, x.b, x.d) == (m.a, m.b, m.d)
+    assert hash(x) == hash(m)
+    assert scalar_str(x) == str(m)
+
+
+@st.composite
+def qext_pairs(draw):
+    """Two values of one field, and the same two values as PairModels."""
+    d = draw(st.sampled_from(DISCRIMINANTS))
+    parts = [(draw(small_rats), draw(small_rats)) for _ in range(2)]
+    return (tuple(QuadExt(a, b, d) for a, b in parts),
+            tuple(PairModel(a, b, d) for a, b in parts))
+
+
+BINARY_OPS = (operator.add, operator.sub, operator.mul)
+
+
+@settings(max_examples=150, deadline=None)
+@given(qext_pairs(), small_rats, st.integers(-9, 9))
+def test_arithmetic_matches_fraction_pair_model(pairs, r, k):
+    (x, y), (mx, my) = pairs
+    assert_matches(x, mx)
+    for op in BINARY_OPS:
+        assert_matches(op(x, y), op(mx, my))
+        # rational operands on either side
+        for c in (r, k):
+            mc = PairModel(c, 0, x.d)
+            assert_matches(op(x, c), op(mx, mc))
+            assert_matches(op(c, x), op(mc, mx))
+    assert_matches(-x, PairModel(0, 0, x.d) - mx)
+    assert_matches(conj(x), mx.conj())
+    assert x.norm() == mx.norm()
+    assert (x == y) == (mx == my)
+    assert (x == r) == (mx == PairModel(r, 0, x.d))
+    if y:
+        assert_matches(y.inverse(), my.inverse())
+        assert_matches(x / y, mx / my)
+        assert_matches(r / y, PairModel(r, 0, x.d) / my)
+        assert_matches(x / y * y, mx)
+    else:
+        with pytest.raises(DegenerateError):
+            y.inverse()
+        with pytest.raises(DegenerateError):
+            x / y
+
+
+@pytest.fixture(scope="module")
+def sympy_fields():
+    sympy = pytest.importorskip("sympy")
+    fields = {}
+    for d in DISCRIMINANTS:
+        K = sympy.QQ.algebraic_field(sympy.sqrt(d))
+        root = K.from_sympy(sympy.sqrt(d))
+        assert root.to_list() == [K.dom.one, K.dom.zero]   # generator is sqrt(d)
+        fields[d] = (K, root)
+    t = sympy.Symbol("t")
+
+    def norm(x):
+        # resultant of the monic minimal polynomial t^2 - d and b*t + a
+        # is the product of a + b*r over both roots r = +-sqrt(d)
+        res = sympy.resultant(t ** 2 - x.d, x.b * t + x.a, t)
+        return Fraction(int(res.p), int(res.q))
+
+    return fields, norm
+
+
+def _in_sympy(fields, x):
+    """x (a QuadExt or PairModel) as an element of sympy's Q(sqrt(d))."""
+    K, root = fields[x.d]
+    return K.convert(x.a) + K.convert(x.b) * root
+
+
+@settings(max_examples=60, deadline=None)
+@given(qext_pairs())
+def test_arithmetic_matches_sympy_algebraic_field(sympy_fields, pairs):
+    fields, sympy_norm = sympy_fields
+    (x, y), (mx, my) = pairs
+    K = fields[x.d][0]
+    sx, sy = _in_sympy(fields, mx), _in_sympy(fields, my)
+    for op in BINARY_OPS:
+        assert _in_sympy(fields, op(x, y)) == op(sx, sy)
+    assert _in_sympy(fields, -x) == -sx
+    assert (x == y) == (sx == sy)
+    n = sympy_norm(mx)
+    assert x.norm() == n
+    if x:
+        assert _in_sympy(fields, x.inverse()) == K.one / sx
+        # conj(x) is the unique y with x * y = N(x)
+        assert _in_sympy(fields, conj(x)) == K.convert(n) / sx
+    if y:
+        assert _in_sympy(fields, x / y) == sx / sy
+        q = x * y / y
+        assert q == x and hash(q) == hash(x) and scalar_str(q) == scalar_str(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rats, st.sampled_from(DISCRIMINANTS))
+def test_rational_hash_and_equality_match_fraction(r, d):
+    x = QuadExt(r, 0, d)
+    assert hash(x) == hash(r)
+    assert x == r and r == x
+    if r.denominator == 1:
+        assert hash(x) == hash(int(r)) and x == int(r)
+    assert_canonical(x)
+
+
+def test_zero_is_canonical():
+    for d in DISCRIMINANTS:
+        K = QuadField(d)
+        zeros = (K.zero, K.of(0, 0), K.sqrt - K.sqrt, K.of(3, 1) * 0,
+                 QuadExt(Fraction(0, 5), Fraction(0, 7), d))
+        for z in zeros:
+            assert z._pqn == (0, 0, 1)
+            assert not z and z == 0 and hash(z) == hash(0)
+
+
+def test_rational_left_irrational_right_raises():
+    # a rational value crosses fields; an irrational one never does,
+    # whichever side of the operator it is on
+    rational, irrational = QuadExt(5, 0, -3), QuadExt(1, 1, -1)
+    for op in BINARY_OPS + (operator.truediv,):
+        with pytest.raises(FieldMismatchError):
+            op(rational, irrational)
+        with pytest.raises(FieldMismatchError):
+            op(QuadExt(1, 1, -3), irrational)
+    assert irrational + rational == QuadExt(6, 1, -1)
+    assert rational != irrational and irrational != rational

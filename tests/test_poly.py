@@ -200,3 +200,10 @@ def test_monomial_normalization_keeps_value():
     f = (rf("x1") * rf("x2")) / (rf("x1") * rf("x3"))
     g = rf("x2") / rf("x3")
     assert f.num == g.num and f.den == g.den
+
+
+def test_constant_ratfunc_compares_with_quadext():
+    c = RatFunc.const(V3, ZETA)
+    assert c == ZETA and ZETA == c
+    assert c != ZETA ** 2 and ZETA ** 2 != c
+    assert (rf("x1") * ZETA) / rf("x1") == ZETA

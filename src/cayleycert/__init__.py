@@ -17,8 +17,8 @@ from .field import QuadExt, QuadField, conj, scalar_str
 from .group import (ActionGen, Cocycle, GroupSpec, apply_action, compose_actions,
                     cycle, identity_perm, perm_sign, st_tw_embed, transposition,
                     twist_action)
-from .poly import (Poly, RatFunc, chart_restrict, get_term_budget, poly_eval,
-                   ratfunc_compose, ratfunc_equal, set_term_budget)
+from .poly import (Poly, RatFunc, chart_restrict, ratfunc_compose, ratfunc_equal,
+                   term_budget)
 from .ratmap import (Block, Certificate, EquivMap, MapPair, Relation, VarietySpec,
                      Verdict, check_equivariance, check_group_relations,
                      check_inverse_pair, check_target_relations, compose,

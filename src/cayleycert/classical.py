@@ -15,7 +15,6 @@ x -> [x + 1], exposed as symbolic maps on matrix coordinates.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,7 +171,6 @@ def full_linear_certificate(n: int, seed: int, trials: int = 25,
                             name: str | None = None) -> Certificate:
     """The unit-group transform a -> a - 1 with inverse x -> x + 1,
     conjugation-equivariant for trivial reasons but checked anyway."""
-    t0 = time.perf_counter()
     cert = Certificate(construction=name or f"gl{n}", seed=seed)
     rng = random.Random(seed)
     ok = True
@@ -196,14 +194,12 @@ def full_linear_certificate(n: int, seed: int, trials: int = 25,
             break
     cert.add("shift-round-trip-and-equivariance", "pass" if ok else "fail",
              f"{trials} random points")
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
 
 
 def classical_certificate(name: str, alg: MatrixAlg, seed: int,
                           trials: int = 100) -> Certificate:
     """Round trips, image skewness, and conjugation equivariance, all exact."""
-    t0 = time.perf_counter()
     cert = Certificate(construction=name, seed=seed)
     rng = random.Random(seed)
 
@@ -262,7 +258,6 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
         cert.add("image-skewness", "pass", f"{skews} samples")
         cert.add("round-trip", "pass", f"{trips} samples")
         cert.add("conjugation-equivariance", "pass", f"{equivs} samples")
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
 
 
@@ -335,12 +330,10 @@ def pgl_scalar_invariance(n: int) -> bool:
 def pgl_certificate(n: int, seed: int, trials: int = 100,
                     name: str | None = None) -> Certificate:
     from .ratmap import check_inverse_pair
-    t0 = time.perf_counter()
     cert = Certificate(construction=name or f"pgl{n}", seed=seed)
     cert.add("scalar-invariance", "pass" if pgl_scalar_invariance(n) else "fail",
              "forward map composed with a -> lambda a")
     pair = pgl_cayley(n)
     cert.extend(check_inverse_pair(pair.forward, pair.inverse, seed=seed,
                                    trials=trials))
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert

@@ -1,9 +1,10 @@
 """Command line front end: list constructions, verify, render reports.
 
 Exit codes: 0 all selected certificates pass, 1 at least one fails,
-2 unknown construction id or missing results file, 3 term budget
-exceeded.  Identical seed and configuration give byte-identical reports
-except for the timing fields.
+2 unknown construction id, missing config or results file, or a
+non-positive term budget, 3 term budget exceeded.  The term budget holds
+only while ``verify`` runs its constructions.  Identical seed and
+configuration give byte-identical reports except for the timing fields.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .catalog import all_ids, get, run_construction
 from .errors import TermBudgetError
-from .poly import DEFAULT_TERM_BUDGET, set_term_budget
+from .poly import DEFAULT_TERM_BUDGET, term_budget
 
 SCHEMA_VERSION = 1
 
@@ -175,6 +176,9 @@ def cmd_verify(args) -> int:
                              for s in part.split(",") if s.strip()]
     if args.out is not None:
         cfg.out = args.out
+    if cfg.term_budget < 1:
+        sys.stderr.write(f"term budget must be positive: {cfg.term_budget}\n")
+        return 2
 
     try:
         ids = cfg.resolve_ids()
@@ -184,19 +188,18 @@ def cmd_verify(args) -> int:
         sys.stderr.write(f"unknown construction id: {exc.args[0]}\n")
         return 2
 
-    set_term_budget(cfg.term_budget)
     results = []
-    for cid in ids:
-        entry = get(cid)
-        seed = construction_seed(cfg.seed, cid)
-        try:
-            cert = run_construction(cid, seed=seed, trials=cfg.trials)
-        except TermBudgetError as exc:
-            sys.stderr.write(f"term budget exceeded in {cid}: {exc}\n")
-            return 3
-        record = cert.to_dict()
-        record["anchors"] = [entry.anchor]
-        results.append(record)
+    with term_budget(cfg.term_budget):
+        for cid in ids:
+            seed = construction_seed(cfg.seed, cid)
+            try:
+                cert = run_construction(cid, seed=seed, trials=cfg.trials)
+            except TermBudgetError as exc:
+                sys.stderr.write(f"term budget exceeded in {cid}: {exc}\n")
+                return 3
+            record = cert.to_dict()
+            record["anchors"] = [get(cid).anchor]
+            results.append(record)
 
     report = build_report(cfg, results)
     text = render_json(report) if cfg.format == "json" else render_markdown(report)

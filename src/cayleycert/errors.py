@@ -26,10 +26,6 @@ class PreconditionError(CayleyCertError):
 class TermBudgetError(CayleyCertError):
     """A polynomial operation would exceed the configured term budget."""
 
-    def __init__(self, message, construction=None):
-        super().__init__(message)
-        self.construction = construction
-
 
 class SamplingError(CayleyCertError):
     """The bounded retry budget for random point sampling was exhausted,

@@ -21,10 +21,6 @@ def identity(n: int, one=Fraction(1)):
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def zeros(n: int, zero=Fraction(0)):
-    return tuple((zero,) * n for _ in range(n))
-
-
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -94,10 +90,6 @@ def mat_inverse(a):
 
 def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_zero_matrix(a) -> bool:
-    return all(not x for r in a for x in r)
 
 
 def mat_str(a) -> str:

@@ -10,12 +10,16 @@ decided exactly by cross multiplication and full expansion, and identities
 modulo a variety relation are decided by :func:`chart_restrict`, which
 substitutes the relation's chart into the function.
 
-Every product passes through a configurable term budget so that a runaway
-expansion fails loudly instead of thrashing.
+Every product passes through a term budget, so that a runaway expansion
+fails loudly instead of thrashing.  The budget is 10^6 terms unless a
+``with term_budget(n):`` block scopes a different one; it is a context
+variable, so it never outlives the block.
 """
 
 from __future__ import annotations
 
+import contextlib
+from contextvars import ContextVar
 from fractions import Fraction
 
 from .errors import DegenerateError, StructureError, TermBudgetError
@@ -23,18 +27,19 @@ from .field import QuadExt, scalar_str
 from .field import conj as scalar_conj
 
 DEFAULT_TERM_BUDGET = 10 ** 6
-_term_budget = DEFAULT_TERM_BUDGET
+_term_budget = ContextVar("term_budget", default=DEFAULT_TERM_BUDGET)
 
 
-def set_term_budget(n: int) -> None:
-    global _term_budget
+@contextlib.contextmanager
+def term_budget(n: int):
+    """Cap every polynomial product made inside the block at ``n`` terms."""
     if n < 1:
         raise StructureError("term budget must be positive")
-    _term_budget = n
-
-
-def get_term_budget() -> int:
-    return _term_budget
+    token = _term_budget.set(n)
+    try:
+        yield
+    finally:
+        _term_budget.reset(token)
 
 
 def _mono_key(exps):
@@ -127,10 +132,11 @@ class Poly:
         if not isinstance(other, Poly):
             return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
         self._check_same(other)
-        if len(self.terms) * len(other.terms) > 16 * _term_budget:
+        budget = _term_budget.get()
+        if len(self.terms) * len(other.terms) > 16 * budget:
             raise TermBudgetError(
                 f"product of {len(self.terms)} x {len(other.terms)} terms "
-                f"exceeds budget {_term_budget}")
+                f"exceeds budget {budget}")
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -140,9 +146,8 @@ class Poly:
                     terms[e] = acc
                 else:
                     terms.pop(e, None)
-        if len(terms) > _term_budget:
-            raise TermBudgetError(
-                f"{len(terms)} terms exceed budget {_term_budget}")
+        if len(terms) > budget:
+            raise TermBudgetError(f"{len(terms)} terms exceed budget {budget}")
         return Poly(self.vars, terms)
 
     def __rmul__(self, other):
@@ -279,11 +284,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
-
-
-def poly_eval(p: Poly, point):
-    """Exact evaluation of ``p`` at a tuple of scalars (or RatFuncs)."""
-    return p.eval(point)
 
 
 class RatFunc:
@@ -430,26 +430,10 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def ratfunc_equal(f: RatFunc, g: RatFunc, precheck_rng=None) -> bool:
-    """Exact equality via cross multiplication and full expansion.
-
-    ``precheck_rng`` optionally enables a cheap evaluation probe first: a
-    differing value at a random point proves inequality immediately and is
-    sound (never probabilistically wrong), the expansion runs only when the
-    probes agree.
-    """
+def ratfunc_equal(f: RatFunc, g: RatFunc) -> bool:
+    """Exact equality via cross multiplication and full expansion."""
     if f.vars != g.vars:
         raise StructureError(f"variable mismatch: {f.vars} vs {g.vars}")
-    if precheck_rng is not None:
-        for _ in range(2):
-            point = tuple(Fraction(precheck_rng.randint(-50, 50),
-                                   precheck_rng.randint(1, 50))
-                          for _ in f.vars)
-            try:
-                if f.eval(point) != g.eval(point):
-                    return False
-            except DegenerateError:
-                continue
     return (f.num * g.den - g.num * f.den).is_zero()
 
 

@@ -21,7 +21,6 @@ input.
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 
 from .errors import StructureError
@@ -242,7 +241,6 @@ def _action_tables_match(got: ActionGen, want: ActionGen, seed: int,
 
 def twist_certificate(seed: int = 42, trials: int = 100) -> Certificate:
     """Cocycle twisting and the two embeddings, checked generator by generator."""
-    t0 = time.perf_counter()
     cert = Certificate(construction="rank2.twist", seed=seed)
 
     tor_spec = torus("T", ("t1", "t2", "t3"))
@@ -285,12 +283,10 @@ def twist_certificate(seed: int = 42, trials: int = 100) -> Certificate:
             grp = pullback_group(mode, kind)
             cert.extend(check_group_relations(spec, grp, seed=seed, trials=12),
                         prefix=f"group[{mode}:{kind}].")
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
 
 
 def pgu3_certificate(seed: int = 42, trials: int = 100) -> Certificate:
-    t0 = time.perf_counter()
     cert = Certificate(construction="rank2.pgu3", seed=seed)
     pair = pgu3_torus_map()
     cert.extend(check_target_relations(pair.forward))
@@ -298,12 +294,10 @@ def pgu3_certificate(seed: int = 42, trials: int = 100) -> Certificate:
     cert.extend(check_equivariance(pair.inverse, seed=seed), prefix="inv.")
     cert.extend(check_inverse_pair(pair.forward, pair.inverse, seed=seed,
                                    trials=trials))
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
 
 
 def pgu3_lie_certificate(seed: int = 42, trials: int = 100) -> Certificate:
-    t0 = time.perf_counter()
     cert = Certificate(construction="rank2.pgu3.lie", seed=seed)
     pair = pgu3_differential()
     cert.extend(check_target_relations(pair.forward))
@@ -311,34 +305,29 @@ def pgu3_lie_certificate(seed: int = 42, trials: int = 100) -> Certificate:
     cert.extend(check_equivariance(pair.inverse, seed=seed), prefix="inv.")
     cert.extend(check_inverse_pair(pair.forward, pair.inverse, seed=seed,
                                    trials=trials))
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
 
 
 def g2_slot_certificate(seed: int = 42, trials: int = 100,
                         external_g2: MapPair | None = None) -> Certificate:
-    t0 = time.perf_counter()
     cert = Certificate(construction="rank2.g2-base", seed=seed)
     if external_g2 is None:
         cert.add("g2-base-map", "skip", "external input missing")
     else:
         cert.extend(certify_external_g2(external_g2, seed=seed, trials=trials),
                     prefix="g2-base-map.")
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
 
 
 def rank2_torus_suite(seed: int = 42, trials: int = 100,
                       external_g2: MapPair | None = None) -> Certificate:
     """All certificates of the twisted rank-2 torus machinery."""
-    t0 = time.perf_counter()
     cert = Certificate(construction="rank2", seed=seed)
     cert.extend(twist_certificate(seed=seed, trials=trials))
     cert.extend(pgu3_certificate(seed=seed, trials=trials), prefix="pgu3.")
     cert.extend(pgu3_lie_certificate(seed=seed, trials=trials), prefix="pgu3.lie.")
     cert.extend(g2_slot_certificate(seed=seed, trials=trials,
                                     external_g2=external_g2))
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
 
 

@@ -15,7 +15,6 @@ ever confirm or localise a failure, they never certify.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -229,7 +228,7 @@ class Certificate:
     construction: str
     verdicts: list = dc_field(default_factory=list)
     seed: int | None = None
-    ms: float = 0.0
+    ms: float = 0.0             # wall time, set by catalog.run_construction
     term_stats: dict = dc_field(default_factory=dict)
 
     @property
@@ -406,9 +405,39 @@ def random_point(spec: VarietySpec, seed, span: int = 9, retries: int = 64,
         "the exceptional locus keeps being hit")
 
 
+# Points a failed exact identity may draw when it looks for a witness.
+WITNESS_TRIES = 16
+
+
+def _sample(spec: VarietySpec, rng, want: int, limit: int, images, compare):
+    """Compare two images of random points of ``spec`` until one disagrees.
+
+    Each attempt draws x = random_point(spec, rng) and computes the pair
+    ``images(x)``; the pair agrees when :func:`_points_equal` holds on the
+    variety ``compare``.  An attempt whose draw or images raise
+    DegenerateError or SamplingError (the exceptional locus) is spent
+    without agreeing.  The loop stops at the first disagreement, after
+    ``want`` agreements, or after ``limit`` attempts, whichever comes
+    first.  Returns (agreements, attempts, witness), where the witness is
+    the formatted disagreeing point or None.
+    """
+    agreements = attempts = 0
+    while agreements < want and attempts < limit:
+        attempts += 1
+        try:
+            x = random_point(spec, rng)
+            lhs, rhs = images(x)
+        except (DegenerateError, SamplingError):
+            continue
+        if not _points_equal(compare, lhs, rhs):
+            return agreements, attempts, format_point(x)
+        agreements += 1
+    return agreements, attempts, None
+
+
 # -- the three certified operations --------------------------------------
 
-def check_equivariance(m: EquivMap, seed=0, witness_tries: int = 16) -> Certificate:
+def check_equivariance(m: EquivMap, seed=0) -> Certificate:
     """Certify m(g.x) = g.m(x) for every generator, exactly.
 
     For a Galois-type generator the identity checked is
@@ -417,8 +446,7 @@ def check_equivariance(m: EquivMap, seed=0, witness_tries: int = 16) -> Certific
     conjugation cancelled from both sides.  Failures come with a witness
     point when one can be sampled.
     """
-    t0 = time.perf_counter()
-    cert = Certificate(construction=m.name, seed=seed if isinstance(seed, int) else None)
+    cert = Certificate(construction=m.name, seed=seed)
     x = chart_tuple(m.source)
     m_chart = tuple(ratfunc_compose(c, x) for c in m.components)
     for label in m.generator_labels():
@@ -445,26 +473,14 @@ def check_equivariance(m: EquivMap, seed=0, witness_tries: int = 16) -> Certific
         if equal:
             cert.add(vname, "pass")
         else:
-            witness = _equivariance_witness(m, label, seed, witness_tries)
+            def images(x):
+                return (map_of_point(m, apply_action(src, x)),
+                        apply_action(tgt, map_of_point(m, x)))
+
+            _, _, witness = _sample(m.source, random.Random(seed), WITNESS_TRIES,
+                                    WITNESS_TRIES, images, m.target)
             cert.add(vname, "fail", "symbolic identity does not hold", witness)
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
-
-
-def _equivariance_witness(m, label, seed, tries):
-    rng = random.Random(seed if isinstance(seed, int) else 0)
-    src = m.source_action[label]
-    tgt = m.target_action[label]
-    for _ in range(tries):
-        try:
-            x = random_point(m.source, rng)
-            lhs = map_of_point(m, apply_action(src, x))
-            rhs = apply_action(tgt, map_of_point(m, x))
-        except (DegenerateError, SamplingError):
-            continue
-        if not _points_equal(m.target, lhs, rhs):
-            return format_point(x)
-    return None
 
 
 def compose(m1: EquivMap, m2: EquivMap) -> EquivMap:
@@ -518,12 +534,9 @@ def check_inverse_pair(f: EquivMap, g: EquivMap, seed=0, trials: int = 100,
     keeps intermediate expression sizes small where the one-shot
     composition would blow up.
     """
-    t0 = time.perf_counter()
-    cert = Certificate(construction=f"({f.name}, {g.name})",
-                       seed=seed if isinstance(seed, int) else None)
+    cert = Certificate(construction=f"({f.name}, {g.name})", seed=seed)
     if not f.target.same_shape(g.source) or not g.target.same_shape(f.source):
         cert.add("interfaces", "fail", "source/target shapes do not match")
-        cert.ms = 1000 * (time.perf_counter() - t0)
         return cert
 
     for tag, first, second in (("source", f, g), ("target", g, f)):
@@ -549,26 +562,14 @@ def check_inverse_pair(f: EquivMap, g: EquivMap, seed=0, trials: int = 100,
         if equal:
             cert.add(vname, "pass", "telescoped over stages" if stages else "")
         else:
-            witness = _roundtrip_witness(first, second, seed)
+            _, _, witness = _sample(first.source, random.Random(seed), WITNESS_TRIES,
+                                    WITNESS_TRIES, _round_trip(first, second),
+                                    first.source)
             cert.add(vname, "fail", "round trip is not the identity", witness)
 
-    rng = random.Random(seed if isinstance(seed, int) else 0)
-    agreements, locus_hits, attempts = 0, 0, 0
-    witness = None
-    while agreements < trials and attempts < 4 * trials:
-        attempts += 1
-        try:
-            x = random_point(f.source, rng)
-            y = map_of_point(f, x)
-            back = map_of_point(g, y)
-        except (DegenerateError, SamplingError):
-            locus_hits += 1
-            continue
-        if _points_equal(f.source, back, x):
-            agreements += 1
-        else:
-            witness = format_point(x)
-            break
+    agreements, attempts, witness = _sample(f.source, random.Random(seed), trials,
+                                            4 * trials, _round_trip(f, g), f.source)
+    locus_hits = attempts - agreements
     vname = f"spot-check[{trials} points]"
     if witness is not None:
         cert.add(vname, "fail", "evaluation disagrees with the symbolic identity",
@@ -582,7 +583,6 @@ def check_inverse_pair(f: EquivMap, g: EquivMap, seed=0, trials: int = 100,
         if locus_hits:
             detail += f", {locus_hits} exceptional-locus resamples"
         cert.add(vname, "pass", detail)
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
 
 
@@ -609,17 +609,9 @@ def _telescoped_roundtrip(chain) -> tuple:
     return True, max_terms
 
 
-def _roundtrip_witness(first, second, seed, tries: int = 16):
-    rng = random.Random(seed if isinstance(seed, int) else 0)
-    for _ in range(tries):
-        try:
-            x = random_point(first.source, rng)
-            back = map_of_point(second, map_of_point(first, x))
-        except (DegenerateError, SamplingError):
-            continue
-        if not _points_equal(first.source, back, x):
-            return format_point(x)
-    return None
+def _round_trip(first, second):
+    """Sampler images comparing second o first with the identity."""
+    return lambda x: (map_of_point(second, map_of_point(first, x)), x)
 
 
 def check_target_relations(m: EquivMap) -> Certificate:
@@ -651,21 +643,12 @@ def check_target_relations(m: EquivMap) -> Certificate:
 
 def check_group_relations(spec: VarietySpec, group, seed=0, trials: int = 50) -> Certificate:
     """Sanity-check the group's defining relations on random tuples."""
-    cert = Certificate(construction=f"relations[{group.name} on {spec.name}]",
-                       seed=seed if isinstance(seed, int) else None)
-    rng = random.Random(seed if isinstance(seed, int) else 0)
+    cert = Certificate(construction=f"relations[{group.name} on {spec.name}]", seed=seed)
+    rng = random.Random(seed)
     for word in group.relations:
         vname = "relation[" + "*".join(word) + "]"
-        bad = None
-        for _ in range(trials):
-            try:
-                x = random_point(spec, rng)
-                y = group.apply_word(word, x)
-            except (DegenerateError, SamplingError):
-                continue
-            if not _points_equal(spec, y, x):
-                bad = format_point(x)
-                break
+        _, _, bad = _sample(spec, rng, trials, trials,
+                            lambda x: (group.apply_word(word, x), x), spec)
         if bad is None:
             cert.add(vname, "pass", f"{trials} random tuples")
         else:

@@ -16,7 +16,6 @@ evaluation.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,7 +138,6 @@ def surface_C() -> SurfaceSpec:
 
 def conic_certificate(seed: int = 42, trials: int = 100) -> Certificate:
     """All the conic identities, as exact polynomial expansions."""
-    t0 = time.perf_counter()
     cert = Certificate(construction="appendix.conic", seed=seed)
 
     t1, t2, tt0 = conic_param_components()
@@ -194,13 +192,11 @@ def conic_certificate(seed: int = 42, trials: int = 100) -> Certificate:
             ok += 1
     cert.add("random-images-on-conic", "pass" if ok == min(trials, 50) else "fail",
              f"{ok} sampled parameter points")
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
 
 
 def x_membership_certificate(seed: int = 42, trials: int = 100) -> Certificate:
     """Random torus triples with z = (x*y)^-1 lie on X, exactly."""
-    t0 = time.perf_counter()
     cert = Certificate(construction="appendix.X", seed=seed)
     sX = surface_X()
     rng = random.Random(seed)
@@ -216,14 +212,12 @@ def x_membership_certificate(seed: int = 42, trials: int = 100) -> Certificate:
     base = surface_membership(sX, (Fraction(1), Fraction(0)) * 3)
     cert.add("identity-triple", "pass" if base else "fail",
              "((1,0),(1,0),(1,0)) lies on X")
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
 
 
 def y_singular_certificate(seed: int = 42, trials: int = 20) -> Certificate:
     """The cubic has exactly the three coordinate singular points; random
     torus points are nonsingular."""
-    t0 = time.perf_counter()
     cert = Certificate(construction="appendix.Y.singular", seed=seed)
     sY = surface_Y()
     zero, one = Fraction(0), Fraction(1)
@@ -251,12 +245,10 @@ def y_singular_certificate(seed: int = 42, trials: int = 20) -> Certificate:
     c_ok = not singular_points(sC, [(one, one, zero)])[0]
     cert.add("conic-smooth-point", "pass" if c_ok else "fail",
              "gradient (-2, 2, 0) at [1, 1, 0]")
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
 
 
 def y_membership_certificate(seed: int = 42, trials: int = 50) -> Certificate:
-    t0 = time.perf_counter()
     cert = Certificate(construction="appendix.Y", seed=seed)
     sY = surface_Y()
     rng = random.Random(seed)
@@ -268,7 +260,6 @@ def y_membership_certificate(seed: int = 42, trials: int = 50) -> Certificate:
             ok += 1
     cert.add("torus-membership", "pass" if ok == trials else "fail",
              f"{ok} of {trials} points with t1 t2 t3 = t0^3")
-    cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
 
 

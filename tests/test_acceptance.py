@@ -13,10 +13,11 @@ from cayleycert.classical import (classical_certificate, orthogonal_alg,
                                   pgl_certificate, pgl_scalar_invariance,
                                   symplectic_alg, unitary_alg)
 from cayleycert.cli import main as cli_main
+from cayleycert.matrices import mat_mul
 from cayleycert.picard import (CANONICAL, IDENTITY, LedgerStep, fixes,
                                galois_matrix, inter, invariant_sublattice,
                                lattice_span_equal, ledger_run, line_classes,
-                               lines_certificate, mat_mul, preserves_form,
+                               lines_certificate, preserves_form,
                                standard_actions)
 from cayleycert.rank2 import (pgu3_certificate, pgu3_lie_certificate,
                               twist_certificate)

@@ -4,6 +4,7 @@ import pytest
 
 from cayleycert.cli import (RunConfig, build_report, construction_seed, main,
                             read_config_file, render_json)
+from cayleycert.poly import Poly
 
 
 def run_cli(capsys, *argv):
@@ -77,9 +78,26 @@ def test_verify_term_budget_exit_3(capsys):
     assert code == 3
     assert "term budget exceeded" in err
     assert "su3.phi" in err
-    # restore the default for later tests
-    from cayleycert.poly import DEFAULT_TERM_BUDGET, set_term_budget
-    set_term_budget(DEFAULT_TERM_BUDGET)
+    # the budget ends with verify: a 10-term product is fine again
+    vs = ("a", "b", "c")
+    p = sum((Poly.variable(vs, v) for v in vs), Poly.zero(vs)) + 1
+    assert len((p * p).terms) > 5
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_verify_non_positive_term_budget_exits_2(capsys, budget):
+    code, out, err = run_cli(capsys, "verify", "--only", "picard.ledger",
+                             "--term-budget", budget)
+    assert code == 2 and out == ""
+    assert err == f"term budget must be positive: {budget}\n"
+
+
+def test_config_non_positive_term_budget_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cc.conf"
+    cfg.write_text("term_budget=0\nonly=picard.ledger\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "term budget must be positive: 0\n"
 
 
 def test_determinism_same_seed_same_report(capsys):

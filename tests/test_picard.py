@@ -1,14 +1,14 @@
 import pytest
 
 from cayleycert.errors import PreconditionError, StructureError
+from cayleycert.matrices import mat_mul
 from cayleycert.picard import (CANONICAL, IDENTITY, LedgerStep, fixes,
                                galois_matrix, integer_kernel, inter,
                                invariant_sublattice, invariants_certificate,
                                lattice_certificate, lattice_span_equal,
                                ledger_certificate, ledger_run, line_classes,
-                               lines_certificate, mat_apply, mat_mul,
-                               preserves_form, row_hermite, s3_matrices,
-                               standard_actions)
+                               lines_certificate, mat_apply, preserves_form,
+                               row_hermite, s3_matrices, standard_actions)
 
 
 def test_canonical_self_intersection_is_six():

@@ -5,9 +5,8 @@ import pytest
 
 from cayleycert.errors import DegenerateError, StructureError, TermBudgetError
 from cayleycert.field import QuadField
-from cayleycert.poly import (Poly, RatFunc, chart_restrict, get_term_budget,
-                             poly_eval, ratfunc_compose, ratfunc_equal,
-                             set_term_budget)
+from cayleycert.poly import (Poly, RatFunc, chart_restrict, ratfunc_compose,
+                             ratfunc_equal, term_budget)
 
 F = QuadField(-3)
 ZETA = F.zeta()
@@ -20,12 +19,12 @@ def rf(name):
 
 def test_eval_cube_roots_sum_to_zero():
     p = sum((Poly.variable(V3, v) for v in V3), Poly.zero(V3))
-    assert poly_eval(p, (F.one, ZETA, ZETA ** 2)) == 0
+    assert p.eval((F.one, ZETA, ZETA ** 2)) == 0
 
 
 def test_eval_constant():
     p = Poly.const(V3, Fraction(7))
-    assert poly_eval(p, (Fraction(1), Fraction(-2), Fraction(9))) == 7
+    assert p.eval((Fraction(1), Fraction(-2), Fraction(9))) == 7
 
 
 def test_rank_one_outer_product_satisfies_quadric():
@@ -36,7 +35,7 @@ def test_rank_one_outer_product_satisfies_quadric():
     for _ in range(20):
         y1, y2, z1, z2 = (Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                           for _ in range(4))
-        assert poly_eval(q, (y1 * z1, y1 * z2, y2 * z1, y2 * z2)) == 0
+        assert q.eval((y1 * z1, y1 * z2, y2 * z1, y2 * z2)) == 0
 
 
 def test_eval_is_ring_homomorphism():
@@ -67,13 +66,6 @@ def test_ratfunc_equal_cancellation():
 def test_ratfunc_unequal():
     f = (rf("x1") + rf("x2")) / rf("x2")
     assert not ratfunc_equal(f, rf("x1"))
-
-
-def test_ratfunc_equal_precheck_is_sound():
-    rng = random.Random(7)
-    f = (rf("x1") ** 2 - 1) / (rf("x1") - 1)
-    assert ratfunc_equal(f, rf("x1") + 1, precheck_rng=rng)
-    assert not ratfunc_equal(f, rf("x1") + 2, precheck_rng=rng)
 
 
 def test_compose_identity():
@@ -173,22 +165,20 @@ def test_equivalence_compatible_with_arithmetic():
 
 
 def test_term_budget_guard():
-    old = get_term_budget()
-    try:
-        set_term_budget(10)
-        vs = tuple(f"v{i}" for i in range(6))
-        p = sum((Poly.variable(vs, v) for v in vs), Poly.zero(vs)) + 1
-        with pytest.raises(TermBudgetError):
-            q = p
-            for _ in range(6):
-                q = q * p
-    finally:
-        set_term_budget(old)
+    vs = tuple(f"v{i}" for i in range(6))
+    p = sum((Poly.variable(vs, v) for v in vs), Poly.zero(vs)) + 1
+    with term_budget(10), pytest.raises(TermBudgetError):
+        q = p
+        for _ in range(6):
+            q = q * p
+    # the budget ends with its block
+    assert len((p * p).terms) > 10
 
 
 def test_term_budget_must_be_positive():
     with pytest.raises(StructureError):
-        set_term_budget(0)
+        with term_budget(0):
+            pass
 
 
 def test_zero_denominator_rejected():

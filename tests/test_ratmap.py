@@ -78,8 +78,10 @@ def test_failure_carries_witness_point():
                        (m.components[0], m.components[2], m.components[1]),
                        m.group, m.source_action, m.target_action)
     cert = check_equivariance(swapped, seed=2)
-    witnesses = [v.witness for v in cert.failing() if v.witness]
-    assert witnesses, "expected a witness point for the failing generator"
+    got = [(v.name, v.status, v.witness) for v in cert.verdicts]
+    assert got == [("equivariance[(1 2)]", "fail", "(-4, -7/6, -4/5)"),
+                   ("equivariance[(1 2 3)]", "fail", "(-4, -7/6, -4/5)"),
+                   ("equivariance[gamma]", "pass", None)]
 
 
 def test_semilinearity_mismatch_is_structural_failure():
@@ -177,6 +179,10 @@ def test_inverse_pair_spot_check_counts_locus():
     assert cert.ok
     spot = [v for v in cert.verdicts if v.name.startswith("spot-check")]
     assert spot and "agreements" in spot[0].detail
+    pair = link_phi()
+    cert = check_inverse_pair(pair.forward, pair.inverse, seed=9, trials=10)
+    assert cert.ok
+    assert cert.verdicts[-1].detail == "10 agreements, 3 exceptional-locus resamples"
 
 
 def test_product_variety_flattens_blocks():
@@ -191,3 +197,63 @@ def test_duplicate_coordinates_rejected():
     with pytest.raises(StructureError):
         product("bad", torus("A", ("x", "y"), product_one=False),
                 torus("B", ("x", "z"), product_one=False))
+
+
+# The failure paths of the sampling loop.  Witness strings are pinned: they
+# show that each check draws the same random points in the same order.
+
+def test_inverse_pair_failures_carry_witnesses():
+    pair = link_quotient()
+    g = pair.inverse
+    comps = (g.components[0], 2 * g.components[1], g.components[2])
+    doubled = EquivMap("doubled", g.source, g.target, comps, g.group,
+                       g.source_action, g.target_action)
+    cert = check_inverse_pair(pair.forward, doubled, seed=0, trials=10)
+    got = [(v.name, v.status, v.detail, v.witness) for v in cert.verdicts]
+    assert got == [
+        ("round-trip[source]", "fail", "round trip is not the identity",
+         "(3/7, -8/5, 7/8)"),
+        ("round-trip[target]", "fail", "round trip is not the identity",
+         "(3/7, -8/5, -35/24)"),
+        ("spot-check[10 points]", "fail",
+         "evaluation disagrees with the symbolic identity", "(3/7, -8/5, 7/8)"),
+    ]
+
+
+def test_spot_check_reports_a_map_that_never_evaluates():
+    pair = link_quotient()
+    g = pair.inverse
+    t1, t2, t3 = RatFunc.variables(g.source.coords)
+    # t1 t2 t3 = 1 on the torus, so this component has no value anywhere
+    comps = (g.components[0], g.components[1] / (t1 * t2 * t3 - 1), g.components[2])
+    bad = EquivMap("on-locus", g.source, g.target, comps, g.group,
+                   g.source_action, g.target_action)
+    spot = check_inverse_pair(pair.forward, bad, seed=0, trials=5).verdicts[-1]
+    assert (spot.name, spot.status, spot.witness) == ("spot-check[5 points]", "fail", None)
+    assert spot.detail == ("only 0 usable points in 20 attempts; "
+                           "the exceptional locus keeps being hit")
+
+
+def test_swapped_generators_break_their_relations_with_witnesses():
+    from cayleycert.group import GroupSpec
+    from cayleycert.ratmap import check_group_relations
+    spec, table = torus_variety()
+    proto = s3_gamma_group()
+    (t12, _), (c123, _), (gamma, _) = proto.generators
+    grp = GroupSpec(name="swapped",
+                    generators=((t12, table[c123]), (c123, table[t12]),
+                                (gamma, table[gamma])),
+                    order=proto.order, relations=proto.relations,
+                    gamma_labels=proto.gamma_labels)
+    cert = check_group_relations(spec, grp, seed=0, trials=12)
+    got = [(v.name, v.status, v.detail, v.witness) for v in cert.verdicts]
+    broken = "relation does not act as the identity"
+    assert got == [
+        ("relation[(1 2)*(1 2)]", "fail", broken, "(3/7, -8/5, -35/24)"),
+        ("relation[(1 2 3)*(1 2 3)*(1 2 3)]", "fail", broken, "(7/8, 3/5, 40/21)"),
+        ("relation[(1 2 3)*(1 2)*(1 2 3)*(1 2)]", "pass", "12 random tuples", None),
+        ("relation[gamma*gamma]", "pass", "12 random tuples", None),
+        ("relation[gamma*(1 2)*gamma*(1 2)]", "fail", broken, "(2/3, 1/7, 21/2)"),
+        ("relation[gamma*(1 2 3)*gamma*(1 2 3)*(1 2 3)]", "fail", broken,
+         "(-4, -5/4, 1/5)"),
+    ]

@@ -13,25 +13,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .classical import (MatrixAlg, cayley_conjugation_equivariance,
-                        cayley_transform, cayley_transform_of_skew,
-                        classical_certificate, full_linear_certificate,
-                        orthogonal_alg, pgl_cayley, pgl_certificate,
-                        symplectic_alg, unitary_alg)
+from .classical import (classical_certificate, full_linear_certificate,
+                        orthogonal_alg, pgl_certificate, symplectic_alg,
+                        unitary_alg)
 from .errors import StructureError
-from .group import ActionGen, Cocycle, identity_perm, twist_action
+from .group import ActionGen, Cocycle, twist_action
 from .picard import (galois_matrix, invariants_certificate, lattice_certificate,
                      ledger_certificate, lines_certificate, preserves_form, fixes,
                      CANONICAL)
-from .rank2 import (GAMMA, base_torus_group, g2_interface, g2_slot_certificate,
+from .rank2 import (GAMMA, base_torus_group, g2_slot_certificate,
                     gamma_twisted_expected, pgu3_certificate, pgu3_lie_certificate,
-                    rank2_torus_suite, twist_certificate, _action_tables_match)
+                    twist_certificate, _action_tables_match)
 from .ratmap import Certificate, EquivMap, check_equivariance
-from .su3 import (build_su3_chain, chain_certificate, end_to_end, link_linear,
-                  link_quotient, phi_certificate, phi_inverse, link_certificate)
-from .surfaces import (SurfaceSpec, conic_certificate, conic_suite,
-                       singular_points, surface_C, surface_membership, surface_Q,
-                       surface_X, surface_Y, x_membership_certificate,
+from .su3 import chain_certificate, link_linear, link_quotient, phi_certificate
+from .surfaces import (conic_certificate, x_membership_certificate,
                        y_membership_certificate, y_singular_certificate)
 
 

@@ -82,7 +82,8 @@ class MatrixAlg:
         return all(not v for r in s for v in r)
 
     def random_entry(self, rng, span=3):
-        # small magnitudes keep the exact Gaussian eliminations quick
+        # small numerators over 1 or 2 keep the integers of mat_mul and the
+        # fraction-free mat_inverse short
         if self.field is not None:
             return self.field.of(Fraction(rng.randint(-span, span), rng.randint(1, 2)),
                                  Fraction(rng.randint(-span, span), rng.randint(1, 2)))
@@ -176,9 +177,10 @@ def full_linear_certificate(n: int, seed: int, trials: int = 25,
     ok = True
     for _ in range(trials):
         a = tuple(tuple(random_rational(rng, span=4) for _ in range(n)) for _ in range(n))
+        ginv = tuple(tuple(random_rational(rng, span=3) for _ in range(n))
+                     for _ in range(n))
         try:
-            g = mat_inverse(tuple(tuple(random_rational(rng, span=3) for _ in range(n))
-                                  for _ in range(n)))
+            g = mat_inverse(ginv)
         except DegenerateError:
             continue
         one = identity(n)
@@ -186,7 +188,6 @@ def full_linear_certificate(n: int, seed: int, trials: int = 25,
         if not mat_eq(mat_add(x, one), a):
             ok = False
             break
-        ginv = mat_inverse(g)
         lhs = mat_sub(mat_mul(g, mat_mul(a, ginv)), one)
         rhs = mat_mul(g, mat_mul(x, ginv))
         if not mat_eq(lhs, rhs):

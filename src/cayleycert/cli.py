@@ -1,8 +1,9 @@
 """Command line front end: list constructions, verify, render reports.
 
 Exit codes: 0 all selected certificates pass, 1 at least one fails,
-2 unknown construction id, missing config or results file, or a
-non-positive term budget, 3 term budget exceeded.  The term budget holds
+2 unknown construction id, missing or malformed config file, missing
+results file, a non-integer ``CAYLEY_SEED`` or a non-positive term
+budget, 3 term budget exceeded.  The term budget holds
 only while ``verify`` runs its constructions.  Identical seed and
 configuration give byte-identical reports except for the timing fields.
 """
@@ -78,13 +79,20 @@ def read_config_file(path: str) -> dict:
     return values
 
 
+def _int_value(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer: {text!r}") from None
+
+
 def _apply_file_config(cfg: RunConfig, values: dict):
     if "seed" in values:
-        cfg.seed = int(values["seed"])
+        cfg.seed = _int_value("seed", values["seed"])
     if "trials" in values:
-        cfg.trials = int(values["trials"])
+        cfg.trials = _int_value("trials", values["trials"])
     if "term_budget" in values:
-        cfg.term_budget = int(values["term_budget"])
+        cfg.term_budget = _int_value("term_budget", values["term_budget"])
     if "format" in values:
         cfg.format = values["format"]
     if "only" in values:
@@ -159,10 +167,18 @@ def cmd_verify(args) -> int:
         if not os.path.exists(args.config):
             sys.stderr.write(f"config file not found: {args.config}\n")
             return 2
-        _apply_file_config(cfg, read_config_file(args.config))
+        try:
+            _apply_file_config(cfg, read_config_file(args.config))
+        except ValueError as exc:
+            sys.stderr.write(f"bad config file {args.config}: {exc}\n")
+            return 2
     env_seed = os.environ.get("CAYLEY_SEED")
     if env_seed is not None:
-        cfg.seed = int(env_seed)
+        try:
+            cfg.seed = _int_value("CAYLEY_SEED", env_seed)
+        except ValueError as exc:
+            sys.stderr.write(f"{exc}\n")
+            return 2
     if args.seed is not None:
         cfg.seed = args.seed
     if args.trials is not None:

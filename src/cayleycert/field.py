@@ -235,6 +235,17 @@ def _quotient(x, y, d: int) -> QuadExt:
     return _make(p, q, den, d)
 
 
+def _scalar_triple(x):
+    """(p, q, n) with x = (p + q*sqrt(d))/n for an int, Fraction or QuadExt.
+
+    Package-private: the integer kernels of ``matrices`` read scalars
+    through this, so only this module knows how a QuadExt is stored.
+    """
+    if isinstance(x, QuadExt):
+        return x._pqn
+    return x.numerator, 0, x.denominator
+
+
 def conj(x):
     """Galois conjugate of a scalar; rationals are fixed."""
     if isinstance(x, QuadExt):

@@ -100,6 +100,30 @@ def test_config_non_positive_term_budget_exits_2(tmp_path, capsys):
     assert err == "term budget must be positive: 0\n"
 
 
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cc.conf"
+    cfg.write_text("only=picard.ledger\nseed 9\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"bad config file {cfg}: bad config line: 'seed 9'\n"
+
+
+@pytest.mark.parametrize("key", ["seed", "trials", "term_budget"])
+def test_config_non_integer_value_exits_2(tmp_path, capsys, key):
+    cfg = tmp_path / "cc.conf"
+    cfg.write_text(f"only=picard.ledger\n{key}=ten\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"bad config file {cfg}: {key} must be an integer: 'ten'\n"
+
+
+def test_env_seed_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CAYLEY_SEED", "abc")
+    code, out, err = run_cli(capsys, "verify", "--only", "picard.ledger")
+    assert code == 2 and out == ""
+    assert err == "CAYLEY_SEED must be an integer: 'abc'\n"
+
+
 def test_determinism_same_seed_same_report(capsys):
     argv = ("verify", "--only", "appendix.conic,picard.lines,rank2.pgu3",
             "--seed", "123")

@@ -3,9 +3,12 @@
 Exit codes: 0 all selected certificates pass, 1 at least one fails,
 2 unknown construction id, missing or malformed config file, missing
 results file, a non-integer ``CAYLEY_SEED`` or a non-positive term
-budget, 3 term budget exceeded.  The term budget holds
-only while ``verify`` runs its constructions.  Identical seed and
-configuration give byte-identical reports except for the timing fields.
+budget, 3 term budget exceeded.  On exit 3 ``verify`` still emits the
+report of the constructions run so far; the one that hit the budget has
+a single failing ``term-budget`` verdict whose detail is the error.  The
+term budget holds only while ``verify`` runs its constructions.
+Identical seed and configuration give byte-identical reports except for
+the timing fields.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from . import __version__
 from .catalog import all_ids, get, run_construction
 from .errors import TermBudgetError
 from .poly import DEFAULT_TERM_BUDGET, term_budget
+from .ratmap import Certificate
 
 SCHEMA_VERSION = 1
 
@@ -205,6 +209,7 @@ def cmd_verify(args) -> int:
         return 2
 
     results = []
+    over_budget = False
     with term_budget(cfg.term_budget):
         for cid in ids:
             seed = construction_seed(cfg.seed, cid)
@@ -212,14 +217,20 @@ def cmd_verify(args) -> int:
                 cert = run_construction(cid, seed=seed, trials=cfg.trials)
             except TermBudgetError as exc:
                 sys.stderr.write(f"term budget exceeded in {cid}: {exc}\n")
-                return 3
+                cert = Certificate(cid, seed=seed)
+                cert.add("term-budget", "fail", str(exc))
+                over_budget = True
             record = cert.to_dict()
             record["anchors"] = [get(cid).anchor]
             results.append(record)
+            if over_budget:
+                break
 
     report = build_report(cfg, results)
     text = render_json(report) if cfg.format == "json" else render_markdown(report)
     _emit(text, cfg.out)
+    if over_budget:
+        return 3
     return 0 if report["overall"] else 1
 
 

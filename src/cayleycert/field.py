@@ -21,6 +21,7 @@ sqrt(d) -> -sqrt(d) is available on every value through :func:`conj`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .errors import DegenerateError, FieldMismatchError, StructureError
@@ -57,8 +58,10 @@ class QuadExt:
     validates d; arithmetic results skip that check, because their d comes
     from a value that was validated when it was built.  ``a``, ``b`` and
     ``d`` are read-only.  A value with b = 0 is a rational and moves freely
-    between fields; mixing irrational values of different discriminants
-    raises :class:`FieldMismatchError`.
+    between fields: combined with an irrational value of another field, in
+    either order, it gives a value in the irrational one's field.  Mixing
+    irrational values of different discriminants raises
+    :class:`FieldMismatchError`.
     """
 
     __slots__ = ("_pqn", "_d")
@@ -88,9 +91,15 @@ class QuadExt:
         return self._d
 
     def _operand(self, other):
-        """(p, q, n) of ``other`` in this field; None for a non-scalar."""
+        """(p, q, n) of ``other``; None for a non-scalar.
+
+        The result of an operation lives in this field, unless this value
+        is rational and ``other`` irrational: then it lives in other's.  So
+        the operations take d = self._d if q1 or not q2 else other._d, where
+        q2 != 0 makes ``other`` a QuadExt.
+        """
         if isinstance(other, QuadExt):
-            if other._d != self._d and other._pqn[1]:
+            if other._d != self._d and other._pqn[1] and self._pqn[1]:
                 raise FieldMismatchError(
                     f"mixed discriminants: sqrt({self._d}) vs sqrt({other._d})")
             return other._pqn
@@ -106,9 +115,10 @@ class QuadExt:
             return NotImplemented
         p1, q1, n1 = self._pqn
         p2, q2, n2 = o
+        d = self._d if q1 or not q2 else other._d
         if n1 == n2:
-            return _make(p1 + p2, q1 + q2, n1, self._d)
-        return _make(p1 * n2 + p2 * n1, q1 * n2 + q2 * n1, n1 * n2, self._d)
+            return _make(p1 + p2, q1 + q2, n1, d)
+        return _make(p1 * n2 + p2 * n1, q1 * n2 + q2 * n1, n1 * n2, d)
 
     __radd__ = __add__
 
@@ -118,9 +128,10 @@ class QuadExt:
             return NotImplemented
         p1, q1, n1 = self._pqn
         p2, q2, n2 = o
+        d = self._d if q1 or not q2 else other._d
         if n1 == n2:
-            return _make(p1 - p2, q1 - q2, n1, self._d)
-        return _make(p1 * n2 - p2 * n1, q1 * n2 - q2 * n1, n1 * n2, self._d)
+            return _make(p1 - p2, q1 - q2, n1, d)
+        return _make(p1 * n2 - p2 * n1, q1 * n2 - q2 * n1, n1 * n2, d)
 
     def __rsub__(self, other):
         return -self + other
@@ -131,7 +142,8 @@ class QuadExt:
             return NotImplemented
         p1, q1, n1 = self._pqn
         p2, q2, n2 = o
-        return _make(p1 * p2 + self._d * q1 * q2, p1 * q2 + q1 * p2, n1 * n2, self._d)
+        d = self._d if q1 or not q2 else other._d
+        return _make(p1 * p2 + d * q1 * q2, p1 * q2 + q1 * p2, n1 * n2, d)
 
     __rmul__ = __mul__
 
@@ -156,7 +168,8 @@ class QuadExt:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return _quotient(self._pqn, o, self._d)
+        d = self._d if self._pqn[1] or not o[1] else other._d
+        return _quotient(self._pqn, o, d)
 
     def __rtruediv__(self, other):
         o = self._operand(other)
@@ -238,12 +251,37 @@ def _quotient(x, y, d: int) -> QuadExt:
 def _scalar_triple(x):
     """(p, q, n) with x = (p + q*sqrt(d))/n for an int, Fraction or QuadExt.
 
-    Package-private: the integer kernels of ``matrices`` read scalars
-    through this, so only this module knows how a QuadExt is stored.
+    Package-private: the integer kernels of ``matrices`` and ``poly`` read
+    scalars through this, so only this module knows how a QuadExt is stored.
     """
     if isinstance(x, QuadExt):
         return x._pqn
     return x.numerator, 0, x.denominator
+
+
+def _domain(*groups):
+    """(kind, d) of the result of an integer kernel over the scalars in
+    ``groups`` (re-iterable collections of int, Fraction or QuadExt).
+
+    Package-private: the one rule of the ``matrices`` and ``poly`` kernels.
+    kind is QuadExt if any scalar is a QuadExt, int if every scalar is an
+    int, else Fraction.  d is the discriminant for QuadExt, else None: the
+    field of the irrational values (rational values cross fields; with none
+    irrational, the least d present).  Irrational values of two fields raise
+    :class:`FieldMismatchError`.
+    """
+    kinds = set(map(type, chain.from_iterable(groups)))
+    if QuadExt not in kinds:
+        return (int if kinds <= {int} else Fraction), None
+    ds = {x._d for x in chain.from_iterable(groups) if type(x) is QuadExt}
+    if len(ds) > 1:
+        irrational = sorted({x._d for x in chain.from_iterable(groups)
+                             if type(x) is QuadExt and x._pqn[1]})
+        if len(irrational) > 1:
+            raise FieldMismatchError(
+                f"mixed discriminants: sqrt({irrational[0]}) vs sqrt({irrational[1]})")
+        ds = irrational or ds
+    return QuadExt, min(ds)
 
 
 def conj(x):

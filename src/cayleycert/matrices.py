@@ -11,7 +11,8 @@ product entry is an integer dot product, over Z[sqrt(d)] the pair
 ``Fraction`` or a ``QuadExt``.  An inverse is fraction-free Gauss-Jordan
 elimination (Bareiss 1968) on the integer matrix; see :func:`mat_inverse`.
 
-Entry types: a product of two int matrices has int entries; a product or
+Entry types follow the one rule of ``field._domain``, which ``poly``
+shares: a product of two int matrices has int entries; a product or
 inverse with any ``QuadExt`` entry has ``QuadExt`` entries in that field;
 everything else has ``Fraction`` entries.  Irrational entries from two
 different fields raise :class:`FieldMismatchError`.
@@ -23,8 +24,8 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .errors import DegenerateError, FieldMismatchError, StructureError
-from .field import QuadExt, _make, _quotient, _scalar_triple
+from .errors import DegenerateError, StructureError
+from .field import QuadExt, _domain, _make, _quotient, _scalar_triple
 from .field import conj as scalar_conj
 
 
@@ -57,24 +58,6 @@ def mat_scale(c, a):
     return tuple(tuple(c * x for x in r) for r in a)
 
 
-def _domain(*mats):
-    """(kind, d) of the entries: kind is int, Fraction or QuadExt, and d is
-    the discriminant of the field for QuadExt, else None."""
-    kinds = {type(x) for a in mats for r in a for x in r}
-    if QuadExt not in kinds:
-        return (int if kinds <= {int} else Fraction), None
-    ds = {x.d for a in mats for r in a for x in r if type(x) is QuadExt}
-    if len(ds) > 1:
-        # rational values cross fields, irrational ones do not
-        irrational = sorted({x.d for a in mats for r in a for x in r
-                             if type(x) is QuadExt and _scalar_triple(x)[1]})
-        if len(irrational) > 1:
-            raise FieldMismatchError(
-                f"mixed discriminants: sqrt({irrational[0]}) vs sqrt({irrational[1]})")
-        ds = irrational or ds
-    return QuadExt, min(ds)
-
-
 def _over_lcm(row):
     """A row of rationals as integers over their least common denominator."""
     ratios = [x.as_integer_ratio() for x in row]
@@ -95,7 +78,7 @@ def mat_mul(a, b):
     k2, m = mat_shape(b)
     if k != k2:
         raise StructureError(f"cannot multiply {n}x{k} by {k2}x{m}")
-    kind, d = _domain(a, b)
+    kind, d = _domain(*a, *b)
     if kind is QuadExt:
         rows = [_over_lcm_quad(r) for r in a]
         cols = [_over_lcm_quad(c) for c in zip(*b)]
@@ -164,7 +147,7 @@ def mat_inverse(a):
     """
     n = len(a)
     order = list(range(n))
-    kind, d = _domain(a)
+    kind, d = _domain(*a)
     if kind is not QuadExt:
         rows = [_over_lcm(r) for r in a]
         w = [r for r, _ in rows]

@@ -1,19 +1,41 @@
 """Sparse multivariate polynomials and rational functions, exact throughout.
 
 ``Poly`` stores a map from exponent vectors to nonzero coefficients over a
-fixed ordered variable tuple; coefficients may be ints, Fractions or
-:class:`~cayleycert.field.QuadExt` values (they only need ring arithmetic,
-so evaluation at ``RatFunc`` points works too, which is how composition is
-implemented).  ``RatFunc`` is a numerator/denominator pair that is *not*
-kept in lowest terms: there is no multivariate GCD here.  Equality is
-decided exactly by cross multiplication and full expansion, and identities
-modulo a variety relation are decided by :func:`chart_restrict`, which
-substitutes the relation's chart into the function.
+fixed ordered variable tuple; coefficients are ints, Fractions or
+:class:`~cayleycert.field.QuadExt` values.  Evaluation needs only ring
+arithmetic of the point's entries, so a ``Poly`` can be evaluated at
+``RatFunc`` points too.  ``RatFunc`` is a numerator/denominator pair that
+is *not* kept in lowest terms: there is no multivariate GCD here.
+Equality is decided exactly by cross multiplication and full expansion,
+and identities modulo a variety relation are decided by
+:func:`chart_restrict`, which substitutes the relation's chart into the
+function.
+
+Products run on integers (the integral representation of Cohen, *A Course
+in Computational Algebraic Number Theory*, 4.2, as in ``matrices``): the
+kernel puts each factor's coefficients over one denominator, the lcm of
+theirs, sums the products of term pairs as integers, over Z[sqrt(d)] as
+the pairs (p*p' + d*q*q', p*q' + q*p'), and normalises each output
+coefficient once.  A result is sorted once, in the graded order: highest
+total degree first, then lexicographic.  :func:`ratfunc_compose` runs the
+kernel on raw term dicts and builds each cleared polynomial once.
+
+Coefficient types of a product follow the one rule of ``field._domain``,
+shared with ``matrices``: ``QuadExt`` in the field of the irrational
+coefficients if either factor has a ``QuadExt`` coefficient, ``int`` if
+both factors are int-only, else ``Fraction``; irrational coefficients from
+two fields raise :class:`FieldMismatchError`.  So a rational coefficient
+of a product whose factors mix ``Fraction`` and ``QuadExt`` is a rational
+``QuadExt``, with the same value, hash, ``==`` and ``scalar_str`` as the
+``Fraction``.
 
 Every product passes through a term budget, so that a runaway expansion
-fails loudly instead of thrashing.  The budget is 10^6 terms unless a
-``with term_budget(n):`` block scopes a different one; it is a context
-variable, so it never outlives the block.
+fails loudly instead of thrashing.  :class:`TermBudgetError` is raised
+before the work when the factors have more than 16 times the budget in
+term pairs, and after it when the product has more nonzero terms than the
+budget.  The budget is 10^6 terms unless a ``with term_budget(n):`` block
+scopes a different one; it is a context variable, so it never outlives
+the block.
 """
 
 from __future__ import annotations
@@ -21,10 +43,15 @@ from __future__ import annotations
 import contextlib
 from contextvars import ContextVar
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .errors import DegenerateError, StructureError, TermBudgetError
-from .field import QuadExt, scalar_str
+from .field import QuadExt, _domain, _make, _scalar_triple, scalar_str
 from .field import conj as scalar_conj
+
+_new = object.__new__
+_set = object.__setattr__
 
 DEFAULT_TERM_BUDGET = 10 ** 6
 _term_budget = ContextVar("term_budget", default=DEFAULT_TERM_BUDGET)
@@ -42,9 +69,69 @@ def term_budget(n: int):
         _term_budget.reset(token)
 
 
-def _mono_key(exps):
-    # graded order, highest total degree first, then lexicographic
-    return (-sum(exps), tuple(-e for e in exps))
+def _order(term):
+    # graded order, sorted descending: highest total degree first, then
+    # lexicographic; exponent vectors are distinct, so there are no ties
+    return sum(term[0]), term[0]
+
+
+def _poly(variables, terms) -> "Poly":
+    """The Poly of checked, nonzero ``terms`` over a variable tuple, sorted once."""
+    p = _new(Poly)
+    _set(p, "vars", variables)
+    _set(p, "terms", dict(sorted(terms.items(), key=_order, reverse=True)))
+    return p
+
+
+def _scaled(terms):
+    """Coefficients of a term dict over one denominator, the lcm of theirs:
+    ([(exps, p, q)], n) with coefficient (p + q*sqrt(d))/n, q = 0 for rationals."""
+    if len(terms) == 1:
+        (e, c), = terms.items()
+        p, q, n = _scalar_triple(c)
+        return [(e, p, q)], n
+    t = [(e, _scalar_triple(c)) for e, c in terms.items()]
+    den = lcm(*[n for _, (_, _, n) in t])
+    return [(e, p * (den // n), q * (den // n)) for e, (p, q, n) in t], den
+
+
+def _product(t1, t2):
+    """Product of two term dicts as a dict of nonzero terms, computed on
+    integers with the coefficient types and term budget checks described
+    in the module docstring."""
+    budget = _term_budget.get()
+    if len(t1) * len(t2) > 16 * budget:
+        raise TermBudgetError(
+            f"product of {len(t1)} x {len(t2)} terms exceeds budget {budget}")
+    kind, d = _domain(t1.values(), t2.values())
+    a, da = _scaled(t1)
+    b, db = _scaled(t2)
+    den = da * db
+    acc = {}
+    if kind is QuadExt:
+        for e1, p1, q1 in a:
+            dq1 = d * q1
+            for e2, p2, q2 in b:
+                e = tuple(map(add, e1, e2))
+                s = acc.get(e)
+                if s is None:
+                    acc[e] = [p1 * p2 + dq1 * q2, p1 * q2 + q1 * p2]
+                else:
+                    s[0] += p1 * p2 + dq1 * q2
+                    s[1] += p1 * q2 + q1 * p2
+        out = {e: _make(p, q, den, d) for e, (p, q) in acc.items() if p or q}
+    else:
+        for e1, p1, _ in a:
+            for e2, p2, _ in b:
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + p1 * p2
+        if kind is int:
+            out = {e: c for e, c in acc.items() if c}
+        else:
+            out = {e: Fraction(c, den) for e, c in acc.items() if c}
+    if len(out) > budget:
+        raise TermBudgetError(f"{len(out)} terms exceed budget {budget}")
+    return out
 
 
 class Poly:
@@ -66,7 +153,7 @@ class Poly:
                     f"exponent vector {exps} does not match variables {self.vars}")
             if c:
                 clean[tuple(exps)] = c
-        ordered = dict(sorted(clean.items(), key=lambda kv: _mono_key(kv[0])))
+        ordered = dict(sorted(clean.items(), key=_order, reverse=True))
         object.__setattr__(self, "terms", ordered)
 
     def __setattr__(self, *args):
@@ -113,12 +200,12 @@ class Poly:
                 terms[e] = acc
             else:
                 terms.pop(e, None)
-        return Poly(self.vars, terms)
+        return _poly(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -132,23 +219,7 @@ class Poly:
         if not isinstance(other, Poly):
             return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
         self._check_same(other)
-        budget = _term_budget.get()
-        if len(self.terms) * len(other.terms) > 16 * budget:
-            raise TermBudgetError(
-                f"product of {len(self.terms)} x {len(other.terms)} terms "
-                f"exceeds budget {budget}")
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(e, 0) + c1 * c2
-                if acc:
-                    terms[e] = acc
-                else:
-                    terms.pop(e, None)
-        if len(terms) > budget:
-            raise TermBudgetError(f"{len(terms)} terms exceed budget {budget}")
-        return Poly(self.vars, terms)
+        return _poly(self.vars, _product(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -306,8 +377,10 @@ class RatFunc:
         num, den = self._strip_monomial(num, den)
         lead = den.lead_coeff()
         if lead != 1:
-            num = Poly(num.vars, {e: c / lead for e, c in num.terms.items()})
-            den = Poly(den.vars, {e: c / lead for e, c in den.terms.items()})
+            if isinstance(lead, int):
+                lead = Fraction(lead)       # int / int would be a float
+            num = _poly(num.vars, {e: c / lead for e, c in num.terms.items()})
+            den = _poly(den.vars, {e: c / lead for e, c in den.terms.items()})
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -328,10 +401,10 @@ class RatFunc:
         if not any(mins):
             return num, den
         strip = tuple(mins)
-        num = Poly(num.vars, {tuple(e - s for e, s in zip(exps, strip)): c
-                              for exps, c in num.terms.items()})
-        den = Poly(den.vars, {tuple(e - s for e, s in zip(exps, strip)): c
-                              for exps, c in den.terms.items()})
+        num = _poly(num.vars, {tuple(e - s for e, s in zip(exps, strip)): c
+                               for exps, c in num.terms.items()})
+        den = _poly(den.vars, {tuple(e - s for e, s in zip(exps, strip)): c
+                               for exps, c in den.terms.items()})
         return num, den
 
     # -- constructors --------------------------------------------------
@@ -465,26 +538,33 @@ def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
             for i, e in enumerate(exps):
                 if e > maxdeg[i]:
                     maxdeg[i] = e
+    # powers of the substituted numerators and denominators, as term dicts
+    origin = (0,) * len(out_vars)
     num_pows, den_pows = [], []
     for s, top in zip(subst, maxdeg):
-        nrow, drow = [Poly.const(out_vars, Fraction(1))], [Poly.const(out_vars, Fraction(1))]
+        nrow, drow = [{origin: Fraction(1)}], [{origin: Fraction(1)}]
         for _ in range(top):
-            nrow.append(nrow[-1] * s.num)
-            drow.append(drow[-1] * s.den)
+            nrow.append(_product(nrow[-1], s.num.terms))
+            drow.append(_product(drow[-1], s.den.terms))
         num_pows.append(nrow)
         den_pows.append(drow)
 
     def cleared(poly):
-        acc = Poly.zero(out_vars)
+        acc = {}
         for exps, c in poly.terms.items():
-            val = Poly.const(out_vars, c)
+            val = {origin: c}
             for i, e in enumerate(exps):
                 if e:
-                    val = val * num_pows[i][e]
+                    val = _product(val, num_pows[i][e])
                 if maxdeg[i] - e:
-                    val = val * den_pows[i][maxdeg[i] - e]
-            acc = acc + val
-        return acc
+                    val = _product(val, den_pows[i][maxdeg[i] - e])
+            for e, x in val.items():
+                x = acc.get(e, 0) + x
+                if x:
+                    acc[e] = x
+                else:
+                    del acc[e]
+        return _poly(out_vars, acc)
 
     den = cleared(f.den)
     if den.is_zero():

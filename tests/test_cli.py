@@ -73,11 +73,22 @@ def test_verify_mutation_fixture_exits_1_with_named_check(capsys):
 
 
 def test_verify_term_budget_exit_3(capsys):
-    code, out, err = run_cli(capsys, "verify", "--only", "su3.phi",
-                             "--term-budget", "5")
+    code, out, err = run_cli(capsys, "verify", "--only",
+                             "picard.ledger,su3.phi,su3.chain", "--term-budget", "5")
     assert code == 3
     assert "term budget exceeded" in err
     assert "su3.phi" in err
+    # the partial report holds the constructions run so far, and stops at
+    # the one that hit the budget with a single failing term-budget verdict
+    report = json.loads(out)
+    assert report["overall"] is False
+    assert [r["id"] for r in report["results"]] == ["picard.ledger", "su3.phi"]
+    done, over = report["results"]
+    assert done["ok"] and over["ok"] is False
+    assert over["anchors"] and over["seed"] == construction_seed(42, "su3.phi")
+    assert over["verdicts"] == [{"name": "term-budget", "status": "fail",
+                                 "detail": "6 terms exceed budget 5"}]
+    assert err == f"term budget exceeded in su3.phi: {over['verdicts'][0]['detail']}\n"
     # the budget ends with verify: a 10-term product is fine again
     vs = ("a", "b", "c")
     p = sum((Poly.variable(vs, v) for v in vs), Poly.zero(vs)) + 1

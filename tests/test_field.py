@@ -316,14 +316,32 @@ def test_zero_is_canonical():
             assert not z and z == 0 and hash(z) == hash(0)
 
 
-def test_rational_left_irrational_right_raises():
-    # a rational value crosses fields; an irrational one never does,
-    # whichever side of the operator it is on
-    rational, irrational = QuadExt(5, 0, -3), QuadExt(1, 1, -1)
-    for op in BINARY_OPS + (operator.truediv,):
-        with pytest.raises(FieldMismatchError):
-            op(rational, irrational)
-        with pytest.raises(FieldMismatchError):
-            op(QuadExt(1, 1, -3), irrational)
-    assert irrational + rational == QuadExt(6, 1, -1)
-    assert rational != irrational and irrational != rational
+def test_rational_crosses_fields_in_either_order():
+    # a rational value of one field combines with an irrational value of
+    # another, on either side of the operator, and the result lives in the
+    # irrational value's field; it equals the same operation with a Fraction
+    r = Fraction(5, 2)
+    for d_rat in DISCRIMINANTS:
+        rational = QuadExt(r, 0, d_rat)
+        for d in DISCRIMINANTS:
+            if d == d_rat:
+                continue
+            irrational = QuadExt(Fraction(1, 3), -2, d)
+            for op in BINARY_OPS + (operator.truediv,):
+                for got, want in ((op(rational, irrational), op(r, irrational)),
+                                  (op(irrational, rational), op(irrational, r))):
+                    assert type(got) is QuadExt and got.d == d
+                    assert got._pqn == want._pqn
+                    assert_canonical(got)
+            assert rational != irrational and irrational != rational
+
+
+def test_irrational_values_of_two_fields_raise():
+    # whichever side of the operator each one is on
+    for x, y in ((QuadExt(1, 1, -3), QuadExt(1, 1, -1)),
+                 (QuadExt(1, 1, -1), QuadExt(1, 1, -3)),
+                 (QuadExt(0, 2, 5), QuadExt(Fraction(1, 2), 1, 2))):
+        for op in BINARY_OPS + (operator.truediv,):
+            with pytest.raises(FieldMismatchError):
+                op(x, y)
+        assert x != y

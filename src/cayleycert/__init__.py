@@ -28,8 +28,7 @@ from .classical import (MatrixAlg, cayley_conjugation_equivariance,
                         pgl_cayley, symplectic_alg, unitary_alg)
 from .su3 import build_su3_chain, end_to_end, phi_inverse
 from .rank2 import rank2_torus_suite
-from .surfaces import (SurfaceSpec, conic_suite, singular_points,
-                       surface_membership)
+from .surfaces import SurfaceSpec, singular_points, surface_membership
 from .picard import (LedgerStep, inter, invariant_sublattice, ledger_run,
                      line_classes, standard_actions)
 from .catalog import all_ids, run_construction

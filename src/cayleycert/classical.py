@@ -3,9 +3,20 @@
 For an associative matrix algebra with an involution iota, the group
 G = {a : iota(a) a = 1} and the skew space {x : iota(x) = -x} are related
 by the self-inverse birational transform a -> (1 - a)(1 + a)^-1.  The
-supported involutions are transpose against a symmetric form H, conjugate
-transpose against a Hermitian form H over Q(sqrt(d)), and transpose
-against an invertible antisymmetric J (the symplectic case).
+involution is iota(a) = H^-1 core(a) H, with core(a) the transpose of a
+against a symmetric form H, the conjugate transpose against a Hermitian
+form H over Q(sqrt(d)), and the transpose against an antisymmetric J (the
+symplectic case).
+
+Forms must be monomial: row l of H has one nonzero entry h_l, in column
+sigma(l).  Over Q this loses nothing, as every symmetric or Hermitian form
+is congruent to a diagonal one and every symplectic form to J.  Then iota
+is a gather, iota(a)[i][j] = (h_q / h_p) core(a)[p][q] with p = sigma^-1(i)
+and q = sigma^-1(j), read from a table built once: a factor of +-1 is a
+sign, any other (as for diag(1, 2, -3)) one scalar product, and the
+conjugation is applied to each gathered entry.  The transform uses
+(1 - a)(1 + a)^-1 = 2(1 + a)^-1 - 1: one inverse of a with its diagonal
+shifted by 1, then a doubling, with no matrix product.
 
 The projective variant for the quotient of the full matrix group by
 scalars is built here too: [a] -> (n / tr a) a - 1 with inverse
@@ -17,9 +28,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 
 from .errors import DegenerateError, PreconditionError, StructureError
-from .field import QuadField, random_rational
+from .field import QuadExt, QuadField, _domain, random_rational
+from .field import conj as scalar_conj
 from .group import GroupSpec
 from .matrices import (conj_transpose, identity, mat_add, mat_eq, mat_inverse,
                        mat_mul, mat_neg, mat_scale, mat_str, mat_sub, transpose)
@@ -27,12 +41,24 @@ from .poly import RatFunc
 from .ratmap import (Certificate, EquivMap, MapPair, Relation, VarietySpec, Block,
                      projective_space)
 
+_field_d = attrgetter("d")
+
 INVOLUTIONS = ("symplectic", "transpose-form", "hermitian-form")
+FORM_KINDS = {"symplectic": "antisymmetric", "transpose-form": "symmetric",
+              "hermitian-form": "Hermitian"}
+MONOMIAL_RULE = ("form must be monomial, with one nonzero entry in each row and "
+                 "column: over Q every symmetric or Hermitian form is congruent to a "
+                 "diagonal one, and every symplectic form to J")
 
 
 @dataclass
 class MatrixAlg:
-    """A full matrix algebra with a fixed involution."""
+    """A full matrix algebra with a fixed involution.
+
+    ``form`` must be monomial (module docstring), else the constructor
+    raises :class:`StructureError`.  ``one`` is the identity matrix over
+    the algebra's scalars, built once.
+    """
 
     n: int
     involution: str
@@ -43,32 +69,56 @@ class MatrixAlg:
         if self.involution not in INVOLUTIONS:
             raise StructureError(f"unknown involution {self.involution!r}")
         H = self.form
-        if self.involution == "transpose-form":
-            if not mat_eq(H, transpose(H)):
-                raise StructureError("form must be symmetric")
-        elif self.involution == "hermitian-form":
-            if self.field is None:
-                raise StructureError("hermitian involution needs a quadratic field")
-            if not mat_eq(H, conj_transpose(H)):
-                raise StructureError("form must be Hermitian")
-        else:
-            if not mat_eq(H, mat_neg(transpose(H))):
-                raise StructureError("form must be antisymmetric")
-        self._form_inv = mat_inverse(H)
-
-    @property
-    def one(self):
-        if self.field is not None:
-            return identity(self.n, self.field.one)
-        return identity(self.n)
+        self._conj = self.involution == "hermitian-form"
+        if self._conj and self.field is None:
+            raise StructureError("hermitian involution needs a quadratic field")
+        core = conj_transpose(H) if self._conj else transpose(H)
+        if not mat_eq(core, mat_neg(H) if self.involution == "symplectic" else H):
+            raise StructureError(f"form must be {FORM_KINDS[self.involution]}")
+        # row l of H holds h_l in column sigma(l); Fraction(1) * h_l keeps
+        # h_l / h_l' from being a float for int forms.  As H is (anti)symmetric
+        # or Hermitian, one entry per row makes sigma its own inverse.
+        cells = [[(j, Fraction(1) * x) for j, x in enumerate(row) if x] for row in H]
+        if any(len(c) != 1 for c in cells):
+            raise StructureError(MONOMIAL_RULE)
+        sigma = [c[0][0] for c in cells]
+        h = [c[0][1] for c in cells]
+        # entry (i, j) is f * core(a)[p][q] = f * a[q][p] with p = sigma[i],
+        # q = sigma[j] and f = h_q / h_p; s is f when f = +-1, else 0
+        self._gather = tuple(tuple((q, p, f, (f == 1) - (f == -1))
+                                   for q in sigma for f in (h[q] / h[p],)) for p in sigma)
+        kind, d = _domain(*H)
+        self._kind = (QuadExt if kind is QuadExt else Fraction), d
+        self.one = identity(self.n, self.field.one if self.field is not None else Fraction(1))
 
     def involute(self, a):
-        """iota(a); an anti-automorphism with iota^2 = id."""
-        if self.involution == "hermitian-form":
-            core = conj_transpose(a)
+        """iota(a) = H^-1 core(a) H; an anti-automorphism with iota^2 = id.
+
+        A gather of signed entries (module docstring).  The entries have
+        the type that the product H^-1 core(a) H has under the rule of
+        ``field._domain``, as if it were multiplied out.
+        """
+        if self._conj:
+            # the inner loop binds c to the conjugated entry once
+            m = tuple(tuple(c if s == 1 else -c if s else f * c
+                            for q, p, f, s in row for c in (scalar_conj(a[q][p]),))
+                      for row in self._gather)
         else:
-            core = transpose(a)
-        return mat_mul(self._form_inv, mat_mul(core, self.form))
+            m = tuple(tuple(a[q][p] if s == 1 else -a[q][p] if s else f * a[q][p]
+                            for q, p, f, s in row)
+                      for row in self._gather)
+        return self._retype(m, a)
+
+    def _retype(self, m, a):
+        """m with the entry type of H^-1 core(a) H.  Entries of ``a`` over
+        the form's own scalars already have it; others (ints, a field not
+        the form's) are converted by multiplying with the result's one."""
+        kind, d = self._kind
+        if (set(map(type, chain.from_iterable(a))) == {kind}
+                and (d is None or set(map(_field_d, chain.from_iterable(a))) == {d})):
+            return m
+        kind, d = _domain(*a, *self.form)
+        return mat_scale(QuadExt(1, 0, d) if kind is QuadExt else Fraction(1), m)
 
     def group_residual(self, a):
         """iota(a) a - 1; zero exactly when a is a group point."""
@@ -123,11 +173,16 @@ def cayley_transform_of_skew(alg: MatrixAlg, x):
 
 
 def _transform(alg, a):
+    """(1 - a)(1 + a)^-1 = 2(1 + a)^-1 - 1, an identity in any ring where
+    1 + a is invertible (1 - a = 2 - (1 + a)): one inverse, no product."""
+    one = alg.one[0][0]
     try:
-        inv = mat_inverse(mat_add(alg.one, a))
+        inv = mat_inverse(tuple(tuple(x + one if i == j else x for j, x in enumerate(r))
+                                for i, r in enumerate(a)))
     except DegenerateError:
         raise DegenerateError("1 + a is singular (exceptional locus)")
-    return mat_mul(mat_sub(alg.one, a), inv)
+    return tuple(tuple(2 * x - 1 if i == j else 2 * x for j, x in enumerate(r))
+                 for i, r in enumerate(inv))
 
 
 def cayley_conjugation_equivariance(alg: MatrixAlg, a, g) -> bool:
@@ -175,6 +230,7 @@ def full_linear_certificate(n: int, seed: int, trials: int = 25,
     cert = Certificate(construction=name or f"gl{n}", seed=seed)
     rng = random.Random(seed)
     ok = True
+    one = identity(n)
     for _ in range(trials):
         a = tuple(tuple(random_rational(rng, span=4) for _ in range(n)) for _ in range(n))
         ginv = tuple(tuple(random_rational(rng, span=3) for _ in range(n))
@@ -183,14 +239,10 @@ def full_linear_certificate(n: int, seed: int, trials: int = 25,
             g = mat_inverse(ginv)
         except DegenerateError:
             continue
-        one = identity(n)
         x = mat_sub(a, one)
-        if not mat_eq(mat_add(x, one), a):
-            ok = False
-            break
-        lhs = mat_sub(mat_mul(g, mat_mul(a, ginv)), one)
-        rhs = mat_mul(g, mat_mul(x, ginv))
-        if not mat_eq(lhs, rhs):
+        if not (mat_eq(mat_add(x, one), a)
+                and mat_eq(mat_sub(mat_mul(g, mat_mul(a, ginv)), one),
+                           mat_mul(g, mat_mul(x, ginv)))):
             ok = False
             break
     cert.add("shift-round-trip-and-equivariance", "pass" if ok else "fail",
@@ -210,11 +262,9 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
                   for _ in range(alg.n))
         b = tuple(tuple(alg.random_entry(rng) for _ in range(alg.n))
                   for _ in range(alg.n))
-        if not mat_eq(alg.involute(mat_mul(a, b)),
-                      mat_mul(alg.involute(b), alg.involute(a))):
-            anti_ok = False
-            break
-        if not mat_eq(alg.involute(alg.involute(a)), a):
+        if not (mat_eq(alg.involute(mat_mul(a, b)),
+                       mat_mul(alg.involute(b), alg.involute(a)))
+                and mat_eq(alg.involute(alg.involute(a)), a)):
             anti_ok = False
             break
     cert.add("involution-anti-automorphism", "pass" if anti_ok else "fail")
@@ -277,34 +327,20 @@ def pgl_cayley(n: int) -> MapPair:
     """
     avars = _matrix_vars("a", n)
     xvars = _matrix_vars("x", n)
-    diag_x = tuple(f"x{i + 1}{i + 1}" for i in range(n))
+    diag = range(0, n * n, n + 1)          # row-major positions of a_ii
+    diag_x = tuple(xvars[k] for k in diag)
     source = projective_space(f"pgl{n}-matrices", avars, multiplicative=False)
     target = VarietySpec(f"sl{n}-traceless", (Block(
         "affine", xvars, (Relation("linear-sum", diag_x, diag_x[-1]),)),))
-
-    a = {v: RatFunc.variable(avars, v) for v in avars}
-    tr = sum((a[f"a{i + 1}{i + 1}"] for i in range(n)),
-             RatFunc.const(avars, Fraction(0)))
-    comps = []
-    for i in range(n):
-        for j in range(n):
-            f = n * a[f"a{i + 1}{j + 1}"] / tr
-            if i == j:
-                f = f - 1
-            comps.append(f)
+    a = RatFunc.variables(avars)
+    tr = sum(a[::n + 1], RatFunc.const(avars, Fraction(0)))
+    comps = tuple(n * f / tr - 1 if k in diag else n * f / tr for k, f in enumerate(a))
     forward = EquivMap(name=f"pgl{n}-forward", source=source, target=target,
-                       components=tuple(comps), group=_trivial_group())
-
-    x = {v: RatFunc.variable(xvars, v) for v in xvars}
-    inv_comps = []
-    for i in range(n):
-        for j in range(n):
-            f = x[f"x{i + 1}{j + 1}"]
-            if i == j:
-                f = f + 1
-            inv_comps.append(f)
+                       components=comps, group=_trivial_group())
+    inv_comps = tuple(f + 1 if k in diag else f
+                      for k, f in enumerate(RatFunc.variables(xvars)))
     inverse = EquivMap(name=f"pgl{n}-inverse", source=target, target=source,
-                       components=tuple(inv_comps), group=_trivial_group())
+                       components=inv_comps, group=_trivial_group())
     return MapPair(forward, inverse)
 
 
@@ -315,16 +351,14 @@ def _trivial_group() -> GroupSpec:
 def pgl_scalar_invariance(n: int) -> bool:
     """Forward components are unchanged under a -> lambda a, symbolically."""
     avars = _matrix_vars("a", n) + ("lam",)
-    a = {v: RatFunc.variable(avars, v) for v in avars}
-    lam = a["lam"]
-    tr = sum((a[f"a{i + 1}{i + 1}"] for i in range(n)),
-             RatFunc.const(avars, Fraction(0)))
-    for i in range(n):
-        for j in range(n):
-            plain = n * a[f"a{i + 1}{j + 1}"] / tr - (1 if i == j else 0)
-            scaled = n * (lam * a[f"a{i + 1}{j + 1}"]) / (lam * tr) - (1 if i == j else 0)
-            if not (plain - scaled).is_zero():
-                return False
+    *a, lam = RatFunc.variables(avars)
+    tr = sum(a[::n + 1], RatFunc.const(avars, Fraction(0)))
+    for k, f in enumerate(a):
+        shift = 1 if k % (n + 1) == 0 else 0
+        plain = n * f / tr - shift
+        scaled = n * (lam * f) / (lam * tr) - shift
+        if not (plain - scaled).is_zero():
+            return False
     return True
 
 

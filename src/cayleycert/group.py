@@ -286,12 +286,6 @@ class Cocycle:
     def of(cls, mapping: dict) -> "Cocycle":
         return cls(tuple((k, tuple(w)) for k, w in mapping.items()))
 
-    def word_for(self, gamma_label: str):
-        for lab, word in self.assignment:
-            if lab == gamma_label:
-                return word
-        return None
-
 
 def twist_action(base: GroupSpec, c: Cocycle) -> GroupSpec:
     """Twist the Galois generators: gamma now acts as c(gamma) o gamma.

@@ -225,16 +225,18 @@ class Poly:
         return self.__mul__(other)
 
     def __pow__(self, k: int):
+        """p ** k by squaring, starting from p itself, so its coefficients
+        have the types of p * ... * p; p ** 0 is the constant int 1."""
         if k < 0:
             raise StructureError("negative power of a polynomial")
-        out = Poly.const(self.vars, Fraction(1))
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if k > 1 else base
             k >>= 1
-        return out
+        return Poly.const(self.vars, 1) if out is None else out
 
     # -- queries -------------------------------------------------------
 
@@ -300,21 +302,6 @@ class Poly:
 
     def conj_coeffs(self) -> "Poly":
         return Poly(self.vars, {e: scalar_conj(c) for e, c in self.terms.items()})
-
-    def rename(self, variables) -> "Poly":
-        variables = tuple(variables)
-        if len(variables) != len(self.vars):
-            raise StructureError("renaming must preserve arity")
-        return Poly(variables, dict(self.terms))
-
-    def drop_var(self, name: str) -> "Poly":
-        """Remove a variable that no longer occurs."""
-        idx = self.vars.index(name)
-        if any(e[idx] for e in self.terms):
-            raise StructureError(f"variable {name!r} still occurs")
-        new_vars = self.vars[:idx] + self.vars[idx + 1:]
-        terms = {e[:idx] + e[idx + 1:]: c for e, c in self.terms.items()}
-        return Poly(new_vars, terms)
 
     # -- rendering and equality -----------------------------------------
 

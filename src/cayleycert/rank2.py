@@ -331,9 +331,6 @@ def rank2_torus_suite(seed: int = 42, trials: int = 100,
     return cert
 
 
-rank2_suite = rank2_torus_suite
-
-
 def certify_external_g2(pair: MapPair, seed: int = 42, trials: int = 100) -> Certificate:
     """Certificates for a user-supplied rank-2 base map.
 

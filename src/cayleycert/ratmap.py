@@ -90,10 +90,6 @@ class VarietySpec:
     def coords(self) -> tuple:
         return tuple(c for b in self.blocks for c in b.coords)
 
-    @property
-    def dim_ambient(self) -> int:
-        return len(self.coords)
-
     def relations(self):
         return tuple(rel for b in self.blocks for rel in b.relations)
 
@@ -122,10 +118,6 @@ class VarietySpec:
                    (rb.kind, ib, b.coords.index(rb.solve_for), rb.exponents):
                     return False
         return True
-
-
-def affine_space(name: str, coords, relations=()) -> VarietySpec:
-    return VarietySpec(name, (Block("affine", tuple(coords), tuple(relations)),))
 
 
 def torus(name: str, coords, product_one=True) -> VarietySpec:

@@ -261,6 +261,3 @@ def y_membership_certificate(seed: int = 42, trials: int = 50) -> Certificate:
     cert.add("torus-membership", "pass" if ok == trials else "fail",
              f"{ok} of {trials} points with t1 t2 t3 = t0^3")
     return cert
-
-
-conic_suite = conic_certificate

@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cayleycert.classical import (cayley_conjugation_equivariance,
+from cayleycert.classical import (MatrixAlg, cayley_conjugation_equivariance,
                                   cayley_transform, cayley_transform_of_skew,
                                   classical_certificate, full_linear_certificate,
                                   orthogonal_alg, pgl_cayley, pgl_certificate,
@@ -11,7 +13,8 @@ from cayleycert.classical import (cayley_conjugation_equivariance,
                                   unitary_alg)
 from cayleycert.errors import DegenerateError, PreconditionError, StructureError
 from cayleycert.field import QuadField
-from cayleycert.matrices import identity, mat_eq, trace
+from cayleycert.matrices import (conj_transpose, identity, mat_add, mat_eq, mat_inverse,
+                                 mat_mul, mat_scale, mat_str, mat_sub, trace, transpose)
 
 F = QuadField(-3)
 ZETA = F.zeta()
@@ -152,3 +155,227 @@ def test_pgl_zero_trace_is_exceptional():
     pt = (Fraction(1), Fraction(0), Fraction(0), Fraction(-1))
     with pytest.raises(DegenerateError):
         pair.forward.components[0].eval(pt)
+
+
+# -- oracle for the gathered involution and the one-inverse transform -------
+#
+# The involution is checked against H^-1 core(a) H multiplied out, and the
+# transform against (1 - a)(1 + a)^-1 with its two matrix products, both
+# written here; values and entry types must agree.
+
+DISCRIMINANTS = (-3, -1, 2, 5)
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+nonzero_rationals = rationals.filter(bool)
+
+
+def oracle_involute(alg, a):
+    core = conj_transpose(a) if alg.involution == "hermitian-form" else transpose(a)
+    return mat_mul(mat_inverse(alg.form), mat_mul(core, alg.form))
+
+
+def oracle_transform(alg, a):
+    try:
+        inv = mat_inverse(mat_add(alg.one, a))
+    except DegenerateError:
+        raise DegenerateError("1 + a is singular (exceptional locus)")
+    return mat_mul(mat_sub(alg.one, a), inv)
+
+
+def entry_types(m):
+    return [(type(x), getattr(x, "d", None)) for r in m for x in r]
+
+
+def assert_same(got, want):
+    assert got == want
+    assert entry_types(got) == entry_types(want)
+
+
+def swap_form(n, c, c_mirror, zero):
+    """Monomial form pairing coordinates 2k and 2k+1 through c (and c_mirror
+    below the diagonal); with n odd the last coordinate pairs with itself."""
+    H = [[zero] * n for _ in range(n)]
+    for k in range(0, n - 1, 2):
+        H[k][k + 1], H[k + 1][k] = c, c_mirror
+    if n % 2:
+        H[n - 1][n - 1] = c * c_mirror
+    return tuple(map(tuple, H))
+
+
+@st.composite
+def algebras(draw):
+    kind = draw(st.sampled_from(("symplectic", "orthogonal", "unitary",
+                                 "split", "hermitian-swap")))
+    if kind == "symplectic":
+        return symplectic_alg(draw(st.sampled_from((2, 4, 6))))
+    n = draw(st.integers(1, 4))
+    signs = st.sampled_from((1, -1, 2, -3, Fraction(1, 2)))
+    if kind == "orthogonal":
+        return orthogonal_alg(n, tuple(draw(signs) for _ in range(n)))
+    d = draw(st.sampled_from(DISCRIMINANTS))
+    if kind == "unitary":
+        return unitary_alg(n, d, tuple(draw(signs) for _ in range(n)))
+    n = max(n, 2)
+    c = draw(nonzero_rationals)
+    if kind == "split":
+        return MatrixAlg(n=n, involution="transpose-form",
+                         form=swap_form(n, c, c, Fraction(0)))
+    K = QuadField(d)
+    c = K.of(c, draw(rationals))
+    return MatrixAlg(n=n, involution="hermitian-form",
+                     form=swap_form(n, c, c.conj(), K.zero), field=K)
+
+
+def native_entries(alg):
+    if alg.field is None:
+        return rationals
+    return st.builds(alg.field.of, rationals, rationals)
+
+
+@st.composite
+def algebra_and_matrix(draw, mixed=False):
+    """An algebra and a square matrix over its scalars; ``mixed`` also
+    draws ints, and Fractions for a Hermitian algebra."""
+    alg = draw(algebras())
+    entries = native_entries(alg)
+    if mixed:
+        entries = st.one_of(entries, st.integers(-3, 3), rationals)
+    row = st.tuples(*[entries] * alg.n)
+    return alg, draw(st.tuples(*[row] * alg.n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(algebra_and_matrix(), algebra_and_matrix(mixed=True)))
+def test_involute_matches_multiplied_out_form(case):
+    alg, a = case
+    assert_same(alg.involute(a), oracle_involute(alg, a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_and_matrix())
+def test_transform_matches_two_product_formula(case):
+    alg, r = case
+    x = mat_scale(Fraction(1, 2), mat_sub(r, oracle_involute(alg, r)))
+    try:
+        want = oracle_transform(alg, x)
+    except DegenerateError as exc:
+        with pytest.raises(DegenerateError, match=re.escape(str(exc))):
+            cayley_transform_of_skew(alg, x)
+        return
+    a = cayley_transform_of_skew(alg, x)
+    assert_same(a, want)
+    assert_same(cayley_transform(alg, a), oracle_transform(alg, a))
+
+
+def test_transform_of_int_entries_matches_two_product_formula():
+    alg = symplectic_alg(2)
+    a = ((0, 1), (-1, 0))
+    assert_same(cayley_transform(alg, a), oracle_transform(alg, a))
+    x = ((1, 2), (3, -1))
+    assert_same(cayley_transform_of_skew(alg, x), oracle_transform(alg, x))
+
+
+K2 = QuadField(2)
+
+
+@pytest.mark.parametrize("alg, a, skew", [
+    (orthogonal_alg(2), ((Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))), False),
+    (symplectic_alg(2), ((Fraction(-1), Fraction(0)), (Fraction(0), Fraction(1))), True),
+    (unitary_alg(2, 2, (1, -1)), ((K2.zero, K2.one), (K2.one, K2.zero)), True),
+    (unitary_alg(2, 2), ((-K2.one, K2.zero), (K2.zero, -K2.one)), False),
+])
+def test_singular_one_plus_a_is_named(alg, a, skew):
+    with pytest.raises(DegenerateError, match=r"^1 \+ a is singular \(exceptional locus\)$"):
+        oracle_transform(alg, a)
+    fn = cayley_transform_of_skew if skew else cayley_transform
+    with pytest.raises(DegenerateError, match=r"^1 \+ a is singular \(exceptional locus\)$"):
+        fn(alg, a)
+
+
+def test_non_unit_signs_keep_working():
+    alg = orthogonal_alg(3, (1, 2, -3))
+    rng = random.Random(3)
+    for _ in range(5):
+        a = alg.random_group_point(rng)
+        assert alg.is_group_point(a)
+        assert mat_eq(cayley_transform_of_skew(alg, cayley_transform(alg, a)), a)
+
+
+# -- forms ------------------------------------------------------------------
+
+@pytest.mark.parametrize("involution, form, field", [
+    ("transpose-form", ((1, 1), (1, 2)), None),
+    ("transpose-form", ((1, 0), (0, 0)), None),
+    ("symplectic", ((0, 1, 1), (-1, 0, 0), (-1, 0, 0)), None),
+    ("hermitian-form", ((F.one, F.sqrt), (-F.sqrt, F.one)), F),
+])
+def test_form_must_be_monomial(involution, form, field):
+    with pytest.raises(StructureError, match="monomial") as info:
+        MatrixAlg(n=len(form), involution=involution, form=form, field=field)
+    assert "congruent to a diagonal one" in str(info.value)
+
+
+def test_form_kind_still_checked_first():
+    with pytest.raises(StructureError, match="symmetric"):
+        MatrixAlg(n=2, involution="transpose-form", form=((1, 2), (3, 1)))
+    with pytest.raises(StructureError, match="antisymmetric"):
+        MatrixAlg(n=2, involution="symplectic", form=((0, 1), (1, 0)))
+    with pytest.raises(StructureError, match="Hermitian"):
+        MatrixAlg(n=1, involution="hermitian-form", form=((F.sqrt,),), field=F)
+
+
+def test_one_is_built_once_over_the_algebras_scalars():
+    alg = unitary_alg(2, -1)
+    assert alg.one is alg.one
+    assert_same(alg.one, identity(2, QuadField(-1).one))
+    assert_same(symplectic_alg(2).one, identity(2))
+
+
+# -- pinned reports -----------------------------------------------------------
+#
+# The ms-stripped reports and the first sampled group point of four classical
+# algebras at seed 7, as the two-product formulas gave them.  A speedup that
+# moves a byte of either fails here by name.
+
+PINNED_GROUP_POINTS = {
+    "sp4": "[-8671/13295, -8552/13295, 12448/13295, -13488/13295; "
+           "-712/2659, -1747/2659, -2800/2659, 1120/2659; "
+           "-7008/13295, -2496/13295, -7871/13295, -6424/13295; "
+           "192/2659, -1680/2659, -440/2659, -2483/2659]",
+    "so3": "[3/5, -4/5, 0; -1, -3/4, -3/4; -3/5, -9/20, -5/4]",
+    "su3": "[-64674/73717+6038/73717*sqrt(-3), -4059/73717-5653/73717*sqrt(-3), "
+           "-19723/147434+35261/147434*sqrt(-3); "
+           "-13107/73717-5287/73717*sqrt(-3), -60701/73717+18636/73717*sqrt(-3), "
+           "6651/73717-11659/73717*sqrt(-3); "
+           "42745/147434+23935/147434*sqrt(-3), -23007/73717-4691/73717*sqrt(-3), "
+           "-61590/73717+7282/73717*sqrt(-3)]",
+    "u3gauss": "[-129363/156361+21968/156361*sqrt(-1), -2524/156361-7660/156361*sqrt(-1), "
+               "-43314/156361+72734/156361*sqrt(-1); "
+               "-36652/156361-10132/156361*sqrt(-1), -118185/156361+80176/156361*sqrt(-1), "
+               "35636/156361-36564/156361*sqrt(-1); "
+               "64110/156361+40930/156361*sqrt(-1), -62612/156361+8220/156361*sqrt(-1), "
+               "-117229/156361+30544/156361*sqrt(-1)]",
+}
+PINNED_ALGEBRAS = {
+    "sp4": lambda: symplectic_alg(4),
+    "so3": lambda: orthogonal_alg(3, (1, 1, -1)),
+    "su3": lambda: unitary_alg(3),
+    "u3gauss": lambda: unitary_alg(3, -1),
+}
+
+
+def pinned_report(name):
+    return {"id": name, "ok": True, "seed": 7, "term_stats": {}, "verdicts": [
+        {"name": "involution-anti-automorphism", "status": "pass", "detail": ""},
+        {"name": "image-skewness", "status": "pass", "detail": "15 samples"},
+        {"name": "round-trip", "status": "pass", "detail": "15 samples"},
+        {"name": "conjugation-equivariance", "status": "pass", "detail": "15 samples"},
+    ]}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ALGEBRAS))
+def test_classical_report_is_pinned(name):
+    alg = PINNED_ALGEBRAS[name]()
+    report = classical_certificate(name, alg, seed=7, trials=15).to_dict()
+    report.pop("ms")
+    assert report == pinned_report(name)
+    assert mat_str(alg.random_group_point(random.Random(7))) == PINNED_GROUP_POINTS[name]

@@ -352,6 +352,23 @@ def test_int_product_keeps_int_coefficients():
     assert all(type(c) is Fraction for c in (pq * x).terms.values())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda d: polys(d, XYZ, 4, 2)),
+       st.integers(1, 5))
+@example(Poly(("x", "y"), {(1, 0): 3, (0, 2): -2, (0, 0): 5}), 3)
+def test_pow_is_repeated_product(p, k):
+    # values, monomial order and coefficient types of p * p * ... * p
+    want = p
+    for _ in range(k - 1):
+        want = want * p
+    got = p ** k
+    assert got.terms == want.terms and list(got.terms) == list(want.terms)
+    assert [(type(c), getattr(c, "d", None)) for c in got.terms.values()] == \
+           [(type(c), getattr(c, "d", None)) for c in want.terms.values()]
+    one = (p ** 0).terms
+    assert one == {(0,) * len(p.vars): 1} and type(one[(0,) * len(p.vars)]) is int
+
+
 def test_irrational_coefficients_of_two_fields_raise():
     p = Poly.variable(V3, "x1") + QuadExt(0, 1, -3)
     q = Poly.const(V3, QuadExt(1, 1, 5))

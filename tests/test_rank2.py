@@ -12,7 +12,7 @@ from cayleycert.rank2 import (EPS, GAMMA, T12, C123, base_lie_group,
                               g2_interface, g2_group, g2_slot_certificate,
                               gamma_twisted_expected, pgu3_certificate,
                               pgu3_differential, pgu3_lie_certificate,
-                              pgu3_torus_map, pullback_group, rank2_suite,
+                              pgu3_torus_map, pullback_group, rank2_torus_suite,
                               twist_certificate, twisted_torus_group)
 
 F = QuadField(-3)
@@ -128,5 +128,5 @@ def test_external_g2_shape_mismatch_is_structural():
 
 
 def test_full_suite_green_with_missing_slot():
-    cert = rank2_suite(seed=42, trials=40)
+    cert = rank2_torus_suite(seed=42, trials=40)
     assert cert.ok, [v.name for v in cert.failing()]

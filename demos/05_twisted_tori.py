@@ -11,22 +11,22 @@ from fractions import Fraction
 
 from cayleycert import QuadField, apply_action, st_tw_embed
 from cayleycert.group import transposition, cycle
-from cayleycert.rank2 import (base_torus_group, pgu3_certificate,
-                              pgu3_differential, pgu3_torus_map, pullback_group,
-                              twist_certificate, twisted_torus_group)
+from cayleycert.rank2 import (base_group, pgu3_differential, pgu3_torus_map,
+                              pullback_group, twist_certificate, twisted_group)
 from cayleycert.ratmap import map_of_point
+from cayleycert.su3 import link_certificate
 
 F = QuadField(-3)
 zeta = F.zeta()
 
 print("Base torus actions: permutations, inversion, plain conjugation.")
-eps = base_torus_group().action("eps")
+eps = base_group("torus").action("eps")
 print("  eps on (2, 3, 1/6):", apply_action(eps, (Fraction(2), Fraction(3),
                                                   Fraction(1, 6))))
 print()
 
 print("Twisting gamma by the cocycle gamma -> eps:")
-tw = twisted_torus_group().action("gamma")
+tw = twisted_group("torus").action("gamma")
 print("  twisted gamma =", tw.describe())
 print("  fixed point (zeta, zeta, zeta):",
       apply_action(tw, (zeta, zeta, zeta)) == (zeta, zeta, zeta))
@@ -56,7 +56,7 @@ print()
 
 print("Certificates:")
 for cert in (twist_certificate(seed=42, trials=30),
-             pgu3_certificate(seed=42, trials=30)):
+             link_certificate(pair, seed=42, trials=30)):
     passes = sum(1 for v in cert.verdicts if v.status == "pass")
     print(f"  {cert.construction:14s} {passes}/{len(cert.verdicts)} checks, "
           f"{'PASS' if cert.ok else 'FAIL'}")

@@ -1,9 +1,10 @@
 """Registry of addressable constructions and the deliberate-failure fixtures.
 
-Every certified construction has a stable string id; the command line
-selects them by id or runs the whole non-fixture set.  Mutation fixtures
-are intentionally broken variants (a swapped component, a dropped twist, a
-dropped conjugation, a wrong cocycle value, a bumped lattice entry) whose
+Every certified construction has a stable string id and one entry in the
+literal table ``CONSTRUCTIONS``; the command line selects them by id or
+runs the whole non-fixture set.  Mutation fixtures are intentionally
+broken variants (a swapped component, a dropped twist, a dropped
+conjugation, a wrong cocycle value, a bumped lattice entry) whose
 certificates must fail with a named check; they are excluded from "all"
 and only run when selected explicitly.
 """
@@ -21,11 +22,12 @@ from .group import ActionGen, Cocycle, twist_action
 from .picard import (galois_matrix, invariants_certificate, lattice_certificate,
                      ledger_certificate, lines_certificate, preserves_form, fixes,
                      CANONICAL)
-from .rank2 import (GAMMA, base_torus_group, g2_slot_certificate,
-                    gamma_twisted_expected, pgu3_certificate, pgu3_lie_certificate,
-                    twist_certificate, _action_tables_match)
+from .rank2 import (GAMMA, base_group, g2_slot_certificate, gamma_twisted_expected,
+                    pgu3_differential, pgu3_torus_map, twist_certificate,
+                    _action_tables_match)
 from .ratmap import Certificate, EquivMap, check_equivariance
-from .su3 import chain_certificate, link_linear, link_quotient, phi_certificate
+from .su3 import (chain_certificate, link_certificate, link_linear, link_quotient,
+                  phi_certificate)
 from .surfaces import (conic_certificate, x_membership_certificate,
                        y_membership_certificate, y_singular_certificate)
 
@@ -38,15 +40,6 @@ class Construction:
     fixture: bool = False
 
 
-_REGISTRY: dict = {}
-
-
-def register(cid: str, anchor: str, run, fixture: bool = False):
-    if cid in _REGISTRY:
-        raise StructureError(f"duplicate construction id {cid!r}")
-    _REGISTRY[cid] = Construction(cid, anchor, run, fixture)
-
-
 def all_ids(include_fixtures: bool = False):
     ids = sorted(_REGISTRY)
     if include_fixtures:
@@ -55,8 +48,6 @@ def all_ids(include_fixtures: bool = False):
 
 
 def get(cid: str) -> Construction:
-    if cid not in _REGISTRY:
-        raise KeyError(cid)
     return _REGISTRY[cid]
 
 
@@ -112,7 +103,7 @@ def _mutant_dropped_conjugation(seed: int, trials: int) -> Certificate:
 def _mutant_wrong_cocycle(seed: int, trials: int) -> Certificate:
     cert = Certificate(construction="mutation.wrong-cocycle", seed=seed)
     bad = Cocycle.of({GAMMA: ("(1 2)",)})
-    twisted = twist_action(base_torus_group(), bad)
+    twisted = twist_action(base_group("torus"), bad)
     got = twisted.action(GAMMA)
     want = gamma_twisted_expected("torus")
     ok = _action_tables_match(got, want, seed, 25, True)
@@ -141,75 +132,83 @@ MUTATION_IDS = (
 )
 
 
-# -- registry assembly --------------------------------------------------------
+# -- the construction table --------------------------------------------------
 
-def _fill_registry():
-    register("classical.gl3", "unit group of the 3x3 matrix algebra",
-             lambda s, t: full_linear_certificate(3, s, min(t, 25), name="classical.gl3"))
-    register("classical.sp2", "symplectic involution transform, size 2",
-             lambda s, t: classical_certificate("classical.sp2", symplectic_alg(2), s, t))
-    register("classical.sp4", "symplectic involution transform, size 4",
-             lambda s, t: classical_certificate("classical.sp4", symplectic_alg(4), s, t))
-    register("classical.so3", "orthogonal involution transform, size 3",
-             lambda s, t: classical_certificate("classical.so3", orthogonal_alg(3), s, t))
-    register("classical.so21", "orthogonal transform for the (2,1) form",
-             lambda s, t: classical_certificate("classical.so21",
-                                                orthogonal_alg(3, (1, 1, -1)), s, t))
-    register("classical.su3", "Hermitian involution transform over Q(sqrt(-3))",
-             lambda s, t: classical_certificate("classical.su3", unitary_alg(3, -3), s, t))
-    register("classical.su21", "Hermitian transform for the (2,1) form",
-             lambda s, t: classical_certificate("classical.su21",
-                                                unitary_alg(3, -3, (1, 1, -1)), s, t))
-    register("classical.u3gauss", "Hermitian involution transform over Q(sqrt(-1))",
-             lambda s, t: classical_certificate("classical.u3gauss",
-                                                unitary_alg(3, -1), s, t))
-    register("pgl.2", "projective linear transform, size 2",
-             lambda s, t: pgl_certificate(2, s, t, name="pgl.2"))
-    register("pgl.3", "projective linear transform, size 3",
-             lambda s, t: pgl_certificate(3, s, t, name="pgl.3"))
+CONSTRUCTIONS = (
+    Construction("classical.gl3", "unit group of the 3x3 matrix algebra",
+                 lambda s, t: full_linear_certificate(3, s, min(t, 25),
+                                                      name="classical.gl3")),
+    Construction("classical.sp2", "symplectic involution transform, size 2",
+                 lambda s, t: classical_certificate("classical.sp2",
+                                                    symplectic_alg(2), s, t)),
+    Construction("classical.sp4", "symplectic involution transform, size 4",
+                 lambda s, t: classical_certificate("classical.sp4",
+                                                    symplectic_alg(4), s, t)),
+    Construction("classical.so3", "orthogonal involution transform, size 3",
+                 lambda s, t: classical_certificate("classical.so3",
+                                                    orthogonal_alg(3), s, t)),
+    Construction("classical.so21", "orthogonal transform for the (2,1) form",
+                 lambda s, t: classical_certificate("classical.so21",
+                                                    orthogonal_alg(3, (1, 1, -1)), s, t)),
+    Construction("classical.su3", "Hermitian involution transform over Q(sqrt(-3))",
+                 lambda s, t: classical_certificate("classical.su3",
+                                                    unitary_alg(3, -3), s, t)),
+    Construction("classical.su21", "Hermitian transform for the (2,1) form",
+                 lambda s, t: classical_certificate("classical.su21",
+                                                    unitary_alg(3, -3, (1, 1, -1)), s, t)),
+    Construction("classical.u3gauss", "Hermitian involution transform over Q(sqrt(-1))",
+                 lambda s, t: classical_certificate("classical.u3gauss",
+                                                    unitary_alg(3, -1), s, t)),
+    Construction("pgl.2", "projective linear transform, size 2",
+                 lambda s, t: pgl_certificate(2, s, t, name="pgl.2")),
+    Construction("pgl.3", "projective linear transform, size 3",
+                 lambda s, t: pgl_certificate(3, s, t, name="pgl.3")),
 
-    register("su3.chain", "five-link equivariant torus chain, unitary rank 2",
-             lambda s, t: chain_certificate(seed=s, trials=t))
-    register("su3.phi", "difference map into the paired projective planes",
-             lambda s, t: phi_certificate(seed=s, trials=t))
+    Construction("su3.chain", "five-link equivariant torus chain, unitary rank 2",
+                 lambda s, t: chain_certificate(seed=s, trials=t)),
+    Construction("su3.phi", "difference map into the paired projective planes",
+                 lambda s, t: phi_certificate(seed=s, trials=t)),
 
-    register("rank2.twist", "cocycle-twisted torus actions and embeddings",
-             lambda s, t: twist_certificate(seed=s, trials=t))
-    register("rank2.pgu3", "quotient-torus isomorphism onto the twisted torus",
-             lambda s, t: pgu3_certificate(seed=s, trials=t))
-    register("rank2.pgu3.lie", "differential of the quotient-torus isomorphism",
-             lambda s, t: pgu3_lie_certificate(seed=s, trials=t))
-    register("rank2.g2-base", "pluggable rank-2 base map slot",
-             lambda s, t: g2_slot_certificate(seed=s, trials=t))
+    Construction("rank2.twist", "cocycle-twisted torus actions and embeddings",
+                 lambda s, t: twist_certificate(seed=s, trials=t)),
+    Construction("rank2.pgu3", "quotient-torus isomorphism onto the twisted torus",
+                 lambda s, t: link_certificate(pgu3_torus_map(), seed=s, trials=t)),
+    Construction("rank2.pgu3.lie", "differential of the quotient-torus isomorphism",
+                 lambda s, t: link_certificate(pgu3_differential(), seed=s, trials=t)),
+    Construction("rank2.g2-base", "pluggable rank-2 base map slot",
+                 lambda s, t: g2_slot_certificate(seed=s, trials=t)),
 
-    register("appendix.conic", "conic parameterization and group law",
-             lambda s, t: conic_certificate(seed=s, trials=t))
-    register("appendix.X", "triple-product surface membership",
-             lambda s, t: x_membership_certificate(seed=s, trials=t))
-    register("appendix.Y", "cubic compactification membership",
-             lambda s, t: y_membership_certificate(seed=s, trials=min(t, 50)))
-    register("appendix.Y.singular", "singular locus of the cubic",
-             lambda s, t: y_singular_certificate(seed=s, trials=min(t, 20)))
+    Construction("appendix.conic", "conic parameterization and group law",
+                 lambda s, t: conic_certificate(seed=s, trials=t)),
+    Construction("appendix.X", "triple-product surface membership",
+                 lambda s, t: x_membership_certificate(seed=s, trials=t)),
+    Construction("appendix.Y", "cubic compactification membership",
+                 lambda s, t: y_membership_certificate(seed=s, trials=min(t, 50))),
+    Construction("appendix.Y.singular", "singular locus of the cubic",
+                 lambda s, t: y_singular_certificate(seed=s, trials=min(t, 20))),
 
-    register("picard.lattice", "intersection form and symmetry matrices",
-             lambda s, t: lattice_certificate(seed=s))
-    register("picard.invariants", "invariant sublattice of the full action",
-             lambda s, t: invariants_certificate(seed=s))
-    register("picard.lines", "the six line classes and their hexagon",
-             lambda s, t: lines_certificate(seed=s))
-    register("picard.ledger", "self-intersection ledger arithmetic",
-             lambda s, t: ledger_certificate(seed=s))
+    Construction("picard.lattice", "intersection form and symmetry matrices",
+                 lambda s, t: lattice_certificate(seed=s)),
+    Construction("picard.invariants", "invariant sublattice of the full action",
+                 lambda s, t: invariants_certificate(seed=s)),
+    Construction("picard.lines", "the six line classes and their hexagon",
+                 lambda s, t: lines_certificate(seed=s)),
+    Construction("picard.ledger", "self-intersection ledger arithmetic",
+                 lambda s, t: ledger_certificate(seed=s)),
 
-    register("mutation.swapped-components", "fixture: two map components swapped",
-             _mutant_swapped_components, fixture=True)
-    register("mutation.twist-sign", "fixture: sign twist dropped from an action",
-             _mutant_twist_sign, fixture=True)
-    register("mutation.dropped-conjugation", "fixture: Galois conjugation dropped",
-             _mutant_dropped_conjugation, fixture=True)
-    register("mutation.wrong-cocycle", "fixture: cocycle hits the wrong element",
-             _mutant_wrong_cocycle, fixture=True)
-    register("mutation.lattice-offbyone", "fixture: lattice matrix entry off by one",
-             _mutant_lattice_offbyone, fixture=True)
+    Construction("mutation.swapped-components", "fixture: two map components swapped",
+                 _mutant_swapped_components, fixture=True),
+    Construction("mutation.twist-sign", "fixture: sign twist dropped from an action",
+                 _mutant_twist_sign, fixture=True),
+    Construction("mutation.dropped-conjugation", "fixture: Galois conjugation dropped",
+                 _mutant_dropped_conjugation, fixture=True),
+    Construction("mutation.wrong-cocycle", "fixture: cocycle hits the wrong element",
+                 _mutant_wrong_cocycle, fixture=True),
+    Construction("mutation.lattice-offbyone", "fixture: lattice matrix entry off by one",
+                 _mutant_lattice_offbyone, fixture=True),
+)
 
-
-_fill_registry()
+_REGISTRY = {c.id: c for c in CONSTRUCTIONS}
+_SHADOWED = [c.id for c in CONSTRUCTIONS if _REGISTRY[c.id] is not c]
+if _SHADOWED:
+    raise StructureError(f"duplicate construction id {_SHADOWED[0]!r}")

@@ -131,13 +131,13 @@ class MatrixAlg:
         s = mat_add(self.involute(x), x)
         return all(not v for r in s for v in r)
 
-    def random_entry(self, rng, span=3):
-        # small numerators over 1 or 2 keep the integers of mat_mul and the
-        # fraction-free mat_inverse short
+    def random_entry(self, rng):
+        # numerators in [-3, 3] over 1 or 2 keep the integers of mat_mul and
+        # the fraction-free mat_inverse short
         if self.field is not None:
-            return self.field.of(Fraction(rng.randint(-span, span), rng.randint(1, 2)),
-                                 Fraction(rng.randint(-span, span), rng.randint(1, 2)))
-        return Fraction(rng.randint(-span, span), rng.randint(1, 2))
+            return self.field.of(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                                 Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
 
     def random_skew(self, rng):
         """x - iota(x) is skew for any x; halving keeps it exact."""
@@ -145,9 +145,10 @@ class MatrixAlg:
                     for _ in range(self.n))
         return mat_scale(Fraction(1, 2), mat_sub(raw, self.involute(raw)))
 
-    def random_group_point(self, rng, retries=32):
-        """Group points come from the inverse transform of random skews."""
-        for _ in range(retries):
+    def random_group_point(self, rng):
+        """Group points come from the inverse transform of random skews; 32
+        skews that all hit the exceptional locus raise DegenerateError."""
+        for _ in range(32):
             x = self.random_skew(rng)
             try:
                 return cayley_transform_of_skew(self, x)
@@ -283,7 +284,7 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
             witness = mat_str(a)
             break
         try:
-            back = cayley_transform_of_skew(alg, x)
+            back = _transform(alg, x)   # x was just checked to be skew
         except DegenerateError:
             continue
         if mat_eq(back, a):

@@ -11,7 +11,7 @@ tuples, never proved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateError, StructureError
@@ -98,11 +98,6 @@ class ActionGen:
     def arity(self) -> int:
         return len(self.perm)
 
-    def rational_part(self) -> "ActionGen":
-        """The action with conjugation stripped; what symbolic equivariance
-        checks compose with (conjugation moves onto map coefficients)."""
-        return replace(self, conjugate=False)
-
     def describe(self) -> str:
         parts = [f"perm={self.perm}"]
         if self.twist != "none":
@@ -125,7 +120,9 @@ def apply_action(gen: ActionGen, tup, conjugate=None):
     """Apply a generator to a tuple of scalars (or RatFuncs).
 
     Order: permute (new_i = old_{perm^-1(i)}), twist, scale, conjugate.
-    Inverting a zero coordinate raises :class:`DegenerateError`.
+    ``conjugate``, when given, overrides the generator's flag (symbolic
+    checks pass False).  Inverting a zero coordinate raises
+    :class:`DegenerateError`.
     """
     tup = tuple(tup)
     if len(tup) != gen.arity:

@@ -29,10 +29,6 @@ from .field import QuadExt, _domain, _make, _quotient, _scalar_triple
 from .field import conj as scalar_conj
 
 
-def mat(rows):
-    return tuple(tuple(r) for r in rows)
-
-
 def mat_shape(a):
     return len(a), len(a[0]) if a else 0
 

@@ -178,10 +178,6 @@ class Poly:
         exps = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, {exps: Fraction(1)})
 
-    @classmethod
-    def monomial(cls, variables, exps, coeff=Fraction(1)):
-        return cls(variables, {tuple(exps): coeff})
-
     # -- ring operations ----------------------------------------------
 
     def _check_same(self, other):

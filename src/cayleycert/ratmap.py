@@ -6,10 +6,12 @@ supported relation forms are monomial products equal to one and linear
 sums equal to zero, which is exactly what :func:`cayleycert.poly.chart_restrict`
 can decide identities against.  An :class:`EquivMap` bundles the component
 rational functions with source and target action tables over a common
-group.  All verdicts are exact: equivariance and inverse identities are
-rational function identities modulo the source relations, with projective
-blocks compared through vanishing 2x2 cross products.  Random points only
-ever confirm or localise a failure, they never certify.
+group.  Equivariance and inverse identities are exact: rational function
+identities modulo the source relations, with projective blocks compared
+through vanishing 2x2 cross products, and round trips telescoped over
+stages (a plain pair is one stage).  Random points only confirm or
+localise a failure of these identities; group relations are the one
+sampled check here.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DegenerateError, SamplingError, StructureError
 from .field import random_rational, scalar_str
-from .group import ActionGen, apply_action
+from .group import apply_action
 from .poly import RatFunc, chart_restrict, ratfunc_compose, ratfunc_equal
 
 
@@ -307,11 +309,6 @@ def _tuple_equal(spec_tgt: VarietySpec, lhs, rhs) -> tuple:
     return True, max_terms
 
 
-def apply_rational(gen: ActionGen, tup):
-    """Symbolic action with conjugation stripped (it moves to coefficients)."""
-    return apply_action(gen.rational_part(), tup)
-
-
 def _conjugated_components(m: EquivMap):
     return tuple(c.conj_coeffs() for c in m.components)
 
@@ -344,19 +341,18 @@ def format_point(point) -> str:
 
 # -- random points --------------------------------------------------------
 
-def random_point(spec: VarietySpec, seed, span: int = 9, retries: int = 64,
-                 reject=None):
+def random_point(spec: VarietySpec, seed):
     """A random rational point exactly on the variety.
 
     ``seed`` may be an int or a random.Random.  Free coordinates are
-    sampled (nonzero on multiplicative blocks), then each relation is
-    solved for its designated coordinate.  ``reject``, if given, is a
-    predicate marking points that hit a downstream exceptional locus; the
-    sampler retries a bounded number of times and then raises
-    :class:`SamplingError` so the caller can report the locus.
+    sampled (numerators and denominators up to 9, nonzero on multiplicative
+    blocks), then each relation is solved for its designated coordinate.
+    A draw that solves a multiplicative coordinate to zero is redrawn;
+    after 64 such draws the sampler raises :class:`SamplingError` so the
+    caller can report the locus.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    for _ in range(retries):
+    for _ in range(64):
         values = {}
         ok = True
         for block in spec.blocks:
@@ -366,7 +362,7 @@ def random_point(spec: VarietySpec, seed, span: int = 9, retries: int = 64,
             for c in block.coords:
                 if c in solved:
                     continue
-                values[c] = random_rational(rng, span=span, nonzero=need_nonzero)
+                values[c] = random_rational(rng, span=9, nonzero=need_nonzero)
             for rel in block.relations:
                 s = rel.solve_for
                 if rel.kind == "torus-product":
@@ -386,14 +382,10 @@ def random_point(spec: VarietySpec, seed, span: int = 9, retries: int = 64,
                     values[s] = -acc
                 if block.is_multiplicative and values[s] == 0:
                     ok = False
-        if not ok:
-            continue
-        point = tuple(values[c] for c in spec.coords)
-        if reject is not None and reject(point):
-            continue
-        return point
+        if ok:
+            return tuple(values[c] for c in spec.coords)
     raise SamplingError(
-        f"no usable point on {spec.name} after {retries} tries; "
+        f"no usable point on {spec.name} after 64 tries; "
         "the exceptional locus keeps being hit")
 
 
@@ -454,9 +446,9 @@ def check_equivariance(m: EquivMap, seed=0) -> Certificate:
             continue
         try:
             comps = _conjugated_components(m) if src.conjugate else m.components
-            moved = apply_rational(src, x)
+            moved = apply_action(src, x, conjugate=False)
             lhs = tuple(ratfunc_compose(c, moved) for c in comps)
-            rhs = apply_rational(tgt, m_chart)
+            rhs = apply_action(tgt, m_chart, conjugate=False)
             equal, terms = _tuple_equal(m.target, lhs, rhs)
         except DegenerateError as exc:
             cert.add(vname, "fail", f"degenerate composition: {exc}")
@@ -516,10 +508,11 @@ def check_inverse_pair(f: EquivMap, g: EquivMap, seed=0, trials: int = 100,
     by the exceptional locus are counted and reported, value disagreements
     fail with a witness.
 
-    ``stages``, when given, is the list of MapPairs whose forwards compose
-    to f (and whose reversed inverses compose to g).  The round trips are
-    then certified by exact telescoping: each stage's inverse applied to
-    the forward prefix must reproduce the previous prefix.  Every map's
+    The round trips are certified by exact telescoping over ``stages``,
+    the list of MapPairs whose forwards compose to f (and whose reversed
+    inverses compose to g): each stage's inverse applied to the forward
+    prefix must reproduce the previous prefix.  Without ``stages`` the one
+    stage is (f, g) itself, which is the one-shot round trip.  Every map's
     components are homogeneous per projective block, so the projective
     scalar slack of an intermediate comparison propagates as a block
     scalar and the telescoped identities imply the full round trip.  This
@@ -531,25 +524,15 @@ def check_inverse_pair(f: EquivMap, g: EquivMap, seed=0, trials: int = 100,
         cert.add("interfaces", "fail", "source/target shapes do not match")
         return cert
 
+    chain = stages or [MapPair(f, g)]
     for tag, first, second in (("source", f, g), ("target", g, f)):
         vname = f"round-trip[{tag}]"
-        if stages is not None:
-            chain = stages if tag == "source" else [s.reversed() for s in reversed(stages)]
-            try:
-                equal, terms = _telescoped_roundtrip(chain)
-            except DegenerateError as exc:
-                cert.add(vname, "fail", f"degenerate composition: {exc}")
-                continue
-        else:
-            try:
-                # compose on the source chart: reduce first, then substitute
-                ident = chart_tuple(first.source)
-                first_chart = tuple(ratfunc_compose(c, ident) for c in first.components)
-                back = tuple(ratfunc_compose(c, first_chart) for c in second.components)
-                equal, terms = _tuple_equal(first.source, back, ident)
-            except DegenerateError as exc:
-                cert.add(vname, "fail", f"degenerate composition: {exc}")
-                continue
+        legs = chain if tag == "source" else [p.reversed() for p in reversed(chain)]
+        try:
+            equal, terms = _telescoped_roundtrip(legs)
+        except DegenerateError as exc:
+            cert.add(vname, "fail", f"degenerate composition: {exc}")
+            continue
         cert.term_stats["max_terms"] = max(cert.term_stats.get("max_terms", 0), terms)
         if equal:
             cert.add(vname, "pass", "telescoped over stages" if stages else "")

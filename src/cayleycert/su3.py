@@ -49,13 +49,13 @@ GAMMA = "gamma"
 _S3 = {T12: transposition(3, 0, 1), C123: cycle(3, (0, 1, 2))}
 
 
-def s3_gamma_group(arity_hint: int = 3) -> GroupSpec:
+def s3_gamma_group() -> GroupSpec:
     """Abstract label/relation container for the S3 x Galois generator set.
 
     The per-variety actions live on the maps; only labels, order and the
     defining relation words are used from here.
     """
-    idgen = ActionGen(perm=identity_perm(arity_hint))
+    idgen = ActionGen(perm=identity_perm(3))
     return GroupSpec(
         name="S3xGamma",
         generators=((T12, idgen), (C123, idgen), (GAMMA, idgen)),
@@ -294,10 +294,9 @@ def end_to_end() -> MapPair:
     return chain
 
 
-LINK_IDS = ("su3.quotient", "su3.phi", "su3.segre", "su3.stereo", "su3.linear")
-
-
 def link_certificate(pair: MapPair, seed: int, trials: int) -> Certificate:
+    """The certificate of one map pair, named after its forward map: target
+    relations, equivariance both ways, and an exact two-sided inverse."""
     cert = Certificate(construction=pair.forward.name, seed=seed)
     cert.extend(check_target_relations(pair.forward))
     cert.extend(check_equivariance(pair.forward, seed=seed), prefix="fwd.")

@@ -19,9 +19,8 @@ from cayleycert.picard import (CANONICAL, IDENTITY, LedgerStep, fixes,
                                lattice_span_equal, ledger_run, line_classes,
                                lines_certificate, preserves_form,
                                standard_actions)
-from cayleycert.rank2 import (pgu3_certificate, pgu3_lie_certificate,
-                              twist_certificate)
-from cayleycert.su3 import chain_certificate, phi_certificate
+from cayleycert.rank2 import pgu3_differential, pgu3_torus_map, twist_certificate
+from cayleycert.su3 import chain_certificate, link_certificate, phi_certificate
 from cayleycert.surfaces import (conic_certificate, x_membership_certificate,
                                  y_singular_certificate)
 
@@ -100,8 +99,8 @@ def test_criterion_5_twisted_suite():
     ok = tw.ok
     ok = ok and names.get("twisted-action-table[torus:gamma]") == "pass"
     ok = ok and names.get("twisted-action-table[lie:gamma]") == "pass"
-    p = pgu3_certificate(seed=42, trials=100)
-    d = pgu3_lie_certificate(seed=42, trials=100)
+    p = link_certificate(pgu3_torus_map(), seed=42, trials=100)
+    d = link_certificate(pgu3_differential(), seed=42, trials=100)
     ok = ok and p.ok and d.ok
     report(5, ok, "twisted action matches the conjugate-inverse form; "
                   "quotient-torus map and differential certified with exact inverses")

@@ -2,18 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from cayleycert.errors import StructureError
+from cayleycert.errors import FieldMismatchError, StructureError
 from cayleycert.field import QuadField
-from cayleycert.group import ActionGen, apply_action
+from cayleycert.group import ActionGen, apply_action, identity_perm
 from cayleycert.poly import RatFunc
 from cayleycert.ratmap import EquivMap, MapPair, map_of_point
-from cayleycert.rank2 import (EPS, GAMMA, T12, C123, base_lie_group,
-                              base_torus_group, certify_external_g2,
-                              g2_interface, g2_group, g2_slot_certificate,
-                              gamma_twisted_expected, pgu3_certificate,
-                              pgu3_differential, pgu3_lie_certificate,
+from cayleycert.rank2 import (EPS, GAMMA, T12, C123, _action_tables_match,
+                              base_group, certify_external_g2, g2_interface,
+                              g2_group, g2_slot_certificate,
+                              gamma_twisted_expected, pgu3_differential,
                               pgu3_torus_map, pullback_group, rank2_torus_suite,
-                              twist_certificate, twisted_torus_group)
+                              twist_certificate, twisted_group)
+from cayleycert.su3 import link_certificate
 
 F = QuadField(-3)
 ZETA = F.zeta()
@@ -24,22 +24,38 @@ def frac(a, b=1):
 
 
 def test_eps_inverts_torus_points():
-    eps = base_torus_group().action(EPS)
+    eps = base_group("torus").action(EPS)
     assert apply_action(eps, (frac(2), frac(3), frac(1, 6))) == \
         (frac(1, 2), frac(1, 3), frac(6))
 
 
 def test_eps_negates_lie_points():
-    eps = base_lie_group().action(EPS)
+    eps = base_group("lie").action(EPS)
     assert apply_action(eps, (frac(5), frac(-2), frac(-3))) == \
         (frac(-5), frac(2), frac(3))
 
 
 def test_twisted_gamma_matches_closed_form():
-    got = twisted_torus_group().action(GAMMA)
+    got = twisted_group("torus").action(GAMMA)
     assert got == gamma_twisted_expected("torus")
     # fixed point of the twisted action
     assert apply_action(got, (ZETA, ZETA, ZETA)) == (ZETA, ZETA, ZETA)
+
+
+def test_groups_keep_their_names_per_kind():
+    assert base_group("torus").name == "S3xS2xGamma[T]"
+    assert base_group("lie").name == "S3xS2xGamma[t]"
+    assert twisted_group("torus").name == "S3xS2xGamma[T][twisted]"
+    assert twisted_group("lie").action(GAMMA) == gamma_twisted_expected("lie")
+
+
+def test_action_table_mismatch_of_fields_is_not_a_verdict():
+    # an irrational scale from another field cannot be compared with
+    # Q(sqrt(-3)) values; that is a bug in the caller, not "tables differ"
+    want = ActionGen(perm=identity_perm(3), twist="invert", conjugate=True,
+                     scale=(QuadField(5).sqrt, 1, 1))
+    with pytest.raises(FieldMismatchError):
+        _action_tables_match(gamma_twisted_expected("torus"), want, 42, 25, True)
 
 
 def test_twist_certificate_green():
@@ -66,7 +82,7 @@ def test_pgu3_map_at_unit_class():
 
 
 def test_pgu3_certificates():
-    cert = pgu3_certificate(seed=42, trials=60)
+    cert = link_certificate(pgu3_torus_map(), seed=42, trials=60)
     assert cert.ok, [v.name for v in cert.failing()]
 
 
@@ -85,7 +101,7 @@ def test_differential_round_trip_on_slice():
 
 
 def test_differential_certificates():
-    cert = pgu3_lie_certificate(seed=42, trials=60)
+    cert = link_certificate(pgu3_differential(), seed=42, trials=60)
     assert cert.ok, [v.name for v in cert.failing()]
 
 
@@ -117,8 +133,13 @@ def test_external_g2_wrong_map_is_rejected():
     inv = EquivMap("wrong-g2-inv", tgt, src,
                    (uvars[0] + 1, uvars[1] + 1, uvars[2] + 1, uvars[3], uvars[4]),
                    group, tgt_act, src_act)
-    cert = certify_external_g2(MapPair(fwd, inv), seed=3, trials=10)
+    pair = MapPair(fwd, inv)
+    cert = certify_external_g2(pair, seed=3, trials=10)
     assert not cert.ok
+    # the slot runs the map-pair recipe of every other pair, target
+    # relations included
+    assert cert.to_dict() == link_certificate(pair, seed=3, trials=10).to_dict()
+    assert cert.verdicts[0].name == "target-relation[linear-slice:u3]"
 
 
 def test_external_g2_shape_mismatch_is_structural():
@@ -130,3 +151,4 @@ def test_external_g2_shape_mismatch_is_structural():
 def test_full_suite_green_with_missing_slot():
     cert = rank2_torus_suite(seed=42, trials=40)
     assert cert.ok, [v.name for v in cert.failing()]
+

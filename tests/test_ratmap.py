@@ -3,10 +3,11 @@ import pytest
 from cayleycert.errors import SamplingError, StructureError
 from cayleycert.group import ActionGen
 from cayleycert.poly import RatFunc
-from cayleycert.ratmap import (EquivMap, Relation, check_equivariance,
-                               check_inverse_pair, check_target_relations,
-                               compose, compose_pair, linear_slice, product,
-                               projective_space, random_point, torus)
+from cayleycert.ratmap import (Block, EquivMap, Relation, VarietySpec,
+                               check_equivariance, check_inverse_pair,
+                               check_target_relations, compose, compose_pair,
+                               linear_slice, product, projective_space,
+                               random_point, torus)
 from cayleycert.su3 import (link_phi, link_quotient, link_segre, quotient_variety,
                             s3_gamma_group, torus_variety)
 
@@ -44,9 +45,12 @@ def test_random_point_quadric_relation():
 
 
 def test_random_point_reject_budget():
-    spec = torus("T", ("t1", "t2", "t3"))
-    with pytest.raises(SamplingError):
-        random_point(spec, 0, retries=5, reject=lambda p: True)
+    # a torus coordinate whose relation solves it to zero: every draw is
+    # rejected, and the sampler gives up with a named error
+    spec = VarietySpec("zero", (Block("torus", ("a",),
+                                      (Relation("linear-sum", ("a",), "a"),)),))
+    with pytest.raises(SamplingError, match="no usable point on zero after 64 tries"):
+        random_point(spec, 0)
 
 
 def test_identity_map_is_equivariant():
@@ -219,6 +223,27 @@ def test_inverse_pair_failures_carry_witnesses():
          "evaluation disagrees with the symbolic identity", "(3/7, -8/5, 7/8)"),
     ]
 
+
+
+def test_degenerate_round_trip_is_a_named_failure():
+    # g o f sends (x1, x2) to (1/(x1 - x1), x1): the round trip's
+    # composition has an identically zero denominator
+    a2 = VarietySpec("A2", (Block("affine", ("x1", "x2")),))
+    a2u = VarietySpec("A2u", (Block("affine", ("u1", "u2")),))
+    x1, x2 = RatFunc.variables(a2.coords)
+    u1, u2 = RatFunc.variables(a2u.coords)
+    f = EquivMap("f", a2, a2u, (x1, x1))
+    g = EquivMap("g", a2u, a2, (1 / (u1 - u2), u2))
+    cert = check_inverse_pair(f, g, seed=1, trials=5)
+    got = [(v.name, v.status, v.detail, v.witness) for v in cert.verdicts]
+    assert got == [
+        ("round-trip[source]", "fail", "degenerate composition: composition "
+         "produced an identically zero denominator", None),
+        ("round-trip[target]", "fail", "round trip is not the identity",
+         "(-5/2, -1/2)"),
+        ("spot-check[5 points]", "fail", "only 0 usable points in 20 attempts; "
+         "the exceptional locus keeps being hit", None),
+    ]
 
 def test_spot_check_reports_a_map_that_never_evaluates():
     pair = link_quotient()

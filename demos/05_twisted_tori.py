@@ -55,7 +55,7 @@ print("  differential at (1, 0, -1):",
 print()
 
 print("Certificates:")
-for cert in (twist_certificate(seed=42, trials=30),
+for cert in (twist_certificate(seed=42),
              link_certificate(pair, seed=42, trials=30)):
     passes = sum(1 for v in cert.verdicts if v.status == "pass")
     print(f"  {cert.construction:14s} {passes}/{len(cert.verdicts)} checks, "

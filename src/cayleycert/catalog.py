@@ -12,22 +12,22 @@ and only run when selected explicitly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .classical import (classical_certificate, full_linear_certificate,
                         orthogonal_alg, pgl_certificate, symplectic_alg,
                         unitary_alg)
 from .errors import StructureError
-from .group import ActionGen, Cocycle, twist_action
+from .group import Cocycle, twist_action
 from .picard import (galois_matrix, invariants_certificate, lattice_certificate,
                      ledger_certificate, lines_certificate, preserves_form, fixes,
                      CANONICAL)
-from .rank2 import (GAMMA, base_group, g2_slot_certificate, gamma_twisted_expected,
+from .rank2 import (base_group, g2_slot_certificate, gamma_twisted_expected,
                     pgu3_differential, pgu3_torus_map, twist_certificate,
                     _action_tables_match)
-from .ratmap import Certificate, EquivMap, check_equivariance
-from .su3 import (chain_certificate, link_certificate, link_linear, link_quotient,
-                  phi_certificate)
+from .ratmap import Certificate, check_equivariance
+from .su3 import (C123, GAMMA, T12, chain_certificate, link_certificate, link_linear,
+                  link_phi, link_quotient)
 from .surfaces import (conic_certificate, x_membership_certificate,
                        y_membership_certificate, y_singular_certificate)
 
@@ -61,48 +61,38 @@ def run_construction(cid: str, seed: int = 42, trials: int = 100) -> Certificate
 
 # -- mutation fixtures -------------------------------------------------------
 
+def _edited(group, labels, **changes):
+    """``group`` with the actions of ``labels`` changed by dataclasses.replace."""
+    return replace(group, generators=tuple(
+        (label, replace(gen, **changes) if label in labels else gen)
+        for label, gen in group.generators))
+
+
 def _mutant_swapped_components(seed: int, trials: int) -> Certificate:
-    pair = link_quotient()
-    m = pair.forward
+    m = link_quotient().forward
     comps = (m.components[0], m.components[2], m.components[1])
-    broken = EquivMap("mutation.swapped-components", m.source, m.target, comps,
-                      m.group, m.source_action, m.target_action)
+    broken = replace(m, name="mutation.swapped-components", components=comps)
     return check_equivariance(broken, seed=seed)
 
 
 def _mutant_twist_sign(seed: int, trials: int) -> Certificate:
-    pair = link_quotient()
-    m = pair.forward
-    src = dict(m.source_action)
-    for label in ("(1 2)", "(1 2 3)"):
-        g = src[label]
-        src[label] = ActionGen(perm=g.perm, twist="none", conjugate=g.conjugate,
-                               projective=g.projective, scale=g.scale)
-    broken = EquivMap("mutation.twist-sign", m.source, m.target, m.components,
-                      m.group, src, m.target_action)
+    m = link_quotient().forward
+    broken = replace(m, name="mutation.twist-sign",
+                     source_action=_edited(m.source_action, (T12, C123), twist="none"))
     return check_equivariance(broken, seed=seed)
 
 
 def _mutant_dropped_conjugation(seed: int, trials: int) -> Certificate:
-    pair = link_linear()
-    m = pair.forward
-
-    def strip(table):
-        out = dict(table)
-        g = out[GAMMA]
-        out[GAMMA] = ActionGen(perm=g.perm, twist=g.twist, conjugate=False,
-                               projective=g.projective, scale=g.scale)
-        return out
-
-    broken = EquivMap("mutation.dropped-conjugation", m.source, m.target,
-                      m.components, m.group, strip(m.source_action),
-                      strip(m.target_action))
+    m = link_linear().forward
+    broken = replace(m, name="mutation.dropped-conjugation",
+                     source_action=_edited(m.source_action, (GAMMA,), conjugate=False),
+                     target_action=_edited(m.target_action, (GAMMA,), conjugate=False))
     return check_equivariance(broken, seed=seed)
 
 
 def _mutant_wrong_cocycle(seed: int, trials: int) -> Certificate:
     cert = Certificate(construction="mutation.wrong-cocycle", seed=seed)
-    bad = Cocycle.of({GAMMA: ("(1 2)",)})
+    bad = Cocycle.of({GAMMA: (T12,)})
     twisted = twist_action(base_group("torus"), bad)
     got = twisted.action(GAMMA)
     want = gamma_twisted_expected("torus")
@@ -121,15 +111,6 @@ def _mutant_lattice_offbyone(seed: int, trials: int) -> Certificate:
              "bumped entry breaks the pairing")
     cert.add("K-fixed[galois]", "pass" if fixes(g, CANONICAL) else "fail")
     return cert
-
-
-MUTATION_IDS = (
-    "mutation.swapped-components",
-    "mutation.twist-sign",
-    "mutation.dropped-conjugation",
-    "mutation.wrong-cocycle",
-    "mutation.lattice-offbyone",
-)
 
 
 # -- the construction table --------------------------------------------------
@@ -167,10 +148,10 @@ CONSTRUCTIONS = (
     Construction("su3.chain", "five-link equivariant torus chain, unitary rank 2",
                  lambda s, t: chain_certificate(seed=s, trials=t)),
     Construction("su3.phi", "difference map into the paired projective planes",
-                 lambda s, t: phi_certificate(seed=s, trials=t)),
+                 lambda s, t: link_certificate(link_phi(), seed=s, trials=t)),
 
     Construction("rank2.twist", "cocycle-twisted torus actions and embeddings",
-                 lambda s, t: twist_certificate(seed=s, trials=t)),
+                 lambda s, t: twist_certificate(seed=s)),
     Construction("rank2.pgu3", "quotient-torus isomorphism onto the twisted torus",
                  lambda s, t: link_certificate(pgu3_torus_map(), seed=s, trials=t)),
     Construction("rank2.pgu3.lie", "differential of the quotient-torus isomorphism",
@@ -207,6 +188,8 @@ CONSTRUCTIONS = (
     Construction("mutation.lattice-offbyone", "fixture: lattice matrix entry off by one",
                  _mutant_lattice_offbyone, fixture=True),
 )
+
+MUTATION_IDS = tuple(c.id for c in CONSTRUCTIONS if c.fixture)
 
 _REGISTRY = {c.id: c for c in CONSTRUCTIONS}
 _SHADOWED = [c.id for c in CONSTRUCTIONS if _REGISTRY[c.id] is not c]

@@ -34,7 +34,6 @@ from operator import attrgetter
 from .errors import DegenerateError, PreconditionError, StructureError
 from .field import QuadExt, QuadField, _domain, random_rational
 from .field import conj as scalar_conj
-from .group import GroupSpec
 from .matrices import (conj_transpose, identity, mat_add, mat_eq, mat_inverse,
                        mat_mul, mat_neg, mat_scale, mat_str, mat_sub, transpose)
 from .poly import RatFunc
@@ -337,16 +336,12 @@ def pgl_cayley(n: int) -> MapPair:
     tr = sum(a[::n + 1], RatFunc.const(avars, Fraction(0)))
     comps = tuple(n * f / tr - 1 if k in diag else n * f / tr for k, f in enumerate(a))
     forward = EquivMap(name=f"pgl{n}-forward", source=source, target=target,
-                       components=comps, group=_trivial_group())
+                       components=comps)
     inv_comps = tuple(f + 1 if k in diag else f
                       for k, f in enumerate(RatFunc.variables(xvars)))
     inverse = EquivMap(name=f"pgl{n}-inverse", source=target, target=source,
-                       components=inv_comps, group=_trivial_group())
+                       components=inv_comps)
     return MapPair(forward, inverse)
-
-
-def _trivial_group() -> GroupSpec:
-    return GroupSpec(name="trivial", generators=(), order=1)
 
 
 def pgl_scalar_invariance(n: int) -> bool:

@@ -1,14 +1,14 @@
 """Command line front end: list constructions, verify, render reports.
 
 Exit codes: 0 all selected certificates pass, 1 at least one fails,
-2 unknown construction id, missing or malformed config file, missing
-results file, a non-integer ``CAYLEY_SEED`` or a non-positive term
-budget, 3 term budget exceeded.  On exit 3 ``verify`` still emits the
-report of the constructions run so far; the one that hit the budget has
-a single failing ``term-budget`` verdict whose detail is the error.  The
-term budget holds only while ``verify`` runs its constructions.
-Identical seed and configuration give byte-identical reports except for
-the timing fields.
+2 unknown construction id, missing or malformed config file (an unknown
+key or format included), missing results file, a non-integer
+``CAYLEY_SEED`` or a non-positive term budget, 3 term budget exceeded.
+On exit 3 ``verify`` still emits the report of the constructions run so
+far; the one that hit the budget has a single failing ``term-budget``
+verdict whose detail is the error.  The term budget holds only while
+``verify`` runs its constructions.  Identical seed and configuration
+give byte-identical reports except for the timing fields.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from .poly import DEFAULT_TERM_BUDGET, term_budget
 from .ratmap import Certificate
 
 SCHEMA_VERSION = 1
+FORMATS = ("json", "md")
+CONFIG_KEYS = ("seed", "trials", "term_budget", "format", "only", "out")
 
 
 @dataclass
@@ -91,6 +93,9 @@ def _int_value(name: str, text: str) -> int:
 
 
 def _apply_file_config(cfg: RunConfig, values: dict):
+    for key in values:
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown key {key!r}; keys: {', '.join(CONFIG_KEYS)}")
     if "seed" in values:
         cfg.seed = _int_value("seed", values["seed"])
     if "trials" in values:
@@ -98,6 +103,8 @@ def _apply_file_config(cfg: RunConfig, values: dict):
     if "term_budget" in values:
         cfg.term_budget = _int_value("term_budget", values["term_budget"])
     if "format" in values:
+        if values["format"] not in FORMATS:
+            raise ValueError(f"format must be json or md: {values['format']!r}")
         cfg.format = values["format"]
     if "only" in values:
         cfg.constructions = [s.strip() for s in values["only"].split(",") if s.strip()]
@@ -262,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random points per spot check (default 100)")
     v.add_argument("--term-budget", type=int, default=None, dest="term_budget",
                    help="polynomial term budget (default 10^6)")
-    v.add_argument("--format", choices=("json", "md"), default=None)
+    v.add_argument("--format", choices=FORMATS, default=None)
     v.add_argument("--out", default=None, help="write the report to a file")
     v.add_argument("--config", default=None,
                    help="flat key=value config file; flags override it")
@@ -270,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("report", help="re-render a saved json report")
     r.add_argument("--from", dest="source", required=True,
                    help="path of a report produced by verify --out")
-    r.add_argument("--format", choices=("json", "md"), default="md")
+    r.add_argument("--format", choices=FORMATS, default="md")
     r.add_argument("--out", default=None)
     return p
 

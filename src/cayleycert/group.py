@@ -11,7 +11,7 @@ tuples, never proved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DegenerateError, StructureError
@@ -85,7 +85,6 @@ class ActionGen:
     perm: tuple
     twist: str = "none"
     conjugate: bool = False
-    projective: bool = False
     scale: tuple | None = None
 
     def __post_init__(self):
@@ -210,9 +209,7 @@ def compose_actions(outer: ActionGen, inner: ActionGen) -> ActionGen:
         scale_out = None
     else:
         scale_out = tuple(scale)
-    return ActionGen(perm=perm, twist=twist, conjugate=conj,
-                     projective=outer.projective or inner.projective,
-                     scale=scale_out)
+    return ActionGen(perm=perm, twist=twist, conjugate=conj, scale=scale_out)
 
 
 def is_identity_action(gen: ActionGen) -> bool:
@@ -230,18 +227,17 @@ def is_identity_action(gen: ActionGen) -> bool:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A finite group given by labelled generator actions.
+    """A finite group acting on one variety's coordinate tuples, given by
+    labelled generator actions.
 
     ``relations`` are words (tuples of labels) that must act as the
-    identity; ``gamma_labels`` marks the Galois-type generators, which are
-    the ones a cocycle may twist.
+    identity.  The same group acting on two varieties is two GroupSpecs
+    with the same labels and relations.
     """
 
     name: str
     generators: tuple
-    order: int
     relations: tuple = ()
-    gamma_labels: tuple = ()
 
     def labels(self):
         return tuple(label for label, _ in self.generators)
@@ -304,9 +300,7 @@ def twist_action(base: GroupSpec, c: Cocycle) -> GroupSpec:
                 f"cocycle value {word} does not square to the identity")
         table[gamma_label] = compose_actions(value, table[gamma_label])
     generators = tuple((lab, table[lab]) for lab, _ in base.generators)
-    return GroupSpec(name=f"{base.name}[twisted]", generators=generators,
-                     order=base.order, relations=base.relations,
-                     gamma_labels=base.gamma_labels)
+    return replace(base, name=f"{base.name}[twisted]", generators=generators)
 
 
 def st_tw_embed(sigma: tuple, mode: str):

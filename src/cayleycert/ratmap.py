@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import DegenerateError, SamplingError, StructureError
 from .field import random_rational, scalar_str
-from .group import apply_action
+from .group import GroupSpec, apply_action
 from .poly import RatFunc, chart_restrict, ratfunc_compose, ratfunc_equal
 
 
@@ -147,23 +147,26 @@ def product(name: str, *specs: VarietySpec) -> VarietySpec:
 
 # -- maps ---------------------------------------------------------------
 
+# The action table of a map that no group acts on.
+NO_ACTION = GroupSpec("trivial", ())
+
+
 @dataclass
 class EquivMap:
-    """Rational map with source/target actions of a common group.
+    """Rational map with the actions of a common group on source and target.
 
     ``components`` is the flat tuple of RatFuncs over the source
-    coordinates, grouped implicitly by the target's blocks.  The action
-    tables map each generator label of ``group`` to an ActionGen of the
-    matching arity.
+    coordinates, grouped implicitly by the target's blocks.  Each action is
+    a GroupSpec on its variety: ActionGens of the matching arity under the
+    same labels; the generator labels are the source action's.
     """
 
     name: str
     source: VarietySpec
     target: VarietySpec
     components: tuple
-    group: "object" = None           # GroupSpec carrying labels and relations
-    source_action: dict = dc_field(default_factory=dict)
-    target_action: dict = dc_field(default_factory=dict)
+    source_action: GroupSpec = NO_ACTION
+    target_action: GroupSpec = NO_ACTION
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -176,18 +179,16 @@ class EquivMap:
             if comp.vars != src:
                 raise StructureError(
                     f"{self.name}: component variables {comp.vars} != source {src}")
-        for table, spec in ((self.source_action, self.source),
-                            (self.target_action, self.target)):
-            for label, gen in table.items():
+        for action, spec in ((self.source_action, self.source),
+                             (self.target_action, self.target)):
+            for label, gen in action.generators:
                 if gen.arity != len(spec.coords):
                     raise StructureError(
                         f"{self.name}: action {label!r} arity {gen.arity} does not "
                         f"match {spec.name}")
 
     def generator_labels(self):
-        if self.group is not None:
-            return self.group.labels()
-        return tuple(self.source_action)
+        return self.source_action.labels()
 
 
 @dataclass
@@ -433,11 +434,11 @@ def check_equivariance(m: EquivMap, seed=0) -> Certificate:
     cert = Certificate(construction=m.name, seed=seed)
     x = chart_tuple(m.source)
     m_chart = tuple(ratfunc_compose(c, x) for c in m.components)
-    for label in m.generator_labels():
+    target_table = m.target_action.table()
+    for label, src in m.source_action.generators:
         vname = f"equivariance[{label}]"
-        src = m.source_action.get(label)
-        tgt = m.target_action.get(label)
-        if src is None or tgt is None:
+        tgt = target_table.get(label)
+        if tgt is None:
             cert.add(vname, "fail", "generator missing from an action table")
             continue
         if src.conjugate != tgt.conjugate:
@@ -474,8 +475,9 @@ def compose(m1: EquivMap, m2: EquivMap) -> EquivMap:
             f"cannot compose {m1.name} -> {m2.name}: interface mismatch")
     if m1.generator_labels() != m2.generator_labels():
         raise StructureError("composed maps must share a generator set")
+    ours, theirs = m1.target_action.table(), m2.source_action.table()
     for label in m1.generator_labels():
-        if m1.target_action.get(label) != m2.source_action.get(label):
+        if ours.get(label) != theirs.get(label):
             raise StructureError(
                 f"actions on the interface differ for generator {label!r}")
     comps = []
@@ -488,8 +490,7 @@ def compose(m1: EquivMap, m2: EquivMap) -> EquivMap:
     return EquivMap(
         name=f"{m2.name}*{m1.name}",
         source=m1.source, target=m2.target, components=tuple(comps),
-        group=m1.group, source_action=dict(m1.source_action),
-        target_action=dict(m2.target_action))
+        source_action=m1.source_action, target_action=m2.target_action)
 
 
 def compose_pair(p1: MapPair, p2: MapPair) -> MapPair:

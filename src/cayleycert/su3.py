@@ -48,28 +48,21 @@ GAMMA = "gamma"
 
 _S3 = {T12: transposition(3, 0, 1), C123: cycle(3, (0, 1, 2))}
 
+S3_GAMMA_RELATIONS = (
+    (T12, T12),
+    (C123, C123, C123),
+    (C123, T12, C123, T12),
+    (GAMMA, GAMMA),
+    (GAMMA, T12, GAMMA, T12),
+    (GAMMA, C123, GAMMA, C123, C123),
+)
 
-def s3_gamma_group() -> GroupSpec:
-    """Abstract label/relation container for the S3 x Galois generator set.
 
-    The per-variety actions live on the maps; only labels, order and the
-    defining relation words are used from here.
-    """
-    idgen = ActionGen(perm=identity_perm(3))
-    return GroupSpec(
-        name="S3xGamma",
-        generators=((T12, idgen), (C123, idgen), (GAMMA, idgen)),
-        order=12,
-        relations=(
-            (T12, T12),
-            (C123, C123, C123),
-            (C123, T12, C123, T12),
-            (GAMMA, GAMMA),
-            (GAMMA, T12, GAMMA, T12),
-            (GAMMA, C123, GAMMA, C123, C123),
-        ),
-        gamma_labels=(GAMMA,),
-    )
+def s3_gamma_action(t12: ActionGen, c123: ActionGen, gamma: ActionGen,
+                    name: str = "S3xGamma") -> GroupSpec:
+    """S3 x Galois acting on one variety through the three given generators."""
+    return GroupSpec(name, ((T12, t12), (C123, c123), (GAMMA, gamma)),
+                     S3_GAMMA_RELATIONS)
 
 
 def pair_perm(sigma: tuple, swap: bool) -> tuple:
@@ -84,27 +77,22 @@ def pair_perm(sigma: tuple, swap: bool) -> tuple:
     return perm_inverse(tuple(pinv))
 
 
-# -- the varieties of the chain, with their action tables -----------------
+# -- the varieties of the chain, each with its S3 x Galois action ---------
 
 def quotient_variety():
     spec = projective_space("Gm3-mod-Gm", ("x1", "x2", "x3"), multiplicative=True)
-    actions = {
-        T12: ActionGen(perm=_S3[T12], twist="sign-power", projective=True),
-        C123: ActionGen(perm=_S3[C123], twist="sign-power", projective=True),
-        GAMMA: ActionGen(perm=identity_perm(3), twist="invert", conjugate=True,
-                         projective=True),
-    }
-    return spec, actions
+    return spec, s3_gamma_action(
+        ActionGen(perm=_S3[T12], twist="sign-power"),
+        ActionGen(perm=_S3[C123], twist="sign-power"),
+        ActionGen(perm=identity_perm(3), twist="invert", conjugate=True))
 
 
 def torus_variety():
     spec = torus("T-twisted", ("t1", "t2", "t3"))
-    actions = {
-        T12: ActionGen(perm=_S3[T12]),
-        C123: ActionGen(perm=_S3[C123]),
-        GAMMA: ActionGen(perm=identity_perm(3), twist="invert", conjugate=True),
-    }
-    return spec, actions
+    return spec, s3_gamma_action(
+        ActionGen(perm=_S3[T12]),
+        ActionGen(perm=_S3[C123]),
+        ActionGen(perm=identity_perm(3), twist="invert", conjugate=True))
 
 
 def pp_variety():
@@ -113,13 +101,10 @@ def pp_variety():
     zb = Block("projective", ("z1", "z2", "z3"),
                (Relation("linear-sum", ("z1", "z2", "z3"), "z3"),))
     spec = VarietySpec("P(t)xP(t)", (yb, zb))
-    actions = {
-        T12: ActionGen(perm=pair_perm(_S3[T12], swap=True), projective=True),
-        C123: ActionGen(perm=pair_perm(_S3[C123], swap=False), projective=True),
-        GAMMA: ActionGen(perm=pair_perm(identity_perm(3), swap=True),
-                         conjugate=True, projective=True),
-    }
-    return spec, actions
+    return spec, s3_gamma_action(
+        ActionGen(perm=pair_perm(_S3[T12], swap=True)),
+        ActionGen(perm=pair_perm(_S3[C123], swap=False)),
+        ActionGen(perm=pair_perm(identity_perm(3), swap=True), conjugate=True))
 
 
 def quadric_variety():
@@ -128,57 +113,49 @@ def quadric_variety():
     spec = projective_space("Q", coords, relations=(rel,), multiplicative=True)
     swap_ends = transposition(4, 0, 3)
     scale = (ZETA, ONE, ONE, ZETA2)
-    actions = {
-        T12: ActionGen(perm=swap_ends, scale=scale, projective=True),
-        C123: ActionGen(perm=identity_perm(4), scale=scale, projective=True),
-        GAMMA: ActionGen(perm=swap_ends, conjugate=True, projective=True),
-    }
-    return spec, actions
+    return spec, s3_gamma_action(
+        ActionGen(perm=swap_ends, scale=scale),
+        ActionGen(perm=identity_perm(4), scale=scale),
+        ActionGen(perm=swap_ends, conjugate=True))
 
 
 def diagonal_plane_variety():
     spec = VarietySpec("V11-22", (Block("affine", ("v1", "v2")),))
     scale = (ZETA, ZETA2)
-    actions = {
-        T12: ActionGen(perm=transposition(2, 0, 1), scale=scale),
-        C123: ActionGen(perm=identity_perm(2), scale=scale),
-        GAMMA: ActionGen(perm=transposition(2, 0, 1), conjugate=True),
-    }
-    return spec, actions
+    return spec, s3_gamma_action(
+        ActionGen(perm=transposition(2, 0, 1), scale=scale),
+        ActionGen(perm=identity_perm(2), scale=scale),
+        ActionGen(perm=transposition(2, 0, 1), conjugate=True))
 
 
 def lie_variety():
     spec = linear_slice("t-twisted", ("u1", "u2", "u3"))
-    actions = {
-        T12: ActionGen(perm=_S3[T12]),
-        C123: ActionGen(perm=_S3[C123]),
-        GAMMA: ActionGen(perm=identity_perm(3), twist="negate", conjugate=True),
-    }
-    return spec, actions
+    return spec, s3_gamma_action(
+        ActionGen(perm=_S3[T12]),
+        ActionGen(perm=_S3[C123]),
+        ActionGen(perm=identity_perm(3), twist="negate", conjugate=True))
 
 
 # -- the links -------------------------------------------------------------
 
 def link_quotient() -> MapPair:
     """[x] -> (x2/x3, x3/x1, x1/x2), with the chart-x1 section as inverse."""
-    group = s3_gamma_group()
     qspec, qact = quotient_variety()
     tspec, tact = torus_variety()
     x1, x2, x3 = RatFunc.variables(qspec.coords)
     forward = EquivMap("su3.quotient", qspec, tspec,
                        (x2 / x3, x3 / x1, x1 / x2),
-                       group, qact, tact)
+                       qact, tact)
     t1, t2, t3 = RatFunc.variables(tspec.coords)
     one = RatFunc.const(tspec.coords, Fraction(1))
     inverse = EquivMap("su3.quotient.inv", tspec, qspec,
                        (one, 1 / t3, t2),
-                       group, tact, qact)
+                       tact, qact)
     return MapPair(forward, inverse)
 
 
 def link_phi() -> MapPair:
     """[x] -> ([x - tau(x) 1], [x^-1 - tau(x^-1) 1]); inverse is psi."""
-    group = s3_gamma_group()
     qspec, qact = quotient_variety()
     pspec, pact = pp_variety()
     x1, x2, x3 = RatFunc.variables(qspec.coords)
@@ -186,7 +163,7 @@ def link_phi() -> MapPair:
     taui = (1 / x1 + 1 / x2 + 1 / x3) / 3
     comps = (x1 - tau, x2 - tau, x3 - tau,
              1 / x1 - taui, 1 / x2 - taui, 1 / x3 - taui)
-    forward = EquivMap("su3.phi", qspec, pspec, comps, group, qact, pact)
+    forward = EquivMap("su3.phi", qspec, pspec, comps, qact, pact)
     return MapPair(forward, phi_inverse())
 
 
@@ -200,7 +177,6 @@ def phi_inverse() -> EquivMap:
     be constant in i; differencing eliminates the constant and leaves this
     linear system.
     """
-    group = s3_gamma_group()
     qspec, qact = quotient_variety()
     pspec, pact = pp_variety()
     y1, y2, y3, z1, z2, z3 = RatFunc.variables(pspec.coords)
@@ -212,12 +188,11 @@ def phi_inverse() -> EquivMap:
     t = (b1 * a22 - b2 * a12) / det
     return EquivMap("su3.phi.inv", pspec, qspec,
                     (y1 + t, y2 + t, y3 + t),
-                    group, pact, qact)
+                    pact, qact)
 
 
 def link_segre() -> MapPair:
     """([y],[z]) -> [y (x) z] in the D_ij eigenbasis coordinates."""
-    group = s3_gamma_group()
     pspec, pact = pp_variety()
     qspec, qact = quadric_variety()
     y1, y2, y3, z1, z2, z3 = RatFunc.variables(pspec.coords)
@@ -227,7 +202,7 @@ def link_segre() -> MapPair:
     zd2 = z1 + ZETA * z2 + ZETA2 * z3
     forward = EquivMap("su3.segre", pspec, qspec,
                        (yd1 * zd1, yd1 * zd2, yd2 * zd1, yd2 * zd2),
-                       group, pact, qact)
+                       pact, qact)
 
     a11, a12, a21, a22 = RatFunc.variables(qspec.coords)
     # rank-one tensors factor: column 1 carries [y], row 1 carries [z]
@@ -235,32 +210,30 @@ def link_segre() -> MapPair:
         "su3.segre.inv", qspec, pspec,
         (a11 + a21, ZETA * a11 + ZETA2 * a21, ZETA2 * a11 + ZETA * a21,
          a11 + a12, ZETA * a11 + ZETA2 * a12, ZETA2 * a11 + ZETA * a12),
-        group, qact, pact)
+        qact, pact)
     return MapPair(forward, inverse)
 
 
 def link_stereo() -> MapPair:
     """Project the quadric from the fixed point (0:0:1:0) onto the plane
     a21 = 0, then dehomogenise at the fixed coordinate a12."""
-    group = s3_gamma_group()
     qspec, qact = quadric_variety()
     vspec, vact = diagonal_plane_variety()
     a11, a12, a21, a22 = RatFunc.variables(qspec.coords)
     forward = EquivMap("su3.stereo", qspec, vspec,
                        (a11 / a12, a22 / a12),
-                       group, qact, vact)
+                       qact, vact)
     v1, v2 = RatFunc.variables(vspec.coords)
     one = RatFunc.const(vspec.coords, Fraction(1))
     inverse = EquivMap("su3.stereo.inv", vspec, qspec,
                        (v1, one, v1 * v2, v2),
-                       group, vact, qact)
+                       vact, qact)
     return MapPair(forward, inverse)
 
 
 def link_linear() -> MapPair:
     """D11 -> D2, D22 -> D1 written in ambient coordinates, then the
     sqrt(-3) scaling that swaps plain conjugation for minus conjugation."""
-    group = s3_gamma_group()
     vspec, vact = diagonal_plane_variety()
     lspec, lact = lie_variety()
     v1, v2 = RatFunc.variables(vspec.coords)
@@ -269,14 +242,14 @@ def link_linear() -> MapPair:
         (ROOT * (v1 + v2),
          ROOT * (ZETA2 * v1 + ZETA * v2),
          ROOT * (ZETA * v1 + ZETA2 * v2)),
-        group, vact, lact)
+        vact, lact)
     u1, u2, u3 = RatFunc.variables(lspec.coords)
     c = -ROOT / 9                      # (1/sqrt(-3)) / 3
     inverse = EquivMap(
         "su3.linear.inv", lspec, vspec,
         (c * (u1 + ZETA * u2 + ZETA2 * u3),
          c * (u1 + ZETA2 * u2 + ZETA * u3)),
-        group, lact, vact)
+        lact, vact)
     return MapPair(forward, inverse)
 
 
@@ -309,7 +282,6 @@ def link_certificate(pair: MapPair, seed: int, trials: int) -> Certificate:
 def chain_certificate(seed: int = 42, trials: int = 100) -> Certificate:
     """Per-link and end-to-end certificates for the whole chain."""
     cert = Certificate(construction="su3.chain", seed=seed)
-    group = s3_gamma_group()
     links = build_su3_chain()
     for pair in links:
         sub = link_certificate(pair, seed=seed, trials=max(10, trials // 5))
@@ -318,12 +290,8 @@ def chain_certificate(seed: int = 42, trials: int = 100) -> Certificate:
                  (pp_variety, "pp"), (quadric_variety, "quadric"),
                  (diagonal_plane_variety, "plane"), (lie_variety, "lie")]
     for build, tag in varieties:
-        spec, table = build()
-        gs = GroupSpec(name=group.name, generators=tuple(table.items()),
-                       order=group.order, relations=group.relations,
-                       gamma_labels=group.gamma_labels)
-        sub = check_group_relations(spec, gs, seed=seed, trials=12)
-        cert.extend(sub, prefix=f"group[{tag}].")
+        cert.extend(check_group_relations(*build(), seed=seed, trials=12),
+                    prefix=f"group[{tag}].")
     e2e = end_to_end()
     stages = [links[0].reversed()] + links[1:]
     cert.extend(check_equivariance(e2e.forward, seed=seed), prefix="end-to-end.")
@@ -333,13 +301,3 @@ def chain_certificate(seed: int = 42, trials: int = 100) -> Certificate:
                 prefix="end-to-end.")
     return cert
 
-
-def phi_certificate(seed: int = 42, trials: int = 100) -> Certificate:
-    """The phi / psi pair on its own, as an addressable construction."""
-    pair = link_phi()
-    cert = Certificate(construction="su3.phi", seed=seed)
-    cert.extend(check_equivariance(pair.forward, seed=seed), prefix="phi.")
-    cert.extend(check_equivariance(pair.inverse, seed=seed), prefix="psi.")
-    cert.extend(check_inverse_pair(pair.forward, pair.inverse, seed=seed,
-                                   trials=trials))
-    return cert

@@ -128,6 +128,21 @@ def test_config_non_integer_value_exits_2(tmp_path, capsys, key):
     assert err == f"bad config file {cfg}: {key} must be an integer: 'ten'\n"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("format = JSON", "format must be json or md: 'JSON'"),
+    ("format=html", "format must be json or md: 'html'"),
+    ("seeed=3", "unknown key 'seeed'; keys: seed, trials, term_budget, format, only, out"),
+    ("term-budget=5", "unknown key 'term-budget'; keys: seed, trials, term_budget, "
+                      "format, only, out"),
+], ids=["format-case", "format-unknown", "key-typo", "key-dashed"])
+def test_config_unknown_key_or_format_exits_2(tmp_path, capsys, line, message):
+    cfg = tmp_path / "cc.conf"
+    cfg.write_text(f"only=picard.ledger\n{line}\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"bad config file {cfg}: {message}\n"
+
+
 def test_env_seed_not_an_integer_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("CAYLEY_SEED", "abc")
     code, out, err = run_cli(capsys, "verify", "--only", "picard.ledger")

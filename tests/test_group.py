@@ -106,7 +106,6 @@ def test_group_word_application():
         name="S3",
         generators=(("s", ActionGen(perm=transposition(3, 0, 1))),
                     ("c", ActionGen(perm=cycle(3, (0, 1, 2))))),
-        order=6,
         relations=(("s", "s"), ("c", "c", "c"), ("c", "s", "c", "s")))
     pt = ("a", "b", "c")
     for word in spec.relations:
@@ -119,8 +118,7 @@ def test_twist_action_with_eps_gives_conjugate_inverse():
     base = GroupSpec(
         name="S2xGamma",
         generators=(("eps", ActionGen(perm=identity_perm(3), twist="invert")),
-                    ("gamma", ActionGen(perm=identity_perm(3), conjugate=True))),
-        order=4, gamma_labels=("gamma",))
+                    ("gamma", ActionGen(perm=identity_perm(3), conjugate=True))))
     twisted = twist_action(base, Cocycle.of({"gamma": ("eps",)}))
     got = twisted.action("gamma")
     want = ActionGen(perm=identity_perm(3), twist="invert", conjugate=True)
@@ -131,8 +129,7 @@ def test_trivial_cocycle_keeps_base():
     base = GroupSpec(
         name="G",
         generators=(("eps", ActionGen(perm=identity_perm(2), twist="invert")),
-                    ("gamma", ActionGen(perm=identity_perm(2), conjugate=True))),
-        order=4, gamma_labels=("gamma",))
+                    ("gamma", ActionGen(perm=identity_perm(2), conjugate=True))))
     same = twist_action(base, Cocycle.of({"gamma": ()}))
     assert same.table() == base.table()
 
@@ -141,8 +138,7 @@ def test_cocycle_value_must_square_to_identity():
     base = GroupSpec(
         name="G",
         generators=(("c", ActionGen(perm=cycle(3, (0, 1, 2)))),
-                    ("gamma", ActionGen(perm=identity_perm(3), conjugate=True))),
-        order=6, gamma_labels=("gamma",))
+                    ("gamma", ActionGen(perm=identity_perm(3), conjugate=True))))
     with pytest.raises(StructureError):
         twist_action(base, Cocycle.of({"gamma": ("c",)}))
 
@@ -150,8 +146,7 @@ def test_cocycle_value_must_square_to_identity():
 def test_cocycle_into_galois_rejected():
     base = GroupSpec(
         name="G",
-        generators=(("gamma", ActionGen(perm=identity_perm(2), conjugate=True)),),
-        order=2, gamma_labels=("gamma",))
+        generators=(("gamma", ActionGen(perm=identity_perm(2), conjugate=True)),))
     with pytest.raises(StructureError):
         twist_action(base, Cocycle.of({"gamma": ("gamma",)}))
 

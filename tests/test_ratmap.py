@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cayleycert.errors import SamplingError, StructureError
@@ -9,7 +11,7 @@ from cayleycert.ratmap import (Block, EquivMap, Relation, VarietySpec,
                                linear_slice, product, projective_space,
                                random_point, torus)
 from cayleycert.su3 import (link_phi, link_quotient, link_segre, quotient_variety,
-                            s3_gamma_group, torus_variety)
+                            torus_variety)
 
 
 def test_random_point_torus_satisfies_relation():
@@ -55,9 +57,8 @@ def test_random_point_reject_budget():
 
 def test_identity_map_is_equivariant():
     spec, actions = torus_variety()
-    group = s3_gamma_group()
     ident = EquivMap("id", spec, spec, RatFunc.variables(spec.coords),
-                     group, actions, actions)
+                     actions, actions)
     cert = check_equivariance(ident, seed=1)
     assert cert.ok
 
@@ -68,7 +69,7 @@ def test_quotient_link_equivariance_and_mutation():
     m = pair.forward
     swapped = EquivMap("broken", m.source, m.target,
                        (m.components[0], m.components[2], m.components[1]),
-                       m.group, m.source_action, m.target_action)
+                       m.source_action, m.target_action)
     cert = check_equivariance(swapped, seed=2)
     assert not cert.ok
     failed = {v.name for v in cert.failing()}
@@ -80,7 +81,7 @@ def test_failure_carries_witness_point():
     m = pair.forward
     swapped = EquivMap("broken", m.source, m.target,
                        (m.components[0], m.components[2], m.components[1]),
-                       m.group, m.source_action, m.target_action)
+                       m.source_action, m.target_action)
     cert = check_equivariance(swapped, seed=2)
     got = [(v.name, v.status, v.witness) for v in cert.verdicts]
     assert got == [("equivariance[(1 2)]", "fail", "(-4, -7/6, -4/5)"),
@@ -91,12 +92,12 @@ def test_failure_carries_witness_point():
 def test_semilinearity_mismatch_is_structural_failure():
     pair = link_quotient()
     m = pair.forward
-    src = dict(m.source_action)
-    g = src["gamma"]
-    src["gamma"] = ActionGen(perm=g.perm, twist=g.twist, conjugate=False,
-                             projective=g.projective)
+    src = m.source_action
+    g = src.action("gamma")
+    src = replace(src, generators=src.generators[:2] + (
+        ("gamma", ActionGen(perm=g.perm, twist=g.twist, conjugate=False)),))
     broken = EquivMap("broken", m.source, m.target, m.components,
-                      m.group, src, m.target_action)
+                      src, m.target_action)
     cert = check_equivariance(broken, seed=2)
     assert any(v.status == "fail" and "semilinearity" in v.detail
                for v in cert.verdicts)
@@ -104,9 +105,8 @@ def test_semilinearity_mismatch_is_structural_failure():
 
 def test_inverse_pair_identity_maps():
     spec, actions = torus_variety()
-    group = s3_gamma_group()
     ident = EquivMap("id", spec, spec, RatFunc.variables(spec.coords),
-                     group, actions, actions)
+                     actions, actions)
     cert = check_inverse_pair(ident, ident, seed=3, trials=10)
     assert cert.ok
 
@@ -122,9 +122,8 @@ def test_compose_with_identity_is_same_map():
     pair = link_quotient()
     m = pair.forward
     tspec, tactions = torus_variety()
-    group = s3_gamma_group()
     ident = EquivMap("id", tspec, tspec, RatFunc.variables(tspec.coords),
-                     group, tactions, tactions)
+                     tactions, tactions)
     same = compose(m, ident)
     assert same.source is m.source and same.target.same_shape(m.target)
     for a, b in zip(same.components, m.components):
@@ -133,13 +132,8 @@ def test_compose_with_identity_is_same_map():
 
 def test_group_relations_default_sample_width():
     # the defining relations hold at the default 50 random tuples
-    from cayleycert.group import GroupSpec
     from cayleycert.ratmap import check_group_relations
-    spec, table = torus_variety()
-    proto = s3_gamma_group()
-    grp = GroupSpec(name=proto.name, generators=tuple(table.items()),
-                    order=proto.order, relations=proto.relations,
-                    gamma_labels=proto.gamma_labels)
+    spec, grp = torus_variety()
     cert = check_group_relations(spec, grp, seed=0)
     assert cert.ok
     assert all("50 random tuples" in v.detail for v in cert.verdicts)
@@ -163,16 +157,15 @@ def test_projective_rescaling_does_not_change_verdicts():
     # rescale the first projective block by a common polynomial
     comps = tuple((scale * c) if i < 3 else c for i, c in enumerate(m.components))
     rescaled = EquivMap("rescaled", m.source, m.target, comps,
-                        m.group, m.source_action, m.target_action)
+                        m.source_action, m.target_action)
     assert check_equivariance(rescaled, seed=5).ok
 
 
 def test_target_relation_validation_catches_bad_map():
     spec, actions = torus_variety()
-    group = s3_gamma_group()
     qspec, qactions = quotient_variety()
     x1, x2, x3 = RatFunc.variables(qspec.coords)
-    bad = EquivMap("bad", qspec, spec, (x1, x2, x3), group, qactions, actions)
+    bad = EquivMap("bad", qspec, spec, (x1, x2, x3), qactions, actions)
     cert = check_target_relations(bad)
     assert not cert.ok
 
@@ -210,7 +203,7 @@ def test_inverse_pair_failures_carry_witnesses():
     pair = link_quotient()
     g = pair.inverse
     comps = (g.components[0], 2 * g.components[1], g.components[2])
-    doubled = EquivMap("doubled", g.source, g.target, comps, g.group,
+    doubled = EquivMap("doubled", g.source, g.target, comps,
                        g.source_action, g.target_action)
     cert = check_inverse_pair(pair.forward, doubled, seed=0, trials=10)
     got = [(v.name, v.status, v.detail, v.witness) for v in cert.verdicts]
@@ -251,7 +244,7 @@ def test_spot_check_reports_a_map_that_never_evaluates():
     t1, t2, t3 = RatFunc.variables(g.source.coords)
     # t1 t2 t3 = 1 on the torus, so this component has no value anywhere
     comps = (g.components[0], g.components[1] / (t1 * t2 * t3 - 1), g.components[2])
-    bad = EquivMap("on-locus", g.source, g.target, comps, g.group,
+    bad = EquivMap("on-locus", g.source, g.target, comps,
                    g.source_action, g.target_action)
     spot = check_inverse_pair(pair.forward, bad, seed=0, trials=5).verdicts[-1]
     assert (spot.name, spot.status, spot.witness) == ("spot-check[5 points]", "fail", None)
@@ -260,16 +253,10 @@ def test_spot_check_reports_a_map_that_never_evaluates():
 
 
 def test_swapped_generators_break_their_relations_with_witnesses():
-    from cayleycert.group import GroupSpec
     from cayleycert.ratmap import check_group_relations
     spec, table = torus_variety()
-    proto = s3_gamma_group()
-    (t12, _), (c123, _), (gamma, _) = proto.generators
-    grp = GroupSpec(name="swapped",
-                    generators=((t12, table[c123]), (c123, table[t12]),
-                                (gamma, table[gamma])),
-                    order=proto.order, relations=proto.relations,
-                    gamma_labels=proto.gamma_labels)
+    (t12, a), (c123, b), gamma = table.generators
+    grp = replace(table, name="swapped", generators=((t12, b), (c123, a), gamma))
     cert = check_group_relations(spec, grp, seed=0, trials=12)
     got = [(v.name, v.status, v.detail, v.witness) for v in cert.verdicts]
     broken = "relation does not act as the identity"

@@ -6,8 +6,8 @@ from cayleycert.ratmap import (check_equivariance, check_inverse_pair,
                                check_target_relations, map_of_point,
                                _points_equal)
 from cayleycert.su3 import (GAMMA, build_su3_chain, chain_certificate,
-                            end_to_end, link_linear, link_phi, link_quotient,
-                            link_segre, link_stereo, phi_certificate, phi_inverse,
+                            end_to_end, link_certificate, link_linear, link_phi,
+                            link_quotient, link_segre, link_stereo, phi_inverse,
                             quadric_variety, torus_variety)
 
 F = QuadField(-3)
@@ -48,7 +48,7 @@ def test_phi_inverse_is_equivariant():
 
 
 def test_phi_pair_symbolic_and_sampled():
-    cert = phi_certificate(seed=42, trials=100)
+    cert = link_certificate(link_phi(), seed=42, trials=100)
     assert cert.ok, [v.name for v in cert.failing()]
     spot = [v for v in cert.verdicts if v.name.startswith("spot-check")]
     assert spot and spot[0].status == "pass"
@@ -95,8 +95,8 @@ def test_every_link_certified():
 
 
 def test_gamma_fixed_point_on_twisted_torus():
-    _, actions = torus_variety()
-    assert apply_action(actions[GAMMA], (ZETA, ZETA, ZETA)) == (ZETA, ZETA, ZETA)
+    _, action = torus_variety()
+    assert apply_action(action.action(GAMMA), (ZETA, ZETA, ZETA)) == (ZETA, ZETA, ZETA)
 
 
 def test_end_to_end_composition():

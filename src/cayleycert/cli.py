@@ -3,7 +3,8 @@
 Exit codes: 0 all selected certificates pass, 1 at least one fails,
 2 unknown construction id, missing or malformed config file (an unknown
 key or format included), missing results file, a non-integer
-``CAYLEY_SEED`` or a non-positive term budget, 3 term budget exceeded.
+``CAYLEY_SEED``, a non-positive trial count or a non-positive term budget,
+3 term budget exceeded.
 On exit 3 ``verify`` still emits the report of the constructions run so
 far; the one that hit the budget has a single failing ``term-budget``
 verdict whose detail is the error.  The term budget holds only while
@@ -203,6 +204,9 @@ def cmd_verify(args) -> int:
                              for s in part.split(",") if s.strip()]
     if args.out is not None:
         cfg.out = args.out
+    if cfg.trials < 1:
+        sys.stderr.write(f"trials must be positive: {cfg.trials}\n")
+        return 2
     if cfg.term_budget < 1:
         sys.stderr.write(f"term budget must be positive: {cfg.term_budget}\n")
         return 2

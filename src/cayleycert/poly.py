@@ -17,8 +17,17 @@ kernel puts each factor's coefficients over one denominator, the lcm of
 theirs, sums the products of term pairs as integers, over Z[sqrt(d)] as
 the pairs (p*p' + d*q*q', p*q' + q*p'), and normalises each output
 coefficient once.  A result is sorted once, in the graded order: highest
-total degree first, then lexicographic.  :func:`ratfunc_compose` runs the
-kernel on raw term dicts and builds each cleared polynomial once.
+total degree first, then lexicographic.
+
+Composition and the exact equality tests stay on integers from input to
+verdict.  :func:`ratfunc_compose` scales the powers of the substituted
+numerators and denominators to integer rows once per call, runs each
+term's chain of products on integers over one lcm denominator, and builds
+each output coefficient once.  :func:`ratfunc_equal` and ``_cross`` (the
+projective 2x2 test of ``ratmap``) count the nonzero terms of a difference
+of integer cross products.  Both form the products of the ``RatFunc``
+arithmetic they stand for, in its order, so the term budget trips at the
+same product with the same message.
 
 Coefficient types of a product follow the one rule of ``field._domain``,
 shared with ``matrices``: ``QuadExt`` in the field of the irrational
@@ -27,7 +36,13 @@ both factors are int-only, else ``Fraction``; irrational coefficients from
 two fields raise :class:`FieldMismatchError`.  So a rational coefficient
 of a product whose factors mix ``Fraction`` and ``QuadExt`` is a rational
 ``QuadExt``, with the same value, hash, ``==`` and ``scalar_str`` as the
-``Fraction``.
+``Fraction``.  A composition makes one ``_domain`` call, over the
+coefficients of f, of the substitution and the ``Fraction(1)`` that seeds
+the power rows: every coefficient of a nonzero result has that one type,
+never ``int`` (a zero result is 0/1, as every zero ``RatFunc``).  The two
+equality tests make one ``_domain`` call over all their coefficients.
+Either way, irrational coefficients from two fields anywhere in the input
+raise :class:`FieldMismatchError`.
 
 Every product passes through a term budget, so that a runaway expansion
 fails loudly instead of thrashing.  :class:`TermBudgetError` is raised
@@ -43,7 +58,7 @@ from __future__ import annotations
 import contextlib
 from contextvars import ContextVar
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import add
 
 from .errors import DegenerateError, StructureError, TermBudgetError
@@ -95,20 +110,25 @@ def _scaled(terms):
     return [(e, p * (den // n), q * (den // n)) for e, (p, q, n) in t], den
 
 
-def _product(t1, t2):
-    """Product of two term dicts as a dict of nonzero terms, computed on
-    integers with the coefficient types and term budget checks described
-    in the module docstring."""
+def _mul(x, y, d):
+    """Product of two scaled polys (terms, den), terms [(exps, p, q)] as
+    from :func:`_scaled`, on integers and not normalised: the nonzero terms
+    over the product of the denominators.  d is the discriminant of the
+    QuadExt kind, None over Q (every q is 0).  The term budget is checked
+    before and after, as described in the module docstring."""
+    (a, da), (b, db) = x, y
     budget = _term_budget.get()
-    if len(t1) * len(t2) > 16 * budget:
+    if len(a) * len(b) > 16 * budget:
         raise TermBudgetError(
-            f"product of {len(t1)} x {len(t2)} terms exceeds budget {budget}")
-    kind, d = _domain(t1.values(), t2.values())
-    a, da = _scaled(t1)
-    b, db = _scaled(t2)
-    den = da * db
+            f"product of {len(a)} x {len(b)} terms exceeds budget {budget}")
     acc = {}
-    if kind is QuadExt:
+    if d is None:
+        for e1, p1, _ in a:
+            for e2, p2, _ in b:
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + p1 * p2
+        out = [(e, p, 0) for e, p in acc.items() if p]
+    else:
         for e1, p1, q1 in a:
             dq1 = d * q1
             for e2, p2, q2 in b:
@@ -119,19 +139,38 @@ def _product(t1, t2):
                 else:
                     s[0] += p1 * p2 + dq1 * q2
                     s[1] += p1 * q2 + q1 * p2
-        out = {e: _make(p, q, den, d) for e, (p, q) in acc.items() if p or q}
-    else:
-        for e1, p1, _ in a:
-            for e2, p2, _ in b:
-                e = tuple(map(add, e1, e2))
-                acc[e] = acc.get(e, 0) + p1 * p2
-        if kind is int:
-            out = {e: c for e, c in acc.items() if c}
-        else:
-            out = {e: Fraction(c, den) for e, c in acc.items() if c}
+        out = [(e, p, q) for e, (p, q) in acc.items() if p or q]
     if len(out) > budget:
         raise TermBudgetError(f"{len(out)} terms exceed budget {budget}")
-    return out
+    return out, da * db
+
+
+def _built(terms, den, kind, d):
+    """Term dict of scaled ``terms`` over ``den``, each coefficient built once."""
+    if kind is QuadExt:
+        return {e: _make(p, q, den, d) for e, p, q in terms}
+    if kind is int:
+        return {e: p for e, p, _ in terms}
+    return {e: Fraction(p, den) for e, p, _ in terms}
+
+
+def _product(t1, t2):
+    """Product of two term dicts as a dict of nonzero terms, computed on
+    integers with the coefficient types and term budget checks described
+    in the module docstring."""
+    kind, d = _domain(t1.values(), t2.values())
+    return _built(*_mul(_scaled(t1), _scaled(t2), d), kind, d)
+
+
+def _nonzero_difference(x, y):
+    """Number of nonzero terms of x - y for scaled polys (terms, den)."""
+    acc = {}
+    for (terms, _), k in ((x, y[1]), (y, -x[1])):
+        for e, p, q in terms:
+            s = acc.setdefault(e, [0, 0])
+            s[0] += k * p
+            s[1] += k * q
+    return sum(1 for p, q in acc.values() if p or q)
 
 
 class Poly:
@@ -486,11 +525,40 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
+def _scaled_parts(*fs):
+    """The discriminant d of the coefficients of RatFuncs ``fs`` over one
+    variable tuple, and the scaled numerator and denominator of each."""
+    for f in fs:
+        if f.vars != fs[0].vars:
+            raise StructureError(f"variable mismatch: {fs[0].vars} vs {f.vars}")
+    terms = [p.terms for f in fs for p in (f.num, f.den)]
+    return _domain(*(t.values() for t in terms))[1], [_scaled(t) for t in terms]
+
+
 def ratfunc_equal(f: RatFunc, g: RatFunc) -> bool:
     """Exact equality via cross multiplication and full expansion."""
-    if f.vars != g.vars:
-        raise StructureError(f"variable mismatch: {f.vars} vs {g.vars}")
-    return (f.num * g.den - g.num * f.den).is_zero()
+    d, (fn, fd, gn, gd) = _scaled_parts(f, g)
+    return not _nonzero_difference(_mul(fn, gd, d), _mul(gn, fd, d))
+
+
+def _cross(a: RatFunc, b: RatFunc, c: RatFunc, d: RatFunc) -> tuple:
+    """(a*d - c*b is zero, the term count of the RatFunc a*d - c*b).
+
+    Forms the products that ``RatFunc.__mul__`` and ``__sub__`` form, in
+    their order and under the term budget, on integers and without
+    normalising.  Stripping a monomial or making a denominator monic does
+    not change a term count; a RatFunc with a zero numerator has the
+    denominator 1, so the count is 1 when the difference is zero.
+    """
+    disc, (an, ad, bn, bd, cn, cd, dn, dd) = _scaled_parts(a, b, c, d)
+    one = [((0,) * len(a.vars), 1, 0)], 1
+    xn, xd = _mul(an, dn, disc), _mul(ad, dd, disc)
+    yn, yd = _mul(cn, bn, disc), _mul(cd, bd, disc)
+    xd = xd if xn[0] else one
+    yd = yd if yn[0] else one
+    terms = _nonzero_difference(_mul(xn, yd, disc), _mul(yn, xd, disc))
+    den = _mul(xd, yd, disc)
+    return (False, terms + len(den[0])) if terms else (True, 1)
 
 
 def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
@@ -500,8 +568,8 @@ def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
     tuple; the result lives over that tuple.  Denominators are cleared
     analytically: with subst_i = n_i/d_i and M_i the largest power of the
     i-th variable in f, each term picks up the complementary d_i^(M_i - e_i),
-    so the whole computation stays in polynomial arithmetic and the result
-    is normalised once.
+    so the whole computation stays in integer polynomial arithmetic, as
+    described in the module docstring.
     """
     subst = tuple(subst)
     if len(subst) != len(f.vars):
@@ -513,41 +581,50 @@ def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
     for s in subst:
         if not isinstance(s, RatFunc) or s.vars != out_vars:
             raise StructureError("substitution entries over mixed variables")
+    # one coefficient type for the result; the Fraction(1) seeds the power rows
+    kind, d = _domain(f.num.terms.values(), f.den.terms.values(),
+                      *(p.terms.values() for s in subst for p in (s.num, s.den)),
+                      (Fraction(1),))
 
-    n = len(f.vars)
-    maxdeg = [0] * n
-    for poly in (f.num, f.den):
-        for exps in poly.terms:
-            for i, e in enumerate(exps):
-                if e > maxdeg[i]:
-                    maxdeg[i] = e
-    # powers of the substituted numerators and denominators, as term dicts
+    maxdeg = [max(col) for col in zip(*f.num.terms, *f.den.terms)]
+    # powers of the substituted numerators and denominators, scaled once
     origin = (0,) * len(out_vars)
+    unit = [(origin, 1, 0)], 1
     num_pows, den_pows = [], []
     for s, top in zip(subst, maxdeg):
-        nrow, drow = [{origin: Fraction(1)}], [{origin: Fraction(1)}]
+        sn, sd = _scaled(s.num.terms), _scaled(s.den.terms)
+        nrow, drow = [unit], [unit]
         for _ in range(top):
-            nrow.append(_product(nrow[-1], s.num.terms))
-            drow.append(_product(drow[-1], s.den.terms))
+            nrow.append(_mul(nrow[-1], sn, d))
+            drow.append(_mul(drow[-1], sd, d))
         num_pows.append(nrow)
         den_pows.append(drow)
 
     def cleared(poly):
-        acc = {}
+        # each term's chain of rows, and its denominator before the products
+        chains = []
         for exps, c in poly.terms.items():
-            val = {origin: c}
-            for i, e in enumerate(exps):
-                if e:
-                    val = _product(val, num_pows[i][e])
-                if maxdeg[i] - e:
-                    val = _product(val, den_pows[i][maxdeg[i] - e])
-            for e, x in val.items():
-                x = acc.get(e, 0) + x
-                if x:
-                    acc[e] = x
+            rows = [r for i, e in enumerate(exps)
+                    for r in (num_pows[i][e], den_pows[i][maxdeg[i] - e])
+                    if r is not unit]
+            p, q, m = _scalar_triple(c)
+            chains.append((p, q, m * prod(r[1] for r in rows), rows))
+        # seed each chain over the lcm, so every product lands on it
+        den = lcm(*[m for _, _, m, _ in chains])
+        acc = {}
+        for p, q, m, rows in chains:
+            val = [(origin, p * (den // m), q * (den // m))], 1
+            for r in rows:
+                val = _mul(val, r, d)
+            for e, x, y in val[0]:
+                s = acc.get(e)
+                if s is None:
+                    acc[e] = [x, y]
                 else:
-                    del acc[e]
-        return _poly(out_vars, acc)
+                    s[0] += x
+                    s[1] += y
+        return _poly(out_vars, _built(((e, p, q) for e, (p, q) in acc.items()
+                                       if p or q), den, kind, d))
 
     den = cleared(f.den)
     if den.is_zero():

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import DegenerateError, SamplingError, StructureError
 from .field import random_rational, scalar_str
 from .group import GroupSpec, apply_action
-from .poly import RatFunc, chart_restrict, ratfunc_compose, ratfunc_equal
+from .poly import RatFunc, _cross, chart_restrict, ratfunc_compose, ratfunc_equal
 
 
 # -- varieties ----------------------------------------------------------
@@ -277,17 +277,14 @@ def chart_tuple(spec: VarietySpec):
     return tuple(reduce_mod(spec, f) for f in generic_point(spec))
 
 
-def _terms_of(f: RatFunc) -> int:
-    return len(f.num.terms) + len(f.den.terms)
-
-
 def _tuple_equal(spec_tgt: VarietySpec, lhs, rhs) -> tuple:
     """Exact equality of two target-valued tuples (already on a chart).
 
     Returns (equal, max_terms).  Projective blocks compare through the
     vanishing of all 2x2 cross products, everything else coordinatewise.
     """
-    max_terms = max((_terms_of(f) for f in list(lhs) + list(rhs)), default=0)
+    max_terms = max((len(f.num.terms) + len(f.den.terms) for f in (*lhs, *rhs)),
+                    default=0)
     for block, start, stop in spec_tgt.block_slices():
         seg_l = lhs[start:stop]
         seg_r = rhs[start:stop]
@@ -295,9 +292,9 @@ def _tuple_equal(spec_tgt: VarietySpec, lhs, rhs) -> tuple:
             k = len(seg_l)
             for i in range(k):
                 for j in range(i + 1, k):
-                    cross = seg_l[i] * seg_r[j] - seg_l[j] * seg_r[i]
-                    max_terms = max(max_terms, _terms_of(cross))
-                    if not cross.is_zero():
+                    zero, terms = _cross(seg_l[i], seg_r[i], seg_l[j], seg_r[j])
+                    max_terms = max(max_terms, terms)
+                    if not zero:
                         return False, max_terms
             # guard against the all-zero representative, which would make
             # the cross product test vacuous

@@ -111,6 +111,22 @@ def test_config_non_positive_term_budget_exits_2(tmp_path, capsys):
     assert err == "term budget must be positive: 0\n"
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_non_positive_trials_exits_2(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "--only", "rank2.pgu3,classical.so3",
+                             "--trials", trials)
+    assert code == 2 and out == ""
+    assert err == f"trials must be positive: {trials}\n"
+
+
+def test_config_non_positive_trials_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cc.conf"
+    cfg.write_text("trials=0\nonly=rank2.pgu3,classical.so3\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "trials must be positive: 0\n"
+
+
 def test_config_line_without_equals_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cc.conf"
     cfg.write_text("only=picard.ledger\nseed 9\n")

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from cayleycert.errors import (DegenerateError, FieldMismatchError, StructureError,
                                TermBudgetError)
 from cayleycert.field import QuadExt, QuadField
-from cayleycert.poly import (Poly, RatFunc, chart_restrict, ratfunc_compose,
+from cayleycert.poly import (Poly, RatFunc, _cross, chart_restrict, ratfunc_compose,
                              ratfunc_equal, term_budget)
 
 F = QuadField(-3)
@@ -377,6 +377,171 @@ def test_irrational_coefficients_of_two_fields_raise():
             a * b
     # rational values of another field are fine
     assert_product(p, Poly.const(V3, QuadExt(2, 0, 5)))
+
+
+# -- composition and the cross test against RatFunc arithmetic -------------
+#
+# The integer paths of ratfunc_compose and _cross must agree with the
+# RatFunc arithmetic they replace: the same values, the same coefficient
+# types (one _domain call) and the same products in the same order, so the
+# same TermBudgetError at every budget.
+
+
+def reference_compose(f, subst):
+    """ratfunc_compose product by product through Poly arithmetic: the
+    power rows n_i^k, d_i^k, then each term's chain c * n_i^e_i *
+    d_i^(M_i - e_i) variable by variable, summed term by term."""
+    out_vars = subst[0].vars
+    top = [max((e[i] for p in (f.num, f.den) for e in p.terms), default=0)
+           for i in range(len(f.vars))]
+    one = Poly.const(out_vars, Fraction(1))
+    rows = []
+    for s, m in zip(subst, top):
+        nrow, drow = [one], [one]
+        for _ in range(m):
+            nrow.append(nrow[-1] * s.num)
+            drow.append(drow[-1] * s.den)
+        rows.append((nrow, drow))
+
+    def cleared(poly):
+        acc = Poly.zero(out_vars)
+        for exps, c in poly.terms.items():
+            val = Poly.const(out_vars, c)
+            for (nrow, drow), e, m in zip(rows, exps, top):
+                if e:
+                    val = val * nrow[e]
+                if m - e:
+                    val = val * drow[m - e]
+            acc = acc + val
+        return acc
+
+    den = cleared(f.den)
+    if den.is_zero():
+        raise DegenerateError("zero denominator")
+    return RatFunc(cleared(f.num), den)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the TermBudgetError it raises."""
+    try:
+        return fn(*args)
+    except TermBudgetError as exc:
+        return f"TermBudgetError: {exc}"
+
+
+def assert_same_under_budgets(want_fn, got_fn, *args):
+    """Both raise the same TermBudgetError at every budget from 1 up to the
+    first one under which both pass; returns the two results there."""
+    budget = 1
+    while True:
+        with term_budget(budget):
+            want, got = outcome(want_fn, *args), outcome(got_fn, *args)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want, budget
+            budget += 1
+            continue
+        return want, got
+
+
+def st_rf(num, den):
+    return RatFunc(Poly(ST, num), Poly(ST, den))
+
+
+def xyz_rf(num, den):
+    return RatFunc(Poly(XYZ, num), Poly(XYZ, den))
+
+
+S_PLUS_1 = st_rf({(1, 0): 1, (0, 0): 1}, {(0, 0): 1})
+T_PLUS_1 = st_rf({(0, 1): 1, (0, 0): 1}, {(0, 0): 1})
+S_T_1 = st_rf({(1, 0): 1, (0, 1): 1, (0, 0): 1}, {(0, 0): 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda d: st.tuples(
+    ratfuncs(d, XYZ, 3, 2), st.tuples(*[ratfuncs(d, ST, 3, 1) for _ in XYZ]))))
+# budget 1: the numerator row of x fails first, with 3 terms, not the
+# denominator row with 2
+@example((xyz_rf({(1, 0, 0): 1}, {(0, 0, 0): 1}),
+          (st_rf({(1, 0): 1, (0, 1): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1}),) * 3))
+# budget 3: the rows pass and the cleared denominator x*y + 1 fails first,
+# with 4 terms, not the numerator x*z + 1 with 5
+@example((xyz_rf({(1, 0, 1): 1, (0, 0, 0): 1}, {(1, 1, 0): 1, (0, 0, 0): 1}),
+          (S_PLUS_1, T_PLUS_1, S_T_1)))
+# int coefficients only: the result is still Fraction, by the Fraction(1) seed
+@example((xyz_rf({(0, 0, 0): 3}, {(0, 0, 0): 1}), (st_rf({(1, 0): 2}, {(0, 1): 1}),) * 3))
+@example((xyz_rf({(1, 0, 0): 2, (0, 0, 0): 1}, {(0, 2, 0): 1}),
+          (st_rf({(1, 0): 2}, {(0, 1): 1}),) * 3))
+def test_compose_matches_ratfunc_arithmetic(case):
+    f, subst = case
+    try:
+        reference_compose(f, subst)
+    except DegenerateError:
+        with pytest.raises(DegenerateError):
+            ratfunc_compose(f, subst)
+        return
+    want, got = assert_same_under_budgets(reference_compose, ratfunc_compose, f, subst)
+    assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
+    assert list(got.num.terms) == list(want.num.terms)
+    assert list(got.den.terms) == list(want.den.terms)
+    if got.is_zero():
+        return
+    seed = Poly.const(ST, Fraction(1))
+    kind, d = expected_domain(f.num, f.den, *(p for s in subst for p in (s.num, s.den)),
+                              seed)
+    for c in (*got.num.terms.values(), *got.den.terms.values()):
+        assert type(c) is kind and getattr(c, "d", None) == d
+
+
+def reference_cross(a, b, c, d):
+    cross = a * d - c * b
+    return cross.is_zero(), len(cross.num.terms) + len(cross.den.terms)
+
+
+X = RatFunc.variable(XYZ, "x")
+Y = RatFunc.variable(XYZ, "y")
+ZERO = RatFunc.const(XYZ, 0)
+W = 1 / (X + Y + RatFunc.variable(XYZ, "z") + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(
+    lambda d: st.tuples(*[ratfuncs(d, XYZ, 3, 2) for _ in range(4)])))
+@example((X, X * 2, Y, Y * 2))                      # proportional: zero
+@example((X / Y, X / Y, X / Y, X / Y))              # one value four times: zero
+@example((ZERO, Y, ZERO, X))                        # both products zero
+@example((ZERO, Y + 1, X / (Y + 2), X + Y))         # a*d zero, c*b not
+@example((X + 1, Y, X, ZERO))                       # c*b zero, a*d not
+@example((W, W, W, W))      # zero, and the denominator product is the largest
+def test_cross_matches_ratfunc_arithmetic(abcd):
+    want, got = assert_same_under_budgets(reference_cross, _cross, *abcd)
+    assert got == want
+    a, b, c, d = abcd
+    assert ratfunc_equal(a * d, c * b) is got[0]
+
+
+def test_cross_zero_counts_the_constant_denominator():
+    assert _cross(X, X * 2, Y, Y * 2) == (True, 1)
+    assert _cross(ZERO, Y, ZERO, X) == (True, 1)
+    # x*(y+1) - y*y: three numerator terms over the denominator 1
+    assert _cross(X, Y, Y, Y + 1) == (False, 4)
+
+
+def test_compose_and_cross_reject_irrational_coefficients_of_two_fields():
+    s3, s5 = QuadExt(0, 1, -3), QuadExt(1, 1, 5)
+    subst = RatFunc.variables(ST) + (RatFunc.variable(ST, "s"),)
+    for f_c, s_c in ((s3, s5), (s5, s3)):
+        f = X * f_c + Y
+        with pytest.raises(FieldMismatchError):
+            ratfunc_compose(f, tuple(s * s_c for s in subst))
+        with pytest.raises(FieldMismatchError):
+            _cross(f, X, Y, Y * s_c)
+        with pytest.raises(FieldMismatchError):
+            ratfunc_equal(f, X * s_c)
+        # a rational QuadExt of the other field crosses over
+        r_c = QuadExt(3, 0, s_c.d)
+        got = ratfunc_compose(f, tuple(s * r_c for s in subst))
+        assert got == reference_compose(f, tuple(s * r_c for s in subst))
+        assert _cross(f, X, Y, Y * r_c) == reference_cross(f, X, Y, Y * r_c)
 
 
 @pytest.fixture(scope="module")

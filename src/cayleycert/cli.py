@@ -1,10 +1,11 @@
 """Command line front end: list constructions, verify, render reports.
 
 Exit codes: 0 all selected certificates pass, 1 at least one fails,
-2 unknown construction id, missing or malformed config file (an unknown
-key or format included), missing results file, a non-integer
-``CAYLEY_SEED``, a non-positive trial count or a non-positive term budget,
-3 term budget exceeded.
+2 (with one stderr line) unknown construction id, an unreadable or
+malformed config or results file (an unknown key or format, bad JSON or
+missing report keys included), an output file that cannot be opened
+(before any construction runs), a non-integer ``CAYLEY_SEED``, a
+non-positive trial count or term budget, 3 term budget exceeded.
 On exit 3 ``verify`` still emits the report of the constructions run so
 far; the one that hit the budget has a single failing ``term-budget``
 verdict whose detail is the error.  The term budget holds only while
@@ -15,6 +16,7 @@ give byte-identical reports except for the timing fields.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -30,6 +32,7 @@ from .ratmap import Certificate
 SCHEMA_VERSION = 1
 FORMATS = ("json", "md")
 CONFIG_KEYS = ("seed", "trials", "term_budget", "format", "only", "out")
+REPORT_KEYS = ("schema", "tool", "version", "config", "results", "overall")
 
 
 @dataclass
@@ -155,12 +158,15 @@ def render_markdown(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_out(path: str | None):
+    """stdout, or ``path`` opened for writing; None after a one-line error."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        sys.stderr.write(f"cannot write report: {exc}\n")
+        return None
 
 
 def cmd_list(_args) -> int:
@@ -176,12 +182,9 @@ def cmd_list(_args) -> int:
 def cmd_verify(args) -> int:
     cfg = RunConfig()
     if args.config:
-        if not os.path.exists(args.config):
-            sys.stderr.write(f"config file not found: {args.config}\n")
-            return 2
         try:
             _apply_file_config(cfg, read_config_file(args.config))
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             sys.stderr.write(f"bad config file {args.config}: {exc}\n")
             return 2
     env_seed = os.environ.get("CAYLEY_SEED")
@@ -218,28 +221,30 @@ def cmd_verify(args) -> int:
     except KeyError as exc:
         sys.stderr.write(f"unknown construction id: {exc.args[0]}\n")
         return 2
+    sink = _open_out(cfg.out)
+    if sink is None:
+        return 2
 
     results = []
     over_budget = False
-    with term_budget(cfg.term_budget):
-        for cid in ids:
-            seed = construction_seed(cfg.seed, cid)
-            try:
-                cert = run_construction(cid, seed=seed, trials=cfg.trials)
-            except TermBudgetError as exc:
-                sys.stderr.write(f"term budget exceeded in {cid}: {exc}\n")
-                cert = Certificate(cid, seed=seed)
-                cert.add("term-budget", "fail", str(exc))
-                over_budget = True
-            record = cert.to_dict()
-            record["anchors"] = [get(cid).anchor]
-            results.append(record)
-            if over_budget:
-                break
-
-    report = build_report(cfg, results)
-    text = render_json(report) if cfg.format == "json" else render_markdown(report)
-    _emit(text, cfg.out)
+    with sink as fh:
+        with term_budget(cfg.term_budget):
+            for cid in ids:
+                seed = construction_seed(cfg.seed, cid)
+                try:
+                    cert = run_construction(cid, seed=seed, trials=cfg.trials)
+                except TermBudgetError as exc:
+                    sys.stderr.write(f"term budget exceeded in {cid}: {exc}\n")
+                    cert = Certificate(cid, seed=seed)
+                    cert.add("term-budget", "fail", str(exc))
+                    over_budget = True
+                record = cert.to_dict()
+                record["anchors"] = [get(cid).anchor]
+                results.append(record)
+                if over_budget:
+                    break
+        report = build_report(cfg, results)
+        fh.write(render_json(report) if cfg.format == "json" else render_markdown(report))
     if over_budget:
         return 3
     return 0 if report["overall"] else 1
@@ -249,10 +254,21 @@ def cmd_report(args) -> int:
     if not os.path.exists(args.source):
         sys.stderr.write(f"results file not found: {args.source}\n")
         return 2
-    with open(args.source) as fh:
-        report = json.load(fh)
-    text = render_json(report) if args.format == "json" else render_markdown(report)
-    _emit(text, args.out)
+    try:
+        with open(args.source) as fh:
+            report = json.load(fh)
+        missing = [k for k in REPORT_KEYS if k not in report]
+        if missing:
+            raise ValueError(f"missing report keys {', '.join(missing)}")
+        text = render_json(report) if args.format == "json" else render_markdown(report)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        sys.stderr.write(f"bad results file {args.source}: {exc}\n")
+        return 2
+    sink = _open_out(args.out)
+    if sink is None:
+        return 2
+    with sink as fh:
+        fh.write(text)
     return 0
 
 

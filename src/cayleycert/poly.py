@@ -6,10 +6,10 @@ fixed ordered variable tuple; coefficients are ints, Fractions or
 arithmetic of the point's entries, so a ``Poly`` can be evaluated at
 ``RatFunc`` points too.  ``RatFunc`` is a numerator/denominator pair that
 is *not* kept in lowest terms: there is no multivariate GCD here.
-Equality is decided exactly by cross multiplication and full expansion,
-and identities modulo a variety relation are decided by
-:func:`chart_restrict`, which substitutes the relation's chart into the
-function.
+Equality is decided exactly by cross multiplication and full expansion.
+A variety relation is a :class:`Relation`, the one reader of its two
+forms, which solves it for one coordinate in any ring;
+:func:`chart_restrict` substitutes that solution into a function.
 
 Products run on integers (the integral representation of Cohen, *A Course
 in Computational Algebraic Number Theory*, 4.2, as in ``matrices``): the
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import contextlib
 from contextvars import ContextVar
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import add
@@ -632,54 +633,78 @@ def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
     return RatFunc(cleared(f.num), den)
 
 
+@dataclass(frozen=True)
+class Relation:
+    """One relation among coordinates, solved for one of them.
+
+    kind "torus-product": prod v_i^e_i = 1 over ``variables`` (exponents
+    default to all 1), and ``solve_for`` occurs with exponent +-1.
+    kind "linear-sum": sum v_i = 0, with no exponents.
+
+    This class is the one reader of the two forms: every check of a
+    relation is made on construction, and :meth:`solve` writes the solved
+    coordinate in any ring.
+    """
+
+    kind: str
+    variables: tuple
+    solve_for: str
+    exponents: tuple | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("torus-product", "linear-sum"):
+            raise StructureError(f"unsupported relation form {self.kind!r}")
+        if self.solve_for not in self.variables:
+            raise StructureError(f"{self.solve_for!r} does not occur in the relation")
+        if self.exponents is None:
+            return
+        if self.kind == "linear-sum":
+            raise StructureError("linear-sum relation takes no exponents")
+        if len(self.exponents) != len(self.variables):
+            raise StructureError("exponent vector does not match relation variables")
+        e_s = self.exponents[self.variables.index(self.solve_for)]
+        if e_s not in (1, -1):
+            raise StructureError(
+                f"cannot solve for {self.solve_for!r}: exponent {e_s} is not unit")
+
+    def solve(self, values, one):
+        """The solved coordinate, from ``values`` (a mapping from the other
+        variables to ring elements, Fractions or RatFuncs) and the ring's 1."""
+        s = self.solve_for
+        if self.kind == "linear-sum":
+            acc = one - one
+            for v in self.variables:
+                if v != s:
+                    acc = acc - values[v]
+            return acc
+        exps = self.exponents or (1,) * len(self.variables)
+        e_s = exps[self.variables.index(s)]
+        acc = one
+        for v, e in zip(self.variables, exps):
+            if v != s:
+                acc = acc * values[v] ** (-e * e_s)
+        return acc
+
+
 def chart_restrict(f: RatFunc, relation: str, eliminated: str,
                    variables=None, exponents=None) -> RatFunc:
     """Substitute the chart of a variety relation, removing one variable.
 
-    relation "torus-product": the coordinates ``variables`` satisfy
-    prod v_i^e_i = 1 (exponents default to all 1); ``eliminated`` must
-    occur with exponent +-1 and is replaced by the solved monomial.
-
-    relation "linear-sum": the coordinates satisfy sum v_i = 0 and
-    ``eliminated`` is replaced by minus the sum of the others.
-
-    The result is a RatFunc over the remaining free variables.
+    ``relation``, ``variables`` (default: all of f's), ``eliminated`` and
+    ``exponents`` make a :class:`Relation` solved for ``eliminated``; the
+    result is f with the solved expression substituted, a RatFunc over
+    the remaining free variables.
     """
     if eliminated not in f.vars:
         raise StructureError(f"{eliminated!r} is not a variable of {f.vars}")
-    involved = tuple(variables) if variables is not None else f.vars
-    if eliminated not in involved:
-        raise StructureError(f"{eliminated!r} does not occur in the relation")
-    for v in involved:
+    rel = Relation(relation, tuple(variables) if variables is not None else f.vars,
+                   eliminated, None if exponents is None else tuple(exponents))
+    for v in rel.variables:
         if v not in f.vars:
             raise StructureError(f"relation variable {v!r} unknown")
     out_vars = tuple(v for v in f.vars if v != eliminated)
     if not out_vars:
         raise StructureError("cannot eliminate the only variable")
-    coords = {v: RatFunc.variable(out_vars, v) for v in out_vars}
-
-    if relation == "torus-product":
-        exps = tuple(exponents) if exponents is not None else (1,) * len(involved)
-        if len(exps) != len(involved):
-            raise StructureError("exponent vector does not match relation variables")
-        e_s = exps[involved.index(eliminated)]
-        if e_s not in (1, -1):
-            raise StructureError(
-                f"cannot solve for {eliminated!r}: exponent {e_s} is not unit")
-        solved = RatFunc.const(out_vars, Fraction(1))
-        for v, e in zip(involved, exps):
-            if v == eliminated:
-                continue
-            solved = solved * coords[v] ** (-e * e_s)
-    elif relation == "linear-sum":
-        if exponents is not None:
-            raise StructureError("linear-sum relation takes no exponents")
-        solved = RatFunc.const(out_vars, Fraction(0))
-        for v in involved:
-            if v != eliminated:
-                solved = solved - coords[v]
-    else:
-        raise StructureError(f"unsupported relation form {relation!r}")
-
-    subst = tuple(solved if v == eliminated else coords[v] for v in f.vars)
-    return ratfunc_compose(f, subst)
+    coords = dict(zip(out_vars, RatFunc.variables(out_vars)))
+    coords[eliminated] = rel.solve(coords, RatFunc.const(out_vars, Fraction(1)))
+    return ratfunc_compose(f, tuple(coords[v] for v in f.vars))

@@ -34,7 +34,8 @@ from .poly import RatFunc
 from .ratmap import (Block, Certificate, EquivMap, MapPair, VarietySpec,
                      check_group_relations, linear_slice, product,
                      projective_space, torus)
-from .su3 import _S3, C123, GAMMA, T12, link_certificate, s3_gamma_action
+from .su3 import (_S3, C123, GAMMA, T12, lie_variety, link_certificate,
+                  link_quotient, s3_gamma_action, torus_variety)
 
 EPS = "eps"
 
@@ -107,34 +108,27 @@ def pullback_group(mode: str, kind: str) -> GroupSpec:
 
 def pgu3_torus_map() -> MapPair:
     """[x] -> (x2/x3, x3/x1, x1/x2) from the Galois-twisted quotient of the
-    3-torus by scalars onto the Tw-pulled-back twisted torus."""
+    3-torus by scalars onto the Tw-pulled-back twisted torus: the formulas
+    of :func:`cayleycert.su3.link_quotient`, with the twisted torus's table
+    on the source."""
     src = projective_space("Gm3-mod-Gm[g-tw]", ("x1", "x2", "x3"),
                            multiplicative=True)
-    src_actions = s3_gamma_action(
-        ActionGen(perm=_S3[T12]),
-        ActionGen(perm=_S3[C123]),
-        ActionGen(perm=identity_perm(3), twist="invert", conjugate=True))
+    src_actions = torus_variety()[1]
     tgt = torus("Tw-twisted-T", ("t1", "t2", "t3"))
     tgt_actions = pullback_group("Tw", "torus")
-    x1, x2, x3 = RatFunc.variables(src.coords)
-    forward = EquivMap("rank2.pgu3", src, tgt,
-                       (x2 / x3, x3 / x1, x1 / x2),
+    quotient = link_quotient()
+    forward = EquivMap("rank2.pgu3", src, tgt, quotient.forward.components,
                        src_actions, tgt_actions)
-    t1, t2, t3 = RatFunc.variables(tgt.coords)
-    one = RatFunc.const(tgt.coords, Fraction(1))
-    inverse = EquivMap("rank2.pgu3.inv", tgt, src,
-                       (one, 1 / t3, t2),
+    inverse = EquivMap("rank2.pgu3.inv", tgt, src, quotient.inverse.components,
                        tgt_actions, src_actions)
     return MapPair(forward, inverse)
 
 
 def pgu3_differential() -> MapPair:
-    """(x1, x2, x3) -> (x2 - x3, x3 - x1, x1 - x2) on the sum-zero slice."""
+    """(x1, x2, x3) -> (x2 - x3, x3 - x1, x1 - x2) on the sum-zero slice,
+    with the twisted Lie slice's table on the source."""
     src = linear_slice("lie-quotient[g-tw]", ("x1", "x2", "x3"))
-    src_actions = s3_gamma_action(
-        ActionGen(perm=_S3[T12]),
-        ActionGen(perm=_S3[C123]),
-        ActionGen(perm=identity_perm(3), twist="negate", conjugate=True))
+    src_actions = lie_variety()[1]
     tgt = linear_slice("Tw-twisted-t", ("u1", "u2", "u3"))
     tgt_actions = pullback_group("Tw", "lie")
     x1, x2, x3 = RatFunc.variables(src.coords)

@@ -1,10 +1,10 @@
 """Equivariant rational maps between variety charts, and their certificates.
 
 A :class:`VarietySpec` is a product of blocks (affine, torus, linear
-slice, projective), each carrying the relations that cut it out; the two
-supported relation forms are monomial products equal to one and linear
-sums equal to zero, which is exactly what :func:`cayleycert.poly.chart_restrict`
-can decide identities against.  An :class:`EquivMap` bundles the component
+slice, projective), each carrying the :class:`~cayleycert.poly.Relation`
+values that cut it out, solved in order: the chart is that solve at
+generic free coordinates, a random point the same solve at random free
+values.  An :class:`EquivMap` bundles the component
 rational functions with source and target action tables over a common
 group.  Equivariance and inverse identities are exact: rational function
 identities modulo the source relations, with projective blocks compared
@@ -23,28 +23,10 @@ from fractions import Fraction
 from .errors import DegenerateError, SamplingError, StructureError
 from .field import random_rational, scalar_str
 from .group import GroupSpec, apply_action
-from .poly import RatFunc, _cross, chart_restrict, ratfunc_compose, ratfunc_equal
+from .poly import Relation, RatFunc, _cross, ratfunc_compose, ratfunc_equal
 
 
 # -- varieties ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class Relation:
-    """One chart-decidable relation among a block's coordinates."""
-
-    kind: str                 # "torus-product" | "linear-sum"
-    variables: tuple
-    solve_for: str
-    exponents: tuple | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("torus-product", "linear-sum"):
-            raise StructureError(f"unsupported relation form {self.kind!r}")
-        if self.solve_for not in self.variables:
-            raise StructureError("solved variable must occur in the relation")
-        if self.exponents is not None and len(self.exponents) != len(self.variables):
-            raise StructureError("exponents do not match relation variables")
-
 
 BLOCK_KINDS = ("affine", "torus", "linear-slice", "projective")
 
@@ -59,10 +41,15 @@ class Block:
     def __post_init__(self):
         if self.kind not in BLOCK_KINDS:
             raise StructureError(f"unknown block kind {self.kind!r}")
-        for rel in self.relations:
+        for i, rel in enumerate(self.relations):
+            later = {r.solve_for for r in self.relations[i + 1:]}
             for v in rel.variables:
                 if v not in self.coords:
                     raise StructureError(f"relation variable {v!r} outside block")
+                if v in later:
+                    raise StructureError(
+                        f"relation solving {rel.solve_for!r} uses {v!r}, "
+                        "which a later relation solves")
 
     @property
     def is_multiplicative(self) -> bool:
@@ -255,18 +242,12 @@ class Certificate:
 
 # -- symbolic machinery ---------------------------------------------------
 
-def generic_point(spec: VarietySpec):
-    """The identity tuple of coordinate functions."""
-    return RatFunc.variables(spec.coords)
-
-
-def reduce_mod(spec: VarietySpec, f: RatFunc) -> RatFunc:
-    """Restrict a function of the spec's coordinates to its chart,
-    eliminating one variable per relation."""
+def _solve(spec: VarietySpec, values: dict, one) -> tuple:
+    """The spec's coordinate tuple from the free coordinates' ``values``,
+    each relation solved in order in the ring of ``one``."""
     for rel in spec.relations():
-        f = chart_restrict(f, rel.kind, rel.solve_for,
-                           variables=rel.variables, exponents=rel.exponents)
-    return f
+        values[rel.solve_for] = rel.solve(values, one)
+    return tuple(values[c] for c in spec.coords)
 
 
 def chart_tuple(spec: VarietySpec):
@@ -274,7 +255,10 @@ def chart_tuple(spec: VarietySpec):
     free coordinates stay themselves, solved ones become their chart
     expressions.  Composing a map with this tuple restricts it to the
     chart, which keeps everything downstream small."""
-    return tuple(reduce_mod(spec, f) for f in generic_point(spec))
+    solved = {rel.solve_for for rel in spec.relations()}
+    free = tuple(c for c in spec.coords if c not in solved)
+    return _solve(spec, dict(zip(free, RatFunc.variables(free))),
+                  RatFunc.const(free, Fraction(1)))
 
 
 def _tuple_equal(spec_tgt: VarietySpec, lhs, rhs) -> tuple:
@@ -350,38 +334,16 @@ def random_point(spec: VarietySpec, seed):
     caller can report the locus.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    solved = {rel.solve_for for rel in spec.relations()}
     for _ in range(64):
-        values = {}
-        ok = True
-        for block in spec.blocks:
-            solved = {rel.solve_for: rel for rel in block.relations}
-            # projective representatives are kept away from the zero tuple
-            need_nonzero = block.is_multiplicative or block.is_projective
-            for c in block.coords:
-                if c in solved:
-                    continue
-                values[c] = random_rational(rng, span=9, nonzero=need_nonzero)
-            for rel in block.relations:
-                s = rel.solve_for
-                if rel.kind == "torus-product":
-                    exps = rel.exponents or (1,) * len(rel.variables)
-                    e_s = exps[rel.variables.index(s)]
-                    acc = Fraction(1)
-                    for v, e in zip(rel.variables, exps):
-                        if v == s:
-                            continue
-                        acc *= values[v] ** (-e * e_s)
-                    values[s] = acc
-                else:
-                    acc = Fraction(0)
-                    for v in rel.variables:
-                        if v != s:
-                            acc += values[v]
-                    values[s] = -acc
-                if block.is_multiplicative and values[s] == 0:
-                    ok = False
-        if ok:
-            return tuple(values[c] for c in spec.coords)
+        # projective representatives are kept away from the zero tuple
+        values = {c: random_rational(rng, span=9,
+                                     nonzero=block.is_multiplicative or block.is_projective)
+                  for block in spec.blocks for c in block.coords if c not in solved}
+        point = _solve(spec, values, Fraction(1))
+        if all(all(point[start:stop]) for block, start, stop in spec.block_slices()
+               if block.is_multiplicative):
+            return point
     raise SamplingError(
         f"no usable point on {spec.name} after 64 tries; "
         "the exceptional locus keeps being hit")
@@ -591,26 +553,19 @@ def check_target_relations(m: EquivMap) -> Certificate:
     """The components must satisfy the target's relations identically."""
     cert = Certificate(construction=m.name)
     x = chart_tuple(m.source)
-    chart_comps = tuple(ratfunc_compose(c, x) for c in m.components)
-    chart_vars = x[0].vars if x else m.source.coords
-    one = RatFunc.const(chart_vars, Fraction(1))
-    zero = RatFunc.const(chart_vars, Fraction(0))
-    for block, start, stop in m.target.block_slices():
-        comp_of = dict(zip(block.coords, chart_comps[start:stop]))
+    comps = dict(zip(m.target.coords, (ratfunc_compose(c, x) for c in m.components)))
+    one = RatFunc.const(x[0].vars if x else m.source.coords, Fraction(1))
+    for block in m.target.blocks:
+        # an identically zero multiplicative coordinate is off the variety
+        off = block.is_multiplicative and any(comps[c].is_zero() for c in block.coords)
         for rel in block.relations:
-            if rel.kind == "torus-product":
-                exps = rel.exponents or (1,) * len(rel.variables)
-                acc = one
-                for v, e in zip(rel.variables, exps):
-                    acc = acc * comp_of[v] ** e
-                expected = one
-            else:
-                acc = zero
-                for v in rel.variables:
-                    acc = acc + comp_of[v]
-                expected = zero
-            status = "pass" if ratfunc_equal(acc, expected) else "fail"
-            cert.add(f"target-relation[{block.kind}:{rel.solve_for}]", status)
+            try:
+                holds = not off and ratfunc_equal(rel.solve(comps, one),
+                                                  comps[rel.solve_for])
+            except DegenerateError:     # a negative power of a zero component
+                holds = False
+            cert.add(f"target-relation[{block.kind}:{rel.solve_for}]",
+                     "pass" if holds else "fail")
     return cert
 
 
@@ -620,10 +575,11 @@ def check_group_relations(spec: VarietySpec, group, seed=0, trials: int = 50) ->
     rng = random.Random(seed)
     for word in group.relations:
         vname = "relation[" + "*".join(word) + "]"
-        _, _, bad = _sample(spec, rng, trials, trials,
-                            lambda x: (group.apply_word(word, x), x), spec)
-        if bad is None:
-            cert.add(vname, "pass", f"{trials} random tuples")
-        else:
+        agreements, _, bad = _sample(spec, rng, trials, trials,
+                                     lambda x: (group.apply_word(word, x), x), spec)
+        if bad is not None:
             cert.add(vname, "fail", "relation does not act as the identity", bad)
+        else:
+            cert.add(vname, "pass" if agreements else "fail",
+                     f"{agreements} random tuples")
     return cert

@@ -11,6 +11,7 @@ from cayleycert.classical import (MatrixAlg, cayley_conjugation_equivariance,
                                   orthogonal_alg, pgl_cayley, pgl_certificate,
                                   pgl_scalar_invariance, symplectic_alg,
                                   unitary_alg)
+from cayleycert.cli import construction_seed
 from cayleycert.errors import DegenerateError, PreconditionError, StructureError
 from cayleycert.field import QuadField
 from cayleycert.matrices import (conj_transpose, identity, mat_add, mat_eq, mat_inverse,
@@ -120,6 +121,16 @@ def test_certificates_pass_for_all_involution_kinds():
 
 def test_gl_certificate():
     assert full_linear_certificate(3, seed=11, trials=10).ok
+
+
+def test_gl_certificate_counts_only_invertible_draws():
+    # verify --seed 42 gives classical.gl3 this seed; 2 of its 25 draws of
+    # the conjugating matrix are singular and are skipped
+    cert = full_linear_certificate(3, seed=construction_seed(42, "classical.gl3"),
+                                   trials=25)
+    assert [(v.status, v.detail) for v in cert.verdicts] == [("pass", "23 random points")]
+    cert = full_linear_certificate(3, seed=11, trials=0)
+    assert [(v.status, v.detail) for v in cert.verdicts] == [("fail", "0 random points")]
 
 
 def test_pgl_scalar_invariance():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cayleycert import cli
 from cayleycert.cli import (RunConfig, build_report, construction_seed, main,
                             read_config_file, render_json)
 from cayleycert.poly import Poly
@@ -212,6 +213,35 @@ def test_report_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "report", "--from", "/nonexistent.json")
     assert code == 2
     assert "not found" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"schema": ', "Expecting value: line 1 column 12 (char 11)"),
+    ('{"schema": 1}', "missing report keys tool, version, config, results, overall"),
+    ('[1, 2]', "missing report keys schema, tool, version, config, results, overall"),
+])
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_report_malformed_file_exits_2(tmp_path, capsys, text, message, fmt):
+    path = tmp_path / "results.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "report", "--from", str(path), "--format", fmt)
+    assert (code, out, err) == (2, "", f"bad results file {path}: {message}\n")
+
+
+def test_config_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", "--config", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"bad config file {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_unwritable_out_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a construction ran")
+    monkeypatch.setattr(cli, "run_construction", never)
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "verify", "--only", "picard.ledger", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"cannot write report: [Errno 2] No such file or directory: '{path}'\n"
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

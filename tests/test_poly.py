@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from cayleycert.errors import (DegenerateError, FieldMismatchError, StructureError,
                                TermBudgetError)
 from cayleycert.field import QuadExt, QuadField
-from cayleycert.poly import (Poly, RatFunc, _cross, chart_restrict, ratfunc_compose,
-                             ratfunc_equal, term_budget)
+from cayleycert.poly import (Poly, RatFunc, Relation, _cross, chart_restrict,
+                             ratfunc_compose, ratfunc_equal, term_budget)
 
 F = QuadField(-3)
 ZETA = F.zeta()
@@ -141,6 +142,32 @@ def test_chart_restrict_unsolvable_exponent():
     with pytest.raises(StructureError):
         chart_restrict(rf("x1"), "torus-product", "x3",
                        variables=V3, exponents=(1, 1, 2))
+
+
+@pytest.mark.parametrize("args, message", [
+    (("torus-product", ("a", "b", "c"), "c", (1, 1, 2)),
+     "cannot solve for 'c': exponent 2 is not unit"),
+    (("linear-sum", ("a", "b", "c"), "c", (1, 1, 1)),
+     "linear-sum relation takes no exponents"),
+    (("torus-product", ("a", "b"), "c"), "'c' does not occur in the relation"),
+    (("torus-product", ("a", "b"), "b", (1,)),
+     "exponent vector does not match relation variables"),
+    (("quadratic", ("a", "b"), "b"), "unsupported relation form 'quadratic'"),
+])
+def test_relation_checks_every_form_on_construction(args, message):
+    with pytest.raises(StructureError, match=re.escape(message)):
+        Relation(*args)
+
+
+def test_relation_solves_in_any_ring():
+    rel = Relation("torus-product", ("a", "b", "c"), "b", exponents=(2, -1, 1))
+    values = {"a": Fraction(2, 3), "c": Fraction(-5)}
+    assert rel.solve(values, Fraction(1)) == Fraction(-20, 9)
+    a, c = RatFunc.variables(("a", "c"))
+    one = RatFunc.const(("a", "c"), Fraction(1))
+    assert ratfunc_equal(rel.solve({"a": a, "c": c}, one), a ** 2 * c)
+    lin = Relation("linear-sum", ("a", "b", "c"), "a")
+    assert lin.solve({"b": Fraction(1, 2), "c": Fraction(3)}, Fraction(1)) == Fraction(-7, 2)
 
 
 def test_canonical_rendering_is_sorted_and_stable():

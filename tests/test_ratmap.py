@@ -1,17 +1,36 @@
+import random
 from dataclasses import replace
+from math import prod
 
 import pytest
 
+from cayleycert import rank2, su3
+from cayleycert.classical import pgl_cayley
 from cayleycert.errors import SamplingError, StructureError
-from cayleycert.group import ActionGen
-from cayleycert.poly import RatFunc
+from cayleycert.group import ActionGen, GroupSpec, identity_perm
+from cayleycert.poly import RatFunc, chart_restrict
 from cayleycert.ratmap import (Block, EquivMap, Relation, VarietySpec,
-                               check_equivariance, check_inverse_pair,
-                               check_target_relations, compose, compose_pair,
-                               linear_slice, product, projective_space,
+                               chart_tuple, check_equivariance, check_group_relations,
+                               check_inverse_pair, check_target_relations, compose,
+                               compose_pair, linear_slice, product, projective_space,
                                random_point, torus)
 from cayleycert.su3 import (link_phi, link_quotient, link_segre, quotient_variety,
                             torus_variety)
+
+
+def _shipped_specs():
+    """Every variety of su3, rank2 and pgl_cayley(2), pgl_cayley(3)."""
+    specs = [build()[0] for build in (
+        su3.quotient_variety, su3.torus_variety, su3.pp_variety, su3.quadric_variety,
+        su3.diagonal_plane_variety, su3.lie_variety)]
+    for pair in (rank2.pgu3_torus_map(), rank2.pgu3_differential(),
+                 pgl_cayley(2), pgl_cayley(3)):
+        specs += [pair.forward.source, pair.forward.target]
+    src, _, tgt, _ = rank2.g2_interface()
+    return {spec.name: spec for spec in specs + [src, tgt]}
+
+
+SHIPPED_SPECS = _shipped_specs()
 
 
 def test_random_point_torus_satisfies_relation():
@@ -44,6 +63,48 @@ def test_random_point_quadric_relation():
     for seed in range(20):
         p = random_point(spec, seed)
         assert p[0] * p[3] == p[1] * p[2]
+
+
+def _terms(f):
+    return [(p.vars, [(e, type(c), c) for e, c in p.terms.items()]) for p in (f.num, f.den)]
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_SPECS))
+def test_chart_tuple_matches_one_relation_at_a_time(name):
+    # the reference restricts every coordinate to the chart through
+    # chart_restrict, one relation after another
+    spec = SHIPPED_SPECS[name]
+    reference = []
+    for f in RatFunc.variables(spec.coords):
+        for rel in spec.relations():
+            f = chart_restrict(f, rel.kind, rel.solve_for, variables=rel.variables,
+                               exponents=rel.exponents)
+        reference.append(f)
+    assert [_terms(f) for f in chart_tuple(spec)] == [_terms(f) for f in reference]
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_SPECS))
+def test_random_point_satisfies_every_relation(name):
+    spec = SHIPPED_SPECS[name]
+    for seed in range(10):
+        value = dict(zip(spec.coords, random_point(spec, seed)))
+        for rel in spec.relations():
+            if rel.kind == "linear-sum":
+                assert sum(value[v] for v in rel.variables) == 0
+            else:
+                exps = rel.exponents or (1,) * len(rel.variables)
+                assert prod(value[v] ** e for v, e in zip(rel.variables, exps)) == 1
+
+
+def test_relation_may_not_use_a_coordinate_solved_later():
+    unit = Relation("torus-product", ("b", "c"), "b")
+    total = Relation("linear-sum", ("a", "b", "c"), "a")
+    with pytest.raises(StructureError, match="uses 'b', which a later relation solves"):
+        Block("affine", ("a", "b", "c"), (total, unit))
+    with pytest.raises(StructureError, match="uses 'a', which a later relation solves"):
+        Block("affine", ("a", "b", "c"), (total, Relation("linear-sum", ("a", "c"), "a")))
+    spec = VarietySpec("abc", (Block("affine", ("a", "b", "c"), (unit, total)),))
+    assert all(f.vars == ("c",) for f in chart_tuple(spec))
 
 
 def test_random_point_reject_budget():
@@ -170,6 +231,20 @@ def test_target_relation_validation_catches_bad_map():
     assert not cert.ok
 
 
+def test_target_relations_reject_zero_multiplicative_components():
+    # a/b = 1 solved for b reads b = a, which two zero components satisfy;
+    # a zero coordinate of a multiplicative block is off the variety
+    rel = Relation("torus-product", ("a", "b"), "b", exponents=(1, -1))
+    tgt = projective_space("Q", ("a", "b"), relations=(rel,), multiplicative=True)
+    src = VarietySpec("A1", (Block("affine", ("s",)),))
+    zero = RatFunc.const(("s",), 0)
+    cert = check_target_relations(EquivMap("zero", src, tgt, (zero, zero)))
+    assert [(v.name, v.status) for v in cert.verdicts] == [
+        ("target-relation[projective:b]", "fail")]
+    s = RatFunc.variable(("s",), "s")
+    assert check_target_relations(EquivMap("diagonal", src, tgt, (s, s))).ok
+
+
 def test_inverse_pair_spot_check_counts_locus():
     pair = link_quotient()
     cert = check_inverse_pair(pair.forward, pair.inverse, seed=6, trials=40)
@@ -180,6 +255,24 @@ def test_inverse_pair_spot_check_counts_locus():
     cert = check_inverse_pair(pair.forward, pair.inverse, seed=9, trials=10)
     assert cert.ok
     assert cert.verdicts[-1].detail == "10 agreements, 3 exceptional-locus resamples"
+
+
+def test_group_relations_state_the_tuples_they_checked():
+    # inversion is undefined where an affine coordinate is zero: those
+    # draws are spent, and the detail counts only the tuples checked
+    spec = VarietySpec("A2", (Block("affine", ("a", "b")),))
+    inv = GroupSpec("inv", (("i", ActionGen(perm=identity_perm(2), twist="invert")),),
+                    (("i", "i"),))
+    cert = check_group_relations(spec, inv, seed=3, trials=50)
+    rng = random.Random(3)
+    checked = sum(all(random_point(spec, rng)) for _ in range(50))
+    assert 0 < checked < 50
+    assert [v.to_dict() for v in cert.verdicts] == [
+        {"name": "relation[i*i]", "status": "pass", "detail": f"{checked} random tuples"}]
+    zero = VarietySpec("A1", (Block("affine", ("a", "b"),
+                                    (Relation("linear-sum", ("a",), "a"),)),))
+    cert = check_group_relations(zero, inv, seed=3, trials=5)
+    assert [(v.status, v.detail) for v in cert.verdicts] == [("fail", "0 random tuples")]
 
 
 def test_product_variety_flattens_blocks():

@@ -22,12 +22,11 @@ from .poly import (Poly, RatFunc, chart_restrict, ratfunc_compose, ratfunc_equal
 from .ratmap import (Block, Certificate, EquivMap, MapPair, Relation, VarietySpec,
                      Verdict, check_equivariance, check_group_relations,
                      check_inverse_pair, check_target_relations, compose,
-                     compose_pair, random_point)
+                     compose_pair, random_point, same_action)
 from .classical import (MatrixAlg, cayley_conjugation_equivariance,
                         cayley_transform, cayley_transform_of_skew, orthogonal_alg,
                         pgl_cayley, symplectic_alg, unitary_alg)
 from .su3 import build_su3_chain, end_to_end, phi_inverse
-from .rank2 import rank2_torus_suite
 from .surfaces import SurfaceSpec, singular_points, surface_membership
 from .picard import (LedgerStep, inter, invariant_sublattice, ledger_run,
                      line_classes, standard_actions)

@@ -1,7 +1,8 @@
 """Command line front end: list constructions, verify, render reports.
 
 Exit codes: 0 all selected certificates pass, 1 at least one fails,
-2 (with one stderr line) unknown construction id, an unreadable or
+2 (with one stderr line) unknown construction id, an empty selection
+(``--only ,`` or a config line ``only=``), an unreadable or
 malformed config or results file (an unknown key or format, bad JSON or
 missing report keys included), an output file that cannot be opened
 (before any construction runs), a non-integer ``CAYLEY_SEED``, a
@@ -220,6 +221,9 @@ def cmd_verify(args) -> int:
             get(cid)
     except KeyError as exc:
         sys.stderr.write(f"unknown construction id: {exc.args[0]}\n")
+        return 2
+    if not ids:
+        sys.stderr.write("no construction selected\n")
         return 2
     sink = _open_out(cfg.out)
     if sink is None:

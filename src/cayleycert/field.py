@@ -347,14 +347,6 @@ class QuadField:
             raise StructureError("zeta requires d = -3")
         return _make(-1, 1, 2, -3)
 
-    def random(self, rng, span: int = 9, nonzero: bool = False) -> QuadExt:
-        while True:
-            a = Fraction(rng.randint(-span, span), rng.randint(1, span))
-            b = Fraction(rng.randint(-span, span), rng.randint(1, span))
-            x = _make(*_triple(a, b), self.d)
-            if not nonzero or x:
-                return x
-
     def __repr__(self):
         return f"QuadField(d={self.d})"
 

@@ -5,8 +5,8 @@ permutation, then a twist (entrywise inversion, negation, or the
 sign-of-permutation power used on projective torus classes), then an
 optional fixed per-coordinate scaling, then, for Galois-type generators,
 entrywise conjugation.  Groups are given by concrete generator actions,
-not presentations; their defining relations are sanity-checked on random
-tuples, never proved.
+not presentations; :func:`cayleycert.ratmap.check_group_relations`
+decides their defining relations exactly on a variety's chart.
 """
 
 from __future__ import annotations

@@ -279,17 +279,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        idx = self.vars.index(name)
-        if not self.terms:
-            return 0
-        return max(e[idx] for e in self.terms)
-
     def lead_coeff(self):
         if not self.terms:
             return 0

@@ -290,7 +290,7 @@ def chain_certificate(seed: int = 42, trials: int = 100) -> Certificate:
                  (pp_variety, "pp"), (quadric_variety, "quadric"),
                  (diagonal_plane_variety, "plane"), (lie_variety, "lie")]
     for build, tag in varieties:
-        cert.extend(check_group_relations(*build(), seed=seed, trials=12),
+        cert.extend(check_group_relations(*build(), seed=seed),
                     prefix=f"group[{tag}].")
     e2e = end_to_end()
     stages = [links[0].reversed()] + links[1:]

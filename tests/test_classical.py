@@ -376,7 +376,8 @@ PINNED_ALGEBRAS = {
 
 def pinned_report(name):
     return {"id": name, "ok": True, "seed": 7, "term_stats": {}, "verdicts": [
-        {"name": "involution-anti-automorphism", "status": "pass", "detail": ""},
+        {"name": "involution-anti-automorphism", "status": "pass",
+         "detail": "15 sampled pairs"},
         {"name": "image-skewness", "status": "pass", "detail": "15 samples"},
         {"name": "round-trip", "status": "pass", "detail": "15 samples"},
         {"name": "conjugation-equivariance", "status": "pass", "detail": "15 samples"},

@@ -62,6 +62,20 @@ def test_verify_unknown_id_exits_2(capsys):
     assert "unknown construction id" in err
 
 
+def test_verify_empty_selection_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--only", ",")
+    assert code == 2 and out == ""
+    assert err == "no construction selected\n"
+
+
+def test_config_empty_selection_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cc.conf"
+    cfg.write_text("only=\n")
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "no construction selected\n"
+
+
 def test_verify_mutation_fixture_exits_1_with_named_check(capsys):
     code, out, err = run_cli(capsys, "verify", "--only",
                              "mutation.swapped-components", "--seed", "7")

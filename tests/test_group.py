@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cayleycert.errors import DegenerateError, StructureError
-from cayleycert.field import QuadField
+from cayleycert.field import QuadField, random_rational
 from cayleycert.group import (ActionGen, Cocycle, GroupSpec, apply_action,
                               compose_actions, cycle, identity_perm,
                               is_identity_action, perm_sign, st_tw_embed,
@@ -75,7 +75,8 @@ def test_compose_matches_sequential_application():
         for b in gens:
             ab = compose_actions(b, a)
             for _ in range(10):
-                t = tuple(F.random(rng, nonzero=True) for _ in range(3))
+                t = tuple(F.of(random_rational(rng, nonzero=True), random_rational(rng))
+                          for _ in range(3))
                 assert apply_action(b, apply_action(a, t)) == apply_action(ab, t)
 
 

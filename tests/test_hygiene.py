@@ -1,4 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module,
+and every function, class or method the package defines is read by the
+package, a demo or the benchmark.
 
 Package ``__init__.py`` files are exempt, because their imports are the
 package's re-exports.
@@ -7,7 +9,10 @@ package's re-exports.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cayleycert"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cayleycert"
+READERS = (ROOT / "demos", ROOT / "perfbench")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(path: Path) -> list:
@@ -46,3 +51,76 @@ def test_checker_flags_an_unused_import(tmp_path):
     mod.write_text("from fractions import Fraction\nimport os\nimport re\n\n"
                    "def f(x: \"Fraction\") -> int:\n    return re.sub\n")
     assert unused_imports(mod) == ["mod.py:2 os"]
+
+
+def _reads(tree) -> set:
+    """Names a module reads: names, attributes, and the dotted parts of
+    its strings other than docstrings (the benchmark wraps by string)."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, *DEFINITIONS)) and node.body
+            and isinstance(node.body[0], ast.Expr)}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            reads.update(node.value.split("."))
+    return reads
+
+
+def unread_definitions(src: Path, readers) -> list:
+    """``file:line name`` for each function, class or method defined in a
+    module of ``src`` that no module of ``src`` (``__init__.py`` aside) and
+    no file of the ``readers`` directories reads.  Dunders are exempt."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
+    reads = set()
+    for tree in (*trees.values(), *(ast.parse(p.read_text(), filename=str(p))
+                                     for d in readers for p in sorted(d.glob("*.py")))):
+        reads |= _reads(tree)
+    found = [(p.name, node.lineno, node.name) for p, tree in trees.items()
+             for node in ast.walk(tree)
+             if isinstance(node, DEFINITIONS) and node.name not in reads
+             and not (node.name.startswith("__") and node.name.endswith("__"))]
+    return [f"{name}:{line} {what}" for name, line, what in sorted(found)]
+
+
+def test_every_definition_is_read():
+    found = unread_definitions(SRC, READERS)
+    assert not found, "definitions nothing reads: " + ", ".join(found)
+
+
+MODULE = '''"""unread is only named in docstrings."""
+
+class Box:
+    def __len__(self):
+        return 0
+
+    def shown(self):
+        return helper()
+
+    def hidden(self):
+        """hidden"""
+
+def helper():
+    return 1
+
+def unread():
+    return Box().shown()
+
+def by_string():
+    return 2
+'''
+
+
+def test_checker_flags_an_unread_definition(tmp_path):
+    src, demos = tmp_path / "src", tmp_path / "demos"
+    src.mkdir()
+    demos.mkdir()
+    (src / "__init__.py").write_text("from .mod import unread, Box\n")
+    (src / "mod.py").write_text(MODULE)
+    (demos / "demo.py").write_text('WRAPPED = ("mod", "Box.by_string")\n')
+    assert unread_definitions(src, [demos]) == ["mod.py:10 hidden", "mod.py:16 unread"]

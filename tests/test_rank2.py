@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,14 +7,15 @@ from cayleycert.errors import FieldMismatchError, StructureError
 from cayleycert.field import QuadField
 from cayleycert.group import ActionGen, apply_action, identity_perm
 from cayleycert.poly import RatFunc
-from cayleycert.ratmap import EquivMap, MapPair, check_group_relations, map_of_point
-from cayleycert.rank2 import (EPS, GAMMA, T12, C123, _action_tables_match,
+from cayleycert.ratmap import (EquivMap, MapPair, check_group_relations, map_of_point,
+                               same_action)
+from cayleycert.rank2 import (EPS, GAMMA, T12, C123,
                               base_group, certify_external_g2, g2_interface,
                               g2_slot_certificate,
                               gamma_twisted_expected, pgu3_differential,
-                              pgu3_torus_map, pullback_group, rank2_torus_suite,
+                              pgu3_torus_map, pullback_group,
                               twist_certificate, twisted_group)
-from cayleycert.su3 import build_su3_chain, link_certificate
+from cayleycert.su3 import build_su3_chain, link_certificate, quadric_variety, torus_variety
 
 F = QuadField(-3)
 ZETA = F.zeta()
@@ -52,10 +54,32 @@ def test_groups_keep_their_names_per_kind():
 def test_action_table_mismatch_of_fields_is_not_a_verdict():
     # an irrational scale from another field cannot be compared with
     # Q(sqrt(-3)) values; that is a bug in the caller, not "tables differ"
-    want = ActionGen(perm=identity_perm(3), twist="invert", conjugate=True,
-                     scale=(QuadField(5).sqrt, 1, 1))
+    got = quadric_variety()[1].action(T12)
+    want = replace(got, scale=(QuadField(5).sqrt, 1, 1, 1))
     with pytest.raises(FieldMismatchError):
-        _action_tables_match(gamma_twisted_expected("torus"), want, 42, 25, True)
+        same_action(got, want)
+
+
+def test_same_action_decides_on_the_generic_tuple():
+    tor = base_group("torus")
+    assert same_action(twisted_group("torus").action(GAMMA),
+                       gamma_twisted_expected("torus"))
+    # equal actions written differently: a sign-power twist of an even
+    # permutation is no twist
+    cyc = tor.action(C123)
+    assert same_action(cyc, replace(cyc, twist="sign-power"))
+    assert not same_action(cyc, tor.action(T12))
+    assert not same_action(tor.action(GAMMA), ActionGen(perm=identity_perm(3)))
+
+
+@pytest.mark.parametrize("word", [(GAMMA,), (GAMMA, T12, T12)])
+def test_lone_galois_letter_fails_its_relation(word):
+    # conjugation fixes every rational point, so no sample can see these
+    grp = base_group("torus")
+    grp = replace(grp, relations=grp.relations + (word,))
+    cert = check_group_relations(torus_variety()[0], grp)
+    assert [v.status for v in cert.verdicts] == ["pass"] * 10 + ["fail"]
+    assert cert.verdicts[-1].name == "relation[" + "*".join(word) + "]"
 
 
 def test_twist_certificate_green():
@@ -109,7 +133,7 @@ def test_every_action_table_satisfies_its_relations(name):
     # both tables of each forward map; an inverse carries the same two
     fwd = MAP_PAIRS[name].forward
     for spec, action in ((fwd.source, fwd.source_action), (fwd.target, fwd.target_action)):
-        cert = check_group_relations(spec, action, seed=5, trials=12)
+        cert = check_group_relations(spec, action, seed=5)
         assert len(cert.verdicts) == 6 and cert.ok, (spec.name, cert.failing())
 
 
@@ -158,9 +182,4 @@ def test_external_g2_shape_mismatch_is_structural():
     pair = pgu3_torus_map()
     with pytest.raises(StructureError):
         certify_external_g2(pair, seed=3, trials=5)
-
-
-def test_full_suite_green_with_missing_slot():
-    cert = rank2_torus_suite(seed=42, trials=40)
-    assert cert.ok, [v.name for v in cert.failing()]
 

@@ -15,14 +15,14 @@ from .errors import (CayleyCertError, DegenerateError, FieldMismatchError,
                      TermBudgetError)
 from .field import QuadExt, QuadField, conj, scalar_str
 from .group import (ActionGen, Cocycle, GroupSpec, apply_action, compose_actions,
-                    cycle, identity_perm, perm_sign, st_tw_embed, transposition,
-                    twist_action)
+                    cycle, identity_perm, perm_sign, same_action, st_tw_embed,
+                    transposition, twist_action)
 from .poly import (Poly, RatFunc, chart_restrict, ratfunc_compose, ratfunc_equal,
                    term_budget)
 from .ratmap import (Block, Certificate, EquivMap, MapPair, Relation, VarietySpec,
                      Verdict, check_equivariance, check_group_relations,
                      check_inverse_pair, check_target_relations, compose,
-                     compose_pair, random_point, same_action)
+                     compose_pair, random_point)
 from .classical import (MatrixAlg, cayley_conjugation_equivariance,
                         cayley_transform, cayley_transform_of_skew, orthogonal_alg,
                         pgl_cayley, symplectic_alg, unitary_alg)

@@ -18,13 +18,13 @@ from .classical import (classical_certificate, full_linear_certificate,
                         orthogonal_alg, pgl_certificate, symplectic_alg,
                         unitary_alg)
 from .errors import StructureError
-from .group import Cocycle, twist_action
+from .group import Cocycle, same_action, twist_action
 from .picard import (galois_matrix, invariants_certificate, lattice_certificate,
                      ledger_certificate, lines_certificate, preserves_form, fixes,
                      CANONICAL)
 from .rank2 import (base_group, g2_slot_certificate, gamma_twisted_expected,
                     pgu3_differential, pgu3_torus_map, twist_certificate)
-from .ratmap import Certificate, check_equivariance, same_action
+from .ratmap import Certificate, check_equivariance
 from .su3 import (C123, GAMMA, T12, chain_certificate, link_certificate, link_linear,
                   link_phi, link_quotient)
 from .surfaces import (conic_certificate, x_membership_certificate,
@@ -114,8 +114,7 @@ def _mutant_lattice_offbyone(seed: int, trials: int) -> Certificate:
 
 CONSTRUCTIONS = (
     Construction("classical.gl3", "unit group of the 3x3 matrix algebra",
-                 lambda s, t: full_linear_certificate(3, s, min(t, 25),
-                                                      name="classical.gl3")),
+                 lambda s, t: full_linear_certificate(3, s, name="classical.gl3")),
     Construction("classical.sp2", "symplectic involution transform, size 2",
                  lambda s, t: classical_certificate("classical.sp2",
                                                     symplectic_alg(2), s, t)),
@@ -157,13 +156,13 @@ CONSTRUCTIONS = (
                  lambda s, t: g2_slot_certificate(seed=s, trials=t)),
 
     Construction("appendix.conic", "conic parameterization and group law",
-                 lambda s, t: conic_certificate(seed=s, trials=t)),
+                 lambda s, t: conic_certificate(seed=s)),
     Construction("appendix.X", "triple-product surface membership",
-                 lambda s, t: x_membership_certificate(seed=s, trials=t)),
+                 lambda s, t: x_membership_certificate(seed=s)),
     Construction("appendix.Y", "cubic compactification membership",
-                 lambda s, t: y_membership_certificate(seed=s, trials=min(t, 50))),
+                 lambda s, t: y_membership_certificate(seed=s)),
     Construction("appendix.Y.singular", "singular locus of the cubic",
-                 lambda s, t: y_singular_certificate(seed=s, trials=min(t, 20))),
+                 lambda s, t: y_singular_certificate(seed=s)),
 
     Construction("picard.lattice", "intersection form and symmetry matrices",
                  lambda s, t: lattice_certificate(seed=s)),

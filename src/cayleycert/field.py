@@ -219,6 +219,7 @@ class QuadExt:
 
 
 _new = object.__new__
+_SCALARS = frozenset((int, Fraction, QuadExt))
 
 
 def _make(p: int, q: int, n: int, d: int) -> QuadExt:
@@ -268,9 +269,12 @@ def _domain(*groups):
     int, else Fraction.  d is the discriminant for QuadExt, else None: the
     field of the irrational values (rational values cross fields; with none
     irrational, the least d present).  Irrational values of two fields raise
-    :class:`FieldMismatchError`.
+    :class:`FieldMismatchError`.  A value that is not a scalar (a ``Poly``
+    matrix entry) gives (None, None): no integer kernel applies.
     """
     kinds = set(map(type, chain.from_iterable(groups)))
+    if not kinds <= _SCALARS:
+        return None, None
     if QuadExt not in kinds:
         return (int if kinds <= {int} else Fraction), None
     ds = {x._d for x in chain.from_iterable(groups) if type(x) is QuadExt}
@@ -285,11 +289,14 @@ def _domain(*groups):
 
 
 def conj(x):
-    """Galois conjugate of a scalar; rationals are fixed."""
+    """Galois conjugate of a scalar, rationals being fixed, or of a symbolic
+    value (``Poly``, ``RatFunc``), whose coefficients it conjugates."""
     if isinstance(x, QuadExt):
         return x.conj()
     if isinstance(x, (int, Fraction)):
         return x
+    if hasattr(x, "conj_coeffs"):
+        return x.conj_coeffs()
     raise TypeError(f"cannot conjugate {x!r}")
 
 

@@ -6,7 +6,8 @@ sign-of-permutation power used on projective torus classes), then an
 optional fixed per-coordinate scaling, then, for Galois-type generators,
 entrywise conjugation.  Groups are given by concrete generator actions,
 not presentations; :func:`cayleycert.ratmap.check_group_relations`
-decides their defining relations exactly on a variety's chart.
+decides their defining relations exactly on a variety's chart, and
+:func:`same_action` decides whether two generators act alike.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DegenerateError, StructureError
-from .field import conj as scalar_conj
+from .field import conj
+from .poly import RatFunc, ratfunc_equal
 
 TWISTS = ("none", "invert", "negate", "sign-power")
 
@@ -108,13 +110,6 @@ class ActionGen:
         return " ".join(parts)
 
 
-def _conj_value(v):
-    if hasattr(v, "conj_coeffs"):
-        # symbolic coordinate: conjugate the coefficients
-        return v.conj_coeffs()
-    return scalar_conj(v)
-
-
 def apply_action(gen: ActionGen, tup, conjugate=None):
     """Apply a generator to a tuple of scalars (or RatFuncs).
 
@@ -146,7 +141,7 @@ def apply_action(gen: ActionGen, tup, conjugate=None):
 
     do_conj = gen.conjugate if conjugate is None else conjugate
     if do_conj:
-        out = [_conj_value(v) for v in out]
+        out = [conj(v) for v in out]
     return tuple(out)
 
 
@@ -178,7 +173,7 @@ def compose_actions(outer: ActionGen, inner: ActionGen) -> ActionGen:
     mode = m1 or m2
 
     perm = perm_compose(outer.perm, inner.perm)
-    conj = outer.conjugate != inner.conjugate
+    conjugate = outer.conjugate != inner.conjugate
     n = outer.arity
     inv2 = perm_inverse(outer.perm)
 
@@ -186,7 +181,7 @@ def compose_actions(outer: ActionGen, inner: ActionGen) -> ActionGen:
     s2 = outer.scale if outer.scale is not None else (1,) * n
     scale = []
     for j in range(n):
-        a = scalar_conj(s2[j]) if inner.conjugate else s2[j]
+        a = conj(s2[j]) if inner.conjugate else s2[j]
         b = s1[inv2[j]]
         if mode == "mult" and u2 == -1 and b != 1:
             if not b:
@@ -209,20 +204,20 @@ def compose_actions(outer: ActionGen, inner: ActionGen) -> ActionGen:
         scale_out = None
     else:
         scale_out = tuple(scale)
-    return ActionGen(perm=perm, twist=twist, conjugate=conj, scale=scale_out)
+    return ActionGen(perm=perm, twist=twist, conjugate=conjugate, scale=scale_out)
 
 
-def is_identity_action(gen: ActionGen) -> bool:
-    if gen.perm != identity_perm(gen.arity):
+def same_action(a: ActionGen, b: ActionGen) -> bool:
+    """Whether two generators act alike on every tuple: equal as written,
+    or else the same Galois flag and equal rational parts at a generic
+    tuple."""
+    if a == b:
+        return True
+    if a.conjugate != b.conjugate:
         return False
-    if gen.conjugate:
-        return False
-    if gen.twist == "sign-power":
-        if perm_sign(gen.perm) < 0:
-            return False
-    elif gen.twist != "none":
-        return False
-    return gen.scale is None or all(s == 1 for s in gen.scale)
+    x = RatFunc.variables(tuple(f"x{i}" for i in range(a.arity)))
+    return all(ratfunc_equal(p, q) for p, q in zip(apply_action(a, x, conjugate=False),
+                                                  apply_action(b, x, conjugate=False)))
 
 
 @dataclass(frozen=True)
@@ -295,7 +290,8 @@ def twist_action(base: GroupSpec, c: Cocycle) -> GroupSpec:
         if value.conjugate:
             raise StructureError(
                 "cocycle values must lie in the acting group, not the Galois group")
-        if not is_identity_action(compose_actions(value, value)):
+        if not same_action(compose_actions(value, value),
+                           ActionGen(perm=identity_perm(value.arity))):
             raise StructureError(
                 f"cocycle value {word} does not square to the identity")
         table[gamma_label] = compose_actions(value, table[gamma_label])

@@ -15,7 +15,8 @@ Entry types follow the one rule of ``field._domain``, which ``poly``
 shares: a product of two int matrices has int entries; a product or
 inverse with any ``QuadExt`` entry has ``QuadExt`` entries in that field;
 everything else has ``Fraction`` entries.  Irrational entries from two
-different fields raise :class:`FieldMismatchError`.
+different fields raise :class:`FieldMismatchError`.  A product with
+symbolic (``Poly``) entries is a plain sum of products, as for ints.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def mat_mul(a, b):
                                  sum(map(mul, rp, cq)) + sum(map(mul, rq, cp)),
                                  rn * cn, d)
                            for cp, cq, cn in cols) for rp, rq, rn in rows)
-    if kind is int:
+    if kind is int or kind is None:     # int or symbolic (Poly) entries
         return tuple(tuple(sum(map(mul, r, c)) for c in zip(*b)) for r in a)
     rows = [_over_lcm(r) for r in a]
     cols = [_over_lcm(c) for c in zip(*b)]

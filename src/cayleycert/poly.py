@@ -285,8 +285,9 @@ class Poly:
         return next(iter(self.terms.values()))
 
     def eval(self, point):
-        """Exact evaluation; point entries only need ring arithmetic, so
-        substituting RatFunc values is legal and is how composition works."""
+        """Exact evaluation; point entries only need ring arithmetic, so a
+        point may have Poly or RatFunc entries (a generic point).
+        Composition does not go through here: see :func:`ratfunc_compose`."""
         if len(point) != len(self.vars):
             raise StructureError(
                 f"point arity {len(point)} does not match {len(self.vars)} variables")

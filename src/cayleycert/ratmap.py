@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import DegenerateError, SamplingError, StructureError
 from .field import random_rational, scalar_str
-from .group import ActionGen, GroupSpec, apply_action
+from .group import GroupSpec, apply_action, same_action
 from .poly import Relation, RatFunc, _cross, ratfunc_compose, ratfunc_equal
 
 
@@ -429,7 +429,8 @@ def check_equivariance(m: EquivMap, seed=0) -> Certificate:
 
 
 def compose(m1: EquivMap, m2: EquivMap) -> EquivMap:
-    """The map m2 o m1; m1's target must match m2's source, actions included."""
+    """The map m2 o m1; m1's target must match m2's source, actions included
+    (compared by :func:`cayleycert.group.same_action`)."""
     if not m1.target.same_shape(m2.source):
         raise StructureError(
             f"cannot compose {m1.name} -> {m2.name}: interface mismatch")
@@ -437,7 +438,7 @@ def compose(m1: EquivMap, m2: EquivMap) -> EquivMap:
         raise StructureError("composed maps must share a generator set")
     ours, theirs = m1.target_action.table(), m2.source_action.table()
     for label in m1.generator_labels():
-        if ours.get(label) != theirs.get(label):
+        if label not in ours or not same_action(ours[label], theirs[label]):
             raise StructureError(
                 f"actions on the interface differ for generator {label!r}")
     comps = []
@@ -598,12 +599,3 @@ def check_group_relations(spec: VarietySpec, group: GroupSpec, seed=0) -> Certif
             cert.add(vname, "fail", "relation does not act as the identity", witness)
     return cert
 
-
-def same_action(a: ActionGen, b: ActionGen) -> bool:
-    """Whether two generators act alike on every tuple: the same Galois
-    flag, and equal rational parts at a generic tuple."""
-    if a.conjugate != b.conjugate:
-        return False
-    x = RatFunc.variables(tuple(f"x{i}" for i in range(a.arity)))
-    return all(ratfunc_equal(p, q) for p, q in zip(apply_action(a, x, conjugate=False),
-                                                  apply_action(b, x, conjugate=False)))

@@ -1,0 +1,55 @@
+"""The report of one fixed ``verify`` run, pinned byte for byte.
+
+``golden_report.json`` is the JSON report of ``cayleycert verify --only
+all,<the five mutation fixtures> --seed 42 --trials 10`` with the timing
+field ``ms`` removed from every record, in the layout of ``--format
+json``.  A change to any verdict, detail, witness or term count shows up
+as a diff of that file; an intended one is made by writing
+``golden_text(<the report>)`` over it and reviewing the diff.  One run
+happens in a subprocess under a different ``PYTHONHASHSEED``, so that no
+byte depends on the order of a set or a dict of strings.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from cayleycert.catalog import MUTATION_IDS
+from cayleycert.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden_report.json"
+ARGV = ["verify", "--only", ",".join(("all",) + MUTATION_IDS),
+        "--seed", "42", "--trials", "10", "--format", "json"]
+
+
+def golden_text(report_json: str) -> str:
+    """The report with every ``ms`` removed, laid out as ``--format json``."""
+    report = json.loads(report_json)
+    for record in report["results"]:
+        record.pop("ms", None)
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_matches_the_golden_file(capsys):
+    assert cli_main(ARGV) == 1          # the fixtures fail
+    text = golden_text(capsys.readouterr().out)
+    assert text == GOLDEN.read_text()
+    for record in json.loads(text)["results"]:
+        names = [v["name"] for v in record["verdicts"]]
+        assert len(names) == len(set(names)), record["id"]
+
+
+def test_report_does_not_depend_on_the_hash_seed():
+    other = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONHASHSEED=other, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from cayleycert.cli import main; sys.exit(main(sys.argv[1:]))",
+         *ARGV], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stderr
+    assert golden_text(run.stdout) == GOLDEN.read_text()

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
-and every function, class or method the package defines is read by the
-package, a demo or the benchmark.
+every function, class or method the package defines is read by the
+package, a demo or the benchmark, and only the modules that sample import
+``random``.
 
 Package ``__init__.py`` files are exempt, because their imports are the
 package's re-exports.
@@ -124,3 +125,34 @@ def test_checker_flags_an_unread_definition(tmp_path):
     (src / "mod.py").write_text(MODULE)
     (demos / "demo.py").write_text('WRAPPED = ("mod", "Box.by_string")\n')
     assert unread_definitions(src, [demos]) == ["mod.py:10 hidden", "mod.py:16 unread"]
+
+
+# The modules whose verdicts may rest on random samples: the spot checks
+# and witness searches of ratmap, and the transform suite of classical.
+SAMPLERS = {"classical", "ratmap"}
+
+
+def random_importers(src: Path) -> list:
+    """Names of the modules of ``src`` that import ``random``."""
+    found = []
+    for p in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "random" in names:
+                found.append(p.stem)
+                break
+    return found
+
+
+def test_only_the_samplers_import_random():
+    assert set(random_importers(SRC)) <= SAMPLERS
+
+
+def test_checker_flags_a_random_import(tmp_path):
+    (tmp_path / "ratmap.py").write_text("import random\n")
+    (tmp_path / "surfaces.py").write_text("from random import Random\n")
+    (tmp_path / "poly.py").write_text("from .field import random_rational\n")
+    found = random_importers(tmp_path)
+    assert found == ["ratmap", "surfaces"]
+    assert set(found) - SAMPLERS == {"surfaces"}

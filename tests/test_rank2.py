@@ -5,10 +5,9 @@ import pytest
 
 from cayleycert.errors import FieldMismatchError, StructureError
 from cayleycert.field import QuadField
-from cayleycert.group import ActionGen, apply_action, identity_perm
+from cayleycert.group import ActionGen, apply_action, identity_perm, same_action
 from cayleycert.poly import RatFunc
-from cayleycert.ratmap import (EquivMap, MapPair, check_group_relations, map_of_point,
-                               same_action)
+from cayleycert.ratmap import EquivMap, MapPair, check_group_relations, map_of_point
 from cayleycert.rank2 import (EPS, GAMMA, T12, C123,
                               base_group, certify_external_g2, g2_interface,
                               g2_slot_certificate,

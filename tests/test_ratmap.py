@@ -180,6 +180,24 @@ def test_compose_requires_matching_interface():
         compose(q.forward, s.forward)
 
 
+def test_compose_compares_interface_actions_by_meaning():
+    # a sign-power twist of the even (1 2 3) is no twist, so the rewritten
+    # action is the same action and composes; an inverting one does not
+    first = link_quotient().reversed().forward
+    phi = link_phi().forward
+
+    def rewritten(**changes):
+        gens = tuple((label, replace(gen, **changes) if label == su3.C123 else gen)
+                     for label, gen in phi.source_action.generators)
+        return replace(phi, source_action=replace(phi.source_action, generators=gens))
+
+    assert phi.source_action.action(su3.C123).twist == "sign-power"
+    composed = compose(first, rewritten(twist="none"))
+    assert composed.components == compose(first, phi).components
+    with pytest.raises(StructureError, match="differ for generator '\\(1 2 3\\)'"):
+        compose(first, rewritten(twist="invert"))
+
+
 def test_compose_with_identity_is_same_map():
     pair = link_quotient()
     m = pair.forward

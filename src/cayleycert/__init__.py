@@ -10,9 +10,9 @@ identities, two-sided birational inverses, lattice invariants, and
 self-intersection ledgers, all decided by exact arithmetic.
 """
 
-from .errors import (CayleyCertError, DegenerateError, FieldMismatchError,
-                     PreconditionError, SamplingError, StructureError,
-                     TermBudgetError)
+from .errors import (CayleyCertError, DegenerateError, ExponentOverflowError,
+                     FieldMismatchError, PreconditionError, SamplingError,
+                     StructureError, TermBudgetError)
 from .field import QuadExt, QuadField, conj, scalar_str
 from .group import (ActionGen, Cocycle, GroupSpec, apply_action, compose_actions,
                     cycle, identity_perm, perm_sign, same_action, st_tw_embed,

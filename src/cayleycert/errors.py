@@ -27,6 +27,11 @@ class TermBudgetError(CayleyCertError):
     """A polynomial operation would exceed the configured term budget."""
 
 
+class ExponentOverflowError(TermBudgetError):
+    """A monomial's total degree does not fit the exponent field of a
+    packed key (2^16 or more); there is no wider representation."""
+
+
 class SamplingError(CayleyCertError):
     """The bounded retry budget for random point sampling was exhausted,
     which usually means the map's exceptional locus was hit repeatedly."""

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials and rational functions, exact throughout.
 
-``Poly`` stores a map from exponent vectors to nonzero coefficients over a
-fixed ordered variable tuple; coefficients are ints, Fractions or
+``Poly`` stores a map from monomials, packed as below, to nonzero
+coefficients over a fixed ordered variable tuple; coefficients are ints, Fractions or
 :class:`~cayleycert.field.QuadExt` values.  Evaluation needs only ring
 arithmetic of the point's entries, so a ``Poly`` can be evaluated at
 ``RatFunc`` points too.  ``RatFunc`` is a numerator/denominator pair that
@@ -11,13 +11,29 @@ A variety relation is a :class:`Relation`, the one reader of its two
 forms, which solves it for one coordinate in any ring;
 :func:`chart_restrict` substitutes that solution into a function.
 
+A monomial is one packed int (Monagan and Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007):
+each exponent gets a ``WIDTH`` = 16-bit field, the first variable the most
+significant, and the total degree sits in the top field.  The int order
+is then the graded order (highest total degree first, then
+lexicographic), a monomial product is one int addition and dividing out a
+common monomial is one subtraction.  ``Poly(variables, terms)`` takes
+exponent tuples and checks them (each a non-negative ``int``, else
+:class:`StructureError`); :meth:`Poly.items` reads them back, and only
+evaluation, derivatives, rendering, monomial stripping and composition
+read exponents out of a key.  A total degree of 2^16 or more does not
+fit: :class:`ExponentOverflowError`, a :class:`TermBudgetError`, is raised
+at the constructor, and a product checks the sum of its factors' largest
+keys before it forms any key.  There is no wider fallback.
+
 Products run on integers (the integral representation of Cohen, *A Course
 in Computational Algebraic Number Theory*, 4.2, as in ``matrices``): the
 kernel puts each factor's coefficients over one denominator, the lcm of
 theirs, sums the products of term pairs as integers, over Z[sqrt(d)] as
 the pairs (p*p' + d*q*q', p*q' + q*p'), and normalises each output
-coefficient once.  A result is sorted once, in the graded order: highest
-total degree first, then lexicographic.
+coefficient once.  A factor with one term takes a fast path that shifts
+the other factor's keys and accumulates nothing.  A result is sorted once,
+by its int keys.
 
 Composition and the exact equality tests stay on integers from input to
 verdict.  :func:`ratfunc_compose` scales the powers of the substituted
@@ -60,9 +76,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from operator import add
+from struct import unpack
 
-from .errors import DegenerateError, StructureError, TermBudgetError
+from .errors import DegenerateError, ExponentOverflowError, StructureError, TermBudgetError
 from .field import QuadExt, _domain, _make, _scalar_triple, scalar_str
 from .field import conj as scalar_conj
 
@@ -85,23 +101,35 @@ def term_budget(n: int):
         _term_budget.reset(token)
 
 
-def _order(term):
-    # graded order, sorted descending: highest total degree first, then
-    # lexicographic; exponent vectors are distinct, so there are no ties
-    return sum(term[0]), term[0]
+WIDTH = 16                  # bits per exponent field of a packed key
+_FIELD = 1 << WIDTH         # every exponent and total degree is below this
+
+
+def _pack(exps) -> int:
+    """The packed key of a checked exponent vector."""
+    key = sum(exps)
+    for e in exps:
+        key = key << WIDTH | e
+    return key
+
+
+def _ceiling(n: int) -> int:
+    """The least key of total degree 2^WIDTH over ``n`` variables."""
+    return _FIELD << (WIDTH * n)
 
 
 def _poly(variables, terms) -> "Poly":
-    """The Poly of checked, nonzero ``terms`` over a variable tuple, sorted once."""
+    """The Poly of nonzero, packed ``terms`` over a variable tuple, sorted once."""
     p = _new(Poly)
     _set(p, "vars", variables)
-    _set(p, "terms", dict(sorted(terms.items(), key=_order, reverse=True)))
+    _set(p, "terms", {e: terms[e] for e in sorted(terms, reverse=True)})
     return p
 
 
 def _scaled(terms):
     """Coefficients of a term dict over one denominator, the lcm of theirs:
-    ([(exps, p, q)], n) with coefficient (p + q*sqrt(d))/n, q = 0 for rationals."""
+    ([(key, p, q)], n) with coefficient (p + q*sqrt(d))/n, q = 0 for
+    rationals.  The largest key comes first, as in a Poly."""
     if len(terms) == 1:
         (e, c), = terms.items()
         p, q, n = _scalar_triple(c)
@@ -111,29 +139,54 @@ def _scaled(terms):
     return [(e, p * (den // n), q * (den // n)) for e, (p, q, n) in t], den
 
 
-def _mul(x, y, d):
-    """Product of two scaled polys (terms, den), terms [(exps, p, q)] as
+def _mul(x, y, d, ceiling):
+    """Product of two scaled polys (terms, den), terms [(key, p, q)] as
     from :func:`_scaled`, on integers and not normalised: the nonzero terms
-    over the product of the denominators.  d is the discriminant of the
-    QuadExt kind, None over Q (every q is 0).  The term budget is checked
-    before and after, as described in the module docstring."""
+    over the product of the denominators, the largest key first.  d is the
+    discriminant of the QuadExt kind, None over Q (every q is 0), and
+    ``ceiling`` the :func:`_ceiling` of the variable count.  The term budget
+    is checked before and after, as described in the module docstring.
+
+    Each factor lists its largest key first, and over an integral domain
+    the product of the leading terms is the nonzero leading term of the
+    product, so the sum of the first keys is the product's largest key and
+    reaches ``ceiling`` exactly when its total degree overflows.
+    """
     (a, da), (b, db) = x, y
     budget = _term_budget.get()
     if len(a) * len(b) > 16 * budget:
         raise TermBudgetError(
             f"product of {len(a)} x {len(b)} terms exceeds budget {budget}")
-    acc = {}
-    if d is None:
+    if not a or not b:
+        return [], da * db
+    if a[0][0] + b[0][0] >= ceiling:
+        low = ceiling.bit_length() - 1 - WIDTH      # lowest bit of the degree field
+        raise ExponentOverflowError(
+            f"product of degree {(a[0][0] >> low) + (b[0][0] >> low)} "
+            f"exceeds the {WIDTH}-bit exponent field")
+    if len(a) == 1 or len(b) == 1:
+        # one term times a poly: shift its keys, no term meets another
+        (e1, p1, q1), = a if len(a) == 1 else b
+        rest = b if len(a) == 1 else a
+        if d is None:
+            out = [(e1 + e2, p1 * p2, 0) for e2, p2, _ in rest]
+        else:
+            dq1 = d * q1
+            out = [(e1 + e2, p1 * p2 + dq1 * q2, p1 * q2 + q1 * p2)
+                   for e2, p2, q2 in rest]
+    elif d is None:
+        acc = {}
         for e1, p1, _ in a:
             for e2, p2, _ in b:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 acc[e] = acc.get(e, 0) + p1 * p2
         out = [(e, p, 0) for e, p in acc.items() if p]
     else:
+        acc = {}
         for e1, p1, q1 in a:
             dq1 = d * q1
             for e2, p2, q2 in b:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 s = acc.get(e)
                 if s is None:
                     acc[e] = [p1 * p2 + dq1 * q2, p1 * q2 + q1 * p2]
@@ -155,12 +208,12 @@ def _built(terms, den, kind, d):
     return {e: Fraction(p, den) for e, p, _ in terms}
 
 
-def _product(t1, t2):
+def _product(t1, t2, ceiling):
     """Product of two term dicts as a dict of nonzero terms, computed on
     integers with the coefficient types and term budget checks described
     in the module docstring."""
     kind, d = _domain(t1.values(), t2.values())
-    return _built(*_mul(_scaled(t1), _scaled(t2), d), kind, d)
+    return _built(*_mul(_scaled(t1), _scaled(t2), d, ceiling), kind, d)
 
 
 def _nonzero_difference(x, y):
@@ -177,24 +230,34 @@ def _nonzero_difference(x, y):
 class Poly:
     """Sparse polynomial over an ordered variable tuple.
 
-    Invariant: no zero coefficients are stored and terms are kept sorted in
-    a fixed monomial order, so dict equality is mathematical equality and
-    ``str()`` is canonical.
+    Invariant: no zero coefficients are stored and ``terms`` maps packed
+    keys (see the module docstring) to coefficients, sorted by key from the
+    largest down, so dict equality is mathematical equality and ``str()``
+    is canonical.  :meth:`items` reads the terms with exponent tuples.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables, terms):
-        object.__setattr__(self, "vars", tuple(variables))
+        variables = tuple(variables)
         clean = {}
         for exps, c in terms.items():
-            if len(exps) != len(self.vars):
+            exps = tuple(exps)
+            if len(exps) != len(variables):
                 raise StructureError(
-                    f"exponent vector {exps} does not match variables {self.vars}")
+                    f"exponent vector {exps} does not match variables {variables}")
+            if any(type(e) is not int or e < 0 for e in exps):
+                raise StructureError(
+                    f"exponent vector {exps} has an exponent that is not a "
+                    f"non-negative int")
+            if sum(exps) >= _FIELD:
+                raise ExponentOverflowError(
+                    f"exponent vector {exps} of degree {sum(exps)} exceeds the "
+                    f"{WIDTH}-bit exponent field")
             if c:
-                clean[tuple(exps)] = c
-        ordered = dict(sorted(clean.items(), key=_order, reverse=True))
-        object.__setattr__(self, "terms", ordered)
+                clean[_pack(exps)] = c
+        _set(self, "vars", variables)
+        _set(self, "terms", {e: clean[e] for e in sorted(clean, reverse=True)})
 
     def __setattr__(self, *args):
         raise AttributeError("Poly values are immutable")
@@ -207,8 +270,7 @@ class Poly:
 
     @classmethod
     def const(cls, variables, c):
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): c})
+        return _poly(tuple(variables), {0: c} if c else {})
 
     @classmethod
     def variable(cls, variables, name):
@@ -253,9 +315,11 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
+            return _poly(self.vars, {e: v for e, c in self.terms.items()
+                                     if (v := c * other)})
         self._check_same(other)
-        return _poly(self.vars, _product(self.terms, other.terms))
+        return _poly(self.vars, _product(self.terms, other.terms,
+                                         _ceiling(len(self.vars))))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -284,6 +348,14 @@ class Poly:
             return 0
         return next(iter(self.terms.values()))
 
+    def items(self) -> list:
+        """(exponent tuple, coefficient) for each term, in stored order."""
+        n = len(self.vars)
+        # one 16-bit field per exponent, after the total degree
+        fmt, size = f">{n + 1}H", 2 * n + 2
+        return [(unpack(fmt, key.to_bytes(size, "big"))[1:], c)
+                for key, c in self.terms.items()]
+
     def eval(self, point):
         """Exact evaluation; point entries only need ring arithmetic, so a
         point may have Poly or RatFunc entries (a generic point).
@@ -293,20 +365,16 @@ class Poly:
                 f"point arity {len(point)} does not match {len(self.vars)} variables")
         if not self.terms:
             return 0
+        terms = self.items()
         # cache powers of each coordinate up to the degree that occurs
-        maxdeg = [0] * len(self.vars)
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e > maxdeg[i]:
-                    maxdeg[i] = e
         powers = []
-        for x, top in zip(point, maxdeg):
+        for x, top in zip(point, map(max, zip(*(exps for exps, _ in terms)))):
             row = [1]
             for _ in range(top):
                 row.append(row[-1] * x)
             powers.append(row)
         acc = 0
-        for exps, c in self.terms.items():
+        for exps, c in terms:
             val = c
             for i, e in enumerate(exps):
                 if e:
@@ -315,19 +383,21 @@ class Poly:
         return acc
 
     def derivative(self, name: str) -> "Poly":
-        idx = self.vars.index(name)
+        if name not in self.vars:
+            raise StructureError(f"unknown variable {name!r} in {self.vars}")
+        n = len(self.vars)
+        shift = WIDTH * (n - 1 - self.vars.index(name))
+        # one less in the variable's field and in the total degree
+        step = (1 << shift) + (1 << WIDTH * n)
         terms = {}
-        for exps, c in self.terms.items():
-            e = exps[idx]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[idx] = e - 1
-            terms[tuple(new)] = c * e
-        return Poly(self.vars, terms)
+        for key, c in self.terms.items():
+            e = key >> shift & (_FIELD - 1)
+            if e:
+                terms[key - step] = c * e
+        return _poly(self.vars, terms)
 
     def conj_coeffs(self) -> "Poly":
-        return Poly(self.vars, {e: scalar_conj(c) for e, c in self.terms.items()})
+        return _poly(self.vars, {e: scalar_conj(c) for e, c in self.terms.items()})
 
     # -- rendering and equality -----------------------------------------
 
@@ -343,7 +413,7 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for exps, c in self.terms.items():
+        for exps, c in self.items():
             factors = []
             for v, e in zip(self.vars, exps):
                 if e == 1:
@@ -404,20 +474,17 @@ class RatFunc:
     def _strip_monomial(num: Poly, den: Poly):
         if num.is_zero():
             return num, Poly.const(den.vars, Fraction(1))
-        n = len(num.vars)
-        mins = [None] * n
-        for poly in (num, den):
-            for exps in poly.terms:
-                for i, e in enumerate(exps):
-                    if mins[i] is None or e < mins[i]:
-                        mins[i] = e
+        # the smallest key comes last, and key 0 is a constant term
+        if not next(reversed(num.terms)) or not next(reversed(den.terms)):
+            return num, den
+        mins = tuple(map(min, zip(*(exps for poly in (num, den)
+                                    for exps, _ in poly.items()))))
         if not any(mins):
             return num, den
-        strip = tuple(mins)
-        num = _poly(num.vars, {tuple(e - s for e, s in zip(exps, strip)): c
-                               for exps, c in num.terms.items()})
-        den = _poly(den.vars, {tuple(e - s for e, s in zip(exps, strip)): c
-                               for exps, c in den.terms.items()})
+        # each field of each key is at least strip's, so nothing borrows
+        strip = _pack(mins)
+        num = _poly(num.vars, {e - strip: c for e, c in num.terms.items()})
+        den = _poly(den.vars, {e - strip: c for e, c in den.terms.items()})
         return num, den
 
     # -- constructors --------------------------------------------------
@@ -518,18 +585,20 @@ class RatFunc:
 
 def _scaled_parts(*fs):
     """The discriminant d of the coefficients of RatFuncs ``fs`` over one
-    variable tuple, and the scaled numerator and denominator of each."""
+    variable tuple, the key ceiling of that tuple, and the scaled
+    numerator and denominator of each."""
     for f in fs:
         if f.vars != fs[0].vars:
             raise StructureError(f"variable mismatch: {fs[0].vars} vs {f.vars}")
     terms = [p.terms for f in fs for p in (f.num, f.den)]
-    return _domain(*(t.values() for t in terms))[1], [_scaled(t) for t in terms]
+    return (_domain(*(t.values() for t in terms))[1], _ceiling(len(fs[0].vars)),
+            [_scaled(t) for t in terms])
 
 
 def ratfunc_equal(f: RatFunc, g: RatFunc) -> bool:
     """Exact equality via cross multiplication and full expansion."""
-    d, (fn, fd, gn, gd) = _scaled_parts(f, g)
-    return not _nonzero_difference(_mul(fn, gd, d), _mul(gn, fd, d))
+    d, top, (fn, fd, gn, gd) = _scaled_parts(f, g)
+    return not _nonzero_difference(_mul(fn, gd, d, top), _mul(gn, fd, d, top))
 
 
 def _cross(a: RatFunc, b: RatFunc, c: RatFunc, d: RatFunc) -> tuple:
@@ -541,14 +610,14 @@ def _cross(a: RatFunc, b: RatFunc, c: RatFunc, d: RatFunc) -> tuple:
     not change a term count; a RatFunc with a zero numerator has the
     denominator 1, so the count is 1 when the difference is zero.
     """
-    disc, (an, ad, bn, bd, cn, cd, dn, dd) = _scaled_parts(a, b, c, d)
-    one = [((0,) * len(a.vars), 1, 0)], 1
-    xn, xd = _mul(an, dn, disc), _mul(ad, dd, disc)
-    yn, yd = _mul(cn, bn, disc), _mul(cd, bd, disc)
+    disc, top, (an, ad, bn, bd, cn, cd, dn, dd) = _scaled_parts(a, b, c, d)
+    one = [(0, 1, 0)], 1
+    xn, xd = _mul(an, dn, disc, top), _mul(ad, dd, disc, top)
+    yn, yd = _mul(cn, bn, disc, top), _mul(cd, bd, disc, top)
     xd = xd if xn[0] else one
     yd = yd if yn[0] else one
-    terms = _nonzero_difference(_mul(xn, yd, disc), _mul(yn, xd, disc))
-    den = _mul(xd, yd, disc)
+    terms = _nonzero_difference(_mul(xn, yd, disc, top), _mul(yn, xd, disc, top))
+    den = _mul(xd, yd, disc, top)
     return (False, terms + len(den[0])) if terms else (True, 1)
 
 
@@ -577,24 +646,26 @@ def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
                       *(p.terms.values() for s in subst for p in (s.num, s.den)),
                       (Fraction(1),))
 
-    maxdeg = [max(col) for col in zip(*f.num.terms, *f.den.terms)]
+    # f's terms with exponent tuples, and each variable's largest power
+    fn, fd = f.num.items(), f.den.items()
+    maxdeg = [max(col) for col in zip(*(exps for exps, _ in fn + fd))]
     # powers of the substituted numerators and denominators, scaled once
-    origin = (0,) * len(out_vars)
-    unit = [(origin, 1, 0)], 1
+    ceiling = _ceiling(len(out_vars))
+    unit = [(0, 1, 0)], 1
     num_pows, den_pows = [], []
     for s, top in zip(subst, maxdeg):
         sn, sd = _scaled(s.num.terms), _scaled(s.den.terms)
         nrow, drow = [unit], [unit]
         for _ in range(top):
-            nrow.append(_mul(nrow[-1], sn, d))
-            drow.append(_mul(drow[-1], sd, d))
+            nrow.append(_mul(nrow[-1], sn, d, ceiling))
+            drow.append(_mul(drow[-1], sd, d, ceiling))
         num_pows.append(nrow)
         den_pows.append(drow)
 
-    def cleared(poly):
+    def cleared(terms):
         # each term's chain of rows, and its denominator before the products
         chains = []
-        for exps, c in poly.terms.items():
+        for exps, c in terms:
             rows = [r for i, e in enumerate(exps)
                     for r in (num_pows[i][e], den_pows[i][maxdeg[i] - e])
                     if r is not unit]
@@ -604,9 +675,9 @@ def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
         den = lcm(*[m for _, _, m, _ in chains])
         acc = {}
         for p, q, m, rows in chains:
-            val = [(origin, p * (den // m), q * (den // m))], 1
+            val = [(0, p * (den // m), q * (den // m))], 1
             for r in rows:
-                val = _mul(val, r, d)
+                val = _mul(val, r, d, ceiling)
             for e, x, y in val[0]:
                 s = acc.get(e)
                 if s is None:
@@ -617,10 +688,10 @@ def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
         return _poly(out_vars, _built(((e, p, q) for e, (p, q) in acc.items()
                                        if p or q), den, kind, d))
 
-    den = cleared(f.den)
+    den = cleared(fd)
     if den.is_zero():
         raise DegenerateError("composition produced an identically zero denominator")
-    return RatFunc(cleared(f.num), den)
+    return RatFunc(cleared(fn), den)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ class SurfaceSpec:
         for block, start, stop in self.ambient.block_slices():
             idx = range(start, stop)
             degs = set()
-            for exps in self.equation.terms:
+            for exps, _ in self.equation.items():
                 degs.add(sum(exps[i] for i in idx))
             if len(degs) > 1:
                 raise StructureError(

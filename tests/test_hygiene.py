@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
 every function, class or method the package defines is read by the
-package, a demo or the benchmark, and only the modules that sample import
-``random``.
+package, a demo or the benchmark, only the modules that sample import
+``random``, and only ``poly`` reads the packed keys of ``Poly.terms``.
 
 Package ``__init__.py`` files are exempt, because their imports are the
 package's re-exports.
@@ -156,3 +156,38 @@ def test_checker_flags_a_random_import(tmp_path):
     found = random_importers(tmp_path)
     assert found == ["ratmap", "surfaces"]
     assert set(found) - SAMPLERS == {"surfaces"}
+
+
+# ``Poly.terms`` is keyed by packed ints; outside poly.py the one read of
+# exponents is ``Poly.items()``, and ``len(p.terms)`` counts terms.
+def terms_reads(src: Path) -> list:
+    """``file:line`` for each use of a ``.terms`` attribute, other than as
+    the argument of ``len``, in a module of ``src`` other than poly.py."""
+    found = []
+    for p in sorted(src.glob("*.py")):
+        if p.name == "poly.py":
+            continue
+        tree = ast.parse(p.read_text(), filename=str(p))
+        counted = {id(node.args[0]) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "len" and len(node.args) == 1}
+        found += [f"{p.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "terms"
+                  and id(node) not in counted]
+    return sorted(found)
+
+
+def test_only_poly_reads_packed_terms():
+    found = terms_reads(SRC)
+    assert not found, "reads of .terms outside poly.py: " + ", ".join(found)
+
+
+def test_checker_flags_a_terms_read(tmp_path):
+    (tmp_path / "poly.py").write_text("def f(p):\n    return list(p.terms)\n")
+    (tmp_path / "mod.py").write_text(
+        "def f(p):\n"
+        "    n = len(p.num.terms)\n"
+        "    for e in p.terms:\n"
+        "        n += p.terms[e]\n"
+        "    return n + len(p.terms.keys()) + len(list(p.terms.items()))\n")
+    assert terms_reads(tmp_path) == ["mod.py:3", "mod.py:4", "mod.py:5", "mod.py:5"]

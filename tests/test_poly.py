@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cayleycert.errors import (DegenerateError, FieldMismatchError, StructureError,
-                               TermBudgetError)
+from cayleycert.errors import (DegenerateError, ExponentOverflowError, FieldMismatchError,
+                               StructureError, TermBudgetError)
 from cayleycert.field import QuadExt, QuadField
 from cayleycert.poly import (Poly, RatFunc, Relation, _cross, chart_restrict,
                              ratfunc_compose, ratfunc_equal, term_budget)
@@ -230,7 +230,7 @@ def test_constant_ratfunc_compares_with_quadext():
 
 def test_int_denominator_normalises_exactly():
     f = RatFunc(Poly.const(V3, 1), Poly.const(V3, 3))
-    assert f.num.terms == {(0, 0, 0): Fraction(1, 3)}
+    assert dict(f.num.items()) == {(0, 0, 0): Fraction(1, 3)}
     assert type(f.num.lead_coeff()) is Fraction and f.den == Poly.const(V3, 1)
     assert str(f) == "1/3"
     g = RatFunc(Poly(V3, {(1, 0, 0): 4}), Poly(V3, {(0, 1, 0): 6, (0, 0, 0): -2}))
@@ -248,6 +248,55 @@ def test_term_budget_points():
         assert (x + 1) * (x - 1) == x ** 2 - 1      # zeros are not counted
         with pytest.raises(TermBudgetError, match="^4 terms exceed budget 2$"):
             (x + 1) * (y + 1)
+
+
+def test_negative_exponent_is_rejected():
+    # unchecked, x^-1 would print as 1 and evaluate as the last cached power
+    with pytest.raises(StructureError, match=re.escape(
+            "exponent vector (-1, 0) has an exponent that is not a non-negative int")):
+        Poly(("x", "y"), {(-1, 0): 1, (2, 0): 3})
+
+
+@pytest.mark.parametrize("exps", [(1.5,), (2.0,), (Fraction(1),), (True,)])
+def test_non_integer_exponent_is_rejected(exps):
+    with pytest.raises(StructureError, match="not a non-negative int"):
+        Poly(("x",), {exps: 1})
+
+
+def test_derivative_of_an_unknown_variable_names_it():
+    p = Poly(("x", "y"), {(2, 1): 3, (0, 3): 1})
+    assert str(p.derivative("y")) == "3*x^2 + 3*y^2"
+    assert str(p.derivative("x")) == "6*x*y"
+    with pytest.raises(StructureError, match=re.escape("unknown variable 'z' in ('x', 'y')")):
+        p.derivative("z")
+
+
+def test_degree_at_the_exponent_width_works_and_past_it_raises():
+    x, y = Poly.variable(("x", "y"), "x"), Poly.variable(("x", "y"), "y")
+    top = x ** 65535
+    assert top.items() == [((65535, 0), Fraction(1))]
+    assert top == Poly(("x", "y"), {(65535, 0): 1})
+    assert str(x ** 30000 * y ** 35535) == "x^30000*y^35535"
+    for big in (lambda: top * x, lambda: top * y, lambda: x ** 65536,
+                lambda: (top + 1) * (y + 1),
+                # the key of y^65535 leads on total degree, not x's field
+                lambda: (x ** 60000 + y ** 65535) * x):
+        with pytest.raises(ExponentOverflowError, match="degree 65536 exceeds the 16-bit"):
+            big()
+    for exps in ((65536, 0), (40000, 30000)):
+        with pytest.raises(ExponentOverflowError):
+            Poly(("x", "y"), {exps: 1})
+
+
+def test_compose_at_the_exponent_width_works_and_past_it_raises():
+    x, y = RatFunc.variables(("x", "y"))
+    t = Poly.variable(("t",), "t")
+    at = (RatFunc(t ** 40000), RatFunc(t ** 25535))
+    assert ratfunc_compose(x * y, at) == RatFunc(t ** 65535)
+    with pytest.raises(ExponentOverflowError, match="degree 65536"):
+        ratfunc_compose(x * y, (at[0], RatFunc(t ** 25536)))
+    with pytest.raises(ExponentOverflowError):
+        ratfunc_compose(y / x, (RatFunc(t ** 2), 1 / RatFunc(t ** 65535)))
 
 
 # -- differential oracle for the product kernel, composition and charts ------
@@ -291,8 +340,8 @@ def ratfuncs(d, variables, max_terms, top):
 def reference_mul(p, q):
     """The pairwise product: one scalar multiply and add per term pair."""
     terms = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
             e = tuple(a + b for a, b in zip(e1, e2))
             acc = terms.get(e, 0) + c1 * c2
             if acc:
@@ -321,8 +370,8 @@ def graded_order(terms):
 def assert_product(p, q):
     got = p * q
     want = reference_mul(p, q)
-    assert got.terms == want
-    assert list(got.terms) == graded_order(want)
+    assert dict(got.items()) == want
+    assert [e for e, _ in got.items()] == graded_order(want)
     kind, d = expected_domain(p, q)
     for c in got.terms.values():
         assert c and type(c) is kind
@@ -359,8 +408,8 @@ def test_mul_matches_pairwise_reference(pq):
        polys(None, XYZ, 4, 2), polys(None, XYZ, 4, 2))
 def test_mul_across_fields_follows_the_irrational_factor(d1, d2, p, q):
     # rational QuadExt coefficients of one field times any of another
-    ratq = Poly(XYZ, {e: QuadExt(c, 0, d1) for e, c in p.terms.items()})
-    irrq = Poly(XYZ, {e: QuadExt(c, c, d2) for e, c in q.terms.items()})
+    ratq = Poly(XYZ, {e: QuadExt(c, 0, d1) for e, c in p.items()})
+    irrq = Poly(XYZ, {e: QuadExt(c, c, d2) for e, c in q.items()})
     assert_product(ratq, irrq)
     assert_product(irrq, ratq)
     assert_product(ratq, q)
@@ -370,8 +419,8 @@ def test_int_product_keeps_int_coefficients():
     p = Poly(("x", "y"), {(1, 0): 3, (0, 2): -2, (0, 0): 5})
     q = Poly(("x", "y"), {(0, 1): 7, (1, 0): 1})
     pq = p * q
-    assert pq.terms == {(2, 0): 3, (1, 1): 21, (1, 2): -2, (0, 3): -14,
-                        (1, 0): 5, (0, 1): 35}
+    assert dict(pq.items()) == {(2, 0): 3, (1, 1): 21, (1, 2): -2, (0, 3): -14,
+                                (1, 0): 5, (0, 1): 35}
     assert all(type(c) is int for c in pq.terms.values())
     assert all(type(c) is int for c in (p * p * p * q).terms.values())
     # one Fraction coefficient anywhere turns the whole product rational
@@ -392,8 +441,65 @@ def test_pow_is_repeated_product(p, k):
     assert got.terms == want.terms and list(got.terms) == list(want.terms)
     assert [(type(c), getattr(c, "d", None)) for c in got.terms.values()] == \
            [(type(c), getattr(c, "d", None)) for c in want.terms.values()]
-    one = (p ** 0).terms
+    one = dict((p ** 0).items())
     assert one == {(0,) * len(p.vars): 1} and type(one[(0,) * len(p.vars)]) is int
+
+
+@st.composite
+def wide_factors(draw, count):
+    """``count`` polys over one tuple of 1 to 64 variables (the width of
+    the generic matrices of a Hermitian form at n = 4), with exponents up
+    to 500, so that a product fills most of a 16-bit field."""
+    n = draw(st.integers(1, 64))
+    d = draw(st.sampled_from(FIELDS))
+    vs = tuple(f"v{i}" for i in range(n))
+    exps = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 500)),
+                    min_size=n, max_size=n).map(tuple)
+    return tuple(Poly(vs, draw(st.dictionaries(exps, coefficients(d), max_size=5)))
+                 for _ in range(count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_factors(2))
+def test_wide_mul_matches_pairwise_reference(pq):
+    p, q = pq
+    got = assert_product(p, q)
+    assert str(got) == str(Poly(p.vars, reference_mul(p, q)))
+
+
+def reference_ratfunc(num, den):
+    """The numerator and denominator terms of RatFunc(num, den) on exponent
+    tuples: the common monomial stripped, the denominator made monic."""
+    if num.is_zero():
+        return {}, {(0,) * len(num.vars): Fraction(1)}
+    tn, td = dict(num.items()), dict(den.items())
+    mins = [min(col) for col in zip(*tn, *td)]
+
+    def strip(terms):
+        return {tuple(e - m for e, m in zip(exps, mins)): c for exps, c in terms.items()}
+    tn, td = strip(tn), strip(td)
+    lead = td[graded_order(td)[0]]
+    if lead != 1:
+        lead = Fraction(lead) if isinstance(lead, int) else lead
+        tn = {e: c / lead for e, c in tn.items()}
+        td = {e: c / lead for e, c in td.items()}
+    return tn, td
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_factors(3))
+def test_wide_ratfunc_strips_the_common_monomial(parts):
+    num, den, common = parts
+    # shift both by a common monomial, the leading one of the third poly
+    shift = next(iter(common.items()), ((0,) * len(num.vars), 1))[0]
+    num, den = (Poly(p.vars, {tuple(a + b for a, b in zip(e, shift)): c
+                              for e, c in p.items()}) for p in (num, den))
+    if den.is_zero():
+        den = Poly(num.vars, {shift: 2})
+    f = RatFunc(num, den)
+    for got, want in zip((f.num, f.den), reference_ratfunc(num, den)):
+        assert dict(got.items()) == want
+        assert [e for e, _ in got.items()] == graded_order(want)
 
 
 def test_irrational_coefficients_of_two_fields_raise():
@@ -419,7 +525,7 @@ def reference_compose(f, subst):
     power rows n_i^k, d_i^k, then each term's chain c * n_i^e_i *
     d_i^(M_i - e_i) variable by variable, summed term by term."""
     out_vars = subst[0].vars
-    top = [max((e[i] for p in (f.num, f.den) for e in p.terms), default=0)
+    top = [max((e[i] for p in (f.num, f.den) for e, _ in p.items()), default=0)
            for i in range(len(f.vars))]
     one = Poly.const(out_vars, Fraction(1))
     rows = []
@@ -432,7 +538,7 @@ def reference_compose(f, subst):
 
     def cleared(poly):
         acc = Poly.zero(out_vars)
-        for exps, c in poly.terms.items():
+        for exps, c in poly.items():
             val = Poly.const(out_vars, c)
             for (nrow, drow), e, m in zip(rows, exps, top):
                 if e:
@@ -601,7 +707,7 @@ def sympy_field():
         def substitute(self, p, images):
             """p with images[i] for its i-th variable."""
             acc = self.F.zero
-            for exps, c in p.terms.items():
+            for exps, c in p.items():
                 term = self.scalar(c)
                 for img, e in zip(images, exps):
                     if e:

@@ -67,7 +67,7 @@ def test_random_point_quadric_relation():
 
 
 def _terms(f):
-    return [(p.vars, [(e, type(c), c) for e, c in p.terms.items()]) for p in (f.num, f.den)]
+    return [(p.vars, [(e, type(c), c) for e, c in p.items()]) for p in (f.num, f.den)]
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_SPECS))

@@ -138,7 +138,7 @@ def test_membership_arity_checked():
 def flipped(surface, exps):
     """``surface`` with the sign of one term of its equation flipped."""
     eq = surface.equation
-    return replace(surface, equation=eq - 2 * Poly(eq.vars, {exps: eq.terms[exps]}))
+    return replace(surface, equation=eq - 2 * Poly(eq.vars, {exps: dict(eq.items())[exps]}))
 
 
 def test_flipped_x_equation_fails_triple_product_membership(monkeypatch):

@@ -265,8 +265,11 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
     and iota(iota(a)) = a on generic matrices a, b.  When it fails, the
     transform identities, which rest on it, are not run.  The other three
     verdicts are sampled on up to ``trials`` random group points each, and
-    their details state how many.
+    their details state how many; one that rests on no sample fails.
+    ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise StructureError(f"trials must be positive: {trials}")
     cert = Certificate(construction=name, seed=seed)
     a, b = generic_matrices(alg.n, "ab", alg.field.sqrt if alg._conj else None)
     if not (mat_eq(alg.involute(mat_mul(a, b)), mat_mul(alg.involute(b), alg.involute(a)))
@@ -315,9 +318,9 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
     if witness is not None:
         cert.add("transform-suite", "fail", "exact identity violated", witness)
     else:
-        cert.add("image-skewness", "pass", f"{skews} samples")
-        cert.add("round-trip", "pass", f"{trips} samples")
-        cert.add("conjugation-equivariance", "pass", f"{equivs} samples")
+        for vname, count in (("image-skewness", skews), ("round-trip", trips),
+                             ("conjugation-equivariance", equivs)):
+            cert.add(vname, "pass" if count else "fail", f"{count} samples")
     return cert
 
 

@@ -11,7 +11,9 @@ On exit 3 ``verify`` still emits the report of the constructions run so
 far; the one that hit the budget has a single failing ``term-budget``
 verdict whose detail is the error.  The term budget holds only while
 ``verify`` runs its constructions.  Identical seed and configuration
-give byte-identical reports except for the timing fields.
+give byte-identical reports except for the timing fields.  Each
+setting of :data:`CONFIG_KEYS` comes from the last of these to give it:
+the defaults, the ``--config`` file, ``CAYLEY_SEED`` (the seed), the flags.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import json
 import os
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from . import __version__
 from .catalog import all_ids, get, run_construction
@@ -32,7 +35,6 @@ from .ratmap import Certificate
 
 SCHEMA_VERSION = 1
 FORMATS = ("json", "md")
-CONFIG_KEYS = ("seed", "trials", "term_budget", "format", "only", "out")
 REPORT_KEYS = ("schema", "tool", "version", "config", "results", "overall")
 
 
@@ -46,48 +48,13 @@ class RunConfig:
     out: str | None = None
 
     def resolve_ids(self):
-        ids = []
-        for c in self.constructions:
-            if c == "all":
-                ids.extend(all_ids())
-            else:
-                ids.append(c)
-        seen = set()
-        out = []
-        for i in ids:
-            if i not in seen:
-                seen.add(i)
-                out.append(i)
-        return out
-
-    def echo(self):
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "term_budget": self.term_budget,
-            "format": self.format,
-            "constructions": list(self.constructions),
-        }
+        return list(dict.fromkeys(i for c in self.constructions
+                                  for i in (all_ids() if c == "all" else [c])))
 
 
 def construction_seed(base_seed: int, cid: str) -> int:
     """Stable per-construction seed, so selections do not shift streams."""
     return (base_seed ^ zlib.crc32(cid.encode())) & 0x7FFFFFFF
-
-
-def read_config_file(path: str) -> dict:
-    """Flat key=value lines; blank lines and # comments ignored."""
-    values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
 
 
 def _int_value(name: str, text: str) -> int:
@@ -97,24 +64,43 @@ def _int_value(name: str, text: str) -> int:
         raise ValueError(f"{name} must be an integer: {text!r}") from None
 
 
-def _apply_file_config(cfg: RunConfig, values: dict):
-    for key in values:
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown key {key!r}; keys: {', '.join(CONFIG_KEYS)}")
-    if "seed" in values:
-        cfg.seed = _int_value("seed", values["seed"])
-    if "trials" in values:
-        cfg.trials = _int_value("trials", values["trials"])
-    if "term_budget" in values:
-        cfg.term_budget = _int_value("term_budget", values["term_budget"])
-    if "format" in values:
-        if values["format"] not in FORMATS:
-            raise ValueError(f"format must be json or md: {values['format']!r}")
-        cfg.format = values["format"]
-    if "only" in values:
-        cfg.constructions = [s.strip() for s in values["only"].split(",") if s.strip()]
-    if "out" in values:
-        cfg.out = values["out"]
+def _format(text: str) -> str:
+    if text not in FORMATS:
+        raise ValueError(f"format must be json or md: {text!r}")
+    return text
+
+
+def _ids(text: str) -> list:
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
+# config key (also the flag's dest) -> (RunConfig field, reader of its text)
+CONFIG_KEYS = {
+    "seed": ("seed", partial(_int_value, "seed")),
+    "trials": ("trials", partial(_int_value, "trials")),
+    "term_budget": ("term_budget", partial(_int_value, "term_budget")),
+    "format": ("format", _format),
+    "only": ("constructions", _ids),
+    "out": ("out", str),
+}
+
+
+def read_config_file(path: str) -> dict:
+    """Flat key=value lines, each read by its key's reader; blank lines and
+    # comments ignored.  The first faulty line raises ValueError."""
+    values = {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"bad config line: {line!r}")
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown key {key!r}; keys: {', '.join(CONFIG_KEYS)}")
+            values[key] = CONFIG_KEYS[key][1](val)
+    return values
 
 
 def build_report(cfg: RunConfig, results: list) -> dict:
@@ -122,7 +108,7 @@ def build_report(cfg: RunConfig, results: list) -> dict:
         "schema": SCHEMA_VERSION,
         "tool": "cayleycert",
         "version": __version__,
-        "config": cfg.echo(),
+        "config": {k: v for k, v in asdict(cfg).items() if k != "out"},
         "results": results,
         "overall": all(r["ok"] for r in results),
     }
@@ -181,39 +167,30 @@ def cmd_list(_args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig()
+    layers = []                     # file < CAYLEY_SEED < flags
     if args.config:
         try:
-            _apply_file_config(cfg, read_config_file(args.config))
+            layers.append(read_config_file(args.config))
         except (OSError, ValueError) as exc:
             sys.stderr.write(f"bad config file {args.config}: {exc}\n")
             return 2
     env_seed = os.environ.get("CAYLEY_SEED")
     if env_seed is not None:
         try:
-            cfg.seed = _int_value("CAYLEY_SEED", env_seed)
+            layers.append({"seed": _int_value("CAYLEY_SEED", env_seed)})
         except ValueError as exc:
             sys.stderr.write(f"{exc}\n")
             return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.trials = args.trials
-    if args.term_budget is not None:
-        cfg.term_budget = args.term_budget
-    if args.format is not None:
-        cfg.format = args.format
-    if args.only:
-        cfg.constructions = [s.strip() for part in args.only
-                             for s in part.split(",") if s.strip()]
-    if args.out is not None:
-        cfg.out = args.out
-    if cfg.trials < 1:
-        sys.stderr.write(f"trials must be positive: {cfg.trials}\n")
-        return 2
-    if cfg.term_budget < 1:
-        sys.stderr.write(f"term budget must be positive: {cfg.term_budget}\n")
-        return 2
+    layers.append(vars(args))       # an absent flag is None
+    cfg = RunConfig()
+    for layer in layers:
+        for key, (name, _) in CONFIG_KEYS.items():
+            if layer.get(key) is not None:
+                setattr(cfg, name, layer[key])
+    for what, count in (("trials", cfg.trials), ("term budget", cfg.term_budget)):
+        if count < 1:
+            sys.stderr.write(f"{what} must be positive: {count}\n")
+            return 2
 
     try:
         ids = cfg.resolve_ids()
@@ -282,23 +259,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact certificates for equivariant birational maps")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="print every construction id with its anchor")
+    sub.add_parser("list", help="print every construction id with its anchor"
+                   ).set_defaults(run=cmd_list)
 
     v = sub.add_parser("verify", help="run certificates and emit a report")
-    v.add_argument("--only", action="append", metavar="IDS",
+    v.set_defaults(run=cmd_verify)
+    v.add_argument("--only", type=_ids, action="extend", metavar="IDS",
                    help="comma separated construction ids (default: all)")
-    v.add_argument("--seed", type=int, default=None,
-                   help="base seed (env CAYLEY_SEED is the fallback)")
-    v.add_argument("--trials", type=int, default=None,
-                   help="random points per spot check (default 100)")
-    v.add_argument("--term-budget", type=int, default=None, dest="term_budget",
+    v.add_argument("--seed", type=int, help="base seed (overrides env CAYLEY_SEED)")
+    v.add_argument("--trials", type=int, help="random points per spot check (default 100)")
+    v.add_argument("--term-budget", type=int, dest="term_budget",
                    help="polynomial term budget (default 10^6)")
-    v.add_argument("--format", choices=FORMATS, default=None)
-    v.add_argument("--out", default=None, help="write the report to a file")
-    v.add_argument("--config", default=None,
-                   help="flat key=value config file; flags override it")
+    v.add_argument("--format", choices=FORMATS)
+    v.add_argument("--out", help="write the report to a file")
+    v.add_argument("--config",
+                   help="flat key=value config file; CAYLEY_SEED and flags override it")
 
     r = sub.add_parser("report", help="re-render a saved json report")
+    r.set_defaults(run=cmd_report)
     r.add_argument("--from", dest="source", required=True,
                    help="path of a report produced by verify --out")
     r.add_argument("--format", choices=FORMATS, default="md")
@@ -308,11 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return cmd_list(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_report(args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

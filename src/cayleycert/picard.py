@@ -18,12 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, StructureError
-from .matrices import mat_mul
+from .matrices import identity, mat_mul, mat_sub, transpose
 from .ratmap import Certificate
 
 RANK = 4
 CANONICAL = (-3, 1, 1, 1)
 _FORM = (1, -1, -1, -1)
+_GRAM = tuple(tuple(s if i == j else 0 for j, s in enumerate(_FORM)) for i in range(RANK))
+IDENTITY = identity(RANK, 1)
 
 
 def inter(u, v) -> int:
@@ -37,16 +39,9 @@ def mat_apply(m, v):
     return tuple(sum(m[i][j] * v[j] for j in range(RANK)) for i in range(RANK))
 
 
-IDENTITY = tuple(tuple(1 if i == j else 0 for j in range(RANK)) for i in range(RANK))
-
-
 def preserves_form(m) -> bool:
-    basis = [tuple(1 if i == k else 0 for i in range(RANK)) for k in range(RANK)]
-    for u in basis:
-        for v in basis:
-            if inter(mat_apply(m, u), mat_apply(m, v)) != inter(u, v):
-                return False
-    return True
+    """m^T G m = G for the Gram matrix G = diag(1, -1, -1, -1)."""
+    return mat_mul(transpose(m), mat_mul(_GRAM, m)) == _GRAM
 
 
 def fixes(m, v) -> bool:
@@ -68,8 +63,7 @@ def s3_matrices():
 
 def galois_matrix():
     """e0 -> 2e0 - e1 - e2 - e3 and ei -> e0 - ej - ek, as columns."""
-    cols = [(2, -1, -1, -1), (1, 0, -1, -1), (1, -1, 0, -1), (1, -1, -1, 0)]
-    return tuple(tuple(cols[j][i] for j in range(RANK)) for i in range(RANK))
+    return transpose([(2, -1, -1, -1), (1, 0, -1, -1), (1, -1, 0, -1), (1, -1, -1, 0)])
 
 
 def standard_actions():
@@ -89,7 +83,10 @@ def line_classes():
 
 def row_hermite(mat):
     """Row Hermite form with a unimodular transform: returns (H, U) with
-    U @ mat = H, U integer with determinant +-1, H in row echelon form."""
+    U @ mat = H, U integer with determinant +-1, H in row echelon form with
+    positive pivots and every entry above a pivot in [0, pivot).  That
+    form is canonical: two matrices have the same nonzero rows of H
+    exactly when their rows span the same lattice."""
     rows = [list(r) for r in mat]
     n = len(rows)
     m = len(rows[0]) if rows else 0
@@ -121,6 +118,10 @@ def row_hermite(mat):
         if rows[r][c] < 0:
             rows[r] = [-a for a in rows[r]]
             U[r] = [-a for a in U[r]]
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+            U[i] = [a - q * b for a, b in zip(U[i], U[r])]
         r += 1
         if r == n:
             break
@@ -134,25 +135,14 @@ def integer_kernel(mat):
     that reduce it to zero rows span the saturated kernel lattice.
     """
     if not mat:
-        return [tuple(1 if i == j else 0 for j in range(RANK)) for i in range(RANK)]
-    n = len(mat[0])
-    transp = tuple(tuple(row[i] for row in mat) for i in range(n))
-    H, U = row_hermite(transp)
-    basis = []
-    for h, u in zip(H, U):
-        if not any(h):
-            basis.append(tuple(u))
-    return basis
+        return list(IDENTITY)
+    H, U = row_hermite(transpose(mat))
+    return [u for h, u in zip(H, U) if not any(h)]
 
 
 def invariant_sublattice(gens):
     """Primitive integer basis of the classes fixed by every generator."""
-    stacked = []
-    for m in gens:
-        for i in range(RANK):
-            row = [m[i][j] - (1 if i == j else 0) for j in range(RANK)]
-            stacked.append(tuple(row))
-    return integer_kernel(tuple(stacked))
+    return integer_kernel([row for m in gens for row in mat_sub(m, IDENTITY)])
 
 
 def lattice_span_equal(basis_a, basis_b) -> bool:
@@ -247,11 +237,12 @@ def lines_certificate(seed: int = 42) -> Certificate:
 
     n = len(classes)
     adj = [[inter(classes[i], classes[j]) for j in range(n)] for i in range(n)]
-    deg_ok = all(sum(1 for j in range(n) if j != i and adj[i][j] == 1) == 2
-                 for i in range(n))
+    meets = [(i, j) for i in range(n) for j in range(n) if i != j and adj[i][j] == 1]
+    deg_ok = all(sum(1 for i, _ in meets if i == k) == 2 for k in range(n))
     opposite_ok = all(adj[i][i + 3] == 0 for i in range(3))
-    hexagon = _is_six_cycle(adj) if deg_ok else False
-    cert.add("hexagon-adjacency", "pass" if (deg_ok and hexagon) else "fail",
+    # a 2-regular graph on six vertices is the hexagon iff it is connected
+    hexagon = deg_ok and _component_count(n, meets) == 1
+    cert.add("hexagon-adjacency", "pass" if hexagon else "fail",
              "each line meets exactly two others, forming one 6-cycle")
     cert.add("opposite-pairs-disjoint", "pass" if opposite_ok else "fail",
              "ei and fi do not meet")
@@ -261,35 +252,18 @@ def lines_certificate(seed: int = 42) -> Certificate:
                    mat_apply(g, classes[i + 3]) == classes[i] for i in range(3))
     cert.add("galois-pairs-opposites", "pass" if pairs_ok else "fail",
              "conjugation exchanges ei and fi")
-    orbit_count = _orbit_count(classes, [m for _, m in standard_actions()])
+    index = {c: i for i, c in enumerate(classes)}
+    moves = [(i, index[img]) for _, m in standard_actions() for i, c in enumerate(classes)
+             if (img := mat_apply(m, c)) in index]
+    orbit_count = _component_count(n, moves)
     cert.add("orbits", "pass" if orbit_count <= 2 else "fail",
              f"{orbit_count} orbit(s) under the full action")
     return cert
 
 
-def _is_six_cycle(adj) -> bool:
-    n = len(adj)
-    start = 0
-    prev, cur = None, start
-    seen = [start]
-    for _ in range(n - 1):
-        nbrs = [j for j in range(n) if j != cur and adj[cur][j] == 1 and j != prev]
-        if prev is None:
-            if len(nbrs) != 2:
-                return False
-            nbrs = nbrs[:1]
-        elif len(nbrs) != 1:
-            return False
-        prev, cur = cur, nbrs[0]
-        if cur in seen:
-            return False
-        seen.append(cur)
-    return adj[cur][start] == 1 and len(seen) == n
-
-
-def _orbit_count(classes, mats) -> int:
-    index = {c: i for i, c in enumerate(classes)}
-    parent = list(range(len(classes)))
+def _component_count(n: int, edges) -> int:
+    """Connected components of the graph on 0..n-1 with these edges."""
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
@@ -297,14 +271,9 @@ def _orbit_count(classes, mats) -> int:
             i = parent[i]
         return i
 
-    for m in mats:
-        for i, c in enumerate(classes):
-            img = mat_apply(m, c)
-            if img in index:
-                ri, rj = find(i), find(index[img])
-                if ri != rj:
-                    parent[ri] = rj
-    return len({find(i) for i in range(len(classes))})
+    for i, j in edges:
+        parent[find(i)] = find(j)
+    return len({find(i) for i in range(n)})
 
 
 def ledger_certificate(seed: int = 42) -> Certificate:

@@ -466,9 +466,9 @@ def check_inverse_pair(f: EquivMap, g: EquivMap, seed=0, trials: int = 100,
     g o f must be the identity of f.source and f o g the identity of
     g.source, as rational identities modulo the respective relations
     (projective blocks up to a common scalar).  The spot check evaluates
-    both round trips at ``trials`` random points; sampling retries caused
-    by the exceptional locus are counted and reported, value disagreements
-    fail with a witness.
+    both round trips at ``trials`` random points, so ``trials`` must be at
+    least 1; sampling retries caused by the exceptional locus are counted
+    and reported, value disagreements fail with a witness.
 
     The round trips are certified by exact telescoping over ``stages``,
     the list of MapPairs whose forwards compose to f (and whose reversed
@@ -481,6 +481,8 @@ def check_inverse_pair(f: EquivMap, g: EquivMap, seed=0, trials: int = 100,
     keeps intermediate expression sizes small where the one-shot
     composition would blow up.
     """
+    if trials < 1:
+        raise StructureError(f"trials must be positive: {trials}")
     cert = Certificate(construction=f"({f.name}, {g.name})", seed=seed)
     if not f.target.same_shape(g.source) or not g.target.same_shape(f.source):
         cert.add("interfaces", "fail", "source/target shapes do not match")

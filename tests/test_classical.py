@@ -118,6 +118,23 @@ def test_certificates_pass_for_all_involution_kinds():
         assert cert.ok, [v.name for v in cert.failing()]
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_certificate_refuses_a_non_positive_trial_count(trials):
+    with pytest.raises(StructureError, match=f"trials must be positive: {trials}"):
+        classical_certificate("so3", orthogonal_alg(3), seed=7, trials=trials)
+
+
+def test_transform_verdicts_fail_without_a_sample(monkeypatch):
+    def degenerate(self, rng):
+        raise DegenerateError("every draw is degenerate")
+    monkeypatch.setattr(MatrixAlg, "random_group_point", degenerate)
+    cert = classical_certificate("so3", orthogonal_alg(3), seed=7, trials=5)
+    assert [(v.name, v.status, v.detail) for v in cert.verdicts[1:]] == [
+        ("image-skewness", "fail", "0 samples"),
+        ("round-trip", "fail", "0 samples"),
+        ("conjugation-equivariance", "fail", "0 samples")]
+
+
 @pytest.mark.parametrize("build, cell", [
     (lambda: orthogonal_alg(3), (0, 0)),
     (lambda: orthogonal_alg(3, (1, 2, -3)), (0, 2)),

@@ -1,8 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from cayleycert import cli
+from cayleycert import catalog, cli
 from cayleycert.cli import (RunConfig, build_report, construction_seed, main,
                             read_config_file, render_json)
 from cayleycert.poly import Poly
@@ -279,6 +280,70 @@ def test_env_seed_fallback(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--only", "picard.ledger",
                            "--seed", "3")
     assert json.loads(out)["config"]["seed"] == 3
+
+
+def test_env_seed_beats_the_file_and_a_flag_beats_both(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cc.conf"
+    cfg.write_text("seed=9\nonly=picard.ledger\n")
+    monkeypatch.setenv("CAYLEY_SEED", "77")
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["config"]["seed"] == 77
+    code, out, _ = run_cli(capsys, "verify", "--config", str(cfg), "--seed", "3")
+    assert code == 0 and json.loads(out)["config"]["seed"] == 3
+
+
+@pytest.mark.parametrize("key, value, echoed", [
+    ("seed", "9", {"seed": 9}),
+    ("trials", "3", {"trials": 3}),
+    ("term_budget", "20000", {"term_budget": 20000}),
+    ("format", "md", None),
+    ("only", "picard.ledger, classical.so3", {"constructions": ["picard.ledger",
+                                                                 "classical.so3"]}),
+    ("out", None, None),
+])
+def test_config_key_and_flag_give_the_same_run(tmp_path, capsys, monkeypatch,
+                                               key, value, echoed):
+    # every ms is 0, so two runs of one configuration are byte-identical
+    monkeypatch.setattr(catalog, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    monkeypatch.delenv("CAYLEY_SEED", raising=False)
+    base = {"only": "classical.so3", "trials": "5"}
+    flags = [a for k, v in base.items() if k != key for a in (f"--{k}", v)]
+    runs = []
+    for via in ("file", "flag"):
+        if key == "out":
+            value = str(tmp_path / f"{via}.json")
+        cfg = tmp_path / f"{via}.conf"
+        cfg.write_text(f"{key}={value}\n")
+        given = (["--config", str(cfg)] if via == "file"
+                 else [f"--{key.replace('_', '-')}", value])
+        code, out, err = run_cli(capsys, "verify", *flags, *given)
+        if key == "out":
+            assert out == ""
+            out = (tmp_path / f"{via}.json").read_text()
+        runs.append((code, out, err))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    if echoed:
+        config = json.loads(runs[0][1])["config"]
+        assert {k: config[k] for k in echoed} == echoed
+    if key == "format":
+        assert runs[0][1].startswith("# cayleycert report")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("format=html\nseeed=3\n", "format must be json or md: 'html'"),
+    ("trials=x\nseed=y\n", "trials must be an integer: 'x'"),
+    ("seeed=3\nseed 9\n", "unknown key 'seeed'; keys: seed, trials, term_budget, "
+                            "format, only, out"),
+    ("seed 9\nseeed=3\n", "bad config line: 'seed 9'"),
+], ids=["value-before-key", "values-in-file-order", "key-before-line",
+        "line-before-key"])
+def test_config_reports_its_first_faulty_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cc.conf"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"bad config file {cfg}: {message}\n"
 
 
 def test_construction_seed_is_stable():

@@ -12,6 +12,7 @@ byte depends on the order of a set or a dict of strings.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,13 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_report.json"
 ARGV = ["verify", "--only", ",".join(("all",) + MUTATION_IDS),
         "--seed", "42", "--trials", "10", "--format", "json"]
+
+
+# the verdicts that rest on random samples: every spot check, and the
+# transform suite of each classical algebra
+SAMPLED = re.compile(r"(^|\.)spot-check\["
+                     r"|^(image-skewness|round-trip|conjugation-equivariance)$")
+STATED_COUNT = re.compile(r"^[1-9][0-9]* (agreements|samples)$")
 
 
 def golden_text(report_json: str) -> str:
@@ -53,3 +61,17 @@ def test_report_does_not_depend_on_the_hash_seed():
          *ARGV], env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 1, run.stderr
     assert golden_text(run.stdout) == GOLDEN.read_text()
+
+
+def test_every_sampled_pass_states_a_positive_count():
+    report = json.loads(GOLDEN.read_text())
+    verdicts = [(r["id"], v) for r in report["results"] for v in r["verdicts"]]
+    sampled = [(cid, v) for cid, v in verdicts
+               if v["status"] == "pass" and SAMPLED.search(v["name"])]
+    assert len(sampled) == 11 + 21
+    for cid, v in sampled:
+        assert STATED_COUNT.match(v["detail"]), (cid, v)
+    # a verdict that samples must be listed in SAMPLED on purpose
+    for cid, v in verdicts:
+        if not SAMPLED.search(v["name"]):
+            assert not re.search("samples|agreements", v.get("detail", "")), (cid, v)

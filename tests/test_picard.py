@@ -78,6 +78,25 @@ def test_row_hermite_unimodular():
     assert H[1][0] == 0 and H[2][0] == 0
 
 
+@pytest.mark.parametrize("a, b, equal", [
+    ([(1, 0, 0, 0), (0, 1, 1, 1)], [(1, 1, 1, 1), (0, 1, 1, 1)], True),
+    ([(1, 2, 0, 0), (0, 3, 0, 0)], [(1, -1, 0, 0), (0, 3, 0, 0)], True),
+    ([(1, 0, 0, 0), (0, 1, 1, 1)], [(1, 0, 0, 0), (0, 2, 2, 2)], False),
+], ids=["pivot-above", "entry-above-pivot", "index-2-sublattice"])
+def test_lattice_span_equal_decides_equal_bases(a, b, equal):
+    # the Hermite form reduces each entry above a pivot into [0, pivot),
+    # so two bases of one lattice reach the same form
+    assert lattice_span_equal(a, b) is equal
+    assert lattice_span_equal(b, a) is equal
+
+
+def test_row_hermite_reduces_above_pivots():
+    mat = ((1, 5, 0, 0), (0, 3, 0, 0), (1, -1, 5, 0))
+    H, U = row_hermite(mat)
+    assert H == ((1, 2, 0, 0), (0, 3, 0, 0), (0, 0, 5, 0))
+    assert mat_mul(U, mat) == H
+
+
 def test_line_classes_table():
     labels, classes = line_classes()
     assert len(classes) == 6

@@ -173,6 +173,15 @@ def test_inverse_pair_identity_maps():
     assert cert.ok
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_inverse_pair_refuses_a_non_positive_trial_count(trials):
+    spec, actions = torus_variety()
+    ident = EquivMap("id", spec, spec, RatFunc.variables(spec.coords),
+                     actions, actions)
+    with pytest.raises(StructureError, match=f"trials must be positive: {trials}"):
+        check_inverse_pair(ident, ident, seed=3, trials=trials)
+
+
 def test_compose_requires_matching_interface():
     q = link_quotient()
     s = link_segre()

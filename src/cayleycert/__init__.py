@@ -14,7 +14,7 @@ from .errors import (CayleyCertError, DegenerateError, ExponentOverflowError,
                      FieldMismatchError, PreconditionError, SamplingError,
                      StructureError, TermBudgetError)
 from .field import QuadExt, QuadField, conj, scalar_str
-from .group import (ActionGen, Cocycle, GroupSpec, apply_action, compose_actions,
+from .group import (ActionGen, GroupSpec, apply_action, compose_actions,
                     cycle, identity_perm, perm_sign, same_action, st_tw_embed,
                     transposition, twist_action)
 from .poly import (Poly, RatFunc, chart_restrict, ratfunc_compose, ratfunc_equal,

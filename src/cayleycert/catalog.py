@@ -18,7 +18,7 @@ from .classical import (classical_certificate, full_linear_certificate,
                         orthogonal_alg, pgl_certificate, symplectic_alg,
                         unitary_alg)
 from .errors import StructureError
-from .group import Cocycle, same_action, twist_action
+from .group import same_action, twist_action
 from .picard import (galois_matrix, invariants_certificate, lattice_certificate,
                      ledger_certificate, lines_certificate, preserves_form, fixes,
                      CANONICAL)
@@ -51,9 +51,11 @@ def get(cid: str) -> Construction:
 
 
 def run_construction(cid: str, seed: int = 42, trials: int = 100) -> Certificate:
-    """Run one construction; its ``ms`` is the wall time of this call."""
+    """Run one construction and stamp its record: the id ``cid``, the
+    ``seed`` and ``ms``, the wall time of this call."""
     t0 = time.perf_counter()
     cert = get(cid).run(seed, trials)
+    cert.construction, cert.seed = cid, seed
     cert.ms = 1000 * (time.perf_counter() - t0)
     return cert
 
@@ -90,9 +92,8 @@ def _mutant_dropped_conjugation(seed: int, trials: int) -> Certificate:
 
 
 def _mutant_wrong_cocycle(seed: int, trials: int) -> Certificate:
-    cert = Certificate(construction="mutation.wrong-cocycle", seed=seed)
-    bad = Cocycle.of({GAMMA: (T12,)})
-    got = twist_action(base_group("torus"), bad).action(GAMMA)
+    cert = Certificate(construction="mutation.wrong-cocycle")
+    got = twist_action(base_group("torus"), {GAMMA: (T12,)}).action(GAMMA)
     ok = same_action(got, gamma_twisted_expected("torus"))
     cert.add("twisted-action-table[torus:gamma]", "pass" if ok else "fail",
              "cocycle value is a transposition, not the inversion")
@@ -100,7 +101,7 @@ def _mutant_wrong_cocycle(seed: int, trials: int) -> Certificate:
 
 
 def _mutant_lattice_offbyone(seed: int, trials: int) -> Certificate:
-    cert = Certificate(construction="mutation.lattice-offbyone", seed=seed)
+    cert = Certificate(construction="mutation.lattice-offbyone")
     g = [list(r) for r in galois_matrix()]
     g[0][0] += 1
     g = tuple(map(tuple, g))
@@ -114,7 +115,7 @@ def _mutant_lattice_offbyone(seed: int, trials: int) -> Certificate:
 
 CONSTRUCTIONS = (
     Construction("classical.gl3", "unit group of the 3x3 matrix algebra",
-                 lambda s, t: full_linear_certificate(3, s, name="classical.gl3")),
+                 lambda s, t: full_linear_certificate(3)),
     Construction("classical.sp2", "symplectic involution transform, size 2",
                  lambda s, t: classical_certificate("classical.sp2",
                                                     symplectic_alg(2), s, t)),
@@ -137,9 +138,9 @@ CONSTRUCTIONS = (
                  lambda s, t: classical_certificate("classical.u3gauss",
                                                     unitary_alg(3, -1), s, t)),
     Construction("pgl.2", "projective linear transform, size 2",
-                 lambda s, t: pgl_certificate(2, s, t, name="pgl.2")),
+                 lambda s, t: pgl_certificate(2, s, t)),
     Construction("pgl.3", "projective linear transform, size 3",
-                 lambda s, t: pgl_certificate(3, s, t, name="pgl.3")),
+                 lambda s, t: pgl_certificate(3, s, t)),
 
     Construction("su3.chain", "five-link equivariant torus chain, unitary rank 2",
                  lambda s, t: chain_certificate(seed=s, trials=t)),
@@ -156,22 +157,22 @@ CONSTRUCTIONS = (
                  lambda s, t: g2_slot_certificate(seed=s, trials=t)),
 
     Construction("appendix.conic", "conic parameterization and group law",
-                 lambda s, t: conic_certificate(seed=s)),
+                 lambda s, t: conic_certificate()),
     Construction("appendix.X", "triple-product surface membership",
-                 lambda s, t: x_membership_certificate(seed=s)),
+                 lambda s, t: x_membership_certificate()),
     Construction("appendix.Y", "cubic compactification membership",
-                 lambda s, t: y_membership_certificate(seed=s)),
+                 lambda s, t: y_membership_certificate()),
     Construction("appendix.Y.singular", "singular locus of the cubic",
-                 lambda s, t: y_singular_certificate(seed=s)),
+                 lambda s, t: y_singular_certificate()),
 
     Construction("picard.lattice", "intersection form and symmetry matrices",
-                 lambda s, t: lattice_certificate(seed=s)),
+                 lambda s, t: lattice_certificate()),
     Construction("picard.invariants", "invariant sublattice of the full action",
-                 lambda s, t: invariants_certificate(seed=s)),
+                 lambda s, t: invariants_certificate()),
     Construction("picard.lines", "the six line classes and their hexagon",
-                 lambda s, t: lines_certificate(seed=s)),
+                 lambda s, t: lines_certificate()),
     Construction("picard.ledger", "self-intersection ledger arithmetic",
-                 lambda s, t: ledger_certificate(seed=s)),
+                 lambda s, t: ledger_certificate()),
 
     Construction("mutation.swapped-components", "fixture: two map components swapped",
                  _mutant_swapped_components, fixture=True),

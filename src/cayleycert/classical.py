@@ -25,7 +25,6 @@ x -> [x + 1], exposed as symbolic maps on matrix coordinates.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -37,7 +36,7 @@ from .matrices import (conj_transpose, identity, mat_add, mat_eq, mat_inverse,
                        mat_mul, mat_neg, mat_scale, mat_str, mat_sub, transpose)
 from .poly import Poly, RatFunc
 from .ratmap import (Certificate, EquivMap, MapPair, Relation, VarietySpec, Block,
-                     projective_space)
+                     projective_space, sample)
 
 _field_d = attrgetter("d")
 
@@ -241,12 +240,12 @@ def generic_matrices(n: int, names, root=None):
     return [tuple(tuple(entry() for _ in range(n)) for _ in range(n)) for _ in names]
 
 
-def full_linear_certificate(n: int, seed: int, name: str | None = None) -> Certificate:
+def full_linear_certificate(n: int) -> Certificate:
     """The unit-group transform a -> a - 1 with inverse x -> x + 1, decided
     on generic matrices a, g: (a - 1) + 1 = a, and g(a - 1) = ga - g, which
     is conjugation equivariance g(a - 1)g^-1 = gag^-1 - 1 multiplied
     through by g."""
-    cert = Certificate(construction=name or f"gl{n}", seed=seed)
+    cert = Certificate(construction=f"gl{n}")
     a, g = generic_matrices(n, "ag")
     one = identity(n)
     x = mat_sub(a, one)
@@ -264,9 +263,12 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
     ``involution-anti-automorphism`` is exact: iota(ab) = iota(b) iota(a)
     and iota(iota(a)) = a on generic matrices a, b.  When it fails, the
     transform identities, which rest on it, are not run.  The other three
-    verdicts are sampled on up to ``trials`` random group points each, and
-    their details state how many; one that rests on no sample fails.
-    ``trials`` must be at least 1.
+    verdicts share one count from one :func:`cayleycert.ratmap.sample` loop
+    of ``trials`` attempts, each drawing group points a, then g: a must map
+    to a skew x that maps back to a, and g must conjugate a and x alike.
+    Their details state the count, and they fail when it is 0.  A failed
+    identity fails ``transform-suite`` instead, with a (or g for the
+    conjugation) as its witness.  ``trials`` must be at least 1.
     """
     if trials < 1:
         raise StructureError(f"trials must be positive: {trials}")
@@ -279,47 +281,25 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
         return cert
     cert.add("involution-anti-automorphism", "pass",
              "exact on generic a, b: iota(ab) = iota(b) iota(a), iota(iota(a)) = a")
-    rng = random.Random(seed)
 
-    trips = skews = equivs = 0
-    witness = None
-    for _ in range(trials):
-        try:
-            a = alg.random_group_point(rng)
-            x = cayley_transform(alg, a)
-        except DegenerateError:
-            continue
-        if alg.is_skew(x):
-            skews += 1
-        else:
-            witness = mat_str(a)
-            break
-        try:
-            back = _transform(alg, x)   # x was just checked to be skew
-        except DegenerateError:
-            continue
-        if mat_eq(back, a):
-            trips += 1
-        else:
-            witness = mat_str(a)
-            break
-        try:
-            g = alg.random_group_point(rng)
-            ginv = mat_inverse(g)
-            lhs = cayley_transform(alg, mat_mul(g, mat_mul(a, ginv)))
-            rhs = mat_mul(g, mat_mul(x, ginv))
-            if mat_eq(lhs, rhs):
-                equivs += 1
-            else:
-                witness = mat_str(g)
-                break
-        except DegenerateError:
-            continue
+    def draw(rng):
+        return alg.random_group_point(rng), alg.random_group_point(rng)
+
+    def check(pair):
+        a, g = pair
+        x = cayley_transform(alg, a)
+        # x is checked to be skew before _transform sends it back
+        if not (alg.is_skew(x) and mat_eq(_transform(alg, x), a)):
+            return mat_str(a)
+        ginv = mat_inverse(g)
+        lhs = cayley_transform(alg, mat_mul(g, mat_mul(a, ginv)))
+        return None if mat_eq(lhs, mat_mul(g, mat_mul(x, ginv))) else mat_str(g)
+
+    count, _, witness = sample(seed, draw, check, trials, trials)
     if witness is not None:
         cert.add("transform-suite", "fail", "exact identity violated", witness)
     else:
-        for vname, count in (("image-skewness", skews), ("round-trip", trips),
-                             ("conjugation-equivariance", equivs)):
+        for vname in ("image-skewness", "round-trip", "conjugation-equivariance"):
             cert.add(vname, "pass" if count else "fail", f"{count} samples")
     return cert
 
@@ -370,10 +350,9 @@ def pgl_scalar_invariance(n: int) -> bool:
     return True
 
 
-def pgl_certificate(n: int, seed: int, trials: int = 100,
-                    name: str | None = None) -> Certificate:
+def pgl_certificate(n: int, seed: int, trials: int = 100) -> Certificate:
     from .ratmap import check_inverse_pair
-    cert = Certificate(construction=name or f"pgl{n}", seed=seed)
+    cert = Certificate(construction=f"pgl{n}", seed=seed)
     cert.add("scalar-invariance", "pass" if pgl_scalar_invariance(n) else "fail",
              "forward map composed with a -> lambda a")
     pair = pgl_cayley(n)

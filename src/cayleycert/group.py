@@ -263,27 +263,17 @@ class GroupSpec:
         return gen
 
 
-@dataclass(frozen=True)
-class Cocycle:
-    """Assignment of Galois generators to elements of the acting group,
-    each given as a word in the group's generator labels."""
-
-    assignment: tuple  # tuple of (gamma_label, word) pairs
-
-    @classmethod
-    def of(cls, mapping: dict) -> "Cocycle":
-        return cls(tuple((k, tuple(w)) for k, w in mapping.items()))
-
-
-def twist_action(base: GroupSpec, c: Cocycle) -> GroupSpec:
+def twist_action(base: GroupSpec, cocycle: dict) -> GroupSpec:
     """Twist the Galois generators: gamma now acts as c(gamma) o gamma.
 
-    The cocycle values must be conjugation-free words in the acting group
-    whose square is the identity action (order-2 Galois group); violating
-    either is a structural error.
+    ``cocycle`` maps each twisted Galois generator's label to its value c,
+    a word in the group's generator labels.  The values must be
+    conjugation-free words in the acting group whose square is the
+    identity action (order-2 Galois group); violating either is a
+    structural error.
     """
     table = dict(base.generators)
-    for gamma_label, word in c.assignment:
+    for gamma_label, word in cocycle.items():
         if gamma_label not in table:
             raise StructureError(f"unknown Galois generator {gamma_label!r}")
         value = base.word_action(word)

@@ -11,8 +11,9 @@ identities modulo the source relations, with projective blocks compared
 through vanishing 2x2 cross products, and round trips telescoped over
 stages (a plain pair is one stage).  A group's defining relations are
 decided the same way on the chart, and two generator actions are
-compared on a generic tuple.  Random points only confirm or localise a
-failure of these identities.
+compared on a generic tuple.  Random points only confirm these identities
+(the spot check of a round trip) or localise a failure (a witness), and
+every draw goes through :func:`sample`, the package's one sampling loop.
 """
 
 from __future__ import annotations
@@ -350,34 +351,49 @@ def random_point(spec: VarietySpec, seed):
         "the exceptional locus keeps being hit")
 
 
-# Points a failed exact identity may draw when it looks for a witness.
-WITNESS_TRIES = 16
+def sample(seed, draw, check, want: int, limit: int):
+    """The package's one loop over random draws.
 
-
-def _sample(spec: VarietySpec, rng, want: int, limit: int, images, compare):
-    """Compare two images of random points of ``spec`` until one disagrees.
-
-    Each attempt draws x = random_point(spec, rng) and computes the pair
-    ``images(x)``; the pair agrees when :func:`_points_equal` holds on the
-    variety ``compare``.  An attempt whose draw or images raise
+    Builds one ``random.Random(seed)`` and computes ``check(draw(rng))`` on
+    each attempt: ``check`` returns None when the drawn point agrees and the
+    witness text when it does not.  An attempt whose draw or check raises
     DegenerateError or SamplingError (the exceptional locus) is spent
     without agreeing.  The loop stops at the first disagreement, after
     ``want`` agreements, or after ``limit`` attempts, whichever comes
-    first.  Returns (agreements, attempts, witness), where the witness is
-    the formatted disagreeing point or None.
+    first.  Returns (agreements, attempts, witness), the witness None when
+    nothing disagreed.
     """
+    rng = random.Random(seed)
     agreements = attempts = 0
     while agreements < want and attempts < limit:
         attempts += 1
         try:
-            x = random_point(spec, rng)
-            lhs, rhs = images(x)
+            witness = check(draw(rng))
         except (DegenerateError, SamplingError):
             continue
-        if not _points_equal(compare, lhs, rhs):
-            return agreements, attempts, format_point(x)
+        if witness is not None:
+            return agreements, attempts, witness
         agreements += 1
     return agreements, attempts, None
+
+
+def _points(spec: VarietySpec, images, compare):
+    """(draw, check) for :func:`sample`: a random point x of ``spec`` agrees
+    when the pair ``images(x)`` is equal on ``compare``, else is the witness."""
+    def check(x):
+        lhs, rhs = images(x)
+        return None if _points_equal(compare, lhs, rhs) else format_point(x)
+    return lambda rng: random_point(spec, rng), check
+
+
+# Points a failed exact identity may draw when it looks for a witness.
+WITNESS_TRIES = 16
+
+
+def _witness(spec: VarietySpec, seed, images, compare):
+    """A point of ``spec`` whose two ``images`` differ on ``compare``,
+    formatted, or None when WITNESS_TRIES draws find none."""
+    return sample(seed, *_points(spec, images, compare), WITNESS_TRIES, WITNESS_TRIES)[2]
 
 
 # -- the three certified operations --------------------------------------
@@ -422,8 +438,7 @@ def check_equivariance(m: EquivMap, seed=0) -> Certificate:
                 return (map_of_point(m, apply_action(src, x)),
                         apply_action(tgt, map_of_point(m, x)))
 
-            _, _, witness = _sample(m.source, random.Random(seed), WITNESS_TRIES,
-                                    WITNESS_TRIES, images, m.target)
+            witness = _witness(m.source, seed, images, m.target)
             cert.add(vname, "fail", "symbolic identity does not hold", witness)
     return cert
 
@@ -501,13 +516,12 @@ def check_inverse_pair(f: EquivMap, g: EquivMap, seed=0, trials: int = 100,
         if equal:
             cert.add(vname, "pass", "telescoped over stages" if stages else "")
         else:
-            _, _, witness = _sample(first.source, random.Random(seed), WITNESS_TRIES,
-                                    WITNESS_TRIES, _round_trip(first, second),
-                                    first.source)
+            witness = _witness(first.source, seed, _round_trip(first, second),
+                               first.source)
             cert.add(vname, "fail", "round trip is not the identity", witness)
 
-    agreements, attempts, witness = _sample(f.source, random.Random(seed), trials,
-                                            4 * trials, _round_trip(f, g), f.source)
+    agreements, attempts, witness = sample(
+        seed, *_points(f.source, _round_trip(f, g), f.source), trials, 4 * trials)
     locus_hits = attempts - agreements
     vname = f"spot-check[{trials} points]"
     if witness is not None:
@@ -595,9 +609,8 @@ def check_group_relations(spec: VarietySpec, group: GroupSpec, seed=0) -> Certif
         if holds:
             cert.add(vname, "pass")
         else:
-            _, _, witness = _sample(spec, random.Random(seed), WITNESS_TRIES,
-                                    WITNESS_TRIES,
-                                    lambda p: (group.apply_word(word, p), p), spec)
+            witness = _witness(spec, seed, lambda p: (group.apply_word(word, p), p),
+                               spec)
             cert.add(vname, "fail", "relation does not act as the identity", witness)
     return cert
 

@@ -138,9 +138,9 @@ def surface_C() -> SurfaceSpec:
 
 # -- certificates ------------------------------------------------------------
 
-def conic_certificate(seed: int = 42) -> Certificate:
+def conic_certificate() -> Certificate:
     """All the conic identities, as exact polynomial expansions."""
-    cert = Certificate(construction="appendix.conic", seed=seed)
+    cert = Certificate(construction="appendix.conic")
 
     t1, t2, tt0 = conic_param_components()
     on_c = t1 * t1 + t2 * t2 - tt0 * tt0
@@ -186,10 +186,10 @@ def conic_certificate(seed: int = 42) -> Certificate:
     return cert
 
 
-def x_membership_certificate(seed: int = 42) -> Certificate:
+def x_membership_certificate() -> Certificate:
     """Torus triples (x, y, z) with z = (x*y)^-1 lie on X: X's equation at
     generic x = (u, v), y = (u2, v2) is the zero polynomial."""
-    cert = Certificate(construction="appendix.X", seed=seed)
+    cert = Certificate(construction="appendix.X")
     sX = surface_X()
     x = (Poly.variable(UV2, "u"), Poly.variable(UV2, "v"))
     y = (Poly.variable(UV2, "u2"), Poly.variable(UV2, "v2"))
@@ -203,10 +203,10 @@ def x_membership_certificate(seed: int = 42) -> Certificate:
     return cert
 
 
-def y_singular_certificate(seed: int = 42) -> Certificate:
+def y_singular_certificate() -> Certificate:
     """The cubic has exactly the three coordinate singular points; every
     point of it on the chart t0 = 1, the torus included, is smooth."""
-    cert = Certificate(construction="appendix.Y.singular", seed=seed)
+    cert = Certificate(construction="appendix.Y.singular")
     sY = surface_Y()
     zero, one = Fraction(0), Fraction(1)
     trio = [(zero, one, zero, zero), (zero, zero, one, zero),
@@ -230,10 +230,10 @@ def y_singular_certificate(seed: int = 42) -> Certificate:
     return cert
 
 
-def y_membership_certificate(seed: int = 42) -> Certificate:
+def y_membership_certificate() -> Certificate:
     """The torus lies on Y: F_Y(1, a, b, 1/(ab)) is the zero rational
     function of a, b."""
-    cert = Certificate(construction="appendix.Y", seed=seed)
+    cert = Certificate(construction="appendix.Y")
     a, b = RatFunc.variables(("a", "b"))
     ok = surface_Y().equation.eval((1, a, b, 1 / (a * b))) == 0
     cert.add("torus-membership", "pass" if ok else "fail",

@@ -107,7 +107,7 @@ def test_criterion_5_twisted_suite():
 
 
 def test_criterion_6_conic():
-    cert = conic_certificate(seed=42)
+    cert = conic_certificate()
     names = {v.name: v.status for v in cert.verdicts}
     ok = cert.ok
     ok = ok and names.get("parameterization-on-conic") == "pass"
@@ -119,8 +119,8 @@ def test_criterion_6_conic():
 
 
 def test_criterion_7_surfaces():
-    x = x_membership_certificate(seed=42)
-    y = y_singular_certificate(seed=42)
+    x = x_membership_certificate()
+    y = y_singular_certificate()
     names = {v.name: v for v in y.verdicts}
     ok = x.ok and y.ok
     ok = ok and names["three-singular-points"].status == "pass"
@@ -142,7 +142,7 @@ def test_criterion_8_picard_suite():
     labels, classes = line_classes()
     ok = ok and len(classes) == 6
     ok = ok and all(inter(c, c) == -1 for c in classes)
-    ok = ok and lines_certificate(seed=42).ok
+    ok = ok and lines_certificate().ok
     report(8, ok, "K.K = 6; Galois matrix is a form-preserving involution fixing "
                   "K and each e0 - ei; invariant lattice = ZK; hexagon verified")
 

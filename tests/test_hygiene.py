@@ -127,9 +127,9 @@ def test_checker_flags_an_unread_definition(tmp_path):
     assert unread_definitions(src, [demos]) == ["mod.py:10 hidden", "mod.py:16 unread"]
 
 
-# The modules whose verdicts may rest on random samples: the spot checks
-# and witness searches of ratmap, and the transform suite of classical.
-SAMPLERS = {"classical", "ratmap"}
+# The one module that draws random samples: ratmap, whose ``sample`` loop
+# runs the spot checks, the witness searches and classical's transform suite.
+SAMPLERS = {"ratmap"}
 
 
 def random_importers(src: Path) -> list:

@@ -1,5 +1,6 @@
 import pytest
 
+from cayleycert import picard
 from cayleycert.errors import PreconditionError, StructureError
 from cayleycert.matrices import mat_mul
 from cayleycert.picard import (CANONICAL, IDENTITY, LedgerStep, fixes,
@@ -152,8 +153,20 @@ def test_ledger_step_validation():
         LedgerStep("blowup", 0)
 
 
+def test_lines_form_one_orbit_under_the_full_action():
+    orbits = {v.name: v for v in lines_certificate().verdicts}["orbits"]
+    assert (orbits.status, orbits.detail) == ("pass", "1 orbit(s) under the full action")
+
+
+def test_orbits_fail_without_the_galois_action(monkeypatch):
+    # the symmetric group alone keeps the e lines and the f lines apart
+    monkeypatch.setattr(picard, "standard_actions", s3_matrices)
+    orbits = {v.name: v for v in lines_certificate().verdicts}["orbits"]
+    assert (orbits.status, orbits.detail) == ("fail", "2 orbit(s) under the full action")
+
+
 def test_certificates_green():
     for fn in (lattice_certificate, invariants_certificate, lines_certificate,
                ledger_certificate):
-        cert = fn(seed=42)
+        cert = fn()
         assert cert.ok, (cert.construction, [v.name for v in cert.failing()])

@@ -7,14 +7,14 @@ import pytest
 
 from cayleycert import rank2, su3
 from cayleycert.classical import pgl_cayley
-from cayleycert.errors import SamplingError, StructureError
+from cayleycert.errors import DegenerateError, SamplingError, StructureError
 from cayleycert.group import ActionGen, GroupSpec, identity_perm
 from cayleycert.poly import RatFunc, chart_restrict
 from cayleycert.ratmap import (Block, EquivMap, Relation, VarietySpec,
                                chart_tuple, check_equivariance, check_group_relations,
                                check_inverse_pair, check_target_relations, compose,
                                compose_pair, linear_slice, product, projective_space,
-                               random_point, torus)
+                               random_point, sample, torus)
 from cayleycert.su3 import (link_phi, link_quotient, link_segre, quotient_variety,
                             torus_variety)
 
@@ -115,6 +115,53 @@ def test_random_point_reject_budget():
                                       (Relation("linear-sum", ("a",), "a"),)),))
     with pytest.raises(SamplingError, match="no usable point on zero after 64 tries"):
         random_point(spec, 0)
+
+
+def test_sample_stops_at_the_first_disagreement():
+    seen = []
+
+    def check(x):
+        seen.append(x)
+        return f"witness {x}" if len(seen) == 3 else None
+    agreements, attempts, witness = sample(5, lambda rng: rng.random(), check, 10, 20)
+    assert (agreements, attempts, witness) == (2, 3, f"witness {seen[2]}")
+    assert len(seen) == 3
+
+
+def test_sample_spends_attempts_on_the_exceptional_locus():
+    draws = iter(range(100))
+
+    def draw(rng):
+        n = next(draws)
+        if n % 4 == 1:
+            raise DegenerateError("draw on the locus")
+        if n % 4 == 2:
+            raise SamplingError("draw on the locus")
+        return n
+
+    def check(n):
+        if n % 4 == 3:
+            raise DegenerateError("check on the locus")
+        return None
+    # draws 0, 4, 8 agree; the three between each pair are spent
+    assert sample(0, draw, check, 3, 100) == (3, 9, None)
+
+
+def test_sample_stops_at_the_limit():
+    assert sample(0, lambda rng: 1, lambda x: None, 10, 4) == (4, 4, None)
+
+    def never(rng):
+        raise SamplingError("every draw is on the locus")
+    assert sample(0, never, lambda x: None, 10, 4) == (0, 4, None)
+
+
+def test_sample_same_seed_same_stream():
+    def stream(seed):
+        drawn = []
+        sample(seed, lambda rng: rng.random(), drawn.append, 5, 5)
+        return drawn
+    rng = random.Random(3)
+    assert stream(3) == stream(3) == [rng.random() for _ in range(5)] != stream(4)
 
 
 def test_identity_map_is_equivariant():

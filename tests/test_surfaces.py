@@ -52,7 +52,7 @@ def test_homomorphism_at_random_parameters():
 
 
 def test_conic_certificate_green():
-    cert = conic_certificate(seed=42)
+    cert = conic_certificate()
     assert cert.ok, [v.name for v in cert.failing()]
 
 
@@ -73,7 +73,7 @@ def test_x_membership_random_torus_triples():
 
 
 def test_x_certificate_green():
-    cert = x_membership_certificate(seed=42)
+    cert = x_membership_certificate()
     assert cert.ok
 
 
@@ -81,7 +81,7 @@ def test_y_membership_of_torus_points():
     sY = surface_Y()
     assert surface_membership(sY, (frac(1), frac(2), frac(3), frac(1, 6)))
     assert not surface_membership(sY, (frac(1), frac(2), frac(3), frac(1)))
-    assert y_membership_certificate(seed=1).ok
+    assert y_membership_certificate().ok
 
 
 def test_y_singular_trio():
@@ -118,7 +118,7 @@ def test_conic_smooth_point():
 
 
 def test_y_singular_certificate_green():
-    cert = y_singular_certificate(seed=42)
+    cert = y_singular_certificate()
     assert cert.ok, [v.name for v in cert.failing()]
 
 
@@ -145,12 +145,12 @@ def test_flipped_x_equation_fails_triple_product_membership(monkeypatch):
     sX = surface_X()
     u2v1u3 = (0, 1, 1, 0, 1, 0)
     monkeypatch.setattr(surfaces, "surface_X", lambda: flipped(sX, u2v1u3))
-    cert = x_membership_certificate(seed=42)
+    cert = x_membership_certificate()
     assert [v.name for v in cert.failing()] == ["triple-product-membership"]
 
 
 def test_flipped_y_equation_fails_torus_membership(monkeypatch):
     sY = surface_Y()
     monkeypatch.setattr(surfaces, "surface_Y", lambda: flipped(sY, (3, 0, 0, 0)))
-    cert = y_membership_certificate(seed=42)
+    cert = y_membership_certificate()
     assert [v.name for v in cert.failing()] == ["torus-membership"]

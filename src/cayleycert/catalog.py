@@ -25,7 +25,7 @@ from .picard import (galois_matrix, invariants_certificate, lattice_certificate,
 from .rank2 import (base_group, g2_slot_certificate, gamma_twisted_expected,
                     pgu3_differential, pgu3_torus_map, twist_certificate)
 from .ratmap import Certificate, check_equivariance
-from .su3 import (C123, GAMMA, T12, chain_certificate, link_certificate, link_linear,
+from .su3 import (GAMMA, T12, chain_certificate, link_certificate, link_linear,
                   link_phi, link_quotient)
 from .surfaces import (conic_certificate, x_membership_certificate,
                        y_membership_certificate, y_singular_certificate)
@@ -79,7 +79,7 @@ def _mutant_swapped_components(seed: int, trials: int) -> Certificate:
 def _mutant_twist_sign(seed: int, trials: int) -> Certificate:
     m = link_quotient().forward
     broken = replace(m, name="mutation.twist-sign",
-                     source_action=_edited(m.source_action, (T12, C123), twist="none"))
+                     source_action=_edited(m.source_action, (T12,), twist="none"))
     return check_equivariance(broken, seed=seed)
 
 

@@ -34,7 +34,7 @@ from .errors import DegenerateError, PreconditionError, StructureError
 from .field import QuadExt, QuadField, _domain, conj
 from .matrices import (conj_transpose, identity, mat_add, mat_eq, mat_inverse,
                        mat_mul, mat_neg, mat_scale, mat_str, mat_sub, transpose)
-from .poly import Poly, RatFunc
+from .poly import Poly, RatFunc, ratfunc_compose, ratfunc_equal
 from .ratmap import (Certificate, EquivMap, MapPair, Relation, VarietySpec, Block,
                      projective_space, sample)
 
@@ -66,6 +66,8 @@ class MatrixAlg:
         if self.involution not in INVOLUTIONS:
             raise StructureError(f"unknown involution {self.involution!r}")
         H = self.form
+        if len(H) != self.n or any(len(row) != self.n for row in H):
+            raise StructureError(f"form must be {self.n}x{self.n}")
         self._conj = self.involution == "hermitian-form"
         if self._conj and self.field is None:
             raise StructureError("hermitian involution needs a quadratic field")
@@ -337,17 +339,13 @@ def pgl_cayley(n: int) -> MapPair:
 
 
 def pgl_scalar_invariance(n: int) -> bool:
-    """Forward components are unchanged under a -> lambda a, symbolically."""
-    avars = _matrix_vars("a", n) + ("lam",)
-    *a, lam = RatFunc.variables(avars)
-    tr = sum(a[::n + 1], RatFunc.const(avars, Fraction(0)))
-    for k, f in enumerate(a):
-        shift = 1 if k % (n + 1) == 0 else 0
-        plain = n * f / tr - shift
-        scaled = n * (lam * f) / (lam * tr) - shift
-        if not (plain - scaled).is_zero():
-            return False
-    return True
+    """The forward components of :func:`pgl_cayley` composed with
+    a -> lambda a equal themselves, symbolically."""
+    forward = pgl_cayley(n).forward
+    *a, lam = RatFunc.variables(forward.source.coords + ("lam",))
+    scaled = tuple(lam * x for x in a)
+    return all(ratfunc_equal(ratfunc_compose(f, scaled), ratfunc_compose(f, a))
+               for f in forward.components)
 
 
 def pgl_certificate(n: int, seed: int, trials: int = 100) -> Certificate:

@@ -1,13 +1,14 @@
 """Finite groups acting on coordinate tuples.
 
-A generator's action is one :class:`ActionGen`: apply a coordinate
-permutation, then a twist (entrywise inversion, negation, or the
-sign-of-permutation power used on projective torus classes), then an
-optional fixed per-coordinate scaling, then, for Galois-type generators,
-entrywise conjugation.  Groups are given by concrete generator actions,
-not presentations; :func:`cayleycert.ratmap.check_group_relations`
-decides their defining relations exactly on a variety's chart, and
-:func:`same_action` decides whether two generators act alike.
+A generator's action is one :class:`ActionGen`, four steps in order:
+permute the coordinates, invert them or not, multiply by a fixed
+per-coordinate scale, and, for Galois-type generators, conjugate
+entrywise.  Negation is the scale -1, and the sign twist of a projective
+torus class is the inversion, written on the odd permutations only.
+Groups are given by concrete generator actions, not presentations;
+:func:`cayleycert.ratmap.check_group_relations` decides their defining
+relations exactly on a variety's chart, and :func:`same_action` decides
+whether two generators act alike.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import DegenerateError, StructureError
 from .field import conj
 from .poly import RatFunc, ratfunc_equal
 
-TWISTS = ("none", "invert", "negate", "sign-power")
+TWISTS = ("none", "invert")
 
 
 # -- permutations, stored as the map i -> perm[i] on 0-based slots ------
@@ -74,14 +75,15 @@ def perm_sign(p: tuple) -> int:
 
 @dataclass(frozen=True)
 class ActionGen:
-    """One generator's action on a coordinate tuple.
+    """One generator's action on a coordinate tuple:
+    x_i -> C(s_i * x_{perm^-1(i)}^e).
 
-    ``invert`` is only meaningful on multiplicative (torus or projective)
-    coordinates, ``negate`` on additive ones; ``sign-power`` raises the
-    permuted tuple to the power sign(perm).  ``scale`` is an optional tuple
-    of fixed scalars multiplied in after the twist; eigenbasis actions of
-    cyclic permutations need it.  ``conjugate`` applies the Galois
-    involution entrywise, after everything else.
+    ``twist`` "invert" makes e = -1 ("none": e = 1); it is only meaningful
+    on multiplicative (torus or projective) coordinates.  ``scale`` is an
+    optional tuple of fixed scalars s: eigenbasis actions of cyclic
+    permutations need it, and the scale -1 is negation on additive
+    coordinates.  ``conjugate`` applies the Galois involution C entrywise,
+    after everything else.
     """
 
     perm: tuple
@@ -113,9 +115,9 @@ class ActionGen:
 def apply_action(gen: ActionGen, tup, conjugate=None):
     """Apply a generator to a tuple of scalars (or RatFuncs).
 
-    Order: permute (new_i = old_{perm^-1(i)}), twist, scale, conjugate.
-    ``conjugate``, when given, overrides the generator's flag (symbolic
-    checks pass False).  Inverting a zero coordinate raises
+    Order: permute (new_i = old_{perm^-1(i)}), invert or not, scale,
+    conjugate.  ``conjugate``, when given, overrides the generator's flag
+    (symbolic checks pass False).  Inverting a zero coordinate raises
     :class:`DegenerateError`.
     """
     tup = tuple(tup)
@@ -124,21 +126,13 @@ def apply_action(gen: ActionGen, tup, conjugate=None):
             f"tuple arity {len(tup)} does not match action arity {gen.arity}")
     inv = perm_inverse(gen.perm)
     out = [tup[inv[i]] for i in range(gen.arity)]
-
-    twist = gen.twist
-    if twist == "sign-power":
-        twist = "invert" if perm_sign(gen.perm) < 0 else "none"
-    if twist == "invert":
+    if gen.twist == "invert":
         for i, v in enumerate(out):
             if not hasattr(v, "vars") and not v:
                 raise DegenerateError("inversion of a zero coordinate")
             out[i] = 1 / v
-    elif twist == "negate":
-        out = [-v for v in out]
-
     if gen.scale is not None:
         out = [s * v for s, v in zip(gen.scale, out)]
-
     do_conj = gen.conjugate if conjugate is None else conjugate
     if do_conj:
         out = [conj(v) for v in out]
@@ -148,63 +142,29 @@ def apply_action(gen: ActionGen, tup, conjugate=None):
 def compose_actions(outer: ActionGen, inner: ActionGen) -> ActionGen:
     """Single ActionGen equal to applying ``inner`` first, then ``outer``.
 
-    Multiplicative and additive twists cannot be mixed; sign-power twists
-    are resolved against their own permutation before composing.
+    With inner (p1, e1, s1, C1) and outer (p2, e2, s2, C2), the composite
+    has permutation p2 p1, exponent e1 e2, conjugation C1 C2 and scale
+    C1(s2_i) * s1_{p2^-1(i)}^e2.
     """
     if outer.arity != inner.arity:
         raise StructureError("cannot compose actions of different arity")
-
-    def normal(g):
-        mode = None
-        if g.twist == "invert":
-            mode, unit = "mult", -1
-        elif g.twist == "sign-power":
-            mode, unit = "mult", perm_sign(g.perm)
-        elif g.twist == "negate":
-            mode, unit = "add", -1
-        else:
-            unit = 1
-        return mode, unit
-
-    m1, u1 = normal(inner)
-    m2, u2 = normal(outer)
-    if m1 and m2 and m1 != m2:
-        raise StructureError("cannot compose multiplicative and additive twists")
-    mode = m1 or m2
-
-    perm = perm_compose(outer.perm, inner.perm)
-    conjugate = outer.conjugate != inner.conjugate
     n = outer.arity
     inv2 = perm_inverse(outer.perm)
-
-    s1 = inner.scale if inner.scale is not None else (1,) * n
-    s2 = outer.scale if outer.scale is not None else (1,) * n
+    s1 = inner.scale or (1,) * n
+    s2 = outer.scale or (1,) * n
     scale = []
-    for j in range(n):
-        a = conj(s2[j]) if inner.conjugate else s2[j]
-        b = s1[inv2[j]]
-        if mode == "mult" and u2 == -1 and b != 1:
+    for i in range(n):
+        a = conj(s2[i]) if inner.conjugate else s2[i]
+        b = s1[inv2[i]]
+        if outer.twist == "invert" and b != 1:
             if not b:
                 raise DegenerateError("zero scale cannot be inverted")
-            if isinstance(b, int):
-                b = Fraction(b)
-            b = 1 / b
+            b = 1 / (Fraction(b) if isinstance(b, int) else b)
         scale.append(a * b)
-
-    if mode == "mult":
-        exp = u1 * u2
-        twist = "invert" if exp == -1 else "none"
-    elif mode == "add":
-        sign = u1 * u2
-        twist = "negate" if sign == -1 else "none"
-    else:
-        twist = "none"
-
-    if all(s == 1 for s in scale):
-        scale_out = None
-    else:
-        scale_out = tuple(scale)
-    return ActionGen(perm=perm, twist=twist, conjugate=conjugate, scale=scale_out)
+    return ActionGen(perm=perm_compose(outer.perm, inner.perm),
+                     twist="none" if outer.twist == inner.twist else "invert",
+                     conjugate=outer.conjugate != inner.conjugate,
+                     scale=None if all(x == 1 for x in scale) else tuple(scale))
 
 
 def same_action(a: ActionGen, b: ActionGen) -> bool:
@@ -245,6 +205,13 @@ class GroupSpec:
 
     def table(self) -> dict:
         return dict(self.generators)
+
+    def first_difference(self, other: "GroupSpec"):
+        """The first of ``other``'s labels whose action this table lacks or
+        does differently (by :func:`same_action`); None if there is none."""
+        table = self.table()
+        return next((label for label, gen in other.generators
+                     if label not in table or not same_action(table[label], gen)), None)
 
     def apply_word(self, word, tup):
         """Apply the generators named in ``word``, left to right."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import DegenerateError, StructureError
 from .field import QuadExt, _domain, _make, _quotient, _scalar_triple
@@ -39,12 +39,22 @@ def identity(n: int, one=Fraction(1)):
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
+def _same_shape(a, b) -> bool:
+    return list(map(len, a)) == list(map(len, b))
+
+
+def _entrywise(op, a, b):
+    if not _same_shape(a, b):
+        raise StructureError(f"cannot combine shapes {mat_shape(a)} and {mat_shape(b)}")
+    return tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a, b))
+
+
 def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return _entrywise(add, a, b)
 
 
 def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return _entrywise(sub, a, b)
 
 
 def mat_neg(a):
@@ -186,7 +196,8 @@ def mat_inverse(a):
 
 
 def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return _same_shape(a, b) and all(x == y for ra, rb in zip(a, b)
+                                     for x, y in zip(ra, rb))
 
 
 def mat_str(a) -> str:

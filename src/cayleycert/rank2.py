@@ -3,10 +3,10 @@ the symmetric group into its product with the swap group, and the
 projective-unitary quotient-torus map with its differential.
 
 The base object is the norm-one torus with the full S3 x S2 action
-(permutations and entrywise inversion) plus plain Galois conjugation.
-Twisting the Galois generator by the cocycle gamma -> eps produces the
-action x -> conj(x)^-1 entrywise.  :func:`twist_certificate` certifies
-that the twisted table agrees with that closed form generator by
+(su3's permutations and entrywise inversion) plus plain Galois
+conjugation.  Twisting the Galois generator by the cocycle gamma -> eps
+produces su3's Galois generator x -> conj(x)^-1.  :func:`twist_certificate`
+certifies that the twisted table agrees with that closed form generator by
 generator and that the standard and twisted embeddings pull back to
 consistent actions.  Groups are built per kind ("torus" or "lie"); every
 map pair (the quotient-torus map, its differential, a supplied base map)
@@ -32,35 +32,37 @@ from .poly import RatFunc
 from .ratmap import (Block, Certificate, EquivMap, MapPair, VarietySpec,
                      check_group_relations, linear_slice, product,
                      projective_space, torus)
-from .su3 import (_S3, C123, GAMMA, T12, lie_variety, link_certificate,
-                  link_quotient, s3_gamma_action, torus_variety)
+from .su3 import (_S3, C123, GAMMA, S3_GAMMA_RELATIONS, T12, lie_variety,
+                  link_certificate, link_quotient, torus_variety)
 
 EPS = "eps"
 
-_S3S2_RELATIONS = (
-    (T12, T12),
-    (C123, C123, C123),
-    (C123, T12, C123, T12),
-    (EPS, EPS),
-    (EPS, T12, EPS, T12),
-    (EPS, C123, EPS, C123, C123),
-    (GAMMA, GAMMA),
-    (GAMMA, T12, GAMMA, T12),
-    (GAMMA, C123, GAMMA, C123, C123),
-    (GAMMA, EPS, GAMMA, EPS),
-)
+# su3's relations, with eps's copies of the Galois ones between them, and
+# the commutator of gamma and eps
+_S3S2_RELATIONS = (S3_GAMMA_RELATIONS[:3]
+                   + tuple(tuple(EPS if x == GAMMA else x for x in word)
+                           for word in S3_GAMMA_RELATIONS[3:])
+                   + S3_GAMMA_RELATIONS[3:] + ((GAMMA, EPS, GAMMA, EPS),))
+
+
+def _su3_group(kind: str) -> GroupSpec:
+    """su3's S3 x Galois table on the twisted torus (kind "torus") or on the
+    twisted Lie slice (kind "lie")."""
+    return (torus_variety if kind == "torus" else lie_variety)()[1]
 
 
 def base_group(kind: str) -> GroupSpec:
     """S3 x S2 with plain Galois conjugation, acting on the torus; on the
-    Lie slice (kind "lie") the inversion becomes negation."""
+    Lie slice (kind "lie") eps is the scale -1 instead of the inversion."""
+    su3 = _su3_group(kind)
+    eps = (ActionGen(perm=identity_perm(3), twist="invert") if kind == "torus"
+           else ActionGen(perm=identity_perm(3), scale=(-1, -1, -1)))
     return GroupSpec(
         name="S3xS2xGamma[T]" if kind == "torus" else "S3xS2xGamma[t]",
         generators=(
-            (T12, ActionGen(perm=_S3[T12])),
-            (C123, ActionGen(perm=_S3[C123])),
-            (EPS, ActionGen(perm=identity_perm(3),
-                            twist="invert" if kind == "torus" else "negate")),
+            (T12, su3.action(T12)),
+            (C123, su3.action(C123)),
+            (EPS, eps),
             (GAMMA, ActionGen(perm=identity_perm(3), conjugate=True)),
         ),
         relations=_S3S2_RELATIONS,
@@ -72,10 +74,9 @@ def eps_cocycle() -> dict:
 
 
 def gamma_twisted_expected(kind: str) -> ActionGen:
-    """The closed form of the twisted Galois action: conjugate inverse on
-    the torus, minus conjugate on the Lie slice."""
-    twist = "invert" if kind == "torus" else "negate"
-    return ActionGen(perm=identity_perm(3), twist=twist, conjugate=True)
+    """The closed form of the twisted Galois action, su3's Galois generator:
+    conjugate inverse on the torus, minus conjugate on the Lie slice."""
+    return _su3_group(kind).action(GAMMA)
 
 
 def twisted_group(kind: str) -> GroupSpec:
@@ -86,20 +87,14 @@ def pullback_group(mode: str, kind: str) -> GroupSpec:
     """The S3 action on the twisted torus through the St or Tw embedding.
 
     Tw sends an odd permutation to (sigma, eps), so odd generators pick up
-    the inversion (negation on the Lie side); St uses sigma alone.  The
-    Galois generator keeps the twisted action.
+    the inversion (negation on the Lie side); St, and the Galois generator
+    (whose permutation is even), keep su3's table.
     """
-    eps_gen = base_group(kind).action(EPS)
-    gens = []
-    for label in (T12, C123):
-        sigma = _S3[label]
-        _, power = st_tw_embed(sigma, mode)
-        gen = ActionGen(perm=sigma)
-        if power:
-            gen = compose_actions(eps_gen, gen)
-        gens.append(gen)
-    return s3_gamma_action(*gens, gamma_twisted_expected(kind),
-                           name=f"{mode}-pullback[{kind}]")
+    su3 = _su3_group(kind)
+    eps = base_group(kind).action(EPS)
+    return replace(su3, name=f"{mode}-pullback[{kind}]", generators=tuple(
+        (label, compose_actions(eps, gen) if st_tw_embed(gen.perm, mode)[1] else gen)
+        for label, gen in su3.generators))
 
 
 # -- the quotient-torus map and its differential ---------------------------
@@ -154,11 +149,12 @@ def g2_interface():
     inversion (negation) under eps, and the twisted Galois action.
     """
     def extend(kind):
-        # the two extra coordinates are fixed by every permutation
+        # the two extra coordinates are fixed by every permutation and take
+        # the first one's scale (none or a constant -1): eps acts on all five
         group = twisted_group(kind)
         return replace(group, generators=tuple(
             (label, replace(gen, perm=gen.perm + (3, 4),
-                            scale=gen.scale and gen.scale + (1, 1)))
+                            scale=gen.scale and gen.scale + gen.scale[:1] * 2))
             for label, gen in group.generators))
 
     src = product("TxGm2[twisted]",
@@ -236,12 +232,19 @@ def g2_slot_certificate(seed: int = 42, trials: int = 100,
 def certify_external_g2(pair: MapPair, seed: int = 42, trials: int = 100) -> Certificate:
     """Certificates for a user-supplied rank-2 base map.
 
-    The pair must be presented against the interface of :func:`g2_interface`;
-    shape mismatches are structural errors, everything else is verified by
-    the map-pair recipe of :func:`cayleycert.su3.link_certificate`.
+    The pair must be presented against the interface of :func:`g2_interface`,
+    its four action tables included; shape or table mismatches are
+    structural errors, everything else is verified by the map-pair recipe
+    of :func:`cayleycert.su3.link_certificate`.
     """
-    src, _, tgt, _ = g2_interface()
-    fwd = pair.forward
+    src, src_act, tgt, tgt_act = g2_interface()
+    fwd, inv = pair.forward, pair.inverse
     if not fwd.source.same_shape(src) or not fwd.target.same_shape(tgt):
         raise StructureError("external map does not fit the product interface")
+    for got, want in ((fwd.source_action, src_act), (fwd.target_action, tgt_act),
+                      (inv.source_action, tgt_act), (inv.target_action, src_act)):
+        if (set(got.labels()) != set(want.labels())
+                or got.first_difference(want) is not None):
+            raise StructureError(
+                f"external map's action table {got.name!r} is not the interface's")
     return link_certificate(pair, seed=seed, trials=trials)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import DegenerateError, SamplingError, StructureError
 from .field import random_rational, scalar_str
-from .group import GroupSpec, apply_action, same_action
+from .group import GroupSpec, apply_action
 from .poly import Relation, RatFunc, _cross, ratfunc_compose, ratfunc_equal
 
 
@@ -451,11 +451,9 @@ def compose(m1: EquivMap, m2: EquivMap) -> EquivMap:
             f"cannot compose {m1.name} -> {m2.name}: interface mismatch")
     if m1.generator_labels() != m2.generator_labels():
         raise StructureError("composed maps must share a generator set")
-    ours, theirs = m1.target_action.table(), m2.source_action.table()
-    for label in m1.generator_labels():
-        if label not in ours or not same_action(ours[label], theirs[label]):
-            raise StructureError(
-                f"actions on the interface differ for generator {label!r}")
+    label = m1.target_action.first_difference(m2.source_action)
+    if label is not None:
+        raise StructureError(f"actions on the interface differ for generator {label!r}")
     comps = []
     for i, c in enumerate(m2.components):
         try:

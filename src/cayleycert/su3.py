@@ -82,8 +82,8 @@ def pair_perm(sigma: tuple, swap: bool) -> tuple:
 def quotient_variety():
     spec = projective_space("Gm3-mod-Gm", ("x1", "x2", "x3"), multiplicative=True)
     return spec, s3_gamma_action(
-        ActionGen(perm=_S3[T12], twist="sign-power"),
-        ActionGen(perm=_S3[C123], twist="sign-power"),
+        ActionGen(perm=_S3[T12], twist="invert"),     # the sign twist of an odd sigma
+        ActionGen(perm=_S3[C123]),
         ActionGen(perm=identity_perm(3), twist="invert", conjugate=True))
 
 
@@ -133,7 +133,7 @@ def lie_variety():
     return spec, s3_gamma_action(
         ActionGen(perm=_S3[T12]),
         ActionGen(perm=_S3[C123]),
-        ActionGen(perm=identity_perm(3), twist="negate", conjugate=True))
+        ActionGen(perm=identity_perm(3), conjugate=True, scale=(-1, -1, -1)))
 
 
 # -- the links -------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from cayleycert.classical import (MatrixAlg, cayley_conjugation_equivariance,
                                   unitary_alg)
 from cayleycert.errors import DegenerateError, PreconditionError, StructureError
 from cayleycert.field import QuadField
+from cayleycert.poly import RatFunc
+from cayleycert.ratmap import MapPair
 from cayleycert.matrices import (conj_transpose, identity, mat_add, mat_eq, mat_inverse,
                                  mat_mul, mat_neg, mat_scale, mat_str, mat_sub, trace,
                                  transpose)
@@ -183,6 +186,14 @@ def test_gl_certificate():
 def test_pgl_scalar_invariance():
     assert pgl_scalar_invariance(2)
     assert pgl_scalar_invariance(3)
+
+
+def test_pgl_scalar_invariance_checks_the_map_it_names(monkeypatch):
+    # a forward map a -> a is not invariant under a -> lambda a
+    real = pgl_cayley(2)
+    plain = replace(real.forward, components=RatFunc.variables(real.forward.source.coords))
+    monkeypatch.setattr(classical, "pgl_cayley", lambda n: MapPair(plain, real.inverse))
+    assert not pgl_scalar_invariance(2)
 
 
 def test_pgl_forward_example():
@@ -370,6 +381,13 @@ def test_form_must_be_monomial(involution, form, field):
     with pytest.raises(StructureError, match="monomial") as info:
         MatrixAlg(n=len(form), involution=involution, form=form, field=field)
     assert "congruent to a diagonal one" in str(info.value)
+
+
+def test_form_must_be_n_by_n():
+    with pytest.raises(StructureError, match="form must be 3x3"):
+        MatrixAlg(n=3, involution="transpose-form", form=identity(2))
+    with pytest.raises(StructureError, match="form must be 2x2"):
+        MatrixAlg(n=2, involution="transpose-form", form=((1, 0), (0,)))
 
 
 def test_form_kind_still_checked_first():

@@ -31,16 +31,9 @@ def test_twisted_galois_fixed_point():
     assert apply_action(g, (ZETA, ZETA, ZETA)) == (ZETA, ZETA, ZETA)
 
 
-def test_sign_power_inverts_only_odd():
-    odd = ActionGen(perm=transposition(3, 0, 1), twist="sign-power")
-    even = ActionGen(perm=cycle(3, (0, 1, 2)), twist="sign-power")
-    pt = (Fraction(2), Fraction(4), Fraction(8))
-    assert apply_action(odd, pt) == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 8))
-    assert apply_action(even, pt) == (Fraction(8), Fraction(2), Fraction(4))
-
-
 def test_negate_twist():
-    g = ActionGen(perm=identity_perm(2), twist="negate")
+    # negation is the scale -1
+    g = ActionGen(perm=identity_perm(2), scale=(-1, -1))
     assert apply_action(g, (Fraction(1), Fraction(-2))) == (Fraction(-1), Fraction(2))
 
 
@@ -65,11 +58,12 @@ def test_arity_mismatch():
 def test_compose_matches_sequential_application():
     rng = random.Random(17)
     gens = [
-        ActionGen(perm=transposition(3, 0, 1), twist="sign-power",
+        ActionGen(perm=transposition(3, 0, 1), twist="invert",
                   scale=(ZETA, F.one, ZETA ** 2)),
         ActionGen(perm=cycle(3, (0, 1, 2)), twist="invert", conjugate=True),
         ActionGen(perm=identity_perm(3), twist="invert", conjugate=True),
         ActionGen(perm=cycle(3, (0, 2, 1)), scale=(ZETA ** 2, ZETA, F.one)),
+        ActionGen(perm=transposition(3, 1, 2), conjugate=True, scale=(-1, -1, -1)),
     ]
     for a in gens:
         for b in gens:
@@ -88,13 +82,6 @@ def test_compose_inverts_integer_scales_exactly():
     pt = (Fraction(5), Fraction(7))
     assert apply_action(outer, apply_action(inner, pt)) == apply_action(comp, pt)
     assert comp.scale == (Fraction(1, 2), Fraction(1, 3))
-
-
-def test_compose_rejects_mixed_twists():
-    inv = ActionGen(perm=identity_perm(2), twist="invert")
-    neg = ActionGen(perm=identity_perm(2), twist="negate")
-    with pytest.raises(StructureError):
-        compose_actions(inv, neg)
 
 
 def test_semilinear_generator_squares_to_identity():

@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleycert.errors import DegenerateError, FieldMismatchError
+from cayleycert.errors import DegenerateError, FieldMismatchError, StructureError
 from cayleycert.field import QuadExt
-from cayleycert.matrices import identity, mat_inverse, mat_mul
+from cayleycert.matrices import identity, mat_add, mat_eq, mat_inverse, mat_mul, mat_sub
 
 DISCRIMINANTS = (-3, -1, 2, 5)
 FIELDS = (None,) + DISCRIMINANTS          # None: plain Fraction matrices
@@ -222,3 +222,21 @@ def test_irrational_entries_of_two_fields_raise():
     same = ((Fraction(2), QuadExt(1, 1, -3)), (Fraction(0), Fraction(1)))
     assert mat_mul(b, b) == reference_mul(same, same)
     assert mat_inverse(b) == reference_inverse(same)
+
+
+MISSHAPEN = [((1, 2),), ((1,), (3,)), ((1, 2), (3,))]
+
+
+@pytest.mark.parametrize("b", MISSHAPEN)
+def test_add_and_sub_refuse_mismatched_shapes(b):
+    a = ((1, 2), (3, 4))
+    for op in (mat_add, mat_sub):
+        with pytest.raises(StructureError, match="cannot"):
+            op(a, b)
+    assert mat_sub(mat_add(a, a), a) == a
+
+
+@pytest.mark.parametrize("b", MISSHAPEN)
+def test_matrices_of_different_shapes_are_not_equal(b):
+    a = ((1, 2), (3, 4))
+    assert not mat_eq(a, b) and not mat_eq(b, a)

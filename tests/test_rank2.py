@@ -7,14 +7,16 @@ from cayleycert.errors import FieldMismatchError, StructureError
 from cayleycert.field import QuadField
 from cayleycert.group import ActionGen, apply_action, identity_perm, same_action
 from cayleycert.poly import RatFunc
-from cayleycert.ratmap import EquivMap, MapPair, check_group_relations, map_of_point
+from cayleycert.ratmap import (NO_ACTION, EquivMap, MapPair, check_group_relations,
+                               map_of_point)
 from cayleycert.rank2 import (EPS, GAMMA, T12, C123,
                               base_group, certify_external_g2, g2_interface,
                               g2_slot_certificate,
                               gamma_twisted_expected, pgu3_differential,
                               pgu3_torus_map, pullback_group,
                               twist_certificate, twisted_group)
-from cayleycert.su3 import build_su3_chain, link_certificate, quadric_variety, torus_variety
+from cayleycert.su3 import (build_su3_chain, lie_variety, link_certificate,
+                            quadric_variety, torus_variety)
 
 F = QuadField(-3)
 ZETA = F.zeta()
@@ -63,10 +65,9 @@ def test_same_action_decides_on_the_generic_tuple():
     tor = base_group("torus")
     assert same_action(twisted_group("torus").action(GAMMA),
                        gamma_twisted_expected("torus"))
-    # equal actions written differently: a sign-power twist of an even
-    # permutation is no twist
+    # equal actions written differently: a scale of ones is no scale
     cyc = tor.action(C123)
-    assert same_action(cyc, replace(cyc, twist="sign-power"))
+    assert same_action(cyc, replace(cyc, scale=(1, 1, 1)))
     assert not same_action(cyc, tor.action(T12))
     assert not same_action(tor.action(GAMMA), ActionGen(perm=identity_perm(3)))
 
@@ -97,6 +98,24 @@ def test_pullback_groups_differ_on_odd_elements():
     assert tw_img == (frac(1, 3), frac(1, 2), frac(6))
     # even generator agrees in both embeddings
     assert apply_action(st.action(C123), pt) == apply_action(tw.action(C123), pt)
+
+
+@pytest.mark.parametrize("kind, table", [("torus", torus_variety()[1]),
+                                         ("lie", lie_variety()[1])])
+def test_st_pullback_is_su3s_table(kind, table):
+    st = pullback_group("St", kind)
+    assert st.labels() == table.labels()
+    for label in table.labels():
+        assert st.action(label) == table.action(label), label
+
+
+def test_g2_interface_eps_and_twisted_gamma_act_on_all_five_coordinates():
+    _, src_act, _, tgt_act = g2_interface()
+    pt = (F.of(2, 1), F.of(frac(1, 3), -2), F.of(-5, frac(1, 7)), F.of(3, 4), F.of(-1, 1))
+    for label, conj in ((EPS, False), (GAMMA, True)):
+        moved = tuple(x.conj() for x in pt) if conj else pt
+        assert apply_action(tgt_act.action(label), pt) == tuple(-x for x in moved)
+        assert apply_action(src_act.action(label), pt) == tuple(1 / x for x in moved)
 
 
 def test_pgu3_map_at_unit_class():
@@ -175,6 +194,26 @@ def test_external_g2_wrong_map_is_rejected():
     # relations included
     assert cert.to_dict() == link_certificate(pair, seed=3, trials=10).to_dict()
     assert cert.verdicts[0].name == "target-relation[linear-slice:u3]"
+
+
+def _g2_candidate(fwd_tables, inv_tables=None):
+    src, src_act, tgt, tgt_act = g2_interface()
+    t, s = RatFunc.variables(src.coords), RatFunc.variables(tgt.coords)
+    fwd = EquivMap("g2-candidate", src, tgt, t, *fwd_tables)
+    inv = EquivMap("g2-candidate-inv", tgt, src, s, *(inv_tables or (tgt_act, src_act)))
+    return MapPair(fwd, inv)
+
+
+def test_external_g2_must_carry_the_interface_tables():
+    _, src_act, _, tgt_act = g2_interface()
+    dropped = replace(tgt_act, generators=tgt_act.generators[:-1])
+    for fwd_tables, inv_tables in (((NO_ACTION, NO_ACTION), None),
+                                   ((tgt_act, src_act), None),
+                                   ((src_act, NO_ACTION), None),
+                                   ((src_act, dropped), None),
+                                   ((src_act, tgt_act), (tgt_act, tgt_act))):
+        with pytest.raises(StructureError, match="action table"):
+            certify_external_g2(_g2_candidate(fwd_tables, inv_tables), seed=3, trials=5)
 
 
 def test_external_g2_shape_mismatch_is_structural():

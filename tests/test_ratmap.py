@@ -237,8 +237,8 @@ def test_compose_requires_matching_interface():
 
 
 def test_compose_compares_interface_actions_by_meaning():
-    # a sign-power twist of the even (1 2 3) is no twist, so the rewritten
-    # action is the same action and composes; an inverting one does not
+    # a scale of ones is no scale, so the rewritten action is the same
+    # action and composes; an inverting one does not
     first = link_quotient().reversed().forward
     phi = link_phi().forward
 
@@ -247,8 +247,8 @@ def test_compose_compares_interface_actions_by_meaning():
                      for label, gen in phi.source_action.generators)
         return replace(phi, source_action=replace(phi.source_action, generators=gens))
 
-    assert phi.source_action.action(su3.C123).twist == "sign-power"
-    composed = compose(first, rewritten(twist="none"))
+    assert phi.source_action.action(su3.C123).scale is None
+    composed = compose(first, rewritten(scale=(1, 1, 1)))
     assert composed.components == compose(first, phi).components
     with pytest.raises(StructureError, match="differ for generator '\\(1 2 3\\)'"):
         compose(first, rewritten(twist="invert"))

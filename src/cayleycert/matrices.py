@@ -31,7 +31,12 @@ from .field import conj as scalar_conj
 
 
 def mat_shape(a):
-    return len(a), len(a[0]) if a else 0
+    """(rows, columns); a matrix whose rows differ in length raises
+    :class:`StructureError`."""
+    lengths = set(map(len, a))
+    if len(lengths) > 1:
+        raise StructureError(f"cannot use a ragged matrix: row lengths {list(map(len, a))}")
+    return len(a), lengths.pop() if lengths else 0
 
 
 def identity(n: int, one=Fraction(1)):
@@ -152,7 +157,9 @@ def mat_inverse(a):
     and divided by c.  Raises :class:`DegenerateError` when ``a`` is
     singular.
     """
-    n = len(a)
+    n, k = mat_shape(a)
+    if n != k:
+        raise StructureError(f"cannot invert a {n}x{k} matrix")
     order = list(range(n))
     kind, d = _domain(*a)
     if kind is not QuadExt:

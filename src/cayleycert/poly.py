@@ -2,10 +2,9 @@
 
 ``Poly`` stores a map from monomials, packed as below, to nonzero
 coefficients over a fixed ordered variable tuple; coefficients are ints, Fractions or
-:class:`~cayleycert.field.QuadExt` values.  Evaluation needs only ring
-arithmetic of the point's entries, so a ``Poly`` can be evaluated at
-``RatFunc`` points too.  ``RatFunc`` is a numerator/denominator pair that
-is *not* kept in lowest terms: there is no multivariate GCD here.
+:class:`~cayleycert.field.QuadExt` values.  ``RatFunc`` is a
+numerator/denominator pair that is *not* kept in lowest terms: there is
+no multivariate GCD here.
 Equality is decided exactly by cross multiplication and full expansion.
 A variety relation is a :class:`Relation`, the one reader of its two
 forms, which solves it for one coordinate in any ring;
@@ -60,6 +59,23 @@ equality tests make one ``_domain`` call over all their coefficients.
 Either way, irrational coefficients from two fields anywhere in the input
 raise :class:`FieldMismatchError`.
 
+Evaluation at a point of scalars (``int``, ``Fraction``, ``QuadExt``)
+runs on integers too, planned once per set of functions by
+:class:`EvalPlan` (``ratmap`` keeps one per map).  With M_i the largest
+power of variable i in any of them and x_i = (p_i + q_i*sqrt(d))/n_i, a
+term c*x^e is c * prod (p_i + q_i*sqrt(d))^e_i * n_i^(M_i - e_i) times
+1/prod n_i^M_i, the row trick of :func:`ratfunc_compose`.  The rows are
+built once per point, each distinct monomial once across all the
+functions, and each numerator or denominator is a sum of integer pairs
+over one lcm of its coefficients' denominators.  The factor
+prod n_i^M_i cancels in a quotient, so a value costs one ``_quotient``
+or one ``Fraction``; the cleared denominator is zero exactly when the
+denominator vanishes at the point.  Types are those of ring arithmetic,
+except that two ints divide to a ``Fraction``.  Irrational coefficients
+or used entries from two fields raise :class:`FieldMismatchError`
+through ``field._domain``, whose (None, None) for a ``Poly`` or
+``RatFunc`` entry sends a generic point to the ring loop instead.
+
 Every product passes through a term budget, so that a runaway expansion
 fails loudly instead of thrashing.  :class:`TermBudgetError` is raised
 before the work when the factors have more than 16 times the budget in
@@ -76,10 +92,11 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import getitem, mul
 from struct import unpack
 
 from .errors import DegenerateError, ExponentOverflowError, StructureError, TermBudgetError
-from .field import QuadExt, _domain, _make, _scalar_triple, scalar_str
+from .field import QuadExt, _domain, _make, _quotient, _scalar_triple, scalar_str
 from .field import conj as scalar_conj
 
 _new = object.__new__
@@ -357,14 +374,27 @@ class Poly:
                 for key, c in self.terms.items()]
 
     def eval(self, point):
-        """Exact evaluation; point entries only need ring arithmetic, so a
-        point may have Poly or RatFunc entries (a generic point).
-        Composition does not go through here: see :func:`ratfunc_compose`."""
+        """Exact evaluation.  At a point of scalars this is the integer
+        kernel of :class:`EvalPlan`, and the value has the type of the ring
+        arithmetic: QuadExt if a coefficient or an entry it uses is one, int
+        if all of them are ints, else Fraction.  A point with Poly or
+        RatFunc entries (a generic point) takes the ring loop.  Composition
+        does not go through here: see :func:`ratfunc_compose`."""
         if len(point) != len(self.vars):
             raise StructureError(
                 f"point arity {len(point)} does not match {len(self.vars)} variables")
         if not self.terms:
             return 0
+        got = _Kernel((self,)).values(point)
+        if got is None:
+            return self._ring_eval(point)
+        d, scale, ((kind, p, q, n),) = got
+        if kind is QuadExt:
+            return _make(p, q, n * scale, d)
+        return p if kind is int else Fraction(p, n * scale)
+
+    def _ring_eval(self, point):
+        """Evaluation by ring arithmetic of the point's entries."""
         terms = self.items()
         # cache powers of each coordinate up to the degree that occurs
         powers = []
@@ -561,10 +591,14 @@ class RatFunc:
         return self.num.is_zero()
 
     def eval(self, point):
-        d = self.den.eval(point)
+        """Exact value at a point: see :class:`EvalPlan`."""
+        return EvalPlan((self,)).eval(point)[0]
+
+    def _ring_eval(self, point):
+        d = self.den._ring_eval(point)
         if not d:
             raise DegenerateError("denominator vanishes at the point")
-        return self.num.eval(point) / d
+        return self.num._ring_eval(point) / d
 
     def conj_coeffs(self) -> "RatFunc":
         return RatFunc(self.num.conj_coeffs(), self.den.conj_coeffs())
@@ -581,6 +615,156 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+# -- evaluation at points of scalars ---------------------------------------
+
+class _Kernel:
+    """Polynomials over one variable tuple, planned for evaluation at points
+    of scalars on integers (see the module docstring).
+
+    ``tops[i]`` is M_i, the largest power of variable i in any of the
+    polynomials, ``used`` the variables with M_i > 0 and ``monos`` the
+    distinct exponent tuples.  Each polynomial is one part: (its indices
+    into ``monos``, its coefficients as integers p and q over one
+    denominator n, q None when all are 0, n, the variables it has, the
+    ``_domain`` kind of its coefficients).  ``marks`` holds one QuadExt
+    per field and irrationality of the QuadExt coefficients, so
+    ``_domain`` over the marks and the point's entries gives the field.
+    """
+
+    __slots__ = ("arity", "tops", "used", "monos", "parts", "marks")
+
+    def __init__(self, polys):
+        exps = [[e for e, _ in poly.items()] for poly in polys]
+        self.arity = len(polys[0].vars)
+        self.monos = list(dict.fromkeys(e for es in exps for e in es))
+        self.tops = [max(col) for col in zip(*self.monos)] or [0] * self.arity
+        self.used = [i for i, top in enumerate(self.tops) if top]
+        index = dict(zip(self.monos, range(len(self.monos))))
+        marks, self.parts = {}, []
+        for poly, es in zip(polys, exps):
+            kind, d = _domain(poly.terms.values())
+            t = list(map(_scalar_triple, poly.terms.values()))
+            n = lcm(*[m for _, _, m in t])
+            cq = [q * (n // m) for _, q, m in t]
+            irrational = any(cq)
+            if kind is QuadExt:
+                marks.setdefault((d, irrational), _make(0, 1, 1, d) if irrational
+                                 else _make(1, 0, 1, d))
+            has = frozenset(i for i, col in enumerate(zip(*es)) if any(col))
+            self.parts.append((list(map(index.__getitem__, es)),
+                               [p * (n // m) for p, _, m in t],
+                               cq if irrational else None, n, has, kind))
+        self.marks = tuple(marks.values())
+
+    def values(self, point):
+        """(d, scale, [(kind, p, q, n)] per part): part j's value at
+        ``point`` is (p + q*sqrt(d))/(n * scale) and has type ``kind``.
+        None when an entry the polynomials use is not a scalar."""
+        used = self.used
+        entries = [point[i] for i in used]
+        kind, d = _domain(entries, self.marks)
+        if kind is None:
+            return None
+        # row i holds (x_i numerator)^e * (x_i denominator)^(M_i - e)
+        rows = [[1]] * self.arity
+        qrows = None
+        scale = 1
+        for i, x in zip(used, entries):
+            p, q, n = _scalar_triple(x)
+            top = self.tops[i]
+            dens = [1]
+            for _ in range(top):
+                dens.append(dens[-1] * n)
+            scale *= dens[top]
+            if q and qrows is None:
+                qrows = [[0] * len(r) for r in rows]
+            xp, xq = [1], [0]
+            for _ in range(top):
+                a, b = xp[-1], xq[-1]
+                xp.append(a * p + d * b * q if q else a * p)
+                xq.append(a * q + b * p)
+            rows[i] = [a * m for a, m in zip(xp, reversed(dens))]
+            if qrows is not None:
+                qrows[i] = [b * m for b, m in zip(xq, reversed(dens))]
+        if qrows is None:
+            vp = [prod(map(getitem, rows, e)) for e in self.monos]
+            vq = None
+        else:
+            vp, vq = [], []
+            for e in self.monos:
+                a, b = 1, 0
+                for rp, rq, k in zip(rows, qrows, e):
+                    x, y = rp[k], rq[k]
+                    a, b = (a * x + d * b * y, a * y + b * x) if y else (a * x, b * x)
+                vp.append(a)
+                vq.append(b)
+        quads = {i for i, x in zip(used, entries) if type(x) is QuadExt}
+        fracs = {i for i, x in zip(used, entries) if type(x) is not int}
+        out = []
+        for idx, cp, cq, n, has, kind in self.parts:
+            ap = list(map(vp.__getitem__, idx))
+            p = sum(map(mul, cp, ap))
+            q = sum(map(mul, cq, ap)) if cq else 0
+            if vq is not None:
+                aq = list(map(vq.__getitem__, idx))
+                if cq:
+                    p += d * sum(map(mul, cq, aq))
+                q += sum(map(mul, cp, aq))
+            if kind is not QuadExt and not quads.isdisjoint(has):
+                kind = QuadExt
+            elif kind is int and not fracs.isdisjoint(has):
+                kind = Fraction
+            out.append((kind, p, q, n))
+        return d, scale, out
+
+
+class EvalPlan:
+    """RatFuncs over one variable tuple, planned once for evaluation at
+    many points (``ratmap`` keeps one per map).
+
+    :meth:`eval` gives the value of every function at a point at once.  At
+    a point of scalars the numerators and denominators share one integer
+    kernel, and each value is one ``_quotient`` or one ``Fraction``: a
+    QuadExt if a coefficient or an entry its function uses is one, else a
+    Fraction.  A point with Poly or RatFunc entries takes the ring loop.
+    Either way :class:`DegenerateError` is raised at the first function
+    whose denominator vanishes at the point.
+    """
+
+    __slots__ = ("funcs", "_kernel")
+
+    def __init__(self, funcs):
+        self.funcs = tuple(funcs)
+        for f in self.funcs:
+            if f.vars != self.funcs[0].vars:
+                raise StructureError(
+                    f"variable mismatch: {self.funcs[0].vars} vs {f.vars}")
+        self._kernel = _Kernel([p for f in self.funcs for p in (f.num, f.den)]) \
+            if self.funcs else None
+
+    def eval(self, point) -> tuple:
+        if not self.funcs:
+            return ()
+        arity = self._kernel.arity
+        if len(point) != arity:
+            raise StructureError(
+                f"point arity {len(point)} does not match {arity} variables")
+        got = self._kernel.values(point)
+        if got is None:
+            return tuple(f._ring_eval(point) for f in self.funcs)
+        d, _, parts = got
+        out = []
+        # the factor scale of numerator and denominator cancels
+        for (nk, np_, nq, nn), (dk, dp, dq, dn) in zip(parts[::2], parts[1::2]):
+            if not dp and not dq:
+                raise DegenerateError("denominator vanishes at the point")
+            if nk is QuadExt or dk is QuadExt:
+                out.append(_quotient((np_, nq, nn), (dp, dq, dn), d))
+            else:
+                out.append(Fraction(np_ * dn, dp * nn))
+        return tuple(out)
 
 
 def _scaled_parts(*fs):

@@ -14,6 +14,13 @@ decided the same way on the chart, and two generator actions are
 compared on a generic tuple.  Random points only confirm these identities
 (the spot check of a round trip) or localise a failure (a witness), and
 every draw goes through :func:`sample`, the package's one sampling loop.
+
+A map is evaluated at a point by :func:`map_of_point`, which runs the
+map's :class:`~cayleycert.poly.EvalPlan` on every component at once: the
+integer kernel of ``poly``, with exponent tuples, scaled coefficients and
+largest powers computed when the map is built.  ``EquivMap`` is frozen,
+so the plan cannot go stale; ``dataclasses.replace`` builds a new map,
+and with it a new plan.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from fractions import Fraction
 from .errors import DegenerateError, SamplingError, StructureError
 from .field import random_rational, scalar_str
 from .group import GroupSpec, apply_action
-from .poly import Relation, RatFunc, _cross, ratfunc_compose, ratfunc_equal
+from .poly import EvalPlan, Relation, RatFunc, _cross, ratfunc_compose, ratfunc_equal
 
 
 # -- varieties ----------------------------------------------------------
@@ -140,14 +147,15 @@ def product(name: str, *specs: VarietySpec) -> VarietySpec:
 NO_ACTION = GroupSpec("trivial", ())
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivMap:
     """Rational map with the actions of a common group on source and target.
 
     ``components`` is the flat tuple of RatFuncs over the source
     coordinates, grouped implicitly by the target's blocks.  Each action is
     a GroupSpec on its variety: ActionGens of the matching arity under the
-    same labels; the generator labels are the source action's.
+    same labels; the generator labels are the source action's.  The
+    evaluation plan of the components is derived, so the map is frozen.
     """
 
     name: str
@@ -156,9 +164,10 @@ class EquivMap:
     components: tuple
     source_action: GroupSpec = NO_ACTION
     target_action: GroupSpec = NO_ACTION
+    _plan: EvalPlan = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.components = tuple(self.components)
+        object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) != len(self.target.coords):
             raise StructureError(
                 f"{self.name}: {len(self.components)} components for "
@@ -175,6 +184,7 @@ class EquivMap:
                     raise StructureError(
                         f"{self.name}: action {label!r} arity {gen.arity} does not "
                         f"match {spec.name}")
+        object.__setattr__(self, "_plan", EvalPlan(self.components))
 
     def generator_labels(self):
         return self.source_action.labels()
@@ -298,7 +308,7 @@ def _conjugated_components(m: EquivMap):
 
 
 def map_of_point(m: EquivMap, point):
-    return tuple(c.eval(point) for c in m.components)
+    return m._plan.eval(point)
 
 
 def _points_equal(spec: VarietySpec, p, q) -> bool:

@@ -5,6 +5,7 @@ Gauss-Jordan reference written here on the scalars' own field arithmetic
 (values and entry types), and ``mat_inverse`` against sympy.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -240,3 +241,23 @@ def test_add_and_sub_refuse_mismatched_shapes(b):
 def test_matrices_of_different_shapes_are_not_equal(b):
     a = ((1, 2), (3, 4))
     assert not mat_eq(a, b) and not mat_eq(b, a)
+
+
+@pytest.mark.parametrize("a, message", [
+    (((1, 2, 3), (3, 4, 5)), "cannot invert a 2x3 matrix"),
+    (((1, 2), (3, 4), (5, 6)), "cannot invert a 3x2 matrix"),
+    (((1, 2), (3,)), "ragged matrix: row lengths [2, 1]"),
+])
+def test_inverse_refuses_non_square_and_ragged_input(a, message):
+    with pytest.raises(StructureError, match=re.escape(message)):
+        mat_inverse(a)
+
+
+@pytest.mark.parametrize("a, b", [
+    (((1, 2), (3,)), identity(2)),
+    (identity(2), ((1, 2), (3,))),
+    (((Fraction(1), 2), (QuadExt(0, 1, -3),)), identity(2)),
+])
+def test_mul_refuses_a_ragged_factor(a, b):
+    with pytest.raises(StructureError, match="ragged matrix"):
+        mat_mul(a, b)

@@ -10,6 +10,7 @@ from cayleycert.errors import (DegenerateError, ExponentOverflowError, FieldMism
 from cayleycert.field import QuadExt, QuadField
 from cayleycert.poly import (Poly, RatFunc, Relation, _cross, chart_restrict,
                              ratfunc_compose, ratfunc_equal, term_budget)
+from cayleycert.ratmap import Block, EquivMap, VarietySpec, map_of_point
 
 F = QuadField(-3)
 ZETA = F.zeta()
@@ -774,3 +775,127 @@ def test_chart_restrict_matches_sympy(sympy_field, case):
         return
     want = K.substitute(f.num, (x, y, z)) / den
     assert K.ratfunc(chart_restrict(f, relation, "z", exponents=exps)) - want == 0
+
+
+# -- evaluation at points of scalars against the ring loop ------------------
+#
+# Poly.eval, RatFunc.eval and ratmap.map_of_point run the integer kernel of
+# EvalPlan at points of scalars.  The reference is the ring arithmetic they
+# replace: one scalar multiply per factor, one add per term, and one division
+# of the two values (through Fraction(1), so that two ints divide exactly).
+
+EVAL_FIELDS = (None, -3, -1)
+Z = RatFunc.variable(XYZ, "z")
+
+
+def reference_poly_eval(p, point):
+    acc = 0
+    for exps, c in p.items():
+        val = c
+        for x, e in zip(point, exps):
+            for _ in range(e):
+                val = val * x
+        acc = acc + val
+    return acc
+
+
+def reference_eval(f, point):
+    den = reference_poly_eval(f.den, point)
+    if not den:
+        raise DegenerateError("denominator vanishes at the point")
+    return Fraction(1) * reference_poly_eval(f.num, point) / den
+
+
+def entries(d):
+    """Point entries: ints, Fractions and QuadExts of the field, of
+    Q(sqrt(-3)) for coefficients in Q; small, so denominators vanish."""
+    root = -3 if d is None else d
+    small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+    return st.one_of(st.integers(-2, 2), small, rationals,
+                     st.builds(lambda a, b: QuadExt(a, b, root), small, small))
+
+
+def assert_same(got, want):
+    """Equal values of one type, in one field when irrational."""
+    assert got == want and type(got) is type(want)
+    if isinstance(want, QuadExt) and want.b:
+        assert got.d == want.d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(EVAL_FIELDS).flatmap(lambda d: st.tuples(
+    ratfuncs(d, XYZ, 4, 2), st.tuples(*[entries(d)] * 3))))
+@example((1 / (X - Y), (2, 2, 0)))                       # vanishes at the point
+@example((X / (X + 1), (2, 0, 0)))                       # two ints: 2/3, not 0.666...
+@example((RatFunc(Poly(XYZ, {(2, 0, 0): 1}), Poly(XYZ, {(0, 0, 0): 1})), (3, 0, 0)))
+@example((X * QuadExt(0, 1, -3) / (Y + 1), (1, 0, QuadExt(0, 1, -1))))  # z is not used
+@example((ZERO, (QuadExt(0, 1, -3), 1, 1)))
+@example((X / Y, (1, QuadExt(0, 1, -3), 0)))             # an irrational denominator
+@example((X / (Y + 1), (1, 2, QuadExt(0, 1, -3))))      # Q coefficients, z not used
+# squares of an irrational entry, coefficient denominators 6 and 2
+@example(((X * X / 3 + Y) / (Y * 2 + 3), (QuadExt(1, 1, -3), Fraction(1, 2), 0)))
+@example(((X * X / 3 + Y) / (Y * 2 + 3), (Fraction(1, 3), Fraction(1, 2), 0)))
+def test_eval_matches_ring_arithmetic(case):
+    f, point = case
+    for p in (f.num, f.den):
+        assert_same(p.eval(point), reference_poly_eval(p, point))
+    try:
+        want = reference_eval(f, point)
+    except DegenerateError:
+        with pytest.raises(DegenerateError, match="^denominator vanishes at the point$"):
+            f.eval(point)
+        return
+    assert_same(f.eval(point), want)
+
+
+def test_int_ratfunc_evaluates_to_a_fraction():
+    f = RatFunc(Poly(("x",), {(1,): 1}), Poly(("x",), {(0,): 1, (1,): 1}))
+    assert_same(f.eval((2,)), Fraction(2, 3))
+    g = RatFunc(Poly(("x",), {(2,): 1}), Poly(("x",), {(0,): 1}))
+    assert_same(g.eval((3,)), Fraction(9))
+    assert_same(g.num.eval((3,)), 9)
+
+
+@pytest.mark.parametrize("d1, d2", [(-3, -1), (-1, -3)])
+def test_eval_rejects_irrational_values_of_two_fields(d1, d2):
+    f = (X + QuadExt(0, 1, d1)) / (Y + 2)
+    m = EquivMap("m", VarietySpec("A", (Block("affine", XYZ),)),
+                 VarietySpec("B", (Block("affine", ("u", "v")),)), (Y / (Y + 2), f))
+    point = (QuadExt(0, 1, d2), 1, 0)
+    for evaluate in (f.eval, f.num.eval, lambda pt: map_of_point(m, pt)):
+        with pytest.raises(FieldMismatchError):
+            evaluate(point)
+    # a rational value of the other field crosses over, an unused entry is not read
+    for point in ((QuadExt(2, 0, d2), 1, 0), (1, 1, QuadExt(0, 1, d2))):
+        assert_same(f.eval(point), reference_eval(f, point))
+        assert map_of_point(m, point) == (reference_eval(Y / (Y + 2), point),
+                                          reference_eval(f, point))
+
+
+def test_eval_at_a_generic_point_takes_the_ring_loop():
+    f = (X * Y + QuadExt(0, 1, -3)) / (Z + 1)
+    assert f.eval((X, Y, Z)) == f
+    assert f.num.eval((X, Y, Z)) == X * Y + QuadExt(0, 1, -3)
+    assert f.eval((Y, X, Z * 2)) == ratfunc_compose(f, (Y, X, Z * 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(EVAL_FIELDS).flatmap(lambda d: st.tuples(
+    st.lists(ratfuncs(d, XYZ, 4, 2), min_size=1, max_size=4),
+    st.tuples(*[entries(d)] * 3))))
+@example(([X / (Y + 1), Z], (1, 2, QuadExt(0, 1, -3))))  # a Fraction and a QuadExt
+def test_map_of_point_is_each_component_at_the_point(case):
+    comps, point = case
+    target = tuple(f"u{i}" for i in range(len(comps)))
+    m = EquivMap("m", VarietySpec("A", (Block("affine", XYZ),)),
+                 VarietySpec("B", (Block("affine", target),)), comps)
+    try:
+        want = tuple(reference_eval(f, point) for f in comps)
+    except DegenerateError:
+        with pytest.raises(DegenerateError, match="^denominator vanishes at the point$"):
+            map_of_point(m, point)
+        return
+    got = map_of_point(m, point)
+    for g, f, w in zip(got, comps, want):
+        assert_same(g, w)
+        assert_same(f.eval(point), w)

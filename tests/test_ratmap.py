@@ -1,20 +1,21 @@
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from math import prod
 
 import pytest
 
-from cayleycert import rank2, su3
+from cayleycert import rank2, ratmap, su3
+from cayleycert.catalog import run_construction
 from cayleycert.classical import pgl_cayley
 from cayleycert.errors import DegenerateError, SamplingError, StructureError
 from cayleycert.group import ActionGen, GroupSpec, identity_perm
 from cayleycert.poly import RatFunc, chart_restrict
-from cayleycert.ratmap import (Block, EquivMap, Relation, VarietySpec,
+from cayleycert.ratmap import (NO_ACTION, Block, EquivMap, Relation, VarietySpec,
                                chart_tuple, check_equivariance, check_group_relations,
                                check_inverse_pair, check_target_relations, compose,
-                               compose_pair, linear_slice, product, projective_space,
-                               random_point, sample, torus)
+                               compose_pair, linear_slice, map_of_point, product,
+                               projective_space, random_point, sample, torus)
 from cayleycert.su3 import (link_phi, link_quotient, link_segre, quotient_variety,
                             torus_variety)
 
@@ -434,3 +435,60 @@ def test_swapped_generators_break_their_relations_with_witnesses():
         moved = grp.apply_word(word, point) != point
         assert moved == (word in (grp.relations[0], grp.relations[1],
                                   grp.relations[4], grp.relations[5]))
+
+
+# -- the evaluation plan of a map ---------------------------------------------
+
+def test_a_map_cannot_be_edited_in_place():
+    m = link_quotient().forward
+    with pytest.raises(FrozenInstanceError):
+        m.components = m.components[::-1]
+    with pytest.raises(FrozenInstanceError):
+        m.source_action = NO_ACTION
+
+
+def test_replace_rebuilds_the_evaluation_plan():
+    m = link_quotient().forward
+    swapped = replace(m, components=(m.components[0], m.components[2], m.components[1]))
+    x = random_point(m.source, 4)
+    a, b, c = map_of_point(m, x)
+    assert map_of_point(swapped, x) == (a, c, b)
+    assert map_of_point(swapped, x) == tuple(f.eval(x) for f in swapped.components)
+
+
+def test_swapped_components_fixture_evaluates_the_swapped_map(monkeypatch):
+    seen = []
+    evaluate = ratmap.map_of_point
+
+    def recording(m, point):
+        got = evaluate(m, point)
+        seen.append((m.name, m.components, point, got))
+        return got
+
+    monkeypatch.setattr(ratmap, "map_of_point", recording)
+    cert = run_construction("mutation.swapped-components", seed=7, trials=15)
+    assert cert.failing()[0].name == "equivariance[(1 2)]"
+    m = link_quotient().forward
+    swapped = (m.components[0], m.components[2], m.components[1])
+    assert seen and {name for name, *_ in seen} == {"mutation.swapped-components"}
+    for _, comps, point, got in seen:
+        assert comps == swapped
+        a, b, c = evaluate(m, point)
+        assert got == (a, c, b)
+
+
+def test_spot_check_evaluates_through_map_of_point(monkeypatch):
+    # perfbench's ratmap.spot_check_s span times ratmap.map_of_point, so the
+    # spot check must go through that name: both maps at every agreement
+    calls = []
+    evaluate = ratmap.map_of_point
+
+    def counting(m, point):
+        calls.append(m.name)
+        return evaluate(m, point)
+
+    monkeypatch.setattr(ratmap, "map_of_point", counting)
+    pair = link_quotient()
+    cert = check_inverse_pair(pair.forward, pair.inverse, seed=6, trials=3)
+    assert cert.verdicts[-1].detail.startswith("3 agreements")
+    assert calls.count(pair.forward.name) >= 3 and calls.count(pair.inverse.name) >= 3

@@ -38,11 +38,17 @@ Composition and the exact equality tests stay on integers from input to
 verdict.  :func:`ratfunc_compose` scales the powers of the substituted
 numerators and denominators to integer rows once per call, runs each
 term's chain of products on integers over one lcm denominator, and builds
-each output coefficient once.  :func:`ratfunc_equal` and ``_cross`` (the
+each output coefficient once.  The one-term rows of a chain fold into a
+pending monomial (one key addition and one coefficient product each),
+which multiplies into the running product only just before a many-term
+row and once at the end.  :func:`ratfunc_equal` and ``_cross`` (the
 projective 2x2 test of ``ratmap``) count the nonzero terms of a difference
 of integer cross products.  Both form the products of the ``RatFunc``
 arithmetic they stand for, in its order, so the term budget trips at the
-same product with the same message.
+same product with the same message.  A fold keeps that: a one-term factor
+never changes a term count, the many-term products keep their operand
+sizes and order, and a fold raises the :class:`ExponentOverflowError` of
+the product it replaces, with its message.
 
 Coefficient types of a product follow the one rule of ``field._domain``,
 shared with ``matrices``: ``QuadExt`` in the field of the irrational
@@ -156,6 +162,23 @@ def _scaled(terms):
     return [(e, p * (den // n), q * (den // n)) for e, (p, q, n) in t], den
 
 
+def _overflow(k1, k2, ceiling):
+    """The error for a product whose leading keys k1 and k2 overflow."""
+    low = ceiling.bit_length() - 1 - WIDTH          # lowest bit of the degree field
+    return ExponentOverflowError(f"product of degree {(k1 >> low) + (k2 >> low)} "
+                                 f"exceeds the {WIDTH}-bit exponent field")
+
+
+def _shift(terms, mono, d):
+    """Scaled ``terms`` times the one term ``mono`` = (key, p, q): each key
+    shifts and no term meets another, so none cancels."""
+    e1, p1, q1 = mono
+    if d is None:
+        return [(e1 + e2, p1 * p2, 0) for e2, p2, _ in terms]
+    dq1 = d * q1
+    return [(e1 + e2, p1 * p2 + dq1 * q2, p1 * q2 + q1 * p2) for e2, p2, q2 in terms]
+
+
 def _mul(x, y, d, ceiling):
     """Product of two scaled polys (terms, den), terms [(key, p, q)] as
     from :func:`_scaled`, on integers and not normalised: the nonzero terms
@@ -177,20 +200,9 @@ def _mul(x, y, d, ceiling):
     if not a or not b:
         return [], da * db
     if a[0][0] + b[0][0] >= ceiling:
-        low = ceiling.bit_length() - 1 - WIDTH      # lowest bit of the degree field
-        raise ExponentOverflowError(
-            f"product of degree {(a[0][0] >> low) + (b[0][0] >> low)} "
-            f"exceeds the {WIDTH}-bit exponent field")
+        raise _overflow(a[0][0], b[0][0], ceiling)
     if len(a) == 1 or len(b) == 1:
-        # one term times a poly: shift its keys, no term meets another
-        (e1, p1, q1), = a if len(a) == 1 else b
-        rest = b if len(a) == 1 else a
-        if d is None:
-            out = [(e1 + e2, p1 * p2, 0) for e2, p2, _ in rest]
-        else:
-            dq1 = d * q1
-            out = [(e1 + e2, p1 * p2 + dq1 * q2, p1 * q2 + q1 * p2)
-                   for e2, p2, q2 in rest]
+        out = _shift(b, a[0], d) if len(a) == 1 else _shift(a, b[0], d)
     elif d is None:
         acc = {}
         for e1, p1, _ in a:
@@ -846,6 +858,12 @@ def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
         num_pows.append(nrow)
         den_pows.append(drow)
 
+    def times(val, mono):
+        # val times a monomial (key, p, q), where val None stands for 1
+        if val is None:
+            return [mono], 1
+        return val if mono == (0, 1, 0) else (_shift(val[0], mono, d), 1)
+
     def cleared(terms):
         # each term's chain of rows, and its denominator before the products
         chains = []
@@ -859,9 +877,24 @@ def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
         den = lcm(*[m for _, _, m, _ in chains])
         acc = {}
         for p, q, m, rows in chains:
-            val = [(0, p * (den // m), q * (den // m))], 1
+            # one-term rows fold into the pending monomial (key, p, q); val,
+            # the product of the rest, meets it only before a many-term row
+            val, key, p, q = None, 0, p * (den // m), q * (den // m)
             for r in rows:
-                val = _mul(val, r, d, ceiling)
+                if len(r[0]) == 1:
+                    (e, x, y), = r[0]
+                    lead = key if val is None else key + val[0][0][0]
+                    if lead + e >= ceiling:
+                        raise _overflow(lead, e, ceiling)
+                    key += e
+                    p, q = (p * x, 0) if d is None else (p * x + d * q * y, p * y + q * x)
+                    continue
+                val = _mul(times(val, (key, p, q)), r, d, ceiling)
+                if not val[0]:
+                    break               # a zero row: so is the term
+                key, p, q = 0, 1, 0
+            else:
+                val = times(val, (key, p, q))
             for e, x, y in val[0]:
                 s = acc.get(e)
                 if s is None:

@@ -8,19 +8,20 @@ values.  An :class:`EquivMap` bundles the component
 rational functions with source and target action tables over a common
 group.  Equivariance and inverse identities are exact: rational function
 identities modulo the source relations, with projective blocks compared
-through vanishing 2x2 cross products, and round trips telescoped over
-stages (a plain pair is one stage).  A group's defining relations are
-decided the same way on the chart, and two generator actions are
-compared on a generic tuple.  Random points only confirm these identities
+through vanishing 2x2 cross products against one pivot coordinate
+(:func:`_pivot`, which the spot checks share), and round trips
+telescoped over stages (a plain pair is one stage).  A group's defining
+relations are decided the same way on the chart, and two generator
+actions are compared on a generic tuple.  Random points only confirm these identities
 (the spot check of a round trip) or localise a failure (a witness), and
 every draw goes through :func:`sample`, the package's one sampling loop.
 
 A map is evaluated at a point by :func:`map_of_point`, which runs the
 map's :class:`~cayleycert.poly.EvalPlan` on every component at once: the
 integer kernel of ``poly``, with exponent tuples, scaled coefficients and
-largest powers computed when the map is built.  ``EquivMap`` is frozen,
-so the plan cannot go stale; ``dataclasses.replace`` builds a new map,
-and with it a new plan.
+largest powers computed at the map's first evaluation.  ``EquivMap`` is
+frozen, so the plan cannot go stale; ``dataclasses.replace`` builds a new
+map, and with it a new plan.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegenerateError, SamplingError, StructureError
 from .field import random_rational, scalar_str
@@ -164,7 +166,6 @@ class EquivMap:
     components: tuple
     source_action: GroupSpec = NO_ACTION
     target_action: GroupSpec = NO_ACTION
-    _plan: EvalPlan = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -184,7 +185,11 @@ class EquivMap:
                     raise StructureError(
                         f"{self.name}: action {label!r} arity {gen.arity} does not "
                         f"match {spec.name}")
-        object.__setattr__(self, "_plan", EvalPlan(self.components))
+
+    @cached_property
+    def _plan(self) -> EvalPlan:
+        # built at the first evaluation: most composed maps are never evaluated
+        return EvalPlan(self.components)
 
     def generator_labels(self):
         return self.source_action.labels()
@@ -273,11 +278,28 @@ def chart_tuple(spec: VarietySpec):
                   RatFunc.const(free, Fraction(1)))
 
 
+def _pivot(a, b, nonzero):
+    """The pivot of the projective comparison of representatives a and b:
+    the index i of a's first coordinate that is ``nonzero``, or None when
+    a or b is all zero (the zero tuple is no point).  a and b are then
+    proportional exactly when a_i*b_j = a_j*b_i for every j != i: if b_i
+    is zero so is every b_j, which the guard excludes, and else
+    b = (b_i/a_i)*a.  The exact and the sampled comparisons share it."""
+    if not any(map(nonzero, b)):
+        return None
+    return next((i for i, x in enumerate(a) if nonzero(x)), None)
+
+
 def _tuple_equal(spec_tgt: VarietySpec, lhs, rhs) -> tuple:
     """Exact equality of two target-valued tuples (already on a chart).
 
-    Returns (equal, max_terms).  Projective blocks compare through the
-    vanishing of all 2x2 cross products, everything else coordinatewise.
+    Returns (equal, max_terms), max_terms the largest term count of an
+    input function or of a cross product formed.  A projective block of k
+    coordinates follows the pivot rule of :func:`_pivot`: it is unequal
+    when either side is all zero, and else equal exactly when the k - 1
+    cross products lhs_i*rhs_j - lhs_j*rhs_i vanish, i the first nonzero
+    coordinate of lhs and j each other one.  Everything else compares
+    coordinatewise.
     """
     max_terms = max((len(f.num.terms) + len(f.den.terms) for f in (*lhs, *rhs)),
                     default=0)
@@ -285,17 +307,15 @@ def _tuple_equal(spec_tgt: VarietySpec, lhs, rhs) -> tuple:
         seg_l = lhs[start:stop]
         seg_r = rhs[start:stop]
         if block.is_projective:
-            k = len(seg_l)
-            for i in range(k):
-                for j in range(i + 1, k):
+            i = _pivot(seg_l, seg_r, lambda f: not f.is_zero())
+            if i is None:
+                return False, max_terms
+            for j in range(len(seg_l)):
+                if j != i:
                     zero, terms = _cross(seg_l[i], seg_r[i], seg_l[j], seg_r[j])
                     max_terms = max(max_terms, terms)
                     if not zero:
                         return False, max_terms
-            # guard against the all-zero representative, which would make
-            # the cross product test vacuous
-            if all(f.is_zero() for f in seg_l) or all(f.is_zero() for f in seg_r):
-                return False, max_terms
         else:
             for fl, fr in zip(seg_l, seg_r):
                 if not ratfunc_equal(fl, fr):
@@ -316,13 +336,10 @@ def _points_equal(spec: VarietySpec, p, q) -> bool:
         a = p[start:stop]
         b = q[start:stop]
         if block.is_projective:
-            k = len(a)
-            if all(not x for x in a) or all(not x for x in b):
+            i = _pivot(a, b, bool)
+            if i is None or any(a[i] * b[j] != a[j] * b[i]
+                                for j in range(len(a)) if j != i):
                 return False
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if a[i] * b[j] != a[j] * b[i]:
-                        return False
         else:
             if any(x != y for x, y in zip(a, b)):
                 return False
@@ -488,10 +505,13 @@ def check_inverse_pair(f: EquivMap, g: EquivMap, seed=0, trials: int = 100,
 
     g o f must be the identity of f.source and f o g the identity of
     g.source, as rational identities modulo the respective relations
-    (projective blocks up to a common scalar).  The spot check evaluates
-    both round trips at ``trials`` random points, so ``trials`` must be at
-    least 1; sampling retries caused by the exceptional locus are counted
-    and reported, value disagreements fail with a witness.
+    (projective blocks up to a common scalar: neither side is all zero,
+    and the 2x2 cross products of the first nonzero coordinate of the
+    round trip with each other coordinate vanish; see :func:`_pivot`).
+    The spot check evaluates both round trips at ``trials`` random points,
+    so ``trials`` must be at least 1; sampling retries caused by the
+    exceptional locus are counted and reported, value disagreements fail
+    with a witness.
 
     The round trips are certified by exact telescoping over ``stages``,
     the list of MapPairs whose forwards compose to f (and whose reversed

@@ -298,6 +298,17 @@ def test_compose_at_the_exponent_width_works_and_past_it_raises():
         ratfunc_compose(x * y, (at[0], RatFunc(t ** 25536)))
     with pytest.raises(ExponentOverflowError):
         ratfunc_compose(y / x, (RatFunc(t ** 2), 1 / RatFunc(t ** 65535)))
+    # a one-term row folded after a many-term row overflows at the product
+    # the arithmetic forms, with its message
+    at = (RatFunc(t ** 40000 + 1), RatFunc(t ** 25535))
+    assert ratfunc_compose(x * y, at) == RatFunc(t ** 65535 + t ** 25535)
+    at = (at[0], RatFunc(t ** 25536))
+    with pytest.raises(ExponentOverflowError) as got:
+        ratfunc_compose(x * y, at)
+    with pytest.raises(ExponentOverflowError) as want:
+        reference_compose(x * y, at)
+    assert str(got.value) == str(want.value) == \
+        "product of degree 65536 exceeds the 16-bit exponent field"
 
 
 # -- differential oracle for the product kernel, composition and charts ------
@@ -605,6 +616,12 @@ S_T_1 = st_rf({(1, 0): 1, (0, 1): 1, (0, 0): 1}, {(0, 0): 1})
 @example((xyz_rf({(0, 0, 0): 3}, {(0, 0, 0): 1}), (st_rf({(1, 0): 2}, {(0, 1): 1}),) * 3))
 @example((xyz_rf({(1, 0, 0): 2, (0, 0, 0): 1}, {(0, 2, 0): 1}),
           (st_rf({(1, 0): 2}, {(0, 1): 1}),) * 3))
+# one-term rows on both sides of the many-term row of y: 2s, then s + 1, then 3t
+@example((xyz_rf({(1, 1, 1): 1, (0, 0, 0): 2}, {(1, 0, 0): 1}),
+          (st_rf({(1, 0): 2}, {(0, 1): 1}), S_PLUS_1, st_rf({(0, 1): 3}, {(0, 0): 1}))))
+# a zero substitution numerator, then the one-term row of y
+@example((xyz_rf({(1, 1, 0): 1, (0, 0, 0): 1}, {(0, 0, 0): 1}),
+          (st_rf({}, {(0, 0): 1}), st_rf({(1, 0): 2}, {(0, 1): 1}), T_PLUS_1)))
 def test_compose_matches_ratfunc_arithmetic(case):
     f, subst = case
     try:

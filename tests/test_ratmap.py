@@ -4,18 +4,20 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cayleycert import rank2, ratmap, su3
 from cayleycert.catalog import run_construction
 from cayleycert.classical import pgl_cayley
 from cayleycert.errors import DegenerateError, SamplingError, StructureError
 from cayleycert.group import ActionGen, GroupSpec, identity_perm
-from cayleycert.poly import RatFunc, chart_restrict
+from cayleycert.poly import RatFunc, chart_restrict, ratfunc_equal
 from cayleycert.ratmap import (NO_ACTION, Block, EquivMap, Relation, VarietySpec,
                                chart_tuple, check_equivariance, check_group_relations,
                                check_inverse_pair, check_target_relations, compose,
                                compose_pair, linear_slice, map_of_point, product,
-                               projective_space, random_point, sample, torus)
+                               projective_space, random_point, sample, torus,
+                               _points_equal, _tuple_equal)
 from cayleycert.su3 import (link_phi, link_quotient, link_segre, quotient_variety,
                             torus_variety)
 
@@ -492,3 +494,115 @@ def test_spot_check_evaluates_through_map_of_point(monkeypatch):
     cert = check_inverse_pair(pair.forward, pair.inverse, seed=6, trials=3)
     assert cert.verdicts[-1].detail.startswith("3 agreements")
     assert calls.count(pair.forward.name) >= 3 and calls.count(pair.inverse.name) >= 3
+
+
+def test_a_map_builds_its_plan_at_the_first_evaluation(monkeypatch):
+    built = []
+    plan = ratmap.EvalPlan
+
+    def recording(funcs):
+        built.append(funcs)
+        return plan(funcs)
+
+    monkeypatch.setattr(ratmap, "EvalPlan", recording)
+    pair = link_quotient()
+    m = compose(pair.forward, pair.inverse)
+    assert not built
+    x = random_point(m.source, 2)
+    assert map_of_point(m, x) == map_of_point(m, x)
+    assert built == [m.components]
+
+
+# -- the projective pivot rule ------------------------------------------------
+#
+# A projective block compares k - 1 cross products against the first nonzero
+# coordinate of the left side, after the all-zero guard.  The reference is
+# the rule it replaces: the guard and all k(k-1)/2 cross products.
+
+UV = ("u", "v")
+U, V = RatFunc.variables(UV)
+ENTRIES = tuple(RatFunc.const(UV, c) for c in (0, 0, 1, -2)) + (
+    U, V, U + 1, U * V, 1 / (V + 1), (U - V) / (U + 2))
+ZERO_UV = ENTRIES[0]
+SCALES = (RatFunc.const(UV, 3), U, (V + 2) / U, -1 / (U * V + 1))
+POINT = (Fraction(3), Fraction(-5, 2))     # no entry or scale vanishes here
+PROJECTIVE = {k: projective_space("P", ("a", "b", "c", "d", "e")[:k]) for k in range(2, 6)}
+
+
+def all_pairs(a, b, is_zero, same):
+    """Projective equality by the guard and every 2x2 cross product."""
+    if all(map(is_zero, a)) or all(map(is_zero, b)):
+        return False
+    return all(same(a[i] * b[j], a[j] * b[i])
+               for i in range(len(a)) for j in range(i + 1, len(a)))
+
+
+def assert_pivot_matches_all_pairs(lhs, rhs):
+    spec = PROJECTIVE[len(lhs)]
+    want = all_pairs(lhs, rhs, RatFunc.is_zero, ratfunc_equal)
+    assert _tuple_equal(spec, lhs, rhs)[0] is want
+    # the sampled comparison decides the values at a point by the same rule
+    a, b = (tuple(f.eval(POINT) for f in side) for side in (lhs, rhs))
+    assert _points_equal(spec, a, b) is all_pairs(a, b, lambda x: x == 0,
+                                                  lambda x, y: x == y)
+    return want
+
+
+@st.composite
+def projective_pairs(draw):
+    """Two representatives: the second a multiple of the first, a multiple
+    with one coordinate redrawn, or drawn on its own."""
+    k = draw(st.integers(2, 5))
+    side = st.lists(st.sampled_from(ENTRIES), min_size=k, max_size=k)
+    lhs = draw(side)
+    how = draw(st.sampled_from(("scaled", "edited", "free")))
+    if how == "free":
+        return lhs, draw(side)
+    s = draw(st.sampled_from(SCALES))
+    rhs = [s * f for f in lhs]
+    if how == "edited":
+        rhs[draw(st.integers(0, k - 1))] = draw(st.sampled_from(ENTRIES))
+    return lhs, rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(projective_pairs())
+@example(([ZERO_UV, U, V], [ZERO_UV, U * 2, V * 2]))
+@example(([ZERO_UV, ZERO_UV], [U, V]))
+def test_pivot_rule_matches_all_cross_products(pair):
+    assert_pivot_matches_all_pairs(*pair)
+
+
+@pytest.mark.parametrize("lhs, rhs, equal", [
+    # a zero first coordinate: the pivot is the second
+    ((ZERO_UV, U, V), (ZERO_UV, 2 * U, 2 * V), True),
+    ((ZERO_UV, U, V), (ZERO_UV + 1, 2 * U, 2 * V), False),
+    ((ZERO_UV, ZERO_UV, U, V), (ZERO_UV, ZERO_UV, U / V, ZERO_UV + 1), True),
+    # the all-zero right side, which every cross product would let through
+    ((U, V, ZERO_UV + 1), (ZERO_UV, ZERO_UV, ZERO_UV), False),
+    ((ZERO_UV, ZERO_UV, ZERO_UV), (U, V, ZERO_UV + 1), False),
+    # the two differ only in the pair (1, 2), which leaves out the pivot 0
+    ((ZERO_UV + 1, U, V), (ZERO_UV + 1, V, U), False),
+    ((U, U + 1, V, U * V), (U, U + 1, V * 2, U * V), False),
+], ids=["zero-first", "zero-first-unequal", "two-zeros-first", "rhs-all-zero",
+        "lhs-all-zero", "swapped-pair", "one-scaled-coordinate"])
+def test_pivot_rule_explicit_cases(lhs, rhs, equal):
+    assert assert_pivot_matches_all_pairs(lhs, rhs) is equal
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_a_projective_block_makes_k_minus_1_crosses(monkeypatch, k):
+    calls = []
+    cross = ratmap._cross
+
+    def counting(*abcd):
+        calls.append(abcd)
+        return cross(*abcd)
+
+    monkeypatch.setattr(ratmap, "_cross", counting)
+    lhs = (ZERO_UV, U, V, U + 1, V * U)[:k]
+    rhs = tuple(f * (U + V) for f in lhs)
+    assert _tuple_equal(PROJECTIVE[k], lhs, rhs)[0]
+    # one cross of the pivot, the first nonzero coordinate, with each other one
+    assert [tuple(map(id, abcd)) for abcd in calls] == [
+        (id(lhs[1]), id(rhs[1]), id(lhs[j]), id(rhs[j])) for j in range(k) if j != 1]

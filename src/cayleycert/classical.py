@@ -15,8 +15,14 @@ is a gather, iota(a)[i][j] = (h_q / h_p) core(a)[p][q] with p = sigma^-1(i)
 and q = sigma^-1(j), read from a table built once: a factor of +-1 is a
 sign, any other (as for diag(1, 2, -3)) one scalar product, and the
 conjugation is applied to each gathered entry.  The transform uses
-(1 - a)(1 + a)^-1 = 2(1 + a)^-1 - 1: one inverse of a with its diagonal
-shifted by 1, then a doubling, with no matrix product.
+(1 - a)(1 + a)^-1 = 2(1 + a)^-1 - 1: one inverse, of (1 + a)/2, then a
+diagonal shift by -1, with no matrix product.
+
+Scalar work runs on the integer form of ``matrices`` (``_IntMat``), and
+the gather table also holds each factor as integers over one common L.
+The sampled suite of :func:`classical_certificate` stays on forms from
+draw to verdict, and builds scalars only for a witness; the public
+functions convert scalar matrices in and out.
 
 The projective variant for the quotient of the full matrix group by
 scalars is built here too: [a] -> (n / tr a) a - 1 with inverse
@@ -32,8 +38,8 @@ from operator import attrgetter
 
 from .errors import DegenerateError, PreconditionError, StructureError
 from .field import QuadExt, QuadField, _domain, conj
-from .matrices import (conj_transpose, identity, mat_add, mat_eq, mat_inverse,
-                       mat_mul, mat_neg, mat_scale, mat_str, mat_sub, transpose)
+from .matrices import (_IntMat, conj_transpose, identity, mat_add, mat_eq, mat_mul,
+                       mat_neg, mat_scale, mat_str, mat_sub, transpose)
 from .poly import Poly, RatFunc, ratfunc_compose, ratfunc_equal
 from .ratmap import (Certificate, EquivMap, MapPair, Relation, VarietySpec, Block,
                      projective_space, sample)
@@ -82,13 +88,20 @@ class MatrixAlg:
             raise StructureError(MONOMIAL_RULE)
         sigma = [c[0][0] for c in cells]
         h = [c[0][1] for c in cells]
-        # entry (i, j) is f * core(a)[p][q] = f * a[q][p] with p = sigma[i],
-        # q = sigma[j] and f = h_q / h_p; s is f when f = +-1, else 0
-        self._gather = tuple(tuple((q, p, f, (f == 1) - (f == -1))
-                                   for q in sigma for f in (h[q] / h[p],)) for p in sigma)
         kind, d = _domain(*H)
         self._kind = (QuadExt if kind is QuadExt else Fraction), d
+        # entry (i, j) is f * core(a)[p][q] = f * a[q][p] with p = sigma[i],
+        # q = sigma[j], f = h_q / h_p = (u + v*sqrt(d))/L over one L =
+        # self._den, and s = f when f = +-1, else 0
+        fs = [[h[q] / h[p] for q in sigma] for p in sigma]
+        k = _IntMat.of(fs, d if kind is QuadExt else None)
+        self._den = k.den
+        self._gather = tuple(
+            tuple((q, p, f, (f == 1) - (f == -1), u, v)
+                  for q, f, u, v in zip(sigma, fr, ur, vr))
+            for p, fr, ur, vr in zip(sigma, fs, k.p, k.q or [[0] * self.n] * self.n))
         self.one = identity(self.n, self.field.one if self.field is not None else Fraction(1))
+        self._d = self._int(self.one)[0].d      # the sampled suite's field
 
     def involute(self, a):
         """iota(a) = H^-1 core(a) H; an anti-automorphism with iota^2 = id.
@@ -101,13 +114,26 @@ class MatrixAlg:
         if self._conj:
             # the inner loop binds c to the conjugated entry once
             m = tuple(tuple(c if s == 1 else -c if s else f * c
-                            for q, p, f, s in row for c in (conj(a[q][p]),))
+                            for q, p, f, s, _, _ in row for c in (conj(a[q][p]),))
                       for row in self._gather)
         else:
             m = tuple(tuple(a[q][p] if s == 1 else -a[q][p] if s else f * a[q][p]
-                            for q, p, f, s in row)
+                            for q, p, f, s, _, _ in row)
                       for row in self._gather)
         return self._retype(m, a)
+
+    def _involute_int(self, m):
+        """iota on an integer form: the gather of :meth:`involute` with the
+        integer factors u + v*sqrt(d), over the denominator L * m.den."""
+        a, b, den = m.p, m.q, self._den * m.den
+        if b is None:
+            return _IntMat([[u * a[q][p] for q, p, _, _, u, _ in row]
+                            for row in self._gather], None, den, None)
+        c, cd = (-1, -m.d) if self._conj else (1, m.d)
+        return _IntMat([[u * a[q][p] + cd * v * b[q][p] for q, p, _, _, u, v in row]
+                        for row in self._gather],
+                       [[c * u * b[q][p] + v * a[q][p] for q, p, _, _, u, v in row]
+                        for row in self._gather], den, m.d)
 
     def _retype(self, m, a):
         """m with the entry type of H^-1 core(a) H.  Entries of ``a`` over
@@ -123,80 +149,99 @@ class MatrixAlg:
             return m
         return mat_scale(QuadExt(1, 0, d) if kind is QuadExt else Fraction(1), m)
 
-    def group_residual(self, a):
-        """iota(a) a - 1; zero exactly when a is a group point."""
-        return mat_sub(mat_mul(self.involute(a), a), self.one)
+    def _int(self, *mats):
+        """Integer forms of scalar matrices, all over the domain that
+        ``field._domain`` gives them together with the form and 1."""
+        kind, d = _domain(*chain.from_iterable(mats), *self.form, *self.one)
+        return [_IntMat.of(m, d if kind is QuadExt else None) for m in mats]
+
+    def _residual(self, a):
+        """iota(a) a - 1 on an integer form: zero exactly on group points."""
+        return (self._involute_int(a) @ a).shift(-1)
+
+    def _is_skew(self, x):
+        return not self._involute_int(x) + x
 
     def is_group_point(self, a) -> bool:
-        return all(not x for r in self.group_residual(a) for x in r)
+        return not self._residual(*self._int(a))
 
     def is_skew(self, x) -> bool:
-        s = mat_add(self.involute(x), x)
-        return all(not v for r in s for v in r)
+        return self._is_skew(*self._int(x))
 
-    def random_entry(self, rng):
-        # numerators in [-3, 3] over 1 or 2 keep the integers of mat_mul and
-        # the fraction-free mat_inverse short
-        if self.field is not None:
-            return self.field.of(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
-                                 Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    def _random_skew(self, rng):
+        """(x - iota(x))/2, skew for any x, as an integer form.  Entries r/s
+        of x (a + b*sqrt(d) with such a, b over a field) have r in [-3, 3]
+        and s in {1, 2}, held as r*(2 // s) over 2: short integers."""
+        def half():
+            return rng.randint(-3, 3) * (2 // rng.randint(1, 2))
+        pairs = [[(half(), half()) if self.field is not None else (half(), 0)
+                  for _ in range(self.n)] for _ in range(self.n)]
+        x = _IntMat([[p for p, _ in r] for r in pairs],
+                    self._d and [[q for _, q in r] for r in pairs], 2, self._d)
+        return (x + -self._involute_int(x)).over(2)
 
-    def random_skew(self, rng):
-        """x - iota(x) is skew for any x; halving keeps it exact."""
-        raw = tuple(tuple(self.random_entry(rng) for _ in range(self.n))
-                    for _ in range(self.n))
-        return mat_scale(Fraction(1, 2), mat_sub(raw, self.involute(raw)))
-
-    def random_group_point(self, rng):
-        """Group points come from the inverse transform of random skews; 32
-        skews that all hit the exceptional locus raise DegenerateError."""
+    def _random_point(self, rng):
+        """A group point (integer form): the transform of a random skew,
+        checked skew first; 32 exceptional skews raise DegenerateError."""
         for _ in range(32):
-            x = self.random_skew(rng)
+            x = self._random_skew(rng)
+            if not self._is_skew(x):
+                raise PreconditionError(f"drawn skew is not skew: {mat_str(x.scalars())}")
             try:
-                return cayley_transform_of_skew(self, x)
+                return _transform(x)
             except DegenerateError:
                 continue
         raise DegenerateError("could not sample a group point")
 
+    def random_group_point(self, rng):
+        return self._random_point(rng).scalars()
+
 
 def cayley_transform(alg: MatrixAlg, a):
     """(1 - a)(1 + a)^-1 for a group point a; lands in the skew space."""
-    res = alg.group_residual(a)
-    if any(x for r in res for x in r):
-        raise PreconditionError(
-            f"not a group point; residual iota(a)a - 1 = {mat_str(res)}")
-    return _transform(alg, a)
+    return _to_skew(alg, *alg._int(a)).scalars()
 
 
 def cayley_transform_of_skew(alg: MatrixAlg, x):
     """The same formula sends a skew element back into the group."""
     if not alg.is_skew(x):
         raise PreconditionError("input is not skew for the involution")
-    return _transform(alg, x)
+    return _transform(*alg._int(x)).scalars()
 
 
-def _transform(alg, a):
-    """(1 - a)(1 + a)^-1 = 2(1 + a)^-1 - 1, an identity in any ring where
-    1 + a is invertible (1 - a = 2 - (1 + a)): one inverse, no product."""
-    one = alg.one[0][0]
+def _to_skew(alg, a):
+    """:func:`cayley_transform` on an integer form."""
+    res = alg._residual(a)
+    if res:
+        raise PreconditionError(
+            f"not a group point; residual iota(a)a - 1 = {mat_str(res.scalars())}")
+    return _transform(a)
+
+
+def _transform(a):
+    """(1 - a)(1 + a)^-1 = 2(1 + a)^-1 - 1 on an integer form, an identity
+    in any ring where 1 + a is invertible (1 - a = 2 - (1 + a)): one
+    inverse, of (1 + a)/2, and no product."""
     try:
-        inv = mat_inverse(tuple(tuple(x + one if i == j else x for j, x in enumerate(r))
-                                for i, r in enumerate(a)))
+        inv = a.shift(1).over(2).inverse()
     except DegenerateError:
         raise DegenerateError("1 + a is singular (exceptional locus)")
-    return tuple(tuple(2 * x - 1 if i == j else 2 * x for j, x in enumerate(r))
-                 for i, r in enumerate(inv))
+    return inv.shift(-1)
+
+
+def _conjugation_holds(alg, a, x, g) -> bool:
+    """transform(g a g^-1) == g x g^-1 for integer forms a, x = transform(a)
+    and g; raises PreconditionError when g a g^-1 is not a group point."""
+    ginv = g.inverse()
+    return _to_skew(alg, g @ a @ ginv) == g @ x @ ginv
 
 
 def cayley_conjugation_equivariance(alg: MatrixAlg, a, g) -> bool:
     """transform(g a g^-1) == g transform(a) g^-1, exactly."""
     if not alg.is_group_point(g):
         raise PreconditionError("g is not a group point")
-    ginv = mat_inverse(g)
-    lhs = cayley_transform(alg, mat_mul(g, mat_mul(a, ginv)))
-    rhs = mat_mul(g, mat_mul(cayley_transform(alg, a), ginv))
-    return mat_eq(lhs, rhs)
+    a, g = alg._int(a, g)
+    return _conjugation_holds(alg, a, _to_skew(alg, a), g)
 
 
 # -- standard algebras -----------------------------------------------------
@@ -269,8 +314,9 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
     of ``trials`` attempts, each drawing group points a, then g: a must map
     to a skew x that maps back to a, and g must conjugate a and x alike.
     Their details state the count, and they fail when it is 0.  A failed
-    identity fails ``transform-suite`` instead, with a (or g for the
-    conjugation) as its witness.  ``trials`` must be at least 1.
+    identity, or a point that is no group point, fails ``transform-suite``
+    instead, with a (g for the conjugation) as its witness, and a drawn
+    skew that is not skew with its text.  ``trials`` must be at least 1.
     """
     if trials < 1:
         raise StructureError(f"trials must be positive: {trials}")
@@ -285,19 +331,26 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
              "exact on generic a, b: iota(ab) = iota(b) iota(a), iota(iota(a)) = a")
 
     def draw(rng):
-        return alg.random_group_point(rng), alg.random_group_point(rng)
+        return alg._random_point(rng), alg._random_point(rng)
 
     def check(pair):
         a, g = pair
-        x = cayley_transform(alg, a)
-        # x is checked to be skew before _transform sends it back
-        if not (alg.is_skew(x) and mat_eq(_transform(alg, x), a)):
-            return mat_str(a)
-        ginv = mat_inverse(g)
-        lhs = cayley_transform(alg, mat_mul(g, mat_mul(a, ginv)))
-        return None if mat_eq(lhs, mat_mul(g, mat_mul(x, ginv))) else mat_str(g)
+        witness = a
+        try:
+            x = _to_skew(alg, a)
+            # x is checked to be skew before _transform sends it back
+            if alg._is_skew(x) and _transform(x) == a:
+                witness = g
+                if _conjugation_holds(alg, a, x, g):
+                    return None
+        except PreconditionError:       # a, or g a g^-1, is no group point
+            pass
+        return mat_str(witness.scalars())
 
-    count, _, witness = sample(seed, draw, check, trials, trials)
+    try:
+        count, _, witness = sample(seed, draw, check, trials, trials)
+    except PreconditionError as exc:    # a drawn skew is not skew
+        count, witness = 0, str(exc)
     if witness is not None:
         cert.add("transform-suite", "fail", "exact identity violated", witness)
     else:

@@ -1,15 +1,15 @@
 """Small exact matrices over Q or Q(sqrt(d)), as tuples of row tuples.
 
-``mat_mul`` and ``mat_inverse`` run on integers.  They put each row (and
-each column of the right factor of a product) over one denominator, the
-lcm of its entries' denominators, so a rational matrix becomes an integer
-matrix and a matrix over Q(sqrt(d)) one over Z[sqrt(d)], whose entries
-p + q*sqrt(d) are held as integer pairs (the integral representation of
-Cohen, *A Course in Computational Algebraic Number Theory*, 4.2).  A
-product entry is an integer dot product, over Z[sqrt(d)] the pair
-(sum p*p' + d*sum q*q', sum p*q' + q*p'), normalised once into a
-``Fraction`` or a ``QuadExt``.  An inverse is fraction-free Gauss-Jordan
-elimination (Bareiss 1968) on the integer matrix; see :func:`mat_inverse`.
+Scalar matrices are computed on one integer form, ``_IntMat``: integer
+matrices P and Q over one denominator D > 0, entry (i, j) being
+(P_ij + Q_ij*sqrt(d))/D (the integral representation of Cohen, *A Course
+in Computational Algebraic Number Theory*, 4.2, for a whole matrix).  A
+product is integer dot products, over Z[sqrt(d)] the pair
+(P P' + d Q Q', P Q' + Q P'); an inverse is fraction-free Gauss-Jordan
+elimination (Bareiss 1968, :func:`_bareiss`) and one content gcd; a sum
+and equality cross-multiply the denominators.  So a chain of steps builds
+no ``Fraction`` or ``QuadExt`` in between: ``classical`` runs its sampled
+suite on forms, and ``mat_mul`` and ``mat_inverse`` convert once.
 
 Entry types follow the one rule of ``field._domain``, which ``poly``
 shares: a product of two int matrices has int entries; a product or
@@ -22,11 +22,12 @@ symbolic (``Poly``) entries is a plain sum of products, as for ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import DegenerateError, StructureError
-from .field import QuadExt, _domain, _make, _quotient, _scalar_triple
+from .field import _domain, _make, _scalar_triple
 from .field import conj as scalar_conj
 
 
@@ -70,40 +71,15 @@ def mat_scale(c, a):
     return tuple(tuple(c * x for x in r) for r in a)
 
 
-def _over_lcm(row):
-    """A row of rationals as integers over their least common denominator."""
-    ratios = [x.as_integer_ratio() for x in row]
-    den = lcm(*[n for _, n in ratios])
-    return [p * (den // n) for p, n in ratios], den
-
-
-def _over_lcm_quad(row):
-    """A row of Q(sqrt(d)) as integer lists p, q over one denominator n,
-    entry j being (p[j] + q[j]*sqrt(d))/n."""
-    t = [_scalar_triple(x) for x in row]
-    den = lcm(*[n for _, _, n in t])
-    return [p * (den // n) for p, _, n in t], [q * (den // n) for _, q, n in t], den
-
-
 def mat_mul(a, b):
     n, k = mat_shape(a)
     k2, m = mat_shape(b)
     if k != k2:
         raise StructureError(f"cannot multiply {n}x{k} by {k2}x{m}")
     kind, d = _domain(*a, *b)
-    if kind is QuadExt:
-        rows = [_over_lcm_quad(r) for r in a]
-        cols = [_over_lcm_quad(c) for c in zip(*b)]
-        return tuple(tuple(_make(sum(map(mul, rp, cp)) + d * sum(map(mul, rq, cq)),
-                                 sum(map(mul, rp, cq)) + sum(map(mul, rq, cp)),
-                                 rn * cn, d)
-                           for cp, cq, cn in cols) for rp, rq, rn in rows)
     if kind is int or kind is None:     # int or symbolic (Poly) entries
         return tuple(tuple(sum(map(mul, r, c)) for c in zip(*b)) for r in a)
-    rows = [_over_lcm(r) for r in a]
-    cols = [_over_lcm(c) for c in zip(*b)]
-    return tuple(tuple(Fraction(sum(map(mul, r, c)), rn * cn) for c, cn in cols)
-                 for r, rn in rows)
+    return (_IntMat.of(a, d) @ _IntMat.of(b, d)).scalars()
 
 
 def transpose(a):
@@ -134,55 +110,55 @@ def _pivot_row(w, k, order, nonzero):
 
 
 def mat_inverse(a):
-    """Inverse by fraction-free Gauss-Jordan elimination (Bareiss 1968).
+    """The inverse, on the integer form; singular ``a`` raises DegenerateError."""
+    n, k = mat_shape(a)
+    if n != k:
+        raise StructureError(f"cannot invert a {n}x{k} matrix")
+    return _IntMat.of(a, _domain(*a)[1]).inverse().scalars()
 
-    With L_i the common denominator of row i of ``a``, M = diag(L) a is
-    an integer matrix (over Z[sqrt(d)] when ``a`` has QuadExt entries).
-    The elimination is Gauss-Jordan on [M | 1].  Step k swaps a row with
+
+def _bareiss(w):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the square
+    integer matrix w, in place: returns the last pivot c and ``order``,
+    column l of w being then column ``order[l]`` of c w^-1.
+
+    The elimination is Gauss-Jordan on [w | 1].  Step k swaps a row with
     a nonzero entry in column k into row k; with that pivot c and the
     previous pivot c' (1 before the first step), every other row becomes
     (c * row - row[k] * pivot_row) / c'.  The division is exact: by
     Sylvester's identity each entry after step k is a (k+1)-minor of the
-    augmented integer matrix, so it stays integral.  Over Z[sqrt(d)] it
-    multiplies by conj(c') and divides by the integer norm c' * conj(c').
+    augmented integer matrix, so it stays integral.
 
-    The work is done in place on one n x n array.  Before step k the
-    columns k.. of the right block are still c' times unit columns, and
-    after it column k of the left block is c times a unit column, so step
-    k stores the new right column k (-row[k] in the other rows, c' in the
-    pivot row) where the left column k was.  The last step leaves
-    W = c (P M)^-1 with c the last pivot and P the product of the row
-    swaps, and a^-1 = M^-1 diag(L) = (P M)^-1 P diag(L): column l of W is
-    column ``order[l]`` of the inverse, scaled by L of that original row
-    and divided by c.  Raises :class:`DegenerateError` when ``a`` is
-    singular.
+    The work is done on the one n x n array.  Before step k the columns
+    k.. of the right block are still c' times unit columns, and after it
+    column k of the left block is c times a unit column, so step k stores
+    the new right column k (-row[k] in the other rows, c' in the pivot
+    row) where the left column k was.  The last step leaves c (P w)^-1,
+    with P the product of the row swaps, and w^-1 = (P w)^-1 P.  Raises
+    :class:`DegenerateError` when w is singular.
     """
-    n, k = mat_shape(a)
-    if n != k:
-        raise StructureError(f"cannot invert a {n}x{k} matrix")
-    order = list(range(n))
-    kind, d = _domain(*a)
-    if kind is not QuadExt:
-        rows = [_over_lcm(r) for r in a]
-        w = [r for r, _ in rows]
-        prev = 1
-        for k in range(n):
-            rk = _pivot_row(w, k, order, bool)
-            piv = rk[k]
-            for i, ri in enumerate(w):
-                if i != k:
-                    f = ri[k]
-                    w[i] = [(piv * x - f * y) // prev for x, y in zip(ri, rk)]
-                    w[i][k] = -f
-            rk[k] = prev
-            prev = piv
-        cols = sorted(zip(order, zip(*w)))     # column j of the inverse
-        return tuple(zip(*[[Fraction(x * rows[j][1], prev) for x in col]
-                           for j, col in cols]))
-    rows = [_over_lcm_quad(r) for r in a]
-    w = [list(zip(p, q)) for p, q, _ in rows]
+    order = list(range(len(w)))
+    prev = 1
+    for k in range(len(w)):
+        rk = _pivot_row(w, k, order, bool)
+        piv = rk[k]
+        for i, ri in enumerate(w):
+            if i != k:
+                f = ri[k]
+                w[i] = [(piv * x - f * y) // prev for x, y in zip(ri, rk)]
+                w[i][k] = -f
+        rk[k] = prev
+        prev = piv
+    return prev, order
+
+
+def _bareiss_quad(w, d):
+    """:func:`_bareiss` over Z[sqrt(d)], entries p + q*sqrt(d) held as
+    pairs (p, q); the exact division by c' multiplies by conj(c') and
+    divides by the integer norm c' * conj(c')."""
+    order = list(range(len(w)))
     vp, vq = 1, 0
-    for k in range(n):
+    for k in range(len(w)):
         rk = _pivot_row(w, k, order, any)
         cp, cq = rk[k]
         norm = vp * vp - d * vq * vq
@@ -197,9 +173,100 @@ def mat_inverse(a):
                 w[i][k] = (-fp, -fq)
         rk[k] = (vp, vq)
         vp, vq = cp, cq
-    cols = sorted(zip(order, zip(*w)))         # column j of the inverse
-    return tuple(zip(*[[_quotient((xp * rows[j][2], xq * rows[j][2], 1), (vp, vq, 1), d)
-                        for xp, xq in col] for j, col in cols]))
+    return (vp, vq), order
+
+
+class _IntMat:
+    """(P + Q*sqrt(d))/D with integer row lists P, Q and D > 0; Q and d are
+    None over Q.  Operands share d, and no operation edits one in place."""
+
+    __slots__ = ("p", "q", "den", "d")
+
+    def __init__(self, p, q, den, d):
+        self.p, self.q, self.den, self.d = p, q, den, d
+
+    @classmethod
+    def of(cls, a, d=None):
+        """The form of the scalar matrix ``a`` over the lcm of its
+        denominators; with d None, ``a`` must be rational."""
+        t = [list(map(_scalar_triple, r)) for r in a]
+        den = lcm(*[n for r in t for _, _, n in r])
+        p = [[x * (den // n) for x, _, n in r] for r in t]
+        return cls(p, d and [[y * (den // n) for _, y, n in r] for r in t], den, d)
+
+    def scalars(self):
+        """The tuple matrix: ``Fraction`` entries over Q, else ``QuadExt``."""
+        den, d = self.den, self.d
+        if self.q is None:
+            return tuple(tuple(Fraction(x, den) for x in r) for r in self.p)
+        return tuple(tuple(_make(x, y, den, d) for x, y in zip(rp, rq))
+                     for rp, rq in zip(self.p, self.q))
+
+    def __matmul__(self, other):
+        cols, den = list(zip(*other.p)), self.den * other.den
+        if self.q is None:
+            return _IntMat([[sum(map(mul, r, c)) for c in cols] for r in self.p],
+                           None, den, None)
+        d, pairs, rows = self.d, list(zip(cols, zip(*other.q))), list(zip(self.p, self.q))
+        p = [[sum(map(mul, rp, cp)) + d * sum(map(mul, rq, cq)) for cp, cq in pairs]
+             for rp, rq in rows]
+        return _IntMat(p, [[sum(map(mul, rp, cq)) + sum(map(mul, rq, cp)) for cp, cq in pairs]
+                           for rp, rq in rows], den, d)
+
+    def __add__(self, other):
+        a, b = other.den, self.den
+
+        def cross(m1, m2):
+            return [[x * a + y * b for x, y in zip(r, s)] for r, s in zip(m1, m2)]
+        return _IntMat(cross(self.p, other.p), self.q and cross(self.q, other.q), a * b,
+                       self.d)
+
+    def __neg__(self):
+        return _IntMat(*[m and [[-x for x in r] for r in m] for m in (self.p, self.q)],
+                       self.den, self.d)
+
+    def __bool__(self):
+        """False exactly for the zero matrix."""
+        return any(map(any, self.p)) or bool(self.q) and any(map(any, self.q))
+
+    def __eq__(self, other):
+        """Equal values: self - other, over both denominators, is zero."""
+        return not self + -other
+
+    def shift(self, k):
+        """self + k*1, for an int k."""
+        kd = k * self.den
+        return _IntMat([[x + kd if i == j else x for j, x in enumerate(r)]
+                        for i, r in enumerate(self.p)], self.q, self.den, self.d)
+
+    def over(self, k):
+        """self / k, for an int k > 0."""
+        return _IntMat(self.p, self.q, k * self.den, self.d)
+
+    def inverse(self):
+        """By :func:`_bareiss` on P, or :func:`_bareiss_quad` on the pairs
+        (P_ij, Q_ij): with c the last pivot, (P/D)^-1 = D rows / c, over
+        Z[sqrt(d)] D rows conj(c) / (c conj(c)), then one content gcd."""
+        den, d = self.den, self.d
+        if self.q is None:
+            w = [list(r) for r in self.p]
+            c, order = _bareiss(w)
+        else:
+            w = [list(zip(*r)) for r in zip(self.p, self.q)]
+            (cp, cq), order = _bareiss_quad(w, d)
+            c = cp * cp - d * cq * cq
+        if c < 0:
+            c, den = -c, -den
+        rows = list(zip(*[col for _, col in sorted(zip(order, zip(*w)))]))
+        if self.q is None:
+            p, q = [[den * x for x in r] for r in rows], None
+        else:
+            p = [[den * (xp * cp - d * xq * cq) for xp, xq in r] for r in rows]
+            q = [[den * (xq * cp - xp * cq) for xp, xq in r] for r in rows]
+        g = gcd(c, *chain.from_iterable(p), *chain.from_iterable(q or ()))
+        if g != 1:
+            p, q = [m and [[x // g for x in r] for r in m] for m in (p, q)]
+        return _IntMat(p, q, c // g, d)
 
 
 def mat_eq(a, b) -> bool:

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from dataclasses import replace
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleycert import classical
+from cayleycert import classical, cli
 from cayleycert.classical import (MatrixAlg, cayley_conjugation_equivariance,
                                   cayley_transform, cayley_transform_of_skew,
                                   classical_certificate, full_linear_certificate,
@@ -17,8 +18,8 @@ from cayleycert.errors import DegenerateError, PreconditionError, StructureError
 from cayleycert.field import QuadField
 from cayleycert.poly import RatFunc
 from cayleycert.ratmap import MapPair
-from cayleycert.matrices import (conj_transpose, identity, mat_add, mat_eq, mat_inverse,
-                                 mat_mul, mat_neg, mat_scale, mat_str, mat_sub, trace,
+from cayleycert.matrices import (_IntMat, conj_transpose, identity, mat_add, mat_eq,
+                                 mat_inverse, mat_mul, mat_scale, mat_str, mat_sub, trace,
                                  transpose)
 
 F = QuadField(-3)
@@ -64,12 +65,29 @@ def test_exceptional_locus_named():
         cayley_transform(alg, a)
 
 
+def random_matrix(alg, rng):
+    """A square matrix of the entries the sampled suite draws: r/s with r in
+    [-3, 3] and s in {1, 2}, and a + b*sqrt(d) with such a, b over a field."""
+    def entry():
+        if alg.field is not None:
+            return alg.field.of(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                                Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return tuple(tuple(entry() for _ in range(alg.n)) for _ in range(alg.n))
+
+
+def random_skew(alg, rng):
+    """(r - iota(r))/2 for a random r: skew for any r."""
+    r = random_matrix(alg, rng)
+    return mat_scale(Fraction(1, 2), mat_sub(r, alg.involute(r)))
+
+
 def test_transform_involutive_on_samples():
     rng = random.Random(23)
     for alg in (symplectic_alg(2), orthogonal_alg(3), unitary_alg(2),
                 symplectic_alg(4), unitary_alg(4, -1)):
         for _ in range(10):
-            x = alg.random_skew(rng)
+            x = random_skew(alg, rng)
             try:
                 a = cayley_transform_of_skew(alg, x)
             except DegenerateError:
@@ -92,10 +110,8 @@ def test_involution_is_antiautomorphism():
     for alg in (symplectic_alg(2), orthogonal_alg(3, (1, 1, -1)),
                 unitary_alg(3, -3, (1, 1, -1))):
         for _ in range(10):
-            a = tuple(tuple(alg.random_entry(rng) for _ in range(alg.n))
-                      for _ in range(alg.n))
-            b = tuple(tuple(alg.random_entry(rng) for _ in range(alg.n))
-                      for _ in range(alg.n))
+            a = random_matrix(alg, rng)
+            b = random_matrix(alg, rng)
             lhs = alg.involute(tuple(tuple(sum(a[i][k] * b[k][j]
                                                for k in range(alg.n))
                                            for j in range(alg.n))
@@ -132,7 +148,7 @@ def test_certificate_refuses_a_non_positive_trial_count(trials):
 def test_transform_verdicts_fail_without_a_sample(monkeypatch):
     def degenerate(self, rng):
         raise DegenerateError("every draw is degenerate")
-    monkeypatch.setattr(MatrixAlg, "random_group_point", degenerate)
+    monkeypatch.setattr(MatrixAlg, "_random_point", degenerate)
     cert = classical_certificate("so3", orthogonal_alg(3), seed=7, trials=5)
     assert [(v.name, v.status, v.detail) for v in cert.verdicts[1:]] == [
         ("image-skewness", "fail", "0 samples"),
@@ -147,14 +163,47 @@ def test_transform_verdicts_fail_without_a_sample(monkeypatch):
 ])
 def test_negated_transform_fails_the_suite_at_the_first_point(monkeypatch, build):
     # -x is still skew, so the round trip is what catches it, at point one
-    transform = classical.cayley_transform
-    monkeypatch.setattr(classical, "cayley_transform",
-                        lambda alg, a: mat_neg(transform(alg, a)))
+    to_skew = classical._to_skew
+    monkeypatch.setattr(classical, "_to_skew", lambda alg, a: -to_skew(alg, a))
     cert = classical_certificate("negated", build(), seed=7, trials=5)
     first = mat_str(build().random_group_point(random.Random(7)))
     assert [(v.name, v.status, v.witness) for v in cert.verdicts] == [
         ("involution-anti-automorphism", "pass", None),
         ("transform-suite", "fail", first)]
+
+
+def test_a_broken_transform_fails_verify_with_a_report(monkeypatch, capsys):
+    # 2 transform(x) is no group point: the suite reports the first drawn
+    # point as its witness instead of raising PreconditionError
+    transform = classical._transform
+
+    def doubled(a):
+        t = transform(a)
+        return t @ _IntMat.of(identity(len(t.p), 2), t.d)
+    monkeypatch.setattr(classical, "_transform", doubled)
+    code = cli.main(["verify", "--only", "classical.so3", "--seed", "7", "--trials", "5"])
+    [record] = json.loads(capsys.readouterr().out)["results"]
+    assert code == 1
+    assert [(v["name"], v["status"]) for v in record["verdicts"]] == [
+        ("involution-anti-automorphism", "pass"), ("transform-suite", "fail")]
+    first = orthogonal_alg(3).random_group_point(random.Random(record["seed"]))
+    assert not orthogonal_alg(3).is_group_point(first)
+    assert record["verdicts"][1]["witness"] == mat_str(first)
+
+
+def test_a_non_skew_draw_fails_the_suite_with_a_report():
+    # an off-diagonal integer factor flipped alone: the symbolic gather, and
+    # so the anti-automorphism, is unchanged, but the integer gather is no
+    # involution and the first drawn skew is not skew
+    alg = orthogonal_alg(3)
+    rows = [list(r) for r in alg._gather]
+    q, p, f, s, u, v = rows[0][1]
+    rows[0][1] = (q, p, f, s, -u, -v)
+    alg._gather = tuple(map(tuple, rows))
+    cert = classical_certificate("flipped", alg, seed=7, trials=5)
+    assert [(v.name, v.status) for v in cert.verdicts] == [
+        ("involution-anti-automorphism", "pass"), ("transform-suite", "fail")]
+    assert cert.verdicts[1].witness.startswith("drawn skew is not skew: [")
 
 
 @pytest.mark.parametrize("build, cell", [
@@ -169,8 +218,8 @@ def test_flipped_gather_sign_fails_anti_automorphism(build, cell):
     alg = build()
     rows = [list(r) for r in alg._gather]
     i, j = cell
-    q, p, f, s = rows[i][j]
-    rows[i][j] = (q, p, -f, -s)
+    q, p, f, s, u, v = rows[i][j]
+    rows[i][j] = (q, p, -f, -s, -u, -v)
     alg._gather = tuple(map(tuple, rows))
     cert = classical_certificate("flipped", alg, seed=7, trials=5)
     assert [(v.name, v.status) for v in cert.verdicts] == [
@@ -408,7 +457,7 @@ def test_one_is_built_once_over_the_algebras_scalars():
 
 # -- pinned reports -----------------------------------------------------------
 #
-# The ms-stripped reports and the first sampled group point of four classical
+# The ms-stripped reports and the first sampled group point of seven classical
 # algebras at seed 7, as the two-product formulas gave them.  A speedup that
 # moves a byte of either fails here by name.
 
@@ -430,12 +479,50 @@ PINNED_GROUP_POINTS = {
                "35636/156361-36564/156361*sqrt(-1); "
                "64110/156361+40930/156361*sqrt(-1), -62612/156361+8220/156361*sqrt(-1), "
                "-117229/156361+30544/156361*sqrt(-1)]",
+    # the largest sizes of the benchmark's grid
+    "so4": "[1/55, 16/55, -8/55, -52/55; 4/11, -2/11, -10/11, 1/11; "
+           "-32/55, 38/55, -19/55, 14/55; 8/11, 7/11, 2/11, 2/11]",
+    "su4": "[-990895435/1225654059-97441776/408551353*sqrt(-3), "
+           "598680/408551353+148690048/1225654059*sqrt(-3), "
+           "1028048/175093437+23374240/175093437*sqrt(-3), "
+           "-57538928/1225654059+194923648/1225654059*sqrt(-3); "
+           "-23356056/408551353+138303488/1225654059*sqrt(-3), "
+           "-368757849/408551353-51316672/408551353*sqrt(-3), "
+           "499328/58364479-2137144/175093437*sqrt(-3), "
+           "-13137136/408551353+218065096/1225654059*sqrt(-3); "
+           "-116486576/1225654059+106966816/1225654059*sqrt(-3), "
+           "59928256/408551353+45904760/1225654059*sqrt(-3), "
+           "-127639805/175093437-17786048/58364479*sqrt(-3), "
+           "-187902832/1225654059+233491432/1225654059*sqrt(-3); "
+           "-176259344/1225654059+67422528/408551353*sqrt(-3), "
+           "-57650640/408551353+155347784/1225654059*sqrt(-3), "
+           "-40410416/175093437+29071448/175093437*sqrt(-3), "
+           "-807936235/1225654059-360137872/1225654059*sqrt(-3)]",
+    "u4gauss": "[-12428213/21899477-11558960/21899477*sqrt(-1), "
+               "-1378536/109497385+33780352/109497385*sqrt(-1), "
+               "-6954608/109497385+44042656/109497385*sqrt(-1), "
+               "-436624/21899477+8129024/21899477*sqrt(-1); "
+               "-3257912/21899477+6419200/21899477*sqrt(-1), "
+               "-80712521/109497385-35512128/109497385*sqrt(-1), "
+               "3915552/109497385-4673864/109497385*sqrt(-1), "
+               "-2044368/21899477+10539240/21899477*sqrt(-1); "
+               "-4630096/21899477+3487200/21899477*sqrt(-1), "
+               "6114336/21899477+5364312/21899477*sqrt(-1), "
+               "-8670613/21899477-14608192/21899477*sqrt(-1), "
+               "-5695728/21899477+7668616/21899477*sqrt(-1); "
+               "-6780656/21899477+7753792/21899477*sqrt(-1), "
+               "-5417072/21899477+5228392/21899477*sqrt(-1), "
+               "-8806352/21899477+5696008/21899477*sqrt(-1), "
+               "-7960213/21899477-11976912/21899477*sqrt(-1)]",
 }
 PINNED_ALGEBRAS = {
     "sp4": lambda: symplectic_alg(4),
     "so3": lambda: orthogonal_alg(3, (1, 1, -1)),
     "su3": lambda: unitary_alg(3),
     "u3gauss": lambda: unitary_alg(3, -1),
+    "so4": lambda: orthogonal_alg(4),
+    "su4": lambda: unitary_alg(4),
+    "u4gauss": lambda: unitary_alg(4, -1),
 }
 
 

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 every function, class or method the package defines is read by the
 package, a demo or the benchmark, only the modules that sample import
-``random``, and only ``poly`` reads the packed keys of ``Poly.terms``.
+``random``, only ``poly`` reads the packed keys of ``Poly.terms``, and
+only the integer kernels read the triples that ``field`` stores.
 
 Package ``__init__.py`` files are exempt, because their imports are the
 package's re-exports.
@@ -191,3 +192,36 @@ def test_checker_flags_a_terms_read(tmp_path):
         "        n += p.terms[e]\n"
         "    return n + len(p.terms.keys()) + len(list(p.terms.items()))\n")
     assert terms_reads(tmp_path) == ["mod.py:3", "mod.py:4", "mod.py:5", "mod.py:5"]
+
+
+# How a QuadExt is stored, the triple (p, q, n), is known to ``field`` and
+# read by the integer kernels of ``matrices`` and ``poly`` alone.
+TRIPLE_HELPERS = {"_scalar_triple", "_make", "_quotient"}
+TRIPLE_READERS = {"field", "matrices", "poly"}
+
+
+def triple_reads(src: Path) -> list:
+    """``file:line name`` for each import or attribute read of a triple
+    helper in a module of ``src`` other than the TRIPLE_READERS."""
+    found = []
+    for p in sorted(src.glob("*.py")):
+        if p.stem in TRIPLE_READERS:
+            continue
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            found += [f"{p.name}:{node.lineno} {n}" for n in names if n in TRIPLE_HELPERS]
+    return found
+
+
+def test_only_the_integer_kernels_read_field_triples():
+    found = triple_reads(SRC)
+    assert not found, "triple helpers read outside field, matrices and poly: " + ", ".join(found)
+
+
+def test_checker_flags_a_triple_read(tmp_path):
+    (tmp_path / "poly.py").write_text("from .field import _make, _quotient\n")
+    (tmp_path / "classical.py").write_text("from .field import QuadExt, _make, conj\n")
+    (tmp_path / "su3.py").write_text(
+        "from . import field\n\ndef f(x):\n    return field._scalar_triple(x)\n")
+    assert triple_reads(tmp_path) == ["classical.py:1 _make", "su3.py:4 _scalar_triple"]

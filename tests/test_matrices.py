@@ -2,18 +2,22 @@
 
 ``mat_mul`` and ``mat_inverse`` are checked against a textbook
 Gauss-Jordan reference written here on the scalars' own field arithmetic
-(values and entry types), and ``mat_inverse`` against sympy.
+(values and entry types), and ``mat_inverse`` against sympy.  So are the
+operations of the integer form ``_IntMat`` that they convert through.
 """
 
 import re
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleycert.errors import DegenerateError, FieldMismatchError, StructureError
-from cayleycert.field import QuadExt
-from cayleycert.matrices import identity, mat_add, mat_eq, mat_inverse, mat_mul, mat_sub
+from cayleycert.field import QuadExt, _domain
+from cayleycert.matrices import (_IntMat, identity, mat_add, mat_eq, mat_inverse, mat_mul,
+                                 mat_sub)
 
 DISCRIMINANTS = (-3, -1, 2, 5)
 FIELDS = (None,) + DISCRIMINANTS          # None: plain Fraction matrices
@@ -101,6 +105,50 @@ def test_mul_matches_reference(data):
     want = reference_mul(a, b)
     assert got == want
     assert kinds(got) == kinds(want)
+
+
+@st.composite
+def form_operands(draw):
+    """Two square matrices over Q or Q(sqrt(-3)), whose entries over
+    Q(sqrt(-3)) mix QuadExt and Fraction values."""
+    d = draw(st.sampled_from((None, -3)))
+    n = draw(st.integers(1, 4))
+    entry = rationals if d is None else st.one_of(rationals, scalars(d))
+    return tuple(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+                 for _ in "ab")
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_operands())
+def test_integer_form_matches_the_reference(case):
+    # both forms over the d that field._domain gives a and b, as in mat_mul;
+    # their scalars have the entry kinds that the rule gives
+    a, b = case
+    kind, d = _domain(*a, *b)
+    want_kinds = [[(QuadExt, d) if kind is QuadExt else (Fraction, None)] * len(a)] * len(a)
+    fa, fb = _IntMat.of(a, d), _IntMat.of(b, d)
+    assert fa.den > 0 and fa.scalars() == a
+    assert kinds(fa.scalars()) == want_kinds
+    prod = fa @ fb
+    assert prod.scalars() == reference_mul(a, b)
+    assert kinds(prod.scalars()) == want_kinds
+    # equality cross-multiplies: the product is over den(a) * den(b)
+    assert prod == _IntMat.of(reference_mul(a, b), d) and not prod.shift(1) == prod
+    assert fa.shift(2).scalars() == mat_add(a, identity(len(a), 2))
+    assert fa.over(3).scalars() == tuple(tuple(x / 3 for x in r) for r in a)
+    assert (-fa).scalars() == tuple(tuple(-x for x in r) for r in a)
+    assert bool(fa) == any(map(any, a))
+    try:
+        want = reference_inverse(a)
+    except DegenerateError:
+        with pytest.raises(DegenerateError, match="singular matrix"):
+            fa.inverse()
+        return
+    inv = fa.inverse()
+    assert inv.scalars() == want
+    assert kinds(inv.scalars()) == want_kinds
+    # one content gcd: numerators and denominator share no factor
+    assert inv.den > 0 and gcd(inv.den, *chain(*inv.p), *chain(*(inv.q or ()))) == 1
 
 
 @pytest.fixture(scope="module")

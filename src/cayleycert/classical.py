@@ -6,7 +6,8 @@ by the self-inverse birational transform a -> (1 - a)(1 + a)^-1.  The
 involution is iota(a) = H^-1 core(a) H, with core(a) the transpose of a
 against a symmetric form H, the conjugate transpose against a Hermitian
 form H over Q(sqrt(d)), and the transpose against an antisymmetric J (the
-symplectic case).
+symplectic case).  The algebra's field is its form's: Q(sqrt(d)) when the
+form has ``QuadExt`` entries, else Q.
 
 Forms must be monomial: row l of H has one nonzero entry h_l, in column
 sigma(l).  Over Q this loses nothing, as every symmetric or Hermitian form
@@ -19,7 +20,8 @@ conjugation is applied to each gathered entry.  The transform uses
 diagonal shift by -1, with no matrix product.
 
 Scalar work runs on the integer form of ``matrices`` (``_IntMat``), and
-the gather table also holds each factor as integers over one common L.
+the gather table also holds each factor as integers over one common L:
+the symbolic gather serves only the exact check on generic matrices.
 The sampled suite of :func:`classical_certificate` stays on forms from
 draw to verdict, and builds scalars only for a witness; the public
 functions convert scalar matrices in and out.
@@ -34,17 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter
 
 from .errors import DegenerateError, PreconditionError, StructureError
-from .field import QuadExt, QuadField, _domain, conj
+from .field import QuadField, _domain, conj
 from .matrices import (_IntMat, conj_transpose, identity, mat_add, mat_eq, mat_mul,
-                       mat_neg, mat_scale, mat_str, mat_sub, transpose)
+                       mat_neg, mat_str, mat_sub, transpose)
 from .poly import Poly, RatFunc, ratfunc_compose, ratfunc_equal
 from .ratmap import (Certificate, EquivMap, MapPair, Relation, VarietySpec, Block,
                      projective_space, sample)
-
-_field_d = attrgetter("d")
 
 INVOLUTIONS = ("symplectic", "transpose-form", "hermitian-form")
 FORM_KINDS = {"symplectic": "antisymmetric", "transpose-form": "symmetric",
@@ -59,24 +58,30 @@ class MatrixAlg:
     """A full matrix algebra with a fixed involution.
 
     ``form`` must be monomial (module docstring), else the constructor
-    raises :class:`StructureError`.  ``one`` is the identity matrix over
-    the algebra's scalars, built once.
+    raises :class:`StructureError`.  The algebra's field is its form's:
+    ``field`` is the :class:`QuadField` of the form's ``QuadExt`` entries
+    (by ``field._domain``), or None when the form is rational, and a
+    Hermitian form needs one.  ``one`` is the identity matrix over that
+    field, built once.
     """
 
     n: int
     involution: str
     form: tuple                  # H (symmetric or Hermitian) or J (antisymmetric)
-    field: QuadField | None = None   # None means plain rationals
 
     def __post_init__(self):
         if self.involution not in INVOLUTIONS:
             raise StructureError(f"unknown involution {self.involution!r}")
+        if self.n < 1:
+            raise StructureError(f"size must be at least 1: {self.n}")
         H = self.form
         if len(H) != self.n or any(len(row) != self.n for row in H):
             raise StructureError(f"form must be {self.n}x{self.n}")
+        _, self._d = _domain(*H)        # the field's d, None over Q
+        self.field = QuadField(self._d) if self._d else None
         self._conj = self.involution == "hermitian-form"
         if self._conj and self.field is None:
-            raise StructureError("hermitian involution needs a quadratic field")
+            raise StructureError("hermitian involution needs a form over a quadratic field")
         core = conj_transpose(H) if self._conj else transpose(H)
         if not mat_eq(core, mat_neg(H) if self.involution == "symplectic" else H):
             raise StructureError(f"form must be {FORM_KINDS[self.involution]}")
@@ -88,39 +93,31 @@ class MatrixAlg:
             raise StructureError(MONOMIAL_RULE)
         sigma = [c[0][0] for c in cells]
         h = [c[0][1] for c in cells]
-        kind, d = _domain(*H)
-        self._kind = (QuadExt if kind is QuadExt else Fraction), d
         # entry (i, j) is f * core(a)[p][q] = f * a[q][p] with p = sigma[i],
         # q = sigma[j], f = h_q / h_p = (u + v*sqrt(d))/L over one L =
         # self._den, and s = f when f = +-1, else 0
         fs = [[h[q] / h[p] for q in sigma] for p in sigma]
-        k = _IntMat.of(fs, d if kind is QuadExt else None)
+        k = _IntMat.of(fs, self._d)
         self._den = k.den
         self._gather = tuple(
             tuple((q, p, f, (f == 1) - (f == -1), u, v)
                   for q, f, u, v in zip(sigma, fr, ur, vr))
             for p, fr, ur, vr in zip(sigma, fs, k.p, k.q or [[0] * self.n] * self.n))
-        self.one = identity(self.n, self.field.one if self.field is not None else Fraction(1))
-        self._d = self._int(self.one)[0].d      # the sampled suite's field
+        self.one = identity(self.n, self.field.one if self.field else Fraction(1))
 
     def involute(self, a):
-        """iota(a) = H^-1 core(a) H; an anti-automorphism with iota^2 = id.
-
-        A gather of signed entries (module docstring), of scalars or of
-        ``Poly`` entries alike.  Scalar entries have the type that the
-        product H^-1 core(a) H has under the rule of ``field._domain``, as
-        if it were multiplied out.
-        """
+        """iota(a) = H^-1 core(a) H on a generic matrix (``Poly``
+        entries); an anti-automorphism with iota^2 = id.  A gather of
+        signed entries (module docstring).  Scalar matrices take
+        :meth:`_involute_int`, on their integer form."""
         if self._conj:
             # the inner loop binds c to the conjugated entry once
-            m = tuple(tuple(c if s == 1 else -c if s else f * c
-                            for q, p, f, s, _, _ in row for c in (conj(a[q][p]),))
-                      for row in self._gather)
-        else:
-            m = tuple(tuple(a[q][p] if s == 1 else -a[q][p] if s else f * a[q][p]
-                            for q, p, f, s, _, _ in row)
-                      for row in self._gather)
-        return self._retype(m, a)
+            return tuple(tuple(c if s == 1 else -c if s else f * c
+                               for q, p, f, s, _, _ in row for c in (conj(a[q][p]),))
+                         for row in self._gather)
+        return tuple(tuple(a[q][p] if s == 1 else -a[q][p] if s else f * a[q][p]
+                           for q, p, f, s, _, _ in row)
+                     for row in self._gather)
 
     def _involute_int(self, m):
         """iota on an integer form: the gather of :meth:`involute` with the
@@ -135,25 +132,11 @@ class MatrixAlg:
                        [[c * u * b[q][p] + v * a[q][p] for q, p, _, _, u, v in row]
                         for row in self._gather], den, m.d)
 
-    def _retype(self, m, a):
-        """m with the entry type of H^-1 core(a) H.  Entries of ``a`` over
-        the form's own scalars already have it; others (ints, a field not
-        the form's) are converted by multiplying with the result's one.
-        Symbolic entries keep their coefficients."""
-        kind, d = self._kind
-        if (set(map(type, chain.from_iterable(a))) == {kind}
-                and (d is None or set(map(_field_d, chain.from_iterable(a))) == {d})):
-            return m
-        kind, d = _domain(*a, *self.form)
-        if kind is None:
-            return m
-        return mat_scale(QuadExt(1, 0, d) if kind is QuadExt else Fraction(1), m)
-
     def _int(self, *mats):
-        """Integer forms of scalar matrices, all over the domain that
-        ``field._domain`` gives them together with the form and 1."""
-        kind, d = _domain(*chain.from_iterable(mats), *self.form, *self.one)
-        return [_IntMat.of(m, d if kind is QuadExt else None) for m in mats]
+        """Integer forms of scalar matrices, all over the field that
+        ``field._domain`` gives them together with the form."""
+        d = _domain(*chain.from_iterable(mats), *self.form)[1]
+        return [_IntMat.of(m, d) for m in mats]
 
     def _residual(self, a):
         """iota(a) a - 1 on an integer form: zero exactly on group points."""
@@ -174,7 +157,7 @@ class MatrixAlg:
         and s in {1, 2}, held as r*(2 // s) over 2: short integers."""
         def half():
             return rng.randint(-3, 3) * (2 // rng.randint(1, 2))
-        pairs = [[(half(), half()) if self.field is not None else (half(), 0)
+        pairs = [[(half(), half()) if self._d else (half(), 0)
                   for _ in range(self.n)] for _ in range(self.n)]
         x = _IntMat([[p for p, _ in r] for r in pairs],
                     self._d and [[q for _, q in r] for r in pairs], 2, self._d)
@@ -257,19 +240,21 @@ def symplectic_alg(n: int) -> MatrixAlg:
     return MatrixAlg(n=n, involution="symplectic", form=tuple(map(tuple, J)))
 
 
-def orthogonal_alg(n: int, signs=None) -> MatrixAlg:
+def _diagonal(n: int, signs, of):
+    """diag(signs), all 1 by default, with entries made by ``of``."""
+    if signs is not None and len(signs) != n:
+        raise StructureError(f"need one sign per row: {len(signs)} signs for size {n}")
     signs = signs or (1,) * n
-    H = tuple(tuple(Fraction(signs[i]) if i == j else Fraction(0) for j in range(n))
-              for i in range(n))
-    return MatrixAlg(n=n, involution="transpose-form", form=H)
+    return tuple(tuple(of(signs[i] if i == j else 0) for j in range(n)) for i in range(n))
+
+
+def orthogonal_alg(n: int, signs=None) -> MatrixAlg:
+    return MatrixAlg(n=n, involution="transpose-form", form=_diagonal(n, signs, Fraction))
 
 
 def unitary_alg(n: int, d: int = -3, signs=None) -> MatrixAlg:
-    F = QuadField(d)
-    signs = signs or (1,) * n
-    H = tuple(tuple(F.of(signs[i]) if i == j else F.zero for j in range(n))
-              for i in range(n))
-    return MatrixAlg(n=n, involution="hermitian-form", form=H, field=F)
+    return MatrixAlg(n=n, involution="hermitian-form",
+                     form=_diagonal(n, signs, QuadField(d).of))
 
 
 def generic_matrices(n: int, names, root=None):
@@ -321,7 +306,7 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
     if trials < 1:
         raise StructureError(f"trials must be positive: {trials}")
     cert = Certificate(construction=name, seed=seed)
-    a, b = generic_matrices(alg.n, "ab", alg.field.sqrt if alg._conj else None)
+    a, b = generic_matrices(alg.n, "ab", alg.field.sqrt if alg.field else None)
     if not (mat_eq(alg.involute(mat_mul(a, b)), mat_mul(alg.involute(b), alg.involute(a)))
             and mat_eq(alg.involute(alg.involute(a)), a)):
         cert.add("involution-anti-automorphism", "fail",

@@ -67,10 +67,6 @@ def mat_neg(a):
     return tuple(tuple(-x for x in r) for r in a)
 
 
-def mat_scale(c, a):
-    return tuple(tuple(c * x for x in r) for r in a)
-
-
 def mat_mul(a, b):
     n, k = mat_shape(a)
     k2, m = mat_shape(b)

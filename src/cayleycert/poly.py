@@ -79,8 +79,11 @@ or one ``Fraction``; the cleared denominator is zero exactly when the
 denominator vanishes at the point.  Types are those of ring arithmetic,
 except that two ints divide to a ``Fraction``.  Irrational coefficients
 or used entries from two fields raise :class:`FieldMismatchError`
-through ``field._domain``, whose (None, None) for a ``Poly`` or
-``RatFunc`` entry sends a generic point to the ring loop instead.
+through ``field._domain``.  A ``RatFunc`` takes points of scalars only: at
+a generic point (a used ``Poly`` or ``RatFunc`` entry) it raises
+:class:`StructureError`, as substitution is :func:`ratfunc_compose`'s.
+``Poly.eval`` keeps a loop of ring arithmetic for generic points, which
+the surfaces' membership checks use.
 
 Every product passes through a term budget, so that a runaway expansion
 fails loudly instead of thrashing.  :class:`TermBudgetError` is raised
@@ -107,6 +110,7 @@ from .field import conj as scalar_conj
 
 _new = object.__new__
 _set = object.__setattr__
+_SCALAR_TYPES = (int, Fraction, QuadExt)      # the coefficients and constants
 
 DEFAULT_TERM_BUDGET = 10 ** 6
 _term_budget = ContextVar("term_budget", default=DEFAULT_TERM_BUDGET)
@@ -318,6 +322,8 @@ class Poly:
 
     def __add__(self, other):
         if not isinstance(other, Poly):
+            if not isinstance(other, _SCALAR_TYPES):
+                return NotImplemented
             other = Poly.const(self.vars, other)
         self._check_same(other)
         terms = dict(self.terms)
@@ -335,8 +341,6 @@ class Poly:
         return _poly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.vars, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -344,6 +348,8 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
+            if not isinstance(other, _SCALAR_TYPES):
+                return NotImplemented
             return _poly(self.vars, {e: v for e, c in self.terms.items()
                                      if (v := c * other)})
         self._check_same(other)
@@ -398,15 +404,11 @@ class Poly:
         if not self.terms:
             return 0
         got = _Kernel((self,)).values(point)
-        if got is None:
-            return self._ring_eval(point)
-        d, scale, ((kind, p, q, n),) = got
-        if kind is QuadExt:
-            return _make(p, q, n * scale, d)
-        return p if kind is int else Fraction(p, n * scale)
-
-    def _ring_eval(self, point):
-        """Evaluation by ring arithmetic of the point's entries."""
+        if got is not None:
+            d, scale, ((kind, p, q, n),) = got
+            if kind is QuadExt:
+                return _make(p, q, n * scale, d)
+            return p if kind is int else Fraction(p, n * scale)
         terms = self.items()
         # cache powers of each coordinate up to the degree that occurs
         powers = []
@@ -446,6 +448,8 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.vars == other.vars and self.terms == other.terms
+        if not isinstance(other, _SCALAR_TYPES):
+            return NotImplemented
         return self.terms == Poly.const(self.vars, other).terms
 
     def __hash__(self):
@@ -552,6 +556,8 @@ class RatFunc:
     # -- field operations ----------------------------------------------
 
     def _coerce(self, other):
+        if isinstance(other, Poly):
+            other = RatFunc(other)
         if isinstance(other, RatFunc):
             if other.vars != self.vars:
                 raise StructureError(
@@ -606,17 +612,11 @@ class RatFunc:
         """Exact value at a point: see :class:`EvalPlan`."""
         return EvalPlan((self,)).eval(point)[0]
 
-    def _ring_eval(self, point):
-        d = self.den._ring_eval(point)
-        if not d:
-            raise DegenerateError("denominator vanishes at the point")
-        return self.num._ring_eval(point) / d
-
     def conj_coeffs(self) -> "RatFunc":
         return RatFunc(self.num.conj_coeffs(), self.den.conj_coeffs())
 
     def __eq__(self, other):
-        if isinstance(other, (RatFunc, int, Fraction, QuadExt)):
+        if isinstance(other, (RatFunc, Poly, *_SCALAR_TYPES)):
             return ratfunc_equal(self, self._coerce(other))
         return NotImplemented
 
@@ -740,9 +740,10 @@ class EvalPlan:
     a point of scalars the numerators and denominators share one integer
     kernel, and each value is one ``_quotient`` or one ``Fraction``: a
     QuadExt if a coefficient or an entry its function uses is one, else a
-    Fraction.  A point with Poly or RatFunc entries takes the ring loop.
-    Either way :class:`DegenerateError` is raised at the first function
-    whose denominator vanishes at the point.
+    Fraction.  :class:`DegenerateError` is raised at the first function
+    whose denominator vanishes at the point.  A used entry that is no
+    scalar (a ``Poly`` or ``RatFunc``: a generic point) raises
+    :class:`StructureError`; :func:`ratfunc_compose` substitutes those.
     """
 
     __slots__ = ("funcs", "_kernel")
@@ -765,7 +766,9 @@ class EvalPlan:
                 f"point arity {len(point)} does not match {arity} variables")
         got = self._kernel.values(point)
         if got is None:
-            return tuple(f._ring_eval(point) for f in self.funcs)
+            raise StructureError("cannot evaluate at a point with an entry that is not "
+                                 "an int, Fraction or QuadExt: substitute a generic "
+                                 "point with ratfunc_compose")
         d, _, parts = got
         out = []
         # the factor scale of numerator and denominator cancels

@@ -1,7 +1,7 @@
 import json
 import random
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -19,8 +19,7 @@ from cayleycert.field import QuadField
 from cayleycert.poly import RatFunc
 from cayleycert.ratmap import MapPair
 from cayleycert.matrices import (_IntMat, conj_transpose, identity, mat_add, mat_eq,
-                                 mat_inverse, mat_mul, mat_scale, mat_str, mat_sub, trace,
-                                 transpose)
+                                 mat_inverse, mat_mul, mat_str, mat_sub, trace, transpose)
 
 F = QuadField(-3)
 ZETA = F.zeta()
@@ -76,10 +75,19 @@ def random_matrix(alg, rng):
     return tuple(tuple(entry() for _ in range(alg.n)) for _ in range(alg.n))
 
 
+def mat_scale(c, a):
+    return tuple(tuple(c * x for x in r) for r in a)
+
+
+def involute(alg, a):
+    """iota(a) for a scalar matrix a: the integer gather of the sampled suite."""
+    return alg._involute_int(*alg._int(a)).scalars()
+
+
 def random_skew(alg, rng):
     """(r - iota(r))/2 for a random r: skew for any r."""
     r = random_matrix(alg, rng)
-    return mat_scale(Fraction(1, 2), mat_sub(r, alg.involute(r)))
+    return mat_scale(Fraction(1, 2), mat_sub(r, involute(alg, r)))
 
 
 def test_transform_involutive_on_samples():
@@ -112,17 +120,17 @@ def test_involution_is_antiautomorphism():
         for _ in range(10):
             a = random_matrix(alg, rng)
             b = random_matrix(alg, rng)
-            lhs = alg.involute(tuple(tuple(sum(a[i][k] * b[k][j]
-                                               for k in range(alg.n))
-                                           for j in range(alg.n))
-                                     for i in range(alg.n)))
-            rhs_parts = alg.involute(b), alg.involute(a)
+            lhs = involute(alg, tuple(tuple(sum(a[i][k] * b[k][j]
+                                                for k in range(alg.n))
+                                            for j in range(alg.n))
+                                      for i in range(alg.n)))
+            rhs_parts = involute(alg, b), involute(alg, a)
             rhs = tuple(tuple(sum(rhs_parts[0][i][k] * rhs_parts[1][k][j]
                                   for k in range(alg.n))
                               for j in range(alg.n))
                         for i in range(alg.n))
             assert mat_eq(lhs, rhs)
-            assert mat_eq(alg.involute(alg.involute(a)), a)
+            assert mat_eq(involute(alg, involute(alg, a)), a)
 
 
 def test_symplectic_needs_even_size():
@@ -340,7 +348,7 @@ def algebras(draw):
     K = QuadField(d)
     c = K.of(c, draw(rationals))
     return MatrixAlg(n=n, involution="hermitian-form",
-                     form=swap_form(n, c, c.conj(), K.zero), field=K)
+                     form=swap_form(n, c, c.conj(), K.zero))
 
 
 def native_entries(alg):
@@ -365,7 +373,7 @@ def algebra_and_matrix(draw, mixed=False):
 @given(st.one_of(algebra_and_matrix(), algebra_and_matrix(mixed=True)))
 def test_involute_matches_multiplied_out_form(case):
     alg, a = case
-    assert_same(alg.involute(a), oracle_involute(alg, a))
+    assert_same(involute(alg, a), oracle_involute(alg, a))
 
 
 @settings(max_examples=150, deadline=None)
@@ -420,15 +428,15 @@ def test_non_unit_signs_keep_working():
 
 # -- forms ------------------------------------------------------------------
 
-@pytest.mark.parametrize("involution, form, field", [
-    ("transpose-form", ((1, 1), (1, 2)), None),
-    ("transpose-form", ((1, 0), (0, 0)), None),
-    ("symplectic", ((0, 1, 1), (-1, 0, 0), (-1, 0, 0)), None),
-    ("hermitian-form", ((F.one, F.sqrt), (-F.sqrt, F.one)), F),
+@pytest.mark.parametrize("involution, form", [
+    ("transpose-form", ((1, 1), (1, 2))),
+    ("transpose-form", ((1, 0), (0, 0))),
+    ("symplectic", ((0, 1, 1), (-1, 0, 0), (-1, 0, 0))),
+    ("hermitian-form", ((F.one, F.sqrt), (-F.sqrt, F.one))),
 ])
-def test_form_must_be_monomial(involution, form, field):
+def test_form_must_be_monomial(involution, form):
     with pytest.raises(StructureError, match="monomial") as info:
-        MatrixAlg(n=len(form), involution=involution, form=form, field=field)
+        MatrixAlg(n=len(form), involution=involution, form=form)
     assert "congruent to a diagonal one" in str(info.value)
 
 
@@ -445,7 +453,42 @@ def test_form_kind_still_checked_first():
     with pytest.raises(StructureError, match="antisymmetric"):
         MatrixAlg(n=2, involution="symplectic", form=((0, 1), (1, 0)))
     with pytest.raises(StructureError, match="Hermitian"):
-        MatrixAlg(n=1, involution="hermitian-form", form=((F.sqrt,),), field=F)
+        MatrixAlg(n=1, involution="hermitian-form", form=((F.sqrt,),))
+
+
+def test_a_hermitian_form_over_q_is_refused():
+    with pytest.raises(StructureError, match="quadratic field"):
+        MatrixAlg(n=2, involution="hermitian-form", form=identity(2))
+
+
+def test_the_algebras_field_is_its_forms():
+    # the identity over Q(sqrt(-3)) as a symmetric form: the exact check and
+    # the sampled suite both run over Q(sqrt(-3)), and group points are drawn
+    # with irrational entries
+    assert [f.name for f in fields(MatrixAlg)] == ["n", "involution", "form"]
+    alg = MatrixAlg(n=2, involution="transpose-form", form=identity(2, F.one))
+    assert alg.field.d == -3
+    assert orthogonal_alg(2).field is None and unitary_alg(2, -1).field.d == -1
+    cert = classical_certificate("so2-over-q-sqrt-3", alg, seed=7, trials=10)
+    assert cert.ok, [v.name for v in cert.failing()]
+    assert mat_str(alg.random_group_point(random.Random(7))) == (
+        "[-12/13+2/13*sqrt(-3), 8/13+3/13*sqrt(-3); "
+        "-8/13-3/13*sqrt(-3), -12/13+2/13*sqrt(-3)]")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: symplectic_alg(0), "size must be at least 1: 0"),
+    (lambda: symplectic_alg(-2), "size must be at least 1: -2"),
+    (lambda: orthogonal_alg(0), "size must be at least 1: 0"),
+    (lambda: orthogonal_alg(3, (1, 1)), "2 signs for size 3"),
+    (lambda: orthogonal_alg(2, (1, 1, -1)), "3 signs for size 2"),
+    (lambda: unitary_alg(3, -3, (1, 1)), "2 signs for size 3"),
+    (lambda: unitary_alg(1, -1, (1, -1)), "2 signs for size 1"),
+    (lambda: MatrixAlg(n=0, involution="transpose-form", form=()), "at least 1"),
+])
+def test_constructors_refuse_bad_sizes(build, message):
+    with pytest.raises(StructureError, match=re.escape(message)):
+        build()
 
 
 def test_one_is_built_once_over_the_algebras_scalars():

@@ -865,6 +865,17 @@ def test_eval_matches_ring_arithmetic(case):
     assert_same(f.eval(point), want)
 
 
+def test_poly_and_ratfunc_mix_in_either_order():
+    x = Poly.variable(("x",), "x")
+    X = RatFunc.variable(("x",), "x")
+    want = {"+": RatFunc(x * 2), "-": RatFunc.const(("x",), 0), "*": RatFunc(x * x)}
+    for a, b in ((x, X), (X, x)):
+        for op, got in (("+", a + b), ("-", a - b), ("*", a * b)):
+            assert type(got) is RatFunc and got == want[op]
+            assert str(got) == str(want[op])
+        assert a == b and not a != b
+
+
 def test_int_ratfunc_evaluates_to_a_fraction():
     f = RatFunc(Poly(("x",), {(1,): 1}), Poly(("x",), {(0,): 1, (1,): 1}))
     assert_same(f.eval((2,)), Fraction(2, 3))
@@ -890,10 +901,15 @@ def test_eval_rejects_irrational_values_of_two_fields(d1, d2):
 
 
 def test_eval_at_a_generic_point_takes_the_ring_loop():
+    # only Poly.eval does: a RatFunc at a generic point is ratfunc_compose's,
+    # and the ring loop agrees with it
     f = (X * Y + QuadExt(0, 1, -3)) / (Z + 1)
-    assert f.eval((X, Y, Z)) == f
     assert f.num.eval((X, Y, Z)) == X * Y + QuadExt(0, 1, -3)
-    assert f.eval((Y, X, Z * 2)) == ratfunc_compose(f, (Y, X, Z * 2))
+    point = (Y, X, Z * 2)
+    assert f.num.eval(point) / f.den.eval(point) == ratfunc_compose(f, point)
+    for generic in ((X, Y, Z), point, (1, 2, Z.num)):
+        with pytest.raises(StructureError, match="ratfunc_compose"):
+            f.eval(generic)
 
 
 @settings(max_examples=80, deadline=None)

@@ -43,7 +43,7 @@ show("in the Lie slice", u)
 print("  coordinates sum to zero:", sum(u, F.zero) == 0)
 print()
 
-e2e = end_to_end()
+e2e = end_to_end(links)
 back = map_of_point(e2e.inverse, u)
 print("Round trip through the composed inverse recovers the point:", back == x)
 print()

@@ -5,7 +5,8 @@ coefficients over a fixed ordered variable tuple; coefficients are ints, Fractio
 :class:`~cayleycert.field.QuadExt` values.  ``RatFunc`` is a
 numerator/denominator pair that is *not* kept in lowest terms: there is
 no multivariate GCD here.
-Equality is decided exactly by cross multiplication and full expansion.
+Equality is decided exactly by cross multiplication and full expansion,
+after a shared denominator cancels (see below).
 A variety relation is a :class:`Relation`, the one reader of its two
 forms, which solves it for one coordinate in any ring;
 :func:`chart_restrict` substitutes that solution into a function.
@@ -43,12 +44,19 @@ pending monomial (one key addition and one coefficient product each),
 which multiplies into the running product only just before a many-term
 row and once at the end.  :func:`ratfunc_equal` and ``_cross`` (the
 projective 2x2 test of ``ratmap``) count the nonzero terms of a difference
-of integer cross products.  Both form the products of the ``RatFunc``
-arithmetic they stand for, in its order, so the term budget trips at the
-same product with the same message.  A fold keeps that: a one-term factor
-never changes a term count, the many-term products keep their operand
-sizes and order, and a fold raises the :class:`ExponentOverflowError` of
-the product it replaces, with its message.
+of integer cross products, formed in the order of the ``RatFunc``
+arithmetic they stand for.  A shared denominator cancels first: f = g
+when f and g have one denominator is fn = gn, and a*d - c*b is zero when
+a, c and b, d share denominators exactly when an*dn = cn*bn (a nonzero
+difference there falls through to the full products, which give the term
+count).  A product is skipped only when its operands' term counts and
+leading keys prove it could not raise :class:`TermBudgetError`: at most
+the budget in term pairs, and a degree that fits.  So the term budget
+trips at the same product with the same message as the full expansion.
+A fold keeps that too: a one-term factor never changes a term count, the
+many-term products keep their operand sizes and order, and a fold raises
+the :class:`ExponentOverflowError` of the product it replaces, with its
+message.
 
 Coefficient types of a product follow the one rule of ``field._domain``,
 shared with ``matrices``: ``QuadExt`` in the field of the irrational
@@ -556,6 +564,8 @@ class RatFunc:
     # -- field operations ----------------------------------------------
 
     def _coerce(self, other):
+        """other as a RatFunc over self's variables; None when it is not a
+        RatFunc, a Poly or a scalar, so the operators return NotImplemented."""
         if isinstance(other, Poly):
             other = RatFunc(other)
         if isinstance(other, RatFunc):
@@ -563,10 +573,14 @@ class RatFunc:
                 raise StructureError(
                     f"variable mismatch: {self.vars} vs {other.vars}")
             return other
-        return RatFunc.const(self.vars, other)
+        if isinstance(other, _SCALAR_TYPES):
+            return RatFunc.const(self.vars, other)
+        return None
 
     def __add__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -575,26 +589,32 @@ class RatFunc:
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = self._coerce(other)
+        return NotImplemented if o is None else (-self) + o
 
     def __mul__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         if o.num.is_zero():
             raise DegenerateError("division by the zero rational function")
         return RatFunc(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return o / self
+        return NotImplemented if o is None else o / self
 
     def __pow__(self, k: int):
         if k < 0:
@@ -794,9 +814,28 @@ def _scaled_parts(*fs):
             [_scaled(t) for t in terms])
 
 
+def _lead(x) -> int:
+    """The largest key of a scaled poly, 0 for the zero poly."""
+    return x[0][0][0] if x[0] else 0
+
+
+def _skippable(top, *products) -> bool:
+    """Whether no product, given as (term pairs, sum of leading keys), can
+    raise :class:`TermBudgetError`: each has at most the budget in term
+    pairs and a key below ``top``, the ceiling of the variable count."""
+    budget = _term_budget.get()
+    return all(n <= budget and k < top for n, k in products)
+
+
 def ratfunc_equal(f: RatFunc, g: RatFunc) -> bool:
-    """Exact equality via cross multiplication and full expansion."""
+    """Exact equality via cross multiplication and full expansion; over a
+    shared denominator the numerators are compared directly when no cross
+    product it skips could exceed the term budget."""
     d, top, (fn, fd, gn, gd) = _scaled_parts(f, g)
+    if f.den == g.den and _skippable(
+            top, (len(fn[0]) * len(gd[0]), _lead(fn) + _lead(gd)),
+            (len(gn[0]) * len(fd[0]), _lead(gn) + _lead(fd))):
+        return not _nonzero_difference(fn, gn)
     return not _nonzero_difference(_mul(fn, gd, d, top), _mul(gn, fd, d, top))
 
 
@@ -807,12 +846,26 @@ def _cross(a: RatFunc, b: RatFunc, c: RatFunc, d: RatFunc) -> tuple:
     their order and under the term budget, on integers and without
     normalising.  Stripping a monomial or making a denominator monic does
     not change a term count; a RatFunc with a zero numerator has the
-    denominator 1, so the count is 1 when the difference is zero.
+    denominator 1, so the count is 1 when the difference is zero.  When a
+    and c share a denominator and so do b and d, the cross is zero exactly
+    when an*dn = cn*bn, and those two products decide a zero cross alone
+    if no product they skip could exceed the term budget.
     """
     disc, top, (an, ad, bn, bd, cn, cd, dn, dd) = _scaled_parts(a, b, c, d)
     one = [(0, 1, 0)], 1
-    xn, xd = _mul(an, dn, disc, top), _mul(ad, dd, disc, top)
-    yn, yd = _mul(cn, bn, disc, top), _mul(cd, bd, disc, top)
+    xn = yn = None
+    if a.den == c.den and b.den == d.den:
+        pairs, key = len(ad[0]) * len(bd[0]), _lead(ad) + _lead(bd)
+        if _skippable(top, (len(an[0]) * len(dn[0]) * pairs, _lead(an) + _lead(dn) + key),
+                      (len(cn[0]) * len(bn[0]) * pairs, _lead(cn) + _lead(bn) + key),
+                      (pairs * pairs, 2 * key)):
+            xn, yn = _mul(an, dn, disc, top), _mul(cn, bn, disc, top)
+            if not _nonzero_difference(xn, yn):
+                return True, 1
+    xn = xn or _mul(an, dn, disc, top)
+    xd = _mul(ad, dd, disc, top)
+    yn = yn or _mul(cn, bn, disc, top)
+    yd = _mul(cd, bd, disc, top)
     xd = xd if xn[0] else one
     yd = yd if yn[0] else one
     terms = _nonzero_difference(_mul(xn, yd, disc, top), _mul(yn, xd, disc, top))

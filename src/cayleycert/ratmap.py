@@ -19,9 +19,12 @@ every draw goes through :func:`sample`, the package's one sampling loop.
 A map is evaluated at a point by :func:`map_of_point`, which runs the
 map's :class:`~cayleycert.poly.EvalPlan` on every component at once: the
 integer kernel of ``poly``, with exponent tuples, scaled coefficients and
-largest powers computed at the map's first evaluation.  ``EquivMap`` is
-frozen, so the plan cannot go stale; ``dataclasses.replace`` builds a new
-map, and with it a new plan.
+largest powers computed at the map's first evaluation.  Beside it,
+``EquivMap.on_chart`` holds the components composed with the source
+chart, computed once and read by the target relations, equivariance and
+the first leg of a telescoped round trip.  ``EquivMap`` is frozen, so
+neither can go stale; ``dataclasses.replace`` builds a new map, and with
+it a new plan and a new composition.
 """
 
 from __future__ import annotations
@@ -157,7 +160,8 @@ class EquivMap:
     coordinates, grouped implicitly by the target's blocks.  Each action is
     a GroupSpec on its variety: ActionGens of the matching arity under the
     same labels; the generator labels are the source action's.  The
-    evaluation plan of the components is derived, so the map is frozen.
+    evaluation plan of the components and their composition with the source
+    chart are derived, so the map is frozen.
     """
 
     name: str
@@ -190,6 +194,12 @@ class EquivMap:
     def _plan(self) -> EvalPlan:
         # built at the first evaluation: most composed maps are never evaluated
         return EvalPlan(self.components)
+
+    @cached_property
+    def on_chart(self) -> tuple:
+        """The components composed with the source chart, computed once."""
+        x = chart_tuple(self.source)
+        return tuple(ratfunc_compose(c, x) for c in self.components)
 
     def generator_labels(self):
         return self.source_action.labels()
@@ -436,7 +446,7 @@ def check_equivariance(m: EquivMap, seed=0) -> Certificate:
     """
     cert = Certificate(construction=m.name, seed=seed)
     x = chart_tuple(m.source)
-    m_chart = tuple(ratfunc_compose(c, x) for c in m.components)
+    m_chart = m.on_chart
     target_table = m.target_action.table()
     for label, src in m.source_action.generators:
         vname = f"equivariance[{label}]"
@@ -574,8 +584,8 @@ def _telescoped_roundtrip(chain) -> tuple:
     g_i(P_i) = P_{i-1} for i = n..1.  Chaining the identities gives
     (g_1 o ... o g_n)(f_n o ... o f_1) = id on the chart.
     """
-    prefixes = [chart_tuple(chain[0].forward.source)]
-    for pair in chain:
+    prefixes = [chart_tuple(chain[0].forward.source), chain[0].forward.on_chart]
+    for pair in chain[1:]:
         prefixes.append(tuple(ratfunc_compose(c, prefixes[-1])
                               for c in pair.forward.components))
     max_terms = 0
@@ -598,9 +608,10 @@ def _round_trip(first, second):
 def check_target_relations(m: EquivMap) -> Certificate:
     """The components must satisfy the target's relations identically."""
     cert = Certificate(construction=m.name)
-    x = chart_tuple(m.source)
-    comps = dict(zip(m.target.coords, (ratfunc_compose(c, x) for c in m.components)))
-    one = RatFunc.const(x[0].vars if x else m.source.coords, Fraction(1))
+    comps = dict(zip(m.target.coords, m.on_chart))
+    # the components on the chart are over its free coordinates
+    one = RatFunc.const(m.on_chart[0].vars if m.on_chart else m.source.coords,
+                        Fraction(1))
     for block in m.target.blocks:
         # an identically zero multiplicative coordinate is off the variety
         off = block.is_multiplicative and any(comps[c].is_zero() for c in block.coords)

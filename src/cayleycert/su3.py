@@ -258,9 +258,9 @@ def build_su3_chain() -> list:
     return [link_quotient(), link_phi(), link_segre(), link_stereo(), link_linear()]
 
 
-def end_to_end() -> MapPair:
-    """The composed map T' -> t' with its composed inverse."""
-    links = build_su3_chain()
+def end_to_end(links) -> MapPair:
+    """The composed map T' -> t' with its composed inverse, from the five
+    ``links`` of :func:`build_su3_chain`."""
     chain = links[0].reversed()
     for link in links[1:]:
         chain = compose_pair(chain, link)
@@ -292,7 +292,7 @@ def chain_certificate(seed: int = 42, trials: int = 100) -> Certificate:
     for build, tag in varieties:
         cert.extend(check_group_relations(*build(), seed=seed),
                     prefix=f"group[{tag}].")
-    e2e = end_to_end()
+    e2e = end_to_end(links)
     stages = [links[0].reversed()] + links[1:]
     cert.extend(check_equivariance(e2e.forward, seed=seed), prefix="end-to-end.")
     cert.extend(check_equivariance(e2e.inverse, seed=seed), prefix="end-to-end-inv.")

@@ -147,6 +147,12 @@ def test_certificates_pass_for_all_involution_kinds():
         assert cert.ok, [v.name for v in cert.failing()]
 
 
+def test_certificate_takes_one_trial():
+    cert = classical_certificate("so3", orthogonal_alg(3), seed=7, trials=1)
+    assert cert.ok
+    assert [(v.status, v.detail) for v in cert.verdicts[1:]] == [("pass", "1 samples")] * 3
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_certificate_refuses_a_non_positive_trial_count(trials):
     with pytest.raises(StructureError, match=f"trials must be positive: {trials}"):

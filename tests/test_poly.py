@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from fractions import Fraction
@@ -663,11 +664,56 @@ W = 1 / (X + Y + RatFunc.variable(XYZ, "z") + 1)
 @example((ZERO, Y + 1, X / (Y + 2), X + Y))         # a*d zero, c*b not
 @example((X + 1, Y, X, ZERO))                       # c*b zero, a*d not
 @example((W, W, W, W))      # zero, and the denominator product is the largest
+# a, c over one denominator and b, d over another, so an*dn = cn*bn decides a
+# zero cross alone once the budget covers the skipped products; below that
+# (from budget 1 on) the full products trip first
+@example((X * W, (X * Y + X) / (X + 2), Y * W, (Y * Y + Y) / (X + 2)))  # zero
+@example((X * W, (Y + 1) / (X + 2), Y * W, (X * Y + 1) / (X + 2)))     # not zero
+@example((W, 2 * W, (X - Y) * W, (2 * X - 2 * Y) * W))                  # zero
 def test_cross_matches_ratfunc_arithmetic(abcd):
     want, got = assert_same_under_budgets(reference_cross, _cross, *abcd)
     assert got == want
     a, b, c, d = abcd
     assert ratfunc_equal(a * d, c * b) is got[0]
+
+
+def reference_equal(f, g):
+    return (f.num * g.den - g.num * f.den).is_zero()
+
+
+D1 = X * Y + X + 2          # a denominator of three terms
+D2 = Y * Y - 3
+
+
+@pytest.mark.parametrize("f, g", [
+    ((X * X - 1) / D1, (X - 1) * (X + 1) / D1),
+    ((X * X - 1) / D1, (X * X + 1) / D1),
+    ((X + Y) / (D1 * D2), (Y + X) / (D2 * D1)),
+    ((X + Y) / (D1 * D2), (X + Y + 1) / (D2 * D1)),
+    (ZERO / D1, ZERO / D2),
+], ids=["equal", "unequal", "product-denominator", "product-unequal", "zero"])
+def test_equal_over_a_shared_denominator_matches_full_expansion(f, g):
+    assert f.den == g.den
+    if not f.is_zero():         # the full expansion trips at budget 1
+        with term_budget(1):
+            assert isinstance(outcome(reference_equal, f, g), str)
+    want, got = assert_same_under_budgets(reference_equal, ratfunc_equal, f, g)
+    assert got is want
+
+
+def test_a_shared_denominator_keeps_the_overflow_of_the_full_products():
+    # degree 2^14 + 1 per denominator: the numerator products fit, the
+    # cross of the two denominators has degree 2^16 and overflows
+    big = X ** (2 ** 14) * Y + 1
+    a, c = X / big, Y / big
+    want = outcome(reference_cross, a, a, c, c)
+    assert want.startswith("TermBudgetError: product of degree 65540 exceeds")
+    assert outcome(_cross, a, a, c, c) == want
+    # f = g over a denominator of degree 2^15 + 1: fn * gd overflows
+    f = X ** (2 ** 15) * Y / (X ** (2 ** 15) * Y + 1)
+    want = outcome(reference_equal, f, f)
+    assert want.startswith("TermBudgetError: product of degree 65538 exceeds")
+    assert outcome(ratfunc_equal, f, f) == want
 
 
 def test_cross_zero_counts_the_constant_denominator():
@@ -874,6 +920,20 @@ def test_poly_and_ratfunc_mix_in_either_order():
             assert type(got) is RatFunc and got == want[op]
             assert str(got) == str(want[op])
         assert a == b and not a != b
+
+
+@pytest.mark.parametrize("other", [0.5, "x", None, [1]])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+def test_ratfunc_arithmetic_refuses_an_operand_that_is_no_scalar(op, other):
+    X = RatFunc.variable(("x",), "x")
+    with pytest.raises(TypeError):
+        op(X, other)
+    with pytest.raises(TypeError):
+        op(other, X)
+    # a scalar still coerces on either side
+    two = RatFunc.const(("x",), 2)
+    assert op(X, 2) == op(X, two) and op(2, X) == op(two, X)
 
 
 def test_int_ratfunc_evaluates_to_a_fraction():

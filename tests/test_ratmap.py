@@ -6,7 +6,7 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cayleycert import rank2, ratmap, su3
+from cayleycert import poly, rank2, ratmap, su3
 from cayleycert.catalog import run_construction
 from cayleycert.classical import pgl_cayley
 from cayleycert.errors import DegenerateError, SamplingError, StructureError
@@ -221,6 +221,16 @@ def test_inverse_pair_identity_maps():
                      actions, actions)
     cert = check_inverse_pair(ident, ident, seed=3, trials=10)
     assert cert.ok
+
+
+def test_inverse_pair_takes_one_trial():
+    spec, actions = torus_variety()
+    ident = EquivMap("id", spec, spec, RatFunc.variables(spec.coords),
+                     actions, actions)
+    cert = check_inverse_pair(ident, ident, seed=3, trials=1)
+    assert cert.ok
+    assert (cert.verdicts[-1].name, cert.verdicts[-1].status) == ("spot-check[1 points]",
+                                                                  "pass")
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -496,6 +506,29 @@ def test_spot_check_evaluates_through_map_of_point(monkeypatch):
     assert calls.count(pair.forward.name) >= 3 and calls.count(pair.inverse.name) >= 3
 
 
+def test_link_certificate_composes_each_map_with_its_chart_once(monkeypatch):
+    charts, composed = [], []
+    chart, compose_ = ratmap.chart_tuple, ratmap.ratfunc_compose
+
+    def recording_chart(spec):
+        charts.append(chart(spec))
+        return charts[-1]
+
+    def recording_compose(f, subst):
+        composed.append((f, subst))
+        return compose_(f, subst)
+
+    monkeypatch.setattr(ratmap, "chart_tuple", recording_chart)
+    monkeypatch.setattr(ratmap, "ratfunc_compose", recording_compose)
+    pair = link_quotient()
+    assert su3.link_certificate(pair, seed=3, trials=2).ok
+    on_chart = [f for f, subst in composed if any(subst is x for x in charts)]
+    for m in (pair.forward, pair.inverse):
+        assert [sum(f is c for f in on_chart) for c in m.components] == \
+            [1] * len(m.components)
+        assert m.on_chart is m.on_chart
+
+
 def test_a_map_builds_its_plan_at_the_first_evaluation(monkeypatch):
     built = []
     plan = ratmap.EvalPlan
@@ -606,3 +639,25 @@ def test_a_projective_block_makes_k_minus_1_crosses(monkeypatch, k):
     # one cross of the pivot, the first nonzero coordinate, with each other one
     assert [tuple(map(id, abcd)) for abcd in calls] == [
         (id(lhs[1]), id(rhs[1]), id(lhs[j]), id(rhs[j])) for j in range(k) if j != 1]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_a_shared_denominator_zero_cross_makes_2_products(monkeypatch, k):
+    # each side's coordinates share one denominator
+    lhs = tuple(f / (U * V + 1) for f in (U, V, U + 1, V * U, U - V)[:k])
+    rhs = tuple(f * (U + V) / (V + 2) for f in (U, V, U + 1, V * U, U - V)[:k])
+    edited = rhs[:-1] + (rhs[-1] * 2,)
+    calls = []
+    mul = poly._mul
+
+    def counting(*args):
+        calls.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(poly, "_mul", counting)
+    assert _tuple_equal(PROJECTIVE[k], lhs, rhs)[0]
+    assert len(calls) == 2 * (k - 1)
+    # a nonzero difference falls through to the 7 products of the full cross
+    calls.clear()
+    assert not _tuple_equal(PROJECTIVE[k], lhs, edited)[0]
+    assert len(calls) == 2 * (k - 2) + 7

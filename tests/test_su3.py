@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from cayleycert import su3
 from cayleycert.field import QuadField
 from cayleycert.group import apply_action
 from cayleycert.ratmap import (check_equivariance, check_inverse_pair,
@@ -100,12 +101,12 @@ def test_gamma_fixed_point_on_twisted_torus():
 
 
 def test_end_to_end_composition():
-    e2e = end_to_end()
+    links = build_su3_chain()
+    e2e = end_to_end(links)
     assert e2e.forward.source.name == "T-twisted"
     assert e2e.forward.target.name == "t-twisted"
     cert = check_equivariance(e2e.forward, seed=8)
     assert cert.ok
-    links = build_su3_chain()
     stages = [links[0].reversed()] + links[1:]
     pair_cert = check_inverse_pair(e2e.forward, e2e.inverse, seed=8, trials=30,
                                    stages=stages)
@@ -113,7 +114,7 @@ def test_end_to_end_composition():
 
 
 def test_end_to_end_point_round_trip():
-    e2e = end_to_end()
+    e2e = end_to_end(build_su3_chain())
     x = (frac(2), frac(3), frac(1, 6))
     u = map_of_point(e2e.forward, x)
     assert sum(u, F.zero) == 0
@@ -121,9 +122,18 @@ def test_end_to_end_point_round_trip():
     assert back == x
 
 
-def test_chain_certificate_all_green():
+def test_chain_certificate_all_green(monkeypatch):
+    built = []
+
+    def recording():
+        built.append(build_su3_chain())
+        return built[-1]
+
+    monkeypatch.setattr(su3, "build_su3_chain", recording)
     cert = chain_certificate(seed=42, trials=40)
     assert cert.ok, [v.name for v in cert.failing()]
+    # the links are built once, for their certificates and the end-to-end map
+    assert len(built) == 1
     labels = {v.name for v in cert.verdicts}
     # three generators certified on every link, forward and inverse
     for link in ("su3.quotient", "su3.phi", "su3.segre", "su3.stereo", "su3.linear"):

@@ -27,18 +27,17 @@ from math import gcd
 from .errors import DegenerateError, FieldMismatchError, StructureError
 
 
-def _is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
+def _check_discriminant(d) -> None:
+    """Raise :class:`StructureError` unless d is a squarefree int other than 1."""
+    squarefree = isinstance(d, int) and d not in (0, 1)
+    n, p = abs(d) if squarefree else 0, 2
+    while squarefree and p * p <= n:
+        squarefree = n % (p * p) != 0
         while n % p == 0:
             n //= p
         p += 1
-    return True
+    if not squarefree:
+        raise StructureError(f"discriminant must be a squarefree int other than 0, 1: {d!r}")
 
 
 def _triple(a, b):
@@ -67,8 +66,7 @@ class QuadExt:
     __slots__ = ("_pqn", "_d")
 
     def __init__(self, a, b=0, d: int = -3):
-        if not _is_squarefree(d) or d == 1:
-            raise StructureError(f"discriminant must be squarefree and != 0, 1: {d}")
+        _check_discriminant(d)
         p, q, n = _triple(a, b)
         g = gcd(p, q, n)
         self._pqn = (p, q, n) if g == 1 else (p // g, q // g, n // g)
@@ -329,8 +327,7 @@ class QuadField:
     """
 
     def __init__(self, d: int = -3):
-        if not _is_squarefree(d) or d == 1:
-            raise StructureError(f"bad discriminant {d}")
+        _check_discriminant(d)
         self.d = d
 
     def of(self, a, b=0) -> QuadExt:

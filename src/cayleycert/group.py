@@ -92,6 +92,9 @@ class ActionGen:
     scale: tuple | None = None
 
     def __post_init__(self):
+        if set(self.perm) != set(range(len(self.perm))):
+            raise StructureError(f"perm {self.perm} is not a permutation of "
+                                 f"0..{len(self.perm) - 1}")
         if self.twist not in TWISTS:
             raise StructureError(f"unknown twist {self.twist!r}")
         if self.scale is not None and len(self.scale) != len(self.perm):

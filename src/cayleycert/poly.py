@@ -73,25 +73,25 @@ equality tests make one ``_domain`` call over all their coefficients.
 Either way, irrational coefficients from two fields anywhere in the input
 raise :class:`FieldMismatchError`.
 
-Evaluation at a point of scalars (``int``, ``Fraction``, ``QuadExt``)
-runs on integers too, planned once per set of functions by
-:class:`EvalPlan` (``ratmap`` keeps one per map).  With M_i the largest
-power of variable i in any of them and x_i = (p_i + q_i*sqrt(d))/n_i, a
-term c*x^e is c * prod (p_i + q_i*sqrt(d))^e_i * n_i^(M_i - e_i) times
-1/prod n_i^M_i, the row trick of :func:`ratfunc_compose`.  The rows are
-built once per point, each distinct monomial once across all the
-functions, and each numerator or denominator is a sum of integer pairs
-over one lcm of its coefficients' denominators.  The factor
-prod n_i^M_i cancels in a quotient, so a value costs one ``_quotient``
-or one ``Fraction``; the cleared denominator is zero exactly when the
-denominator vanishes at the point.  Types are those of ring arithmetic,
-except that two ints divide to a ``Fraction``.  Irrational coefficients
-or used entries from two fields raise :class:`FieldMismatchError`
-through ``field._domain``.  A ``RatFunc`` takes points of scalars only: at
-a generic point (a used ``Poly`` or ``RatFunc`` entry) it raises
-:class:`StructureError`, as substitution is :func:`ratfunc_compose`'s.
-``Poly.eval`` keeps a loop of ring arithmetic for generic points, which
-the surfaces' membership checks use.
+Evaluation at a point of scalars (``int``, ``Fraction``, ``QuadExt``) is
+:class:`EvalPlan`'s alone, planned once per set of functions and run on
+integers (``ratmap`` keeps one plan per map; :meth:`RatFunc.eval` is a plan
+of one function).  With M_i the largest power of variable i in any of them
+and x_i = (p_i + q_i*sqrt(d))/n_i, a term c*x^e is
+c * prod (p_i + q_i*sqrt(d))^e_i * n_i^(M_i - e_i) over prod n_i^M_i, the
+row trick of :func:`ratfunc_compose`.  The rows are built once per point,
+each distinct monomial once across all the functions, and each numerator
+or denominator is a sum of integer pairs over one lcm of its
+coefficients' denominators.  The factor prod n_i^M_i cancels in a
+quotient, so it is never formed, and a value costs one ``_quotient`` or
+one ``Fraction``; the cleared denominator is zero exactly when the
+denominator vanishes at the point.  A value is a ``QuadExt`` if a
+coefficient of its function or an entry the function uses is one, else a
+``Fraction``.  Irrational coefficients or used entries from two fields
+raise :class:`FieldMismatchError` through ``field._domain``.  There is no
+evaluation at a generic point (a used ``Poly`` or ``RatFunc`` entry): it
+raises :class:`StructureError`, as substitution is
+:func:`ratfunc_compose`'s alone.
 
 Every product passes through a term budget, so that a runaway expansion
 fails loudly instead of thrashing.  :class:`TermBudgetError` is raised
@@ -399,41 +399,6 @@ class Poly:
         return [(unpack(fmt, key.to_bytes(size, "big"))[1:], c)
                 for key, c in self.terms.items()]
 
-    def eval(self, point):
-        """Exact evaluation.  At a point of scalars this is the integer
-        kernel of :class:`EvalPlan`, and the value has the type of the ring
-        arithmetic: QuadExt if a coefficient or an entry it uses is one, int
-        if all of them are ints, else Fraction.  A point with Poly or
-        RatFunc entries (a generic point) takes the ring loop.  Composition
-        does not go through here: see :func:`ratfunc_compose`."""
-        if len(point) != len(self.vars):
-            raise StructureError(
-                f"point arity {len(point)} does not match {len(self.vars)} variables")
-        if not self.terms:
-            return 0
-        got = _Kernel((self,)).values(point)
-        if got is not None:
-            d, scale, ((kind, p, q, n),) = got
-            if kind is QuadExt:
-                return _make(p, q, n * scale, d)
-            return p if kind is int else Fraction(p, n * scale)
-        terms = self.items()
-        # cache powers of each coordinate up to the degree that occurs
-        powers = []
-        for x, top in zip(point, map(max, zip(*(exps for exps, _ in terms)))):
-            row = [1]
-            for _ in range(top):
-                row.append(row[-1] * x)
-            powers.append(row)
-        acc = 0
-        for exps, c in terms:
-            val = c
-            for i, e in enumerate(exps):
-                if e:
-                    val = val * powers[i][e]
-            acc = acc + val
-        return acc
-
     def derivative(self, name: str) -> "Poly":
         if name not in self.vars:
             raise StructureError(f"unknown variable {name!r} in {self.vars}")
@@ -651,30 +616,58 @@ class RatFunc:
 
 # -- evaluation at points of scalars ---------------------------------------
 
-class _Kernel:
-    """Polynomials over one variable tuple, planned for evaluation at points
-    of scalars on integers (see the module docstring).
+def _sum_at(vp, vq, d, idx, cp, cq, n):
+    """(p, q, n) with (p + q*sqrt(d))/n the value of one planned sum, where
+    monomial k of the plan takes the value vp[k] + vq[k]*sqrt(d) (vq None
+    when every vq[k] is 0)."""
+    ap = list(map(vp.__getitem__, idx))
+    p = sum(map(mul, cp, ap))
+    q = sum(map(mul, cq, ap)) if cq else 0
+    if vq is not None:
+        aq = list(map(vq.__getitem__, idx))
+        if cq:
+            p += d * sum(map(mul, cq, aq))
+        q += sum(map(mul, cp, aq))
+    return p, q, n
 
-    ``tops[i]`` is M_i, the largest power of variable i in any of the
-    polynomials, ``used`` the variables with M_i > 0 and ``monos`` the
-    distinct exponent tuples.  Each polynomial is one part: (its indices
-    into ``monos``, its coefficients as integers p and q over one
-    denominator n, q None when all are 0, n, the variables it has, the
-    ``_domain`` kind of its coefficients).  ``marks`` holds one QuadExt
-    per field and irrationality of the QuadExt coefficients, so
-    ``_domain`` over the marks and the point's entries gives the field.
+
+class EvalPlan:
+    """RatFuncs over one variable tuple, planned once for evaluation at
+    many points of scalars: the package's one evaluator at points (see the
+    module docstring).
+
+    :meth:`eval` gives the value of every function at a point at once, and
+    raises :class:`DegenerateError` at the first function whose denominator
+    vanishes there.  A point of the wrong arity, or a used entry that is no
+    scalar (a generic point: :func:`ratfunc_compose` substitutes those),
+    raises :class:`StructureError`.
+
+    ``tops[i]`` is M_i, the largest power of variable i in any numerator or
+    denominator, ``used`` the variables with M_i > 0 and ``monos`` the
+    distinct exponent tuples.  A numerator or denominator is planned as one
+    sum: (its indices into ``monos``, its coefficients as integers p and q
+    over one denominator n, q None when all are 0, n).  Each function is one
+    part: (its numerator's sum, its denominator's sum, whether a coefficient
+    is a QuadExt, the variables it has).  ``marks`` holds one QuadExt per
+    field and irrationality of the QuadExt coefficients, so ``_domain`` over
+    the marks and the point's entries gives the field.
     """
 
     __slots__ = ("arity", "tops", "used", "monos", "parts", "marks")
 
-    def __init__(self, polys):
+    def __init__(self, funcs):
+        funcs = tuple(funcs)
+        self.arity = len(funcs[0].vars) if funcs else 0
+        for f in funcs:
+            if f.vars != funcs[0].vars:
+                raise StructureError(f"variable mismatch: {funcs[0].vars} vs {f.vars}")
+        polys = [p for f in funcs for p in (f.num, f.den)]
         exps = [[e for e, _ in poly.items()] for poly in polys]
-        self.arity = len(polys[0].vars)
         self.monos = list(dict.fromkeys(e for es in exps for e in es))
         self.tops = [max(col) for col in zip(*self.monos)] or [0] * self.arity
         self.used = [i for i, top in enumerate(self.tops) if top]
         index = dict(zip(self.monos, range(len(self.monos))))
-        marks, self.parts = {}, []
+        marks, sums = {}, []
         for poly, es in zip(polys, exps):
             kind, d = _domain(poly.terms.values())
             t = list(map(_scalar_triple, poly.terms.values()))
@@ -684,32 +677,35 @@ class _Kernel:
             if kind is QuadExt:
                 marks.setdefault((d, irrational), _make(0, 1, 1, d) if irrational
                                  else _make(1, 0, 1, d))
-            has = frozenset(i for i, col in enumerate(zip(*es)) if any(col))
-            self.parts.append((list(map(index.__getitem__, es)),
-                               [p * (n // m) for p, _, m in t],
-                               cq if irrational else None, n, has, kind))
+            sums.append(((list(map(index.__getitem__, es)), [p * (n // m) for p, _, m in t],
+                          cq if irrational else None, n), kind is QuadExt,
+                         {i for i, col in enumerate(zip(*es)) if any(col)}))
+        self.parts = [(num, den, nquad or dquad, nhas | dhas)
+                      for (num, nquad, nhas), (den, dquad, dhas) in zip(sums[::2], sums[1::2])]
         self.marks = tuple(marks.values())
 
-    def values(self, point):
-        """(d, scale, [(kind, p, q, n)] per part): part j's value at
-        ``point`` is (p + q*sqrt(d))/(n * scale) and has type ``kind``.
-        None when an entry the polynomials use is not a scalar."""
+    def eval(self, point) -> tuple:
+        if not self.parts:
+            return ()
+        if len(point) != self.arity:
+            raise StructureError(
+                f"point arity {len(point)} does not match {self.arity} variables")
         used = self.used
         entries = [point[i] for i in used]
         kind, d = _domain(entries, self.marks)
         if kind is None:
-            return None
+            raise StructureError("cannot evaluate at a point with an entry that is not "
+                                 "an int, Fraction or QuadExt: substitute a generic "
+                                 "point with ratfunc_compose")
         # row i holds (x_i numerator)^e * (x_i denominator)^(M_i - e)
         rows = [[1]] * self.arity
         qrows = None
-        scale = 1
         for i, x in zip(used, entries):
             p, q, n = _scalar_triple(x)
             top = self.tops[i]
             dens = [1]
             for _ in range(top):
                 dens.append(dens[-1] * n)
-            scale *= dens[top]
             if q and qrows is None:
                 qrows = [[0] * len(r) for r in rows]
             xp, xq = [1], [0]
@@ -733,69 +729,14 @@ class _Kernel:
                 vp.append(a)
                 vq.append(b)
         quads = {i for i, x in zip(used, entries) if type(x) is QuadExt}
-        fracs = {i for i, x in zip(used, entries) if type(x) is not int}
         out = []
-        for idx, cp, cq, n, has, kind in self.parts:
-            ap = list(map(vp.__getitem__, idx))
-            p = sum(map(mul, cp, ap))
-            q = sum(map(mul, cq, ap)) if cq else 0
-            if vq is not None:
-                aq = list(map(vq.__getitem__, idx))
-                if cq:
-                    p += d * sum(map(mul, cq, aq))
-                q += sum(map(mul, cp, aq))
-            if kind is not QuadExt and not quads.isdisjoint(has):
-                kind = QuadExt
-            elif kind is int and not fracs.isdisjoint(has):
-                kind = Fraction
-            out.append((kind, p, q, n))
-        return d, scale, out
-
-
-class EvalPlan:
-    """RatFuncs over one variable tuple, planned once for evaluation at
-    many points (``ratmap`` keeps one per map).
-
-    :meth:`eval` gives the value of every function at a point at once.  At
-    a point of scalars the numerators and denominators share one integer
-    kernel, and each value is one ``_quotient`` or one ``Fraction``: a
-    QuadExt if a coefficient or an entry its function uses is one, else a
-    Fraction.  :class:`DegenerateError` is raised at the first function
-    whose denominator vanishes at the point.  A used entry that is no
-    scalar (a ``Poly`` or ``RatFunc``: a generic point) raises
-    :class:`StructureError`; :func:`ratfunc_compose` substitutes those.
-    """
-
-    __slots__ = ("funcs", "_kernel")
-
-    def __init__(self, funcs):
-        self.funcs = tuple(funcs)
-        for f in self.funcs:
-            if f.vars != self.funcs[0].vars:
-                raise StructureError(
-                    f"variable mismatch: {self.funcs[0].vars} vs {f.vars}")
-        self._kernel = _Kernel([p for f in self.funcs for p in (f.num, f.den)]) \
-            if self.funcs else None
-
-    def eval(self, point) -> tuple:
-        if not self.funcs:
-            return ()
-        arity = self._kernel.arity
-        if len(point) != arity:
-            raise StructureError(
-                f"point arity {len(point)} does not match {arity} variables")
-        got = self._kernel.values(point)
-        if got is None:
-            raise StructureError("cannot evaluate at a point with an entry that is not "
-                                 "an int, Fraction or QuadExt: substitute a generic "
-                                 "point with ratfunc_compose")
-        d, _, parts = got
-        out = []
-        # the factor scale of numerator and denominator cancels
-        for (nk, np_, nq, nn), (dk, dp, dq, dn) in zip(parts[::2], parts[1::2]):
+        # the factor prod n_i^M_i of numerator and denominator cancels
+        for num, den, quad, has in self.parts:
+            dp, dq, dn = _sum_at(vp, vq, d, *den)
             if not dp and not dq:
                 raise DegenerateError("denominator vanishes at the point")
-            if nk is QuadExt or dk is QuadExt:
+            np_, nq, nn = _sum_at(vp, vq, d, *num)
+            if quad or not quads.isdisjoint(has):
                 out.append(_quotient((np_, nq, nn), (dp, dq, dn), d))
             else:
                 out.append(Fraction(np_ * dn, dp * nn))
@@ -1027,7 +968,10 @@ def chart_restrict(f: RatFunc, relation: str, eliminated: str,
     ``relation``, ``variables`` (default: all of f's), ``eliminated`` and
     ``exponents`` make a :class:`Relation` solved for ``eliminated``; the
     result is f with the solved expression substituted, a RatFunc over
-    the remaining free variables.
+    the remaining free variables.  No certificate calls this (``ratmap``
+    builds a variety's chart from its relations itself); it stays as the
+    public one-relation form that demo 02 shows and perfbench's per-layer
+    timings read.
     """
     if eliminated not in f.vars:
         raise StructureError(f"{eliminated!r} is not a variable of {f.vars}")

@@ -10,11 +10,13 @@ The surface X in the triple product of projective lines is cut out by the
 trilinear equation saying the three conic points multiply to the identity;
 the cubic Y with equation t1 t2 t3 = t0^3 compactifies the diagonal torus
 and has exactly three singular points, detected by exact gradient
-evaluation.  Membership of the torus points is decided on generic points:
-X's equation vanishes as a polynomial in two free parameters x, y with z
-the inverse of x*y, and Y's as a rational function at (1, a, b, 1/(ab)).
-Every point of Y on the chart t0 = 1 is smooth, because dF/dt0 = -3 there.
-No verdict here rests on a sample.
+evaluation.  Points of scalars are evaluated by one
+:class:`~cayleycert.poly.EvalPlan` per set of polynomials.  Membership of
+the torus points is decided on generic points, substituted by
+:func:`~cayleycert.poly.ratfunc_compose`: X's equation vanishes as a
+function of two free parameters x, y with z the inverse of x*y, and Y's
+at (1, a, b, 1/(ab)).  Every point of Y on the chart t0 = 1 is smooth,
+because dF/dt0 = -3 there.  No verdict here rests on a sample.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, StructureError
-from .poly import Poly, RatFunc
+from .poly import EvalPlan, Poly, RatFunc, ratfunc_compose
 from .ratmap import (Block, Certificate, VarietySpec, projective_space)
 
 UV = ("u", "v")
@@ -78,23 +80,20 @@ class SurfaceSpec:
 
 
 def surface_membership(s: SurfaceSpec, point) -> bool:
-    """Exact: the defining polynomial vanishes at the point."""
-    if len(point) != len(s.ambient.coords):
-        raise StructureError(
-            f"point arity {len(point)} does not match ambient "
-            f"{len(s.ambient.coords)}")
-    return not s.equation.eval(point)
+    """Exact: the defining polynomial vanishes at the point; a point of the
+    wrong arity raises :class:`StructureError`."""
+    return not RatFunc(s.equation).eval(point)
 
 
 def singular_points(s: SurfaceSpec, candidates):
     """Flag each on-surface candidate singular iff the full gradient
     vanishes there; off-surface candidates are precondition errors."""
-    grads = [s.equation.derivative(v) for v in s.ambient.coords]
+    grads = EvalPlan([RatFunc(s.equation.derivative(v)) for v in s.ambient.coords])
     verdicts = []
     for p in candidates:
         if not surface_membership(s, p):
             raise PreconditionError(f"candidate {p} is not on {s.name}")
-        verdicts.append(all(not g.eval(p) for g in grads))
+        verdicts.append(not any(grads.eval(p)))
     return verdicts
 
 
@@ -160,7 +159,7 @@ def conic_certificate() -> Certificate:
     cert.add("homomorphism-identity", "pass" if homo else "fail",
              "f([u,v]*[u',v']) = f([u,v]) * f([u',v']), coordinatewise in 4 variables")
 
-    ident = tuple(c.eval((Fraction(1), Fraction(0))) for c in conic_param_components())
+    ident = EvalPlan(map(RatFunc, conic_param_components())).eval((Fraction(1), Fraction(0)))
     cert.add("identity-element", "pass" if ident == (1, 0, 1) else "fail",
              "f([1,0]) = [1, 0, 1]")
 
@@ -194,7 +193,7 @@ def x_membership_certificate() -> Certificate:
     x = (Poly.variable(UV2, "u"), Poly.variable(UV2, "v"))
     y = (Poly.variable(UV2, "u2"), Poly.variable(UV2, "v2"))
     z = parameter_inverse(parameter_law(x, y))
-    ok = sX.equation.eval(x + y + z) == 0
+    ok = ratfunc_compose(RatFunc(sX.equation), map(RatFunc, x + y + z)).is_zero()
     cert.add("triple-product-membership", "pass" if ok else "fail",
              "F_X(x, y, (x*y)^-1) = 0 for generic x = (u, v), y = (u2, v2)")
     base = surface_membership(sX, (Fraction(1), Fraction(0)) * 3)
@@ -214,8 +213,9 @@ def y_singular_certificate() -> Certificate:
     flags = singular_points(sY, trio)
     cert.add("three-singular-points", "pass" if all(flags) else "fail",
              "all coordinate candidates have vanishing gradient")
-    chart = (1, *RatFunc.variables(("t1", "t2", "t3")))
-    smooth = sY.equation.derivative("t0").eval(chart) == -3
+    t = RatFunc.variables(("t1", "t2", "t3"))
+    smooth = ratfunc_compose(RatFunc(sY.equation.derivative("t0")),
+                             (RatFunc.const(t[0].vars, 1), *t)) == -3
     cert.add("smooth-on-chart[t0=1]", "pass" if smooth else "fail",
              "dF/dt0 = -3 at every point with t0 = 1")
 
@@ -235,7 +235,8 @@ def y_membership_certificate() -> Certificate:
     function of a, b."""
     cert = Certificate(construction="appendix.Y")
     a, b = RatFunc.variables(("a", "b"))
-    ok = surface_Y().equation.eval((1, a, b, 1 / (a * b))) == 0
+    one = RatFunc.const(("a", "b"), 1)
+    ok = ratfunc_compose(RatFunc(surface_Y().equation), (one, a, b, 1 / (a * b))).is_zero()
     cert.add("torus-membership", "pass" if ok else "fail",
              "F_Y(1, a, b, 1/(ab)) = 0 for generic a, b")
     return cert

@@ -11,9 +11,9 @@ from cayleycert import classical, cli
 from cayleycert.classical import (MatrixAlg, cayley_conjugation_equivariance,
                                   cayley_transform, cayley_transform_of_skew,
                                   classical_certificate, full_linear_certificate,
-                                  orthogonal_alg, pgl_cayley, pgl_certificate,
-                                  pgl_scalar_invariance, symplectic_alg,
-                                  unitary_alg)
+                                  generic_matrices, orthogonal_alg, pgl_cayley,
+                                  pgl_certificate, pgl_scalar_invariance,
+                                  symplectic_alg, unitary_alg)
 from cayleycert.errors import DegenerateError, PreconditionError, StructureError
 from cayleycert.field import QuadField
 from cayleycert.poly import RatFunc
@@ -373,6 +373,22 @@ def algebra_and_matrix(draw, mixed=False):
         entries = st.one_of(entries, st.integers(-3, 3), rationals)
     row = st.tuples(*[entries] * alg.n)
     return alg, draw(st.tuples(*[row] * alg.n))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: symplectic_alg(4),
+    lambda: orthogonal_alg(3, (1, 1, -1)),                 # so21
+    lambda: orthogonal_alg(3, (1, 2, -3)),
+    lambda: unitary_alg(3, -3, (1, 1, -1)),                # su21
+    lambda: unitary_alg(2, -1, (2, Fraction(1, 2))),
+])
+def test_symbolic_gather_matches_multiplied_out_form(build):
+    # iota(ab) = iota(b) iota(a) holds for any transpose-like gather, whatever
+    # its signs and factors, and the sampled suite reads the integer gather:
+    # only this pins the symbolic one
+    alg = build()
+    a, = generic_matrices(alg.n, "a", alg.field.sqrt if alg.field else None)
+    assert alg.involute(a) == oracle_involute(alg, a)
 
 
 @settings(max_examples=300, deadline=None)

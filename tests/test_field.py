@@ -79,6 +79,14 @@ def test_bad_discriminant_rejected():
             QuadExt(1, 1, d)
 
 
+@pytest.mark.parametrize("d", [0, 1, 4, -8, -3.0, Fraction(-3), "-3"])
+def test_both_constructors_check_the_discriminant_alike(d):
+    # unchecked, a float or Fraction d builds a value whose product raises TypeError
+    for build in (lambda: QuadExt(1, 1, d), lambda: QuadField(d)):
+        with pytest.raises(StructureError, match="^discriminant must be a squarefree int"):
+            build()
+
+
 def test_serialization_format():
     assert scalar_str(Fraction(3, 4)) == "3/4"
     assert scalar_str(F.of(Fraction(1, 2), Fraction(1, 2))) == "1/2+1/2*sqrt(-3)"

@@ -55,6 +55,14 @@ def test_arity_mismatch():
         apply_action(g, (1, 2))
 
 
+@pytest.mark.parametrize("perm", [(0, 0, 1), (0, -1, 1), (0, 3, 1), (1, 2)])
+def test_perm_must_be_a_permutation(perm):
+    # unchecked, (0, 0, 1) acts as a 3-cycle, (0, -1, 1) as a transposition
+    # and (0, 3, 1) raises IndexError at its first use
+    with pytest.raises(StructureError, match="is not a permutation of 0.."):
+        ActionGen(perm=perm)
+
+
 def test_compose_matches_sequential_application():
     rng = random.Random(17)
     gens = [

@@ -6,7 +6,7 @@ import pytest
 
 from cayleycert import surfaces
 from cayleycert.errors import PreconditionError, StructureError
-from cayleycert.poly import Poly
+from cayleycert.poly import EvalPlan, Poly, RatFunc
 from cayleycert.surfaces import (SurfaceSpec, conic_certificate,
                                  conic_param_components, parameter_inverse,
                                  parameter_law, singular_points, surface_C,
@@ -20,7 +20,7 @@ def frac(a, b=1):
 
 
 def param_image(p):
-    return tuple(c.eval(p) for c in conic_param_components())
+    return EvalPlan(map(RatFunc, conic_param_components())).eval(p)
 
 
 def test_parameterization_identity_point():

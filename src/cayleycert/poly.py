@@ -2,7 +2,8 @@
 
 ``Poly`` stores a map from monomials, packed as below, to nonzero
 coefficients over a fixed ordered variable tuple; coefficients are ints, Fractions or
-:class:`~cayleycert.field.QuadExt` values.  ``RatFunc`` is a
+:class:`~cayleycert.field.QuadExt` values (the constructor refuses any other
+type with :class:`StructureError`).  ``RatFunc`` is a
 numerator/denominator pair that is *not* kept in lowest terms: there is
 no multivariate GCD here.
 Equality is decided exactly by cross multiplication and full expansion,
@@ -36,11 +37,18 @@ the other factor's keys and accumulates nothing.  A result is sorted once,
 by its int keys.
 
 Composition and the exact equality tests stay on integers from input to
-verdict.  :func:`ratfunc_compose` scales the powers of the substituted
-numerators and denominators to integer rows once per call, runs each
-term's chain of products on integers over one lcm denominator, and builds
-each output coefficient once.  The one-term rows of a chain fold into a
-pending monomial (one key addition and one coefficient product each),
+verdict.  :func:`ratfunc_compose` clears the substituted denominators by
+groups: entries whose denominators are equal share one group g with
+denominator D_g, and a term c*x^e picks up D_g^(M_g - sum_{i in g} e_i),
+M_g being the largest such sum over the terms of f's numerator and
+denominator.  So (a/D, b/D, c/D) adds no common power of D to the result,
+which nothing here could cancel later, and with no two denominators equal
+each variable is its own group.  It scales the powers of the substituted
+numerators and of each group's denominator to integer rows once per call,
+runs each term's chain of products (a group's row right after the
+numerator row of its last variable) on integers over one lcm denominator,
+and builds each output coefficient once.  The one-term rows of a chain
+fold into a pending monomial (one key addition and one coefficient product each),
 which multiplies into the running product only just before a many-term
 row and once at the end.  :func:`ratfunc_equal` and ``_cross`` (the
 projective 2x2 test of ``ratmap``) count the nonzero terms of a difference
@@ -90,8 +98,9 @@ coefficient of its function or an entry the function uses is one, else a
 ``Fraction``.  Irrational coefficients or used entries from two fields
 raise :class:`FieldMismatchError` through ``field._domain``.  There is no
 evaluation at a generic point (a used ``Poly`` or ``RatFunc`` entry): it
-raises :class:`StructureError`, as substitution is
-:func:`ratfunc_compose`'s alone.
+raises :class:`StructureError` that names :func:`ratfunc_compose`, the one
+substitution of generic points.  A used entry of any other type is not a
+scalar, and raises :class:`StructureError` that says so.
 
 Every product passes through a term budget, so that a runaway expansion
 fails loudly instead of thrashing.  :class:`TermBudgetError` is raised
@@ -295,6 +304,9 @@ class Poly:
                 raise ExponentOverflowError(
                     f"exponent vector {exps} of degree {sum(exps)} exceeds the "
                     f"{WIDTH}-bit exponent field")
+            if type(c) not in _SCALAR_TYPES:
+                raise StructureError(
+                    f"coefficient {c!r} of {exps} is not an int, Fraction or QuadExt")
             if c:
                 clean[_pack(exps)] = c
         _set(self, "vars", variables)
@@ -694,9 +706,12 @@ class EvalPlan:
         entries = [point[i] for i in used]
         kind, d = _domain(entries, self.marks)
         if kind is None:
-            raise StructureError("cannot evaluate at a point with an entry that is not "
-                                 "an int, Fraction or QuadExt: substitute a generic "
-                                 "point with ratfunc_compose")
+            bad = next(x for x in entries if type(x) not in _SCALAR_TYPES)
+            if isinstance(bad, (Poly, RatFunc)):
+                raise StructureError(f"cannot evaluate at a point with a {type(bad).__name__} "
+                                     f"entry: substitute a generic point with ratfunc_compose")
+            raise StructureError(f"cannot evaluate at a point with an entry that is not "
+                                 f"a scalar: {bad!r}")
         # row i holds (x_i numerator)^e * (x_i denominator)^(M_i - e)
         rows = [[1]] * self.arity
         qrows = None
@@ -819,10 +834,14 @@ def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
 
     The substitution tuple entries are RatFuncs over a common variable
     tuple; the result lives over that tuple.  Denominators are cleared
-    analytically: with subst_i = n_i/d_i and M_i the largest power of the
-    i-th variable in f, each term picks up the complementary d_i^(M_i - e_i),
-    so the whole computation stays in integer polynomial arithmetic, as
-    described in the module docstring.
+    analytically, one power per group of entries whose denominators are
+    equal: with subst_i = n_i/D_g for i in group g and M_g the largest sum
+    of the group's exponents over the terms of f, a term c*x^e picks up the
+    complementary D_g^(M_g - sum_{i in g} e_i).  So a tuple over one shared
+    denominator adds no power of it that the numerator and denominator
+    share, and with no two denominators equal the rule is d_i^(M_i - e_i)
+    per variable.  The whole computation stays in integer polynomial
+    arithmetic, as described in the module docstring.
     """
     subst = tuple(subst)
     if len(subst) != len(f.vars):
@@ -839,21 +858,41 @@ def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
                       *(p.terms.values() for s in subst for p in (s.num, s.den)),
                       (Fraction(1),))
 
-    # f's terms with exponent tuples, and each variable's largest power
+    # entries with equal denominators form one group, cleared by one power of
+    # that denominator; members[g] lists the entries of group g
+    n, dens = len(subst), []
+    for s in subst:
+        if s.den not in dens:
+            dens.append(s.den)
+    members = [[] for _ in dens]
+    for i, s in enumerate(subst):
+        members[dens.index(s.den)].append(i)
+    # one column per variable, its exponent in each term of f's numerator
+    # and denominator, and one per group (column n + g), the sum of its
+    # members' columns; tops holds each column's largest
     fn, fd = f.num.items(), f.den.items()
-    maxdeg = [max(col) for col in zip(*(exps for exps, _ in fn + fd))]
-    # powers of the substituted numerators and denominators, scaled once
+    cols = list(zip(*(exps for exps, _ in fn + fd)))
+    cols += [[sum(t) for t in zip(*(cols[i] for i in m))] for m in members]
+    tops = [max(col) for col in cols]
+    # powers of each substituted numerator and each group's denominator,
+    # scaled once; a group's row follows its last member's numerator row in
+    # every chain, and the two are built in step
+    ends = {m[-1]: n + g for g, m in enumerate(members)}
+    blocks = [(i, ends[i]) if i in ends else (i,) for i in range(n)]
+    bases = [_scaled(p.terms) for p in [s.num for s in subst] + dens]
     ceiling = _ceiling(len(out_vars))
     unit = [(0, 1, 0)], 1
-    num_pows, den_pows = [], []
-    for s, top in zip(subst, maxdeg):
-        sn, sd = _scaled(s.num.terms), _scaled(s.den.terms)
-        nrow, drow = [unit], [unit]
-        for _ in range(top):
-            nrow.append(_mul(nrow[-1], sn, d, ceiling))
-            drow.append(_mul(drow[-1], sd, d, ceiling))
-        num_pows.append(nrow)
-        den_pows.append(drow)
+    pows = [[unit] for _ in bases]
+    for block in blocks:
+        for k in range(max(tops[j] for j in block)):
+            for j in block:
+                if k < tops[j]:
+                    pows[j].append(_mul(pows[j][-1], bases[j], d, ceiling))
+    # the power rows of a chain in order, and each term's index into each:
+    # e_i for a numerator, M_g - sum_{i in g} e_i for a group's denominator
+    order = [j for block in blocks for j in block]
+    chain_rows = [pows[j] for j in order]
+    index = list(zip(*(cols[j] if j < n else [tops[j] - e for e in cols[j]] for j in order)))
 
     def times(val, mono):
         # val times a monomial (key, p, q), where val None stands for 1
@@ -861,13 +900,11 @@ def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
             return [mono], 1
         return val if mono == (0, 1, 0) else (_shift(val[0], mono, d), 1)
 
-    def cleared(terms):
+    def cleared(terms, index):
         # each term's chain of rows, and its denominator before the products
         chains = []
-        for exps, c in terms:
-            rows = [r for i, e in enumerate(exps)
-                    for r in (num_pows[i][e], den_pows[i][maxdeg[i] - e])
-                    if r is not unit]
+        for (_, c), k in zip(terms, index):
+            rows = [r for r in map(getitem, chain_rows, k) if r is not unit]
             p, q, m = _scalar_triple(c)
             chains.append((p, q, m * prod(r[1] for r in rows), rows))
         # seed each chain over the lcm, so every product lands on it
@@ -902,10 +939,10 @@ def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
         return _poly(out_vars, _built(((e, p, q) for e, (p, q) in acc.items()
                                        if p or q), den, kind, d))
 
-    den = cleared(fd)
+    den = cleared(fd, index[len(fn):])
     if den.is_zero():
         raise DegenerateError("composition produced an identically zero denominator")
-    return RatFunc(cleared(fn), den)
+    return RatFunc(cleared(fn, index), den)
 
 
 @dataclass(frozen=True)

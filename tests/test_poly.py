@@ -265,6 +265,14 @@ def test_non_integer_exponent_is_rejected(exps):
         Poly(("x",), {exps: 1})
 
 
+@pytest.mark.parametrize("c", [0.5, 0.0, True, "1", None, complex(1, 1)])
+def test_coefficient_that_is_no_scalar_is_rejected(c):
+    # unchecked, 0.5 built and failed at the first product or evaluation
+    with pytest.raises(StructureError, match=re.escape(
+            f"coefficient {c!r} of (1,) is not an int, Fraction or QuadExt")):
+        Poly(("x",), {(1,): c})
+
+
 def test_derivative_of_an_unknown_variable_names_it():
     p = Poly(("x", "y"), {(2, 1): 3, (0, 3): 1})
     assert str(p.derivative("y")) == "3*x^2 + 3*y^2"
@@ -530,34 +538,57 @@ def test_irrational_coefficients_of_two_fields_raise():
 # The integer paths of ratfunc_compose and _cross must agree with the
 # RatFunc arithmetic they replace: the same values, the same coefficient
 # types (one _domain call) and the same products in the same order, so the
-# same TermBudgetError at every budget.
+# same TermBudgetError at every budget.  ratfunc_compose clears denominators
+# by groups: the entries whose denominators are equal form one group g with
+# denominator D_g, and a term c*x^e picks up D_g^(M_g - sum_{i in g} e_i),
+# M_g the largest such sum over the terms of f.  With no two denominators
+# equal, each group is one variable and this is the per-variable rule
+# d_i^(M_i - e_i).
 
 
 def reference_compose(f, subst):
     """ratfunc_compose product by product through Poly arithmetic: the
-    power rows n_i^k, d_i^k, then each term's chain c * n_i^e_i *
-    d_i^(M_i - e_i) variable by variable, summed term by term."""
+    power rows n_i^k, and D_g^k in step with the numerator row of g's last
+    variable, then each term's chain c * n_i^e_i variable by variable, with
+    D_g^(M_g - sum_{i in g} e_i) right after the last variable of g, summed
+    term by term."""
     out_vars = subst[0].vars
-    top = [max((e[i] for p in (f.num, f.den) for e, _ in p.items()), default=0)
-           for i in range(len(f.vars))]
+    dens = []
+    for s in subst:
+        if not any(s.den == p for p in dens):
+            dens.append(s.den)
+    group = [next(g for g, p in enumerate(dens) if s.den == p) for s in subst]
+    last = {g: i for i, g in enumerate(group)}
+    exps_of = [e for p in (f.num, f.den) for e, _ in p.items()]
+
+    def group_degree(exps, g):
+        return sum(e for e, h in zip(exps, group) if h == g)
+    top = [max(e[i] for e in exps_of) for i in range(len(f.vars))]
+    gtop = [max(group_degree(e, g) for e in exps_of) for g in range(len(dens))]
     one = Poly.const(out_vars, Fraction(1))
-    rows = []
-    for s, m in zip(subst, top):
-        nrow, drow = [one], [one]
-        for _ in range(m):
-            nrow.append(nrow[-1] * s.num)
-            drow.append(drow[-1] * s.den)
-        rows.append((nrow, drow))
+    nrows, drows = [], [[one] for _ in dens]
+    for i, s in enumerate(subst):
+        g = group[i]
+        closes = last[g] == i
+        nrow, drow = [one], drows[g]
+        for k in range(max(top[i], gtop[g] if closes else 0)):
+            if k < top[i]:
+                nrow.append(nrow[-1] * s.num)
+            if closes and k < gtop[g]:
+                drow.append(drow[-1] * dens[g])
+        nrows.append(nrow)
 
     def cleared(poly):
         acc = Poly.zero(out_vars)
         for exps, c in poly.items():
             val = Poly.const(out_vars, c)
-            for (nrow, drow), e, m in zip(rows, exps, top):
+            for i, e in enumerate(exps):
                 if e:
-                    val = val * nrow[e]
-                if m - e:
-                    val = val * drow[m - e]
+                    val = val * nrows[i][e]
+                g = group[i]
+                k = gtop[g] - group_degree(exps, g)
+                if last[g] == i and k:
+                    val = val * drows[g][k]
             acc = acc + val
         return acc
 
@@ -565,6 +596,24 @@ def reference_compose(f, subst):
     if den.is_zero():
         raise DegenerateError("zero denominator")
     return RatFunc(cleared(f.num), den)
+
+
+def per_variable_compose(f, subst):
+    """f at subst through Poly arithmetic, each d_i^(M_i - e_i) cleared on
+    its own, as if no two denominators were equal."""
+    out_vars = subst[0].vars
+    top = [max(e[i] for p in (f.num, f.den) for e, _ in p.items())
+           for i in range(len(f.vars))]
+
+    def cleared(poly):
+        acc = Poly.zero(out_vars)
+        for exps, c in poly.items():
+            val = Poly.const(out_vars, c)
+            for s, e, m in zip(subst, exps, top):
+                val = val * s.num ** e * s.den ** (m - e)
+            acc = acc + val
+        return acc
+    return RatFunc(cleared(f.num), cleared(f.den))
 
 
 def outcome(fn, *args):
@@ -602,9 +651,37 @@ T_PLUS_1 = st_rf({(0, 1): 1, (0, 0): 1}, {(0, 0): 1})
 S_T_1 = st_rf({(1, 0): 1, (0, 1): 1, (0, 0): 1}, {(0, 0): 1})
 
 
+D_ST = {(1, 0): 1, (0, 1): 1, (0, 0): 1}       # s + t + 1, a shared denominator
+E_ST = {(1, 0): 2, (0, 0): -1}                 # 2s - 1, another
+
+
+@st.composite
+def substitutions(draw, d):
+    """Entries over ST for XYZ whose denominators are drawn from a pool of
+    three, so that entries often share one, each entry its own equal copy."""
+    pool = [draw(nonzero_polys(d, ST, 2, 1)) for _ in XYZ]
+    picks = draw(st.tuples(*[st.integers(0, 2) for _ in XYZ]))
+    return tuple(RatFunc(draw(polys(d, ST, 3, 1)), Poly(ST, dict(pool[k].items())))
+                 for k in picks)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(FIELDS).flatmap(lambda d: st.tuples(
-    ratfuncs(d, XYZ, 3, 2), st.tuples(*[ratfuncs(d, ST, 3, 1) for _ in XYZ]))))
+    ratfuncs(d, XYZ, 3, 2), substitutions(d))))
+# one shared denominator and f homogeneous: no power of it in the result
+@example((xyz_rf({(2, 0, 0): 1, (0, 1, 1): 1}, {(1, 1, 0): 1, (0, 0, 2): 1}),
+          (st_rf({(1, 0): 1}, D_ST), st_rf({(0, 1): 2}, D_ST),
+           st_rf({(1, 1): 1, (0, 0): 3}, D_ST))))
+# mixed groups {x, z} and {y}: the group {x, z} has degree 2 in the
+# denominator of f and 0 in its numerator
+@example((xyz_rf({(0, 1, 0): 1, (0, 0, 0): 1}, {(1, 0, 1): 1, (0, 1, 0): 1}),
+          (st_rf({(0, 1): 1}, D_ST), st_rf({(1, 0): 1, (0, 1): -1}, E_ST),
+           st_rf({(1, 0): 3}, D_ST))))
+@example((xyz_rf({(2, 1, 0): 1, (0, 0, 1): 2}, {(1, 0, 0): 1, (0, 0, 0): 1}),
+          (st_rf({(0, 1): 1}, E_ST), st_rf({(1, 0): 1}, D_ST), st_rf({(0, 0): 5}, E_ST))))
+# several constant-1 denominators, one group
+@example((xyz_rf({(2, 1, 0): 1, (0, 0, 1): 1}, {(0, 1, 1): 1, (0, 0, 0): 1}),
+          (S_PLUS_1, st_rf({(0, 1): 2}, {(0, 0): 1}), S_T_1)))
 # budget 1: the numerator row of x fails first, with 3 terms, not the
 # denominator row with 2
 @example((xyz_rf({(1, 0, 0): 1}, {(0, 0, 0): 1}),
@@ -642,6 +719,39 @@ def test_compose_matches_ratfunc_arithmetic(case):
                               seed)
     for c in (*got.num.terms.values(), *got.den.terms.values()):
         assert type(c) is kind and getattr(c, "d", None) == d
+
+
+def test_compose_over_one_shared_denominator_adds_no_power_of_it():
+    a, b, c = (st_rf({(1, 0): 1}, D_ST), st_rf({(0, 1): 2}, D_ST),
+               st_rf({(1, 1): 1, (0, 0): 3}, D_ST))
+    assert a.den == b.den == c.den and a.den is not b.den
+    # (x^2 + y*z) / (x*y + z^2) at (a, b, c) / D is (a^2 + b*c) / (a*b + c^2)
+    f = xyz_rf({(2, 0, 0): 1, (0, 1, 1): 1}, {(1, 1, 0): 1, (0, 0, 2): 1})
+    got = ratfunc_compose(f, (a, b, c))
+    want = RatFunc(a.num ** 2 + b.num * c.num, a.num * b.num + c.num ** 2)
+    assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
+    # cleared per variable, both sides carry D^3 more
+    per_variable = per_variable_compose(f, (a, b, c))
+    assert ratfunc_equal(got, per_variable)
+    assert per_variable.num.terms == (want.num * a.den ** 3).terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda d: st.tuples(
+    ratfuncs(d, XYZ, 3, 2), substitutions(d))))
+def test_compose_equals_the_per_variable_clearing(case):
+    f, subst = case
+    try:
+        want = per_variable_compose(f, subst)
+    except DegenerateError:
+        with pytest.raises(DegenerateError):
+            ratfunc_compose(f, subst)
+        return
+    got = ratfunc_compose(f, subst)
+    assert ratfunc_equal(got, want)
+    # with no two denominators equal, term for term
+    if all(s.den != t.den for i, s in enumerate(subst) for t in subst[i + 1:]):
+        assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
 
 
 def reference_cross(a, b, c, d):
@@ -964,9 +1074,19 @@ def test_eval_at_a_generic_point_raises():
     f = (X * Y + QuadExt(0, 1, -3)) / (Z + 1)
     point = (Y, X, Z * 2)
     assert ratfunc_compose(f, point) == reference_eval(f, point)
-    for generic in ((X, Y, Z), point, (1, 2, Z.num)):
-        with pytest.raises(StructureError, match="ratfunc_compose"):
+    for generic, kind in (((X, Y, Z), "RatFunc"), (point, "RatFunc"), ((1, 2, Z.num), "Poly")):
+        with pytest.raises(StructureError, match=re.escape(
+                f"with a {kind} entry: substitute a generic point with ratfunc_compose")):
             f.eval(generic)
+
+
+@pytest.mark.parametrize("entry", [0.5, "1", None, True])
+def test_eval_at_an_entry_that_is_no_scalar_says_so(entry):
+    f = (X * Y + 1) / (Z + 1)
+    with pytest.raises(StructureError, match=re.escape(
+            f"entry that is not a scalar: {entry!r}")) as got:
+        f.eval((1, entry, 2))
+    assert "ratfunc_compose" not in str(got.value)
 
 
 @settings(max_examples=80, deadline=None)

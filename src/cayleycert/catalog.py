@@ -4,7 +4,8 @@ Every certified construction has a stable string id and one entry in the
 literal table ``CONSTRUCTIONS``; the command line selects them by id or
 runs the whole non-fixture set.  Mutation fixtures are intentionally
 broken variants (a swapped component, a dropped twist, a dropped
-conjugation, a wrong cocycle value, a bumped lattice entry) whose
+conjugation, a wrong cocycle value, a bumped lattice entry, a lost sign in
+the classical gather) whose
 certificates must fail with a named check; they are excluded from "all"
 and only run when selected explicitly.
 """
@@ -111,6 +112,16 @@ def _mutant_lattice_offbyone(seed: int, trials: int) -> Certificate:
     return cert
 
 
+def _mutant_classical_gather_sign(seed: int, trials: int) -> Certificate:
+    # every -1 factor of sp4's symbolic gather read as +1: iota stays an
+    # anti-automorphism (the transpose against a permutation) but is no
+    # longer the one the integer gather and the skew space belong to
+    alg = symplectic_alg(4)
+    alg._gather = tuple(tuple((q, p, f, (f == 1) + (f == -1), u, v)
+                              for q, p, f, _, u, v in row) for row in alg._gather)
+    return classical_certificate("mutation.classical-gather-sign", alg, seed, trials)
+
+
 # -- the construction table --------------------------------------------------
 
 CONSTRUCTIONS = (
@@ -184,6 +195,9 @@ CONSTRUCTIONS = (
                  _mutant_wrong_cocycle, fixture=True),
     Construction("mutation.lattice-offbyone", "fixture: lattice matrix entry off by one",
                  _mutant_lattice_offbyone, fixture=True),
+    Construction("mutation.classical-gather-sign",
+                 "fixture: sign of the symplectic gather dropped",
+                 _mutant_classical_gather_sign, fixture=True),
 )
 
 MUTATION_IDS = tuple(c.id for c in CONSTRUCTIONS if c.fixture)

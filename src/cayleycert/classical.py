@@ -21,10 +21,12 @@ diagonal shift by -1, with no matrix product.
 
 Scalar work runs on the integer form of ``matrices`` (``_IntMat``), and
 the gather table also holds each factor as integers over one common L:
-the symbolic gather serves only the exact check on generic matrices.
-The sampled suite of :func:`classical_certificate` stays on forms from
-draw to verdict, and builds scalars only for a witness; the public
-functions convert scalar matrices in and out.
+the symbolic gather serves the exact checks on generic matrices, the
+integer one the scalars, the skew basis and the spot check.
+:func:`classical_certificate` derives the transform's verdicts from two
+exact checks by a stated ring rule; its spot check stays on integer
+forms from draw to verdict, and builds scalars only for a witness; the
+public functions convert scalar matrices in and out.
 
 The projective variant for the quotient of the full matrix group by
 scalars is built here too: [a] -> (n / tr a) a - 1 with inverse
@@ -43,7 +45,7 @@ from .matrices import (_IntMat, conj_transpose, identity, mat_add, mat_eq, mat_m
                        mat_neg, mat_str, mat_sub, transpose)
 from .poly import Poly, RatFunc, ratfunc_compose, ratfunc_equal
 from .ratmap import (Certificate, EquivMap, MapPair, Relation, VarietySpec, Block,
-                     projective_space, sample)
+                     projective_space, spot_check)
 
 INVOLUTIONS = ("symplectic", "transpose-form", "hermitian-form")
 FORM_KINDS = {"symplectic": "antisymmetric", "transpose-form": "symmetric",
@@ -163,6 +165,36 @@ class MatrixAlg:
                     self._d and [[q for _, q in r] for r in pairs], 2, self._d)
         return (x + -self._involute_int(x)).over(2)
 
+    def _generic_skew(self):
+        """(k, x): x = sum_k v_k B_k with ``Poly`` entries over v1..vk, for
+        a Q-basis B_k of the skew space read off the integer gather.  Cell
+        (i, j) reads (q, p), so iota(e E_qp) = g conj(e) E_ij with
+        g = (u + v*sqrt(d))/L; B = (e E_qp - iota(e E_qp))/2 for one cell
+        of each orbit {(q, p), (i, j)} and e = 1, and e = sqrt(d) over
+        Q(sqrt(d)), dropping zeros.  A cell that reads itself under a
+        conjugate-linear iota has a one-dimensional skew part: one B."""
+        K, L = self.field, self._den
+        units = (Fraction(1), K.sqrt) if K else (Fraction(1),)
+        basis = []                    # one {(row, col): entry} per B
+        for i, row in enumerate(self._gather):
+            for j, (q, p, _, _, u, v) in enumerate(row):
+                if (q, p) > (i, j):
+                    continue
+                g = K.of(Fraction(u, L), Fraction(v, L)) if K else Fraction(u, L)
+                for e in units:
+                    b = {(q, p): e / 2}
+                    b[i, j] = b.get((i, j), 0) - g * (conj(e) if self._conj else e) / 2
+                    if any(b.values()):
+                        basis.append(b)
+                        if self._conj and (q, p) == (i, j):
+                            break
+        names = tuple(f"v{k + 1}" for k in range(len(basis)))
+        terms = [[{} for _ in range(self.n)] for _ in range(self.n)]
+        for k, b in enumerate(basis):
+            for (i, j), c in b.items():
+                terms[i][j][tuple(int(m == k) for m in range(len(basis)))] = c
+        return len(basis), tuple(tuple(Poly(names, t) for t in row) for row in terms)
+
     def _random_point(self, rng):
         """A group point (integer form): the transform of a random skew,
         checked skew first; 32 exceptional skews raise DegenerateError."""
@@ -212,19 +244,13 @@ def _transform(a):
     return inv.shift(-1)
 
 
-def _conjugation_holds(alg, a, x, g) -> bool:
-    """transform(g a g^-1) == g x g^-1 for integer forms a, x = transform(a)
-    and g; raises PreconditionError when g a g^-1 is not a group point."""
-    ginv = g.inverse()
-    return _to_skew(alg, g @ a @ ginv) == g @ x @ ginv
-
-
 def cayley_conjugation_equivariance(alg: MatrixAlg, a, g) -> bool:
     """transform(g a g^-1) == g transform(a) g^-1, exactly."""
     if not alg.is_group_point(g):
         raise PreconditionError("g is not a group point")
     a, g = alg._int(a, g)
-    return _conjugation_holds(alg, a, _to_skew(alg, a), g)
+    x, ginv = _to_skew(alg, a), g.inverse()
+    return _to_skew(alg, g @ a @ ginv) == g @ x @ ginv
 
 
 # -- standard algebras -----------------------------------------------------
@@ -289,58 +315,69 @@ def full_linear_certificate(n: int) -> Certificate:
 
 def classical_certificate(name: str, alg: MatrixAlg, seed: int,
                           trials: int = 100) -> Certificate:
-    """The involution, then round trips, image skewness and conjugation
-    equivariance of the transform.
+    """Image skewness, round trips and conjugation equivariance of the
+    transform T(a) = (1 - a)(1 + a)^-1, exactly, then one spot check.
 
-    ``involution-anti-automorphism`` is exact: iota(ab) = iota(b) iota(a)
-    and iota(iota(a)) = a on generic matrices a, b.  When it fails, the
-    transform identities, which rest on it, are not run.  The other three
-    verdicts share one count from one :func:`cayleycert.ratmap.sample` loop
-    of ``trials`` attempts, each drawing group points a, then g: a must map
-    to a skew x that maps back to a, and g must conjugate a and x alike.
-    Their details state the count, and they fail when it is 0.  A failed
-    identity, or a point that is no group point, fails ``transform-suite``
-    instead, with a (g for the conjugation) as its witness, and a drawn
-    skew that is not skew with its text.  ``trials`` must be at least 1.
+    Two checks are exact on generic matrices, and a failed one returns the
+    certificate: ``involution-anti-automorphism`` (iota(ab) = iota(b)
+    iota(a), iota(a + b) = iota(a) + iota(b), iota(iota(a)) = a) and
+    ``generic-skew`` (iota(1 + x) = 1 - x for x = sum_k v_k B_k over the
+    basis of :meth:`MatrixAlg._generic_skew`; the detail states k).  The
+    three transform verdicts follow by this rule.  iota(1) iota(a) =
+    iota(a) and iota is onto, so iota(1) = 1 and iota(B^-1) = iota(B)^-1,
+    and by additivity iota(x) = -x.  1 + x is invertible over K(v), as
+    det(1 + x) is 1 at v = 0, so iota(T(x)) T(x) =
+    (1 - x)^-1 (1 + x)(1 - x)(1 + x)^-1 = 1.  For a group point a,
+    iota(T(a)) = (1 + a^-1)^-1 (1 - a^-1) = -T(a).  T(T(a)) = a and
+    T(g a g^-1) = g T(a) g^-1 are ring identities.
+
+    ``spot-check[<trials> points]`` (:func:`cayleycert.ratmap.spot_check`)
+    draws skew x with :meth:`MatrixAlg._random_skew`; x agrees when
+    a = T(x), on integer forms, is a group point with T(a) == x, else it
+    is the witness, and a drawn skew that is not skew fails with its text.
+    ``trials`` must be at least 1.
     """
     if trials < 1:
         raise StructureError(f"trials must be positive: {trials}")
     cert = Certificate(construction=name, seed=seed)
     a, b = generic_matrices(alg.n, "ab", alg.field.sqrt if alg.field else None)
-    if not (mat_eq(alg.involute(mat_mul(a, b)), mat_mul(alg.involute(b), alg.involute(a)))
-            and mat_eq(alg.involute(alg.involute(a)), a)):
+    ia, ib = alg.involute(a), alg.involute(b)
+    if not (mat_eq(alg.involute(mat_mul(a, b)), mat_mul(ib, ia))
+            and mat_eq(alg.involute(mat_add(a, b)), mat_add(ia, ib))
+            and mat_eq(alg.involute(ia), a)):
         cert.add("involution-anti-automorphism", "fail",
                  "identity fails on generic matrices a, b")
         return cert
     cert.add("involution-anti-automorphism", "pass",
-             "exact on generic a, b: iota(ab) = iota(b) iota(a), iota(iota(a)) = a")
+             "exact on generic a, b: iota(ab) = iota(b) iota(a), "
+             "iota(a + b) = iota(a) + iota(b), iota(iota(a)) = a")
+    k, x = alg._generic_skew()
+    on = f"x = sum of v_k B_k, k = 1..{k}, B_k a basis of the skew space"
+    if not mat_eq(alg.involute(mat_add(alg.one, x)), mat_sub(alg.one, x)):
+        cert.add("generic-skew", "fail", f"iota(1 + x) != 1 - x on {on}")
+        return cert
+    cert.add("generic-skew", "pass", f"exact on {on}: iota(1 + x) = 1 - x")
+    cert.add("image-skewness", "pass",
+             "from the anti-automorphism: iota(1) = 1, so for a group point a, "
+             "iota(T(a)) = (1 + a^-1)^-1 (1 - a^-1) = -T(a)")
+    cert.add("round-trip", "pass",
+             "from generic-skew: iota(T(x)) T(x) = (1 - x)^-1 (1 + x)(1 - x)(1 + x)^-1 "
+             "= 1, and T(T(a)) = a is a ring identity")
+    cert.add("conjugation-equivariance", "pass",
+             "ring identity: T(g a g^-1) = g T(a) g^-1")
 
-    def draw(rng):
-        return alg._random_point(rng), alg._random_point(rng)
-
-    def check(pair):
-        a, g = pair
-        witness = a
+    def check(x):
+        if not alg._is_skew(x):
+            return f"drawn skew is not skew: {mat_str(x.scalars())}"
+        a = _transform(x)             # DegenerateError: x on the exceptional locus
         try:
-            x = _to_skew(alg, a)
-            # x is checked to be skew before _transform sends it back
-            if alg._is_skew(x) and _transform(x) == a:
-                witness = g
-                if _conjugation_holds(alg, a, x, g):
-                    return None
-        except PreconditionError:       # a, or g a g^-1, is no group point
-            pass
-        return mat_str(witness.scalars())
+            ok = not alg._residual(a) and _transform(a) == x
+        except DegenerateError:       # 1 + T(x) = 2(1 + x)^-1 is never singular
+            ok = False
+        return None if ok else mat_str(x.scalars())
 
-    try:
-        count, _, witness = sample(seed, draw, check, trials, trials)
-    except PreconditionError as exc:    # a drawn skew is not skew
-        count, witness = 0, str(exc)
-    if witness is not None:
-        cert.add("transform-suite", "fail", "exact identity violated", witness)
-    else:
-        for vname in ("image-skewness", "round-trip", "conjugation-equivariance"):
-            cert.add(vname, "pass" if count else "fail", f"{count} samples")
+    spot_check(cert, seed, alg._random_skew, check, trials,
+               "the integer transform disagrees with the exact identities")
     return cert
 
 

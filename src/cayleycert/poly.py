@@ -323,7 +323,11 @@ class Poly:
 
     @classmethod
     def const(cls, variables, c):
-        return _poly(tuple(variables), {0: c} if c else {})
+        variables = tuple(variables)
+        if not isinstance(c, _SCALAR_TYPES):     # a bool is an int: p == True works
+            raise StructureError(f"coefficient {c!r} of {(0,) * len(variables)} is not "
+                                 f"an int, Fraction or QuadExt")
+        return _poly(variables, {0: c} if c else {})
 
     @classmethod
     def variable(cls, variables, name):

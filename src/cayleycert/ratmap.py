@@ -558,23 +558,30 @@ def check_inverse_pair(f: EquivMap, g: EquivMap, seed=0, trials: int = 100,
                                first.source)
             cert.add(vname, "fail", "round trip is not the identity", witness)
 
-    agreements, attempts, witness = sample(
-        seed, *_points(f.source, _round_trip(f, g), f.source), trials, 4 * trials)
-    locus_hits = attempts - agreements
+    spot_check(cert, seed, *_points(f.source, _round_trip(f, g), f.source), trials,
+               "evaluation disagrees with the symbolic identity")
+    return cert
+
+
+def spot_check(cert: Certificate, seed, draw, check, trials: int, disagreement: str):
+    """Add the verdict ``spot-check[<trials> points]`` of one :func:`sample`
+    run that wants ``trials`` agreements in at most 4 * trials attempts.  It
+    passes with "N agreements", plus ", k exceptional-locus resamples" when
+    k attempts were spent; a disagreement fails it with ``disagreement`` and
+    the witness, and too few usable points fail it with their count."""
+    agreements, attempts, witness = sample(seed, draw, check, trials, 4 * trials)
     vname = f"spot-check[{trials} points]"
     if witness is not None:
-        cert.add(vname, "fail", "evaluation disagrees with the symbolic identity",
-                 witness)
+        cert.add(vname, "fail", disagreement, witness)
     elif agreements < trials:
         cert.add(vname, "fail",
                  f"only {agreements} usable points in {attempts} attempts; "
                  "the exceptional locus keeps being hit")
     else:
         detail = f"{agreements} agreements"
-        if locus_hits:
-            detail += f", {locus_hits} exceptional-locus resamples"
+        if attempts > agreements:
+            detail += f", {attempts - agreements} exceptional-locus resamples"
         cert.add(vname, "pass", detail)
-    return cert
 
 
 def _telescoped_roundtrip(chain) -> tuple:

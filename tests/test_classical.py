@@ -65,7 +65,7 @@ def test_exceptional_locus_named():
 
 
 def random_matrix(alg, rng):
-    """A square matrix of the entries the sampled suite draws: r/s with r in
+    """A square matrix of the entries the spot check draws: r/s with r in
     [-3, 3] and s in {1, 2}, and a + b*sqrt(d) with such a, b over a field."""
     def entry():
         if alg.field is not None:
@@ -80,7 +80,7 @@ def mat_scale(c, a):
 
 
 def involute(alg, a):
-    """iota(a) for a scalar matrix a: the integer gather of the sampled suite."""
+    """iota(a) for a scalar matrix a: the integer gather of the spot check."""
     return alg._involute_int(*alg._int(a)).scalars()
 
 
@@ -150,7 +150,8 @@ def test_certificates_pass_for_all_involution_kinds():
 def test_certificate_takes_one_trial():
     cert = classical_certificate("so3", orthogonal_alg(3), seed=7, trials=1)
     assert cert.ok
-    assert [(v.status, v.detail) for v in cert.verdicts[1:]] == [("pass", "1 samples")] * 3
+    assert [(v.name, v.status, v.detail) for v in cert.verdicts[-1:]] == [
+        ("spot-check[1 points]", "pass", "1 agreements")]
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -159,15 +160,28 @@ def test_certificate_refuses_a_non_positive_trial_count(trials):
         classical_certificate("so3", orthogonal_alg(3), seed=7, trials=trials)
 
 
-def test_transform_verdicts_fail_without_a_sample(monkeypatch):
+EXACT_NAMES = ["involution-anti-automorphism", "generic-skew", "image-skewness",
+               "round-trip", "conjugation-equivariance"]
+
+
+def test_the_spot_check_fails_without_a_sample(monkeypatch):
+    # the exact verdicts need no sample; the spot check states what it missed
     def degenerate(self, rng):
         raise DegenerateError("every draw is degenerate")
-    monkeypatch.setattr(MatrixAlg, "_random_point", degenerate)
+    monkeypatch.setattr(MatrixAlg, "_random_skew", degenerate)
     cert = classical_certificate("so3", orthogonal_alg(3), seed=7, trials=5)
-    assert [(v.name, v.status, v.detail) for v in cert.verdicts[1:]] == [
-        ("image-skewness", "fail", "0 samples"),
-        ("round-trip", "fail", "0 samples"),
-        ("conjugation-equivariance", "fail", "0 samples")]
+    assert [(v.name, v.status) for v in cert.verdicts[:-1]] == [
+        (name, "pass") for name in EXACT_NAMES]
+    assert [(v.name, v.status, v.detail) for v in cert.verdicts[-1:]] == [
+        ("spot-check[5 points]", "fail", "only 0 usable points in 20 attempts; "
+                                         "the exceptional locus keeps being hit")]
+
+
+def first_skew(alg, seed):
+    """The first skew the spot check draws, as text; its transform exists."""
+    x = alg._random_skew(random.Random(seed))
+    classical._transform(x)
+    return mat_str(x.scalars())
 
 
 @pytest.mark.parametrize("build", [
@@ -176,19 +190,27 @@ def test_transform_verdicts_fail_without_a_sample(monkeypatch):
     lambda: symplectic_alg(4),
 ])
 def test_negated_transform_fails_the_suite_at_the_first_point(monkeypatch, build):
-    # -x is still skew, so the round trip is what catches it, at point one
-    to_skew = classical._to_skew
-    monkeypatch.setattr(classical, "_to_skew", lambda alg, a: -to_skew(alg, a))
+    # -T(x) is still a group point, so the round trip T(a) == x is what
+    # catches it, at point one
+    transform = classical._transform
+    monkeypatch.setattr(classical, "_transform", lambda a: -transform(a))
     cert = classical_certificate("negated", build(), seed=7, trials=5)
-    first = mat_str(build().random_group_point(random.Random(7)))
     assert [(v.name, v.status, v.witness) for v in cert.verdicts] == [
-        ("involution-anti-automorphism", "pass", None),
-        ("transform-suite", "fail", first)]
+        (name, "pass", None) for name in EXACT_NAMES] + [
+        ("spot-check[5 points]", "fail", first_skew(build(), 7))]
+
+
+def test_a_self_inverse_map_that_is_not_the_transform_fails_the_spot_check(monkeypatch):
+    # x -> -x is its own inverse, so only the group residual of -x catches it
+    monkeypatch.setattr(classical, "_transform", lambda a: -a)
+    cert = classical_certificate("minus", orthogonal_alg(3), seed=7, trials=5)
+    assert [(v.name, v.status, v.witness) for v in cert.verdicts[-1:]] == [
+        ("spot-check[5 points]", "fail", first_skew(orthogonal_alg(3), 7))]
 
 
 def test_a_broken_transform_fails_verify_with_a_report(monkeypatch, capsys):
-    # 2 transform(x) is no group point: the suite reports the first drawn
-    # point as its witness instead of raising PreconditionError
+    # 2 T(x) is no group point: the spot check reports the first drawn skew
+    # as its witness instead of raising
     transform = classical._transform
 
     def doubled(a):
@@ -199,16 +221,16 @@ def test_a_broken_transform_fails_verify_with_a_report(monkeypatch, capsys):
     [record] = json.loads(capsys.readouterr().out)["results"]
     assert code == 1
     assert [(v["name"], v["status"]) for v in record["verdicts"]] == [
-        ("involution-anti-automorphism", "pass"), ("transform-suite", "fail")]
-    first = orthogonal_alg(3).random_group_point(random.Random(record["seed"]))
-    assert not orthogonal_alg(3).is_group_point(first)
-    assert record["verdicts"][1]["witness"] == mat_str(first)
+        (name, "pass") for name in EXACT_NAMES] + [("spot-check[5 points]", "fail")]
+    monkeypatch.undo()
+    assert record["verdicts"][-1]["witness"] == first_skew(orthogonal_alg(3), record["seed"])
 
 
 def test_a_non_skew_draw_fails_the_suite_with_a_report():
     # an off-diagonal integer factor flipped alone: the symbolic gather, and
-    # so the anti-automorphism, is unchanged, but the integer gather is no
-    # involution and the first drawn skew is not skew
+    # so the anti-automorphism, is unchanged, and the skew basis reads the
+    # other cell of that orbit, but the integer gather is no involution and
+    # the first drawn skew is not skew
     alg = orthogonal_alg(3)
     rows = [list(r) for r in alg._gather]
     q, p, f, s, u, v = rows[0][1]
@@ -216,8 +238,77 @@ def test_a_non_skew_draw_fails_the_suite_with_a_report():
     alg._gather = tuple(map(tuple, rows))
     cert = classical_certificate("flipped", alg, seed=7, trials=5)
     assert [(v.name, v.status) for v in cert.verdicts] == [
-        ("involution-anti-automorphism", "pass"), ("transform-suite", "fail")]
-    assert cert.verdicts[1].witness.startswith("drawn skew is not skew: [")
+        (name, "pass") for name in EXACT_NAMES] + [("spot-check[5 points]", "fail")]
+    assert cert.verdicts[-1].witness.startswith("drawn skew is not skew: [")
+
+
+def test_an_involution_wrong_on_sums_fails_the_anti_automorphism(monkeypatch):
+    # off by 1 only where an entry is a sum of two linear terms, iota is
+    # right on ab and on iota(a): only the additivity clause sees it
+    involute = MatrixAlg.involute
+
+    def off_on_sums(self, a):
+        return tuple(tuple(c + 1 if len(c.terms) == 2 and all(sum(e) == 1 for e, _ in c.items())
+                           else c for c in row) for row in involute(self, a))
+    monkeypatch.setattr(MatrixAlg, "involute", off_on_sums)
+    cert = classical_certificate("sums", orthogonal_alg(3, (1, 1, -1)), seed=7, trials=5)
+    assert [(v.name, v.status) for v in cert.verdicts] == [
+        ("involution-anti-automorphism", "fail")]
+
+
+def lose_gather_signs(alg):
+    """The sign field of the symbolic gather as (f == 1) + (f == -1): every
+    -1 factor is read as +1, and the integer gather is kept."""
+    alg._gather = tuple(tuple((q, p, f, (f == 1) + (f == -1), u, v)
+                              for q, p, f, _, u, v in row) for row in alg._gather)
+    return alg
+
+
+@pytest.mark.parametrize("build", [
+    lambda: symplectic_alg(4),
+    lambda: orthogonal_alg(3, (1, 1, -1)),                 # so21
+    lambda: unitary_alg(3, -3, (1, 1, -1)),                # su21
+])
+def test_a_lost_gather_sign_fails_generic_skew(build):
+    # the transpose against a permutation is still an anti-automorphism:
+    # only the generic skew element sees that it is the wrong one
+    cert = classical_certificate("signs", lose_gather_signs(build()), seed=7, trials=5)
+    assert [(v.name, v.status) for v in cert.verdicts] == [
+        ("involution-anti-automorphism", "pass"), ("generic-skew", "fail")]
+
+
+def test_a_floor_division_in_the_gather_cannot_pass(monkeypatch):
+    # f * c -> f // c on the cells whose factor is not +-1 (diag(1, 2, -3)):
+    # the symbolic gather raises before any verdict could pass
+    def involute(self, a):
+        return tuple(tuple(a[q][p] if s == 1 else -a[q][p] if s else f // a[q][p]
+                           for q, p, f, s, _, _ in row) for row in self._gather)
+    monkeypatch.setattr(MatrixAlg, "involute", involute)
+    with pytest.raises(TypeError):
+        classical_certificate("floor", orthogonal_alg(3, (1, 2, -3)), seed=7, trials=5)
+
+
+@pytest.mark.parametrize("build, k", [
+    (lambda: orthogonal_alg(2), 1), (lambda: orthogonal_alg(3, (1, 1, -1)), 3),
+    (lambda: orthogonal_alg(4), 6), (lambda: orthogonal_alg(1), 0),
+    (lambda: symplectic_alg(2), 3), (lambda: symplectic_alg(4), 10),
+    (lambda: unitary_alg(2, -1), 4), (lambda: unitary_alg(3, -3, (1, 1, -1)), 9),
+    (lambda: unitary_alg(4), 16),
+    # over Q(sqrt(-3)) a symmetric form's skew space has twice the Q-dimension
+    (lambda: MatrixAlg(n=3, involution="transpose-form", form=identity(3, F.one)), 6),
+    # a Hermitian pairing whose self-read cells have irrational factors
+    (lambda: MatrixAlg(n=3, involution="hermitian-form",
+                       form=swap_form(3, F.of(1, 2), F.of(1, -2), F.zero)), 9),
+])
+def test_generic_skew_has_one_variable_per_skew_dimension(build, k):
+    # n(n-1)/2 orthogonal, n(n+1)/2 symplectic, n^2 unitary, over Q
+    alg = build()
+    got, x = alg._generic_skew()
+    assert got == k
+    assert {v for row in x for e in row for v in e.vars} == {f"v{i + 1}" for i in range(k)}
+    [skew] = [v for v in classical_certificate("k", alg, seed=7, trials=3).verdicts
+              if v.name == "generic-skew"]
+    assert (skew.status, f"k = 1..{k}," in skew.detail) == ("pass", True)
 
 
 @pytest.mark.parametrize("build, cell", [
@@ -384,8 +475,8 @@ def algebra_and_matrix(draw, mixed=False):
 ])
 def test_symbolic_gather_matches_multiplied_out_form(build):
     # iota(ab) = iota(b) iota(a) holds for any transpose-like gather, whatever
-    # its signs and factors, and the sampled suite reads the integer gather:
-    # only this pins the symbolic one
+    # its signs and factors, and the spot check reads the integer gather:
+    # this pins the symbolic one, as generic-skew does on the skew space
     alg = build()
     a, = generic_matrices(alg.n, "a", alg.field.sqrt if alg.field else None)
     assert alg.involute(a) == oracle_involute(alg, a)
@@ -485,7 +576,7 @@ def test_a_hermitian_form_over_q_is_refused():
 
 def test_the_algebras_field_is_its_forms():
     # the identity over Q(sqrt(-3)) as a symmetric form: the exact check and
-    # the sampled suite both run over Q(sqrt(-3)), and group points are drawn
+    # the spot check both run over Q(sqrt(-3)), and group points are drawn
     # with irrational entries
     assert [f.name for f in fields(MatrixAlg)] == ["n", "involution", "form"]
     alg = MatrixAlg(n=2, involution="transpose-form", form=identity(2, F.one))
@@ -522,9 +613,9 @@ def test_one_is_built_once_over_the_algebras_scalars():
 
 # -- pinned reports -----------------------------------------------------------
 #
-# The ms-stripped reports and the first sampled group point of seven classical
-# algebras at seed 7, as the two-product formulas gave them.  A speedup that
-# moves a byte of either fails here by name.
+# The ms-stripped reports of seven classical algebras at seed 7, and their
+# first sampled group points as the two-product formulas gave them.  A
+# speedup that moves a byte of either fails here by name.
 
 PINNED_GROUP_POINTS = {
     "sp4": "[-8671/13295, -8552/13295, 12448/13295, -13488/13295; "
@@ -591,16 +682,31 @@ PINNED_ALGEBRAS = {
 }
 
 
-ANTI_AUTOMORPHISM = "exact on generic a, b: iota(ab) = iota(b) iota(a), iota(iota(a)) = a"
+ANTI_AUTOMORPHISM = ("exact on generic a, b: iota(ab) = iota(b) iota(a), "
+                     "iota(a + b) = iota(a) + iota(b), iota(iota(a)) = a")
+SKEW_DIMENSION = {"sp4": 10, "so3": 3, "su3": 9, "u3gauss": 9, "so4": 6, "su4": 16,
+                  "u4gauss": 16}
+PINNED_SPOT_CHECKS = {"so3": "15 agreements, 1 exceptional-locus resamples"}
 
 
 def pinned_report(name):
+    k = SKEW_DIMENSION[name]
     return {"id": name, "ok": True, "seed": 7, "term_stats": {}, "verdicts": [
         {"name": "involution-anti-automorphism", "status": "pass",
          "detail": ANTI_AUTOMORPHISM},
-        {"name": "image-skewness", "status": "pass", "detail": "15 samples"},
-        {"name": "round-trip", "status": "pass", "detail": "15 samples"},
-        {"name": "conjugation-equivariance", "status": "pass", "detail": "15 samples"},
+        {"name": "generic-skew", "status": "pass",
+         "detail": f"exact on x = sum of v_k B_k, k = 1..{k}, B_k a basis of the "
+                   "skew space: iota(1 + x) = 1 - x"},
+        {"name": "image-skewness", "status": "pass",
+         "detail": "from the anti-automorphism: iota(1) = 1, so for a group point a, "
+                   "iota(T(a)) = (1 + a^-1)^-1 (1 - a^-1) = -T(a)"},
+        {"name": "round-trip", "status": "pass",
+         "detail": "from generic-skew: iota(T(x)) T(x) = (1 - x)^-1 (1 + x)(1 - x)"
+                   "(1 + x)^-1 = 1, and T(T(a)) = a is a ring identity"},
+        {"name": "conjugation-equivariance", "status": "pass",
+         "detail": "ring identity: T(g a g^-1) = g T(a) g^-1"},
+        {"name": "spot-check[15 points]", "status": "pass",
+         "detail": PINNED_SPOT_CHECKS.get(name, "15 agreements")},
     ]}
 
 

@@ -273,6 +273,21 @@ def test_coefficient_that_is_no_scalar_is_rejected(c):
         Poly(("x",), {(1,): c})
 
 
+@pytest.mark.parametrize("c", [0.5, 0.0, "1", None])
+def test_constant_that_is_no_scalar_is_rejected(c):
+    # unchecked, Poly.const(vars, 0.5) built and its product with x raised
+    # AttributeError from the scalar kernel
+    with pytest.raises(StructureError, match=re.escape(
+            f"coefficient {c!r} of (0,) is not an int, Fraction or QuadExt")):
+        Poly.const(("x",), c)
+
+
+def test_a_constant_still_compares_with_a_bool():
+    one, zero = Poly.const(("x",), 1), Poly.zero(("x",))
+    assert one == True and zero == False and one != False
+    assert Poly.const(("x",), True) == one
+
+
 def test_derivative_of_an_unknown_variable_names_it():
     p = Poly(("x", "y"), {(2, 1): 3, (0, 3): 1})
     assert str(p.derivative("y")) == "3*x^2 + 3*y^2"

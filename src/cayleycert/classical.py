@@ -43,7 +43,7 @@ from .errors import DegenerateError, PreconditionError, StructureError
 from .field import QuadField, _domain, conj
 from .matrices import (_IntMat, conj_transpose, identity, mat_add, mat_eq, mat_mul,
                        mat_neg, mat_str, mat_sub, transpose)
-from .poly import Poly, RatFunc, ratfunc_compose, ratfunc_equal
+from .poly import ComposePlan, Poly, RatFunc, ratfunc_equal
 from .ratmap import (Certificate, EquivMap, MapPair, Relation, VarietySpec, Block,
                      projective_space, spot_check)
 
@@ -418,8 +418,8 @@ def pgl_scalar_invariance(n: int) -> bool:
     a -> lambda a equal themselves, symbolically."""
     forward = pgl_cayley(n).forward
     *a, lam = RatFunc.variables(forward.source.coords + ("lam",))
-    scaled = tuple(lam * x for x in a)
-    return all(ratfunc_equal(ratfunc_compose(f, scaled), ratfunc_compose(f, a))
+    scaled, plain = ComposePlan(lam * x for x in a), ComposePlan(a)
+    return all(ratfunc_equal(scaled.compose(f), plain.compose(f))
                for f in forward.components)
 
 

@@ -23,6 +23,7 @@ import contextlib
 import json
 import os
 import sys
+import time
 import zlib
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -212,11 +213,12 @@ def cmd_verify(args) -> int:
         with term_budget(cfg.term_budget):
             for cid in ids:
                 seed = construction_seed(cfg.seed, cid)
+                t0 = time.perf_counter()
                 try:
                     cert = run_construction(cid, seed=seed, trials=cfg.trials)
                 except TermBudgetError as exc:
                     sys.stderr.write(f"term budget exceeded in {cid}: {exc}\n")
-                    cert = Certificate(cid, seed=seed)
+                    cert = Certificate(cid, seed=seed, ms=1000 * (time.perf_counter() - t0))
                     cert.add("term-budget", "fail", str(exc))
                     over_budget = True
                 record = cert.to_dict()

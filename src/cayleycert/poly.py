@@ -37,18 +37,23 @@ the other factor's keys and accumulates nothing.  A result is sorted once,
 by its int keys.
 
 Composition and the exact equality tests stay on integers from input to
-verdict.  :func:`ratfunc_compose` clears the substituted denominators by
-groups: entries whose denominators are equal share one group g with
-denominator D_g, and a term c*x^e picks up D_g^(M_g - sum_{i in g} e_i),
-M_g being the largest such sum over the terms of f's numerator and
-denominator.  So (a/D, b/D, c/D) adds no common power of D to the result,
-which nothing here could cancel later, and with no two denominators equal
-each variable is its own group.  It scales the powers of the substituted
-numerators and of each group's denominator to integer rows once per call,
-runs each term's chain of products (a group's row right after the
-numerator row of its last variable) on integers over one lcm denominator,
-and builds each output coefficient once.  The one-term rows of a chain
-fold into a pending monomial (one key addition and one coefficient product each),
+verdict.  A :class:`ComposePlan`, the one composition, prepares a
+substitution once for all the functions composed with it
+(:func:`ratfunc_compose` is a plan of one).  It clears the substituted
+denominators by groups: entries whose denominators are equal share one
+group g with denominator D_g, and a term c*x^e of f picks up
+D_g^(M_g - sum_{i in g} e_i), M_g being the largest such sum over the
+terms of f's numerator and denominator.  So (a/D, b/D, c/D) adds no
+common power of D to the result, which nothing here could cancel later,
+and with no two denominators equal each variable is its own group.  The
+integer power rows of the substituted numerators and of each group's
+denominator grow only when a function first needs a higher power, in the
+order a fresh plan builds them, so every product, budget check and
+overflow comes where a plan of that function alone has it.  Each term's
+chain of products (a group's row right after the numerator row of its
+last variable) runs on integers over one lcm denominator, and each output
+coefficient is built once.  The one-term rows of a chain fold into
+a pending monomial (one key addition and one coefficient product each),
 which multiplies into the running product only just before a many-term
 row and once at the end.  :func:`ratfunc_equal` and ``_cross`` (the
 projective 2x2 test of ``ratmap``) count the nonzero terms of a difference
@@ -73,11 +78,14 @@ both factors are int-only, else ``Fraction``; irrational coefficients from
 two fields raise :class:`FieldMismatchError`.  So a rational coefficient
 of a product whose factors mix ``Fraction`` and ``QuadExt`` is a rational
 ``QuadExt``, with the same value, hash, ``==`` and ``scalar_str`` as the
-``Fraction``.  A composition makes one ``_domain`` call, over the
-coefficients of f, of the substitution and the ``Fraction(1)`` that seeds
-the power rows: every coefficient of a nonzero result has that one type,
-never ``int`` (a zero result is 0/1, as every zero ``RatFunc``).  The two
-equality tests make one ``_domain`` call over all their coefficients.
+``Fraction``; f * c, c * f and c / f, f a ``RatFunc`` and c a scalar,
+form the products of the ``RatFunc.const(c)`` route without building it.
+A composition makes one ``_domain`` call, over the coefficients of f, of
+the substitution (one per field and irrationality, kept by the plan) and
+the ``Fraction(1)`` that seeds the power rows: every coefficient of a
+nonzero result has that one type, never ``int`` (a zero result is 0/1).
+The two equality tests make one ``_domain`` call over all their
+coefficients.
 Either way, irrational coefficients from two fields anywhere in the input
 raise :class:`FieldMismatchError`.
 
@@ -87,7 +95,7 @@ integers (``ratmap`` keeps one plan per map; :meth:`RatFunc.eval` is a plan
 of one function).  With M_i the largest power of variable i in any of them
 and x_i = (p_i + q_i*sqrt(d))/n_i, a term c*x^e is
 c * prod (p_i + q_i*sqrt(d))^e_i * n_i^(M_i - e_i) over prod n_i^M_i, the
-row trick of :func:`ratfunc_compose`.  The rows are built once per point,
+row trick of :class:`ComposePlan`.  The rows are built once per point,
 each distinct monomial once across all the functions, and each numerator
 or denominator is a sum of integer pairs over one lcm of its
 coefficients' denominators.  The factor prod n_i^M_i cancels in a
@@ -98,9 +106,10 @@ coefficient of its function or an entry the function uses is one, else a
 ``Fraction``.  Irrational coefficients or used entries from two fields
 raise :class:`FieldMismatchError` through ``field._domain``.  There is no
 evaluation at a generic point (a used ``Poly`` or ``RatFunc`` entry): it
-raises :class:`StructureError` that names :func:`ratfunc_compose`, the one
-substitution of generic points.  A used entry of any other type is not a
-scalar, and raises :class:`StructureError` that says so.
+raises :class:`StructureError` that names :func:`ratfunc_compose`, whose
+plan is the one substitution of generic points.  A used entry of any
+other type is not a scalar, and raises :class:`StructureError` that says
+so.
 
 Every product passes through a term budget, so that a runaway expansion
 fails loudly instead of thrashing.  :class:`TermBudgetError` is raised
@@ -258,12 +267,13 @@ def _built(terms, den, kind, d):
     return {e: Fraction(p, den) for e, p, _ in terms}
 
 
-def _product(t1, t2, ceiling):
-    """Product of two term dicts as a dict of nonzero terms, computed on
+def _product(variables, t1, t2) -> Poly:
+    """Product of two term dicts as a Poly over ``variables``, computed on
     integers with the coefficient types and term budget checks described
     in the module docstring."""
     kind, d = _domain(t1.values(), t2.values())
-    return _built(*_mul(_scaled(t1), _scaled(t2), d, ceiling), kind, d)
+    terms = _mul(_scaled(t1), _scaled(t2), d, _ceiling(len(variables)))
+    return _poly(variables, _built(*terms, kind, d))
 
 
 def _nonzero_difference(x, y):
@@ -377,8 +387,7 @@ class Poly:
             return _poly(self.vars, {e: v for e, c in self.terms.items()
                                      if (v := c * other)})
         self._check_same(other)
-        return _poly(self.vars, _product(self.terms, other.terms,
-                                         _ceiling(len(self.vars))))
+        return _product(self.vars, self.terms, other.terms)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -442,6 +451,8 @@ class Poly:
         return self.terms == Poly.const(self.vars, other).terms
 
     def __hash__(self):
+        if not self.terms.keys() - {0}:     # a constant equals its scalar
+            return hash(self.terms.get(0, 0))
         return hash((self.vars, tuple(self.terms.items())))
 
     def __str__(self):
@@ -578,6 +589,15 @@ class RatFunc:
         return NotImplemented if o is None else (-self) + o
 
     def __mul__(self, other):
+        if isinstance(other, _SCALAR_TYPES):
+            num = _product(self.vars, self.num.terms, {0: other} if other else {})
+            den = _product(self.vars, self.den.terms, {0: Fraction(1)})
+            if not other:
+                return RatFunc(num, den)
+            out = _new(RatFunc)     # nothing to strip, and den stays monic
+            _set(out, "num", num)
+            _set(out, "den", den)
+            return out
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -594,6 +614,11 @@ class RatFunc:
         return RatFunc(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
+        if isinstance(other, _SCALAR_TYPES):
+            if self.num.is_zero():
+                raise DegenerateError("division by the zero rational function")
+            return RatFunc(_product(self.vars, {0: other} if other else {}, self.den.terms),
+                           _product(self.vars, {0: Fraction(1)}, self.num.terms))
         o = self._coerce(other)
         return NotImplemented if o is None else o / self
 
@@ -833,120 +858,121 @@ def _cross(a: RatFunc, b: RatFunc, c: RatFunc, d: RatFunc) -> tuple:
     return (False, terms + len(den[0])) if terms else (True, 1)
 
 
-def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
-    """Substitute subst[i] for the i-th variable of f, clearing denominators.
+class ComposePlan:
+    """A substitution of RatFuncs over one variable tuple, planned once for
+    every RatFunc composed with it (see the module docstring): ``compose(f)``
+    substitutes subst[i] for the i-th variable of f."""
 
-    The substitution tuple entries are RatFuncs over a common variable
-    tuple; the result lives over that tuple.  Denominators are cleared
-    analytically, one power per group of entries whose denominators are
-    equal: with subst_i = n_i/D_g for i in group g and M_g the largest sum
-    of the group's exponents over the terms of f, a term c*x^e picks up the
-    complementary D_g^(M_g - sum_{i in g} e_i).  So a tuple over one shared
-    denominator adds no power of it that the numerator and denominator
-    share, and with no two denominators equal the rule is d_i^(M_i - e_i)
-    per variable.  The whole computation stays in integer polynomial
-    arithmetic, as described in the module docstring.
-    """
-    subst = tuple(subst)
-    if len(subst) != len(f.vars):
-        raise StructureError(
-            f"substitution arity {len(subst)} != {len(f.vars)}")
-    if not subst:
-        raise StructureError("empty substitution")
-    out_vars = subst[0].vars
-    for s in subst:
-        if not isinstance(s, RatFunc) or s.vars != out_vars:
-            raise StructureError("substitution entries over mixed variables")
-    # one coefficient type for the result; the Fraction(1) seeds the power rows
-    kind, d = _domain(f.num.terms.values(), f.den.terms.values(),
-                      *(p.terms.values() for s in subst for p in (s.num, s.den)),
-                      (Fraction(1),))
+    __slots__ = ("subst", "marks", "ceiling", "members", "blocks", "order", "bases", "pows")
 
-    # entries with equal denominators form one group, cleared by one power of
-    # that denominator; members[g] lists the entries of group g
-    n, dens = len(subst), []
-    for s in subst:
-        if s.den not in dens:
-            dens.append(s.den)
-    members = [[] for _ in dens]
-    for i, s in enumerate(subst):
-        members[dens.index(s.den)].append(i)
-    # one column per variable, its exponent in each term of f's numerator
-    # and denominator, and one per group (column n + g), the sum of its
-    # members' columns; tops holds each column's largest
-    fn, fd = f.num.items(), f.den.items()
-    cols = list(zip(*(exps for exps, _ in fn + fd)))
-    cols += [[sum(t) for t in zip(*(cols[i] for i in m))] for m in members]
-    tops = [max(col) for col in cols]
-    # powers of each substituted numerator and each group's denominator,
-    # scaled once; a group's row follows its last member's numerator row in
-    # every chain, and the two are built in step
-    ends = {m[-1]: n + g for g, m in enumerate(members)}
-    blocks = [(i, ends[i]) if i in ends else (i,) for i in range(n)]
-    bases = [_scaled(p.terms) for p in [s.num for s in subst] + dens]
-    ceiling = _ceiling(len(out_vars))
-    unit = [(0, 1, 0)], 1
-    pows = [[unit] for _ in bases]
-    for block in blocks:
-        for k in range(max(tops[j] for j in block)):
-            for j in block:
-                if k < tops[j]:
-                    pows[j].append(_mul(pows[j][-1], bases[j], d, ceiling))
-    # the power rows of a chain in order, and each term's index into each:
-    # e_i for a numerator, M_g - sum_{i in g} e_i for a group's denominator
-    order = [j for block in blocks for j in block]
-    chain_rows = [pows[j] for j in order]
-    index = list(zip(*(cols[j] if j < n else [tops[j] - e for e in cols[j]] for j in order)))
+    def __init__(self, subst):
+        subst = tuple(subst)
+        if not subst:
+            raise StructureError("empty substitution")
+        out_vars = subst[0].vars
+        for s in subst:
+            if not isinstance(s, RatFunc) or s.vars != out_vars:
+                raise StructureError("substitution entries over mixed variables")
+        self.subst = subst
+        marks = {(c.d, bool(_scalar_triple(c)[1])): c for s in subst for p in (s.num, s.den)
+                 for c in p.terms.values() if type(c) is QuadExt}
+        self.marks = (*marks.values(), Fraction(1))
+        self.ceiling = _ceiling(len(out_vars))
+        # members[g] lists the entries that share the denominator dens[g]
+        n, dens, self.members = len(subst), [], []
+        for i, s in enumerate(subst):
+            if s.den not in dens:
+                dens.append(s.den)
+                self.members.append([])
+            self.members[dens.index(s.den)].append(i)
+        # a group's row follows its last member's numerator row in a chain
+        ends = {m[-1]: n + g for g, m in enumerate(self.members)}
+        self.blocks = [(i, ends[i]) if i in ends else (i,) for i in range(n)]
+        self.order = [j for block in self.blocks for j in block]
+        # the powers of each entry's numerator and each group's denominator
+        self.bases = [_scaled(p.terms) for p in [s.num for s in subst] + dens]
+        self.pows = [[(((0, 1, 0),), 1)] for _ in self.bases]
 
-    def times(val, mono):
-        # val times a monomial (key, p, q), where val None stands for 1
-        if val is None:
-            return [mono], 1
-        return val if mono == (0, 1, 0) else (_shift(val[0], mono, d), 1)
+    def compose(self, f: RatFunc) -> RatFunc:
+        n = len(self.subst)
+        if n != len(f.vars):
+            raise StructureError(f"substitution arity {n} != {len(f.vars)}")
+        kind, d = _domain(f.num.terms.values(), f.den.terms.values(), self.marks)
+        ceiling, pows, out_vars = self.ceiling, self.pows, self.subst[0].vars
+        # one column per variable, its exponent in each term of f's numerator
+        # and denominator, and one per group (column n + g), the sum of its
+        # members' columns; tops holds each column's largest
+        fn, fd = f.num.items(), f.den.items()
+        cols = list(zip(*(exps for exps, _ in fn + fd)))
+        cols += [[sum(t) for t in zip(*(cols[i] for i in m))] for m in self.members]
+        tops = [max(col) for col in cols]
+        # rows missing a power f needs grow block by block, in step
+        for block in self.blocks:
+            for k in range(min(len(pows[j]) for j in block) - 1, max(tops[j] for j in block)):
+                for j in block:
+                    if len(pows[j]) == k + 1 and k < tops[j]:
+                        pows[j].append(_mul(pows[j][-1], self.bases[j], d, ceiling))
+        # the power rows of a chain in order, and each term's index into each:
+        # e_i for a numerator, M_g - sum_{i in g} e_i for a group's denominator
+        chain_rows = [pows[j] for j in self.order]
+        index = list(zip(*(cols[j] if j < n else [tops[j] - e for e in cols[j]]
+                           for j in self.order)))
 
-    def cleared(terms, index):
-        # each term's chain of rows, and its denominator before the products
-        chains = []
-        for (_, c), k in zip(terms, index):
-            rows = [r for r in map(getitem, chain_rows, k) if r is not unit]
-            p, q, m = _scalar_triple(c)
-            chains.append((p, q, m * prod(r[1] for r in rows), rows))
-        # seed each chain over the lcm, so every product lands on it
-        den = lcm(*[m for _, _, m, _ in chains])
-        acc = {}
-        for p, q, m, rows in chains:
-            # one-term rows fold into the pending monomial (key, p, q); val,
-            # the product of the rest, meets it only before a many-term row
-            val, key, p, q = None, 0, p * (den // m), q * (den // m)
-            for r in rows:
-                if len(r[0]) == 1:
-                    (e, x, y), = r[0]
-                    lead = key if val is None else key + val[0][0][0]
-                    if lead + e >= ceiling:
-                        raise _overflow(lead, e, ceiling)
-                    key += e
-                    p, q = (p * x, 0) if d is None else (p * x + d * q * y, p * y + q * x)
-                    continue
-                val = _mul(times(val, (key, p, q)), r, d, ceiling)
-                if not val[0]:
-                    break               # a zero row: so is the term
-                key, p, q = 0, 1, 0
-            else:
-                val = times(val, (key, p, q))
-            for e, x, y in val[0]:
-                s = acc.get(e)
-                if s is None:
-                    acc[e] = [x, y]
+        def times(val, mono):
+            # val times a monomial (key, p, q), where val None stands for 1
+            if val is None:
+                return [mono], 1
+            return val if mono == (0, 1, 0) else (_shift(val[0], mono, d), 1)
+
+        def cleared(terms, index):
+            # each term's chain of rows, and its denominator before the products
+            chains = []
+            for (_, c), k in zip(terms, index):
+                rows = [r[e] for r, e in zip(chain_rows, k) if e]
+                p, q, m = _scalar_triple(c)
+                chains.append((p, q, m * prod(r[1] for r in rows), rows))
+            # seed each chain over the lcm, so every product lands on it
+            den = lcm(*[m for _, _, m, _ in chains])
+            acc = {}
+            for p, q, m, rows in chains:
+                # one-term rows fold into the pending monomial (key, p, q); val,
+                # the product of the rest, meets it only before a many-term row
+                val, key, p, q = None, 0, p * (den // m), q * (den // m)
+                for r in rows:
+                    if len(r[0]) == 1:
+                        (e, x, y), = r[0]
+                        lead = key if val is None else key + val[0][0][0]
+                        if lead + e >= ceiling:
+                            raise _overflow(lead, e, ceiling)
+                        key += e
+                        p, q = (p * x, 0) if d is None else (p * x + d * q * y, p * y + q * x)
+                        continue
+                    val = _mul(times(val, (key, p, q)), r, d, ceiling)
+                    if not val[0]:
+                        break               # a zero row: so is the term
+                    key, p, q = 0, 1, 0
                 else:
-                    s[0] += x
-                    s[1] += y
-        return _poly(out_vars, _built(((e, p, q) for e, (p, q) in acc.items()
-                                       if p or q), den, kind, d))
+                    val = times(val, (key, p, q))
+                for e, x, y in val[0]:
+                    s = acc.get(e)
+                    if s is None:
+                        acc[e] = [x, y]
+                    else:
+                        s[0] += x
+                        s[1] += y
+            return _poly(out_vars, _built(((e, p, q) for e, (p, q) in acc.items()
+                                           if p or q), den, kind, d))
 
-    den = cleared(fd, index[len(fn):])
-    if den.is_zero():
-        raise DegenerateError("composition produced an identically zero denominator")
-    return RatFunc(cleared(fn, index), den)
+        den = cleared(fd, index[len(fn):])
+        if den.is_zero():
+            raise DegenerateError("composition produced an identically zero denominator")
+        return RatFunc(cleared(fn, index), den)
+
+
+def ratfunc_compose(f: RatFunc, subst) -> RatFunc:
+    """Substitute subst[i] for the i-th variable of f, clearing denominators:
+    a :class:`ComposePlan` of one function."""
+    return ComposePlan(subst).compose(f)
 
 
 @dataclass(frozen=True)

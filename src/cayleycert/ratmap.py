@@ -19,12 +19,13 @@ every draw goes through :func:`sample`, the package's one sampling loop.
 A map is evaluated at a point by :func:`map_of_point`, which runs the
 map's :class:`~cayleycert.poly.EvalPlan` on every component at once: the
 integer kernel of ``poly``, with exponent tuples, scaled coefficients and
-largest powers computed at the map's first evaluation.  Beside it,
-``EquivMap.on_chart`` holds the components composed with the source
-chart, computed once and read by the target relations, equivariance and
-the first leg of a telescoped round trip.  ``EquivMap`` is frozen, so
-neither can go stale; ``dataclasses.replace`` builds a new map, and with
-it a new plan and a new composition.
+largest powers computed at the map's first evaluation.  Each
+substitution is one :class:`~cayleycert.poly.ComposePlan` for all the
+functions composed with it.  ``VarietySpec.chart`` and ``EquivMap.on_chart``
+(the components composed with the source chart, read by the target
+relations, equivariance and the first leg of a telescoped round trip) are
+each computed once.  Both classes are frozen, so neither can go stale;
+``dataclasses.replace`` builds a new one, with a new chart or plan.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import cached_property
 from .errors import DegenerateError, SamplingError, StructureError
 from .field import random_rational, scalar_str
 from .group import GroupSpec, apply_action
-from .poly import EvalPlan, Relation, RatFunc, _cross, ratfunc_compose, ratfunc_equal
+from .poly import ComposePlan, EvalPlan, Relation, RatFunc, _cross, ratfunc_equal
 
 
 # -- varieties ----------------------------------------------------------
@@ -95,6 +96,17 @@ class VarietySpec:
 
     def relations(self):
         return tuple(rel for b in self.blocks for rel in b.relations)
+
+    @cached_property
+    def chart(self) -> tuple:
+        """The full coordinate tuple written on the chart of the relations,
+        computed once: free coordinates stay themselves, solved ones become
+        their chart expressions.  Composing a map with this tuple restricts
+        it to the chart, which keeps everything downstream small."""
+        solved = {rel.solve_for for rel in self.relations()}
+        free = tuple(c for c in self.coords if c not in solved)
+        return _solve(self, dict(zip(free, RatFunc.variables(free))),
+                      RatFunc.const(free, Fraction(1)))
 
     def block_slices(self):
         """(block, start, stop) index ranges into the flat coordinate tuple."""
@@ -198,8 +210,7 @@ class EquivMap:
     @cached_property
     def on_chart(self) -> tuple:
         """The components composed with the source chart, computed once."""
-        x = chart_tuple(self.source)
-        return tuple(ratfunc_compose(c, x) for c in self.components)
+        return tuple(map(ComposePlan(self.source.chart).compose, self.components))
 
     def generator_labels(self):
         return self.source_action.labels()
@@ -275,17 +286,6 @@ def _solve(spec: VarietySpec, values: dict, one) -> tuple:
     for rel in spec.relations():
         values[rel.solve_for] = rel.solve(values, one)
     return tuple(values[c] for c in spec.coords)
-
-
-def chart_tuple(spec: VarietySpec):
-    """The full coordinate tuple written on the chart of the relations:
-    free coordinates stay themselves, solved ones become their chart
-    expressions.  Composing a map with this tuple restricts it to the
-    chart, which keeps everything downstream small."""
-    solved = {rel.solve_for for rel in spec.relations()}
-    free = tuple(c for c in spec.coords if c not in solved)
-    return _solve(spec, dict(zip(free, RatFunc.variables(free))),
-                  RatFunc.const(free, Fraction(1)))
 
 
 def _pivot(a, b, nonzero):
@@ -445,7 +445,7 @@ def check_equivariance(m: EquivMap, seed=0) -> Certificate:
     point when one can be sampled.
     """
     cert = Certificate(construction=m.name, seed=seed)
-    x = chart_tuple(m.source)
+    x = m.source.chart
     m_chart = m.on_chart
     target_table = m.target_action.table()
     for label, src in m.source_action.generators:
@@ -461,7 +461,7 @@ def check_equivariance(m: EquivMap, seed=0) -> Certificate:
         try:
             comps = _conjugated_components(m) if src.conjugate else m.components
             moved = apply_action(src, x, conjugate=False)
-            lhs = tuple(ratfunc_compose(c, moved) for c in comps)
+            lhs = tuple(map(ComposePlan(moved).compose, comps))
             rhs = apply_action(tgt, m_chart, conjugate=False)
             equal, terms = _tuple_equal(m.target, lhs, rhs)
         except DegenerateError as exc:
@@ -491,10 +491,10 @@ def compose(m1: EquivMap, m2: EquivMap) -> EquivMap:
     label = m1.target_action.first_difference(m2.source_action)
     if label is not None:
         raise StructureError(f"actions on the interface differ for generator {label!r}")
-    comps = []
+    comps, plan = [], ComposePlan(m1.components)
     for i, c in enumerate(m2.components):
         try:
-            comps.append(ratfunc_compose(c, m1.components))
+            comps.append(plan.compose(c))
         except DegenerateError as exc:
             raise DegenerateError(
                 f"composing {m2.name} after {m1.name}: component {i}: {exc}")
@@ -591,15 +591,16 @@ def _telescoped_roundtrip(chain) -> tuple:
     g_i(P_i) = P_{i-1} for i = n..1.  Chaining the identities gives
     (g_1 o ... o g_n)(f_n o ... o f_1) = id on the chart.
     """
-    prefixes = [chart_tuple(chain[0].forward.source), chain[0].forward.on_chart]
+    prefixes = [chain[0].forward.source.chart, chain[0].forward.on_chart]
+    # plans[i] composes over prefixes[i + 1]: the next forward leg, then a back leg
+    plans = [ComposePlan(prefixes[1])]
     for pair in chain[1:]:
-        prefixes.append(tuple(ratfunc_compose(c, prefixes[-1])
-                              for c in pair.forward.components))
+        prefixes.append(tuple(map(plans[-1].compose, pair.forward.components)))
+        plans.append(ComposePlan(prefixes[-1]))
     max_terms = 0
     for i in range(len(chain) - 1, -1, -1):
         pair = chain[i]
-        back = tuple(ratfunc_compose(c, prefixes[i + 1])
-                     for c in pair.inverse.components)
+        back = tuple(map(plans[i].compose, pair.inverse.components))
         equal, terms = _tuple_equal(pair.forward.source, back, prefixes[i])
         max_terms = max(max_terms, terms)
         if not equal:
@@ -643,7 +644,7 @@ def check_group_relations(spec: VarietySpec, group: GroupSpec, seed=0) -> Certif
     can be sampled; rational points cannot show a lone conjugation.
     """
     cert = Certificate(construction=f"relations[{group.name} on {spec.name}]", seed=seed)
-    x = chart_tuple(spec)
+    x = spec.chart
     for word in group.relations:
         vname = "relation[" + "*".join(word) + "]"
         try:

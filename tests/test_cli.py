@@ -111,6 +111,16 @@ def test_verify_term_budget_exit_3(capsys):
     assert len((p * p).terms) > 5
 
 
+def test_a_term_budget_record_stamps_its_elapsed_time(capsys, monkeypatch):
+    # each reading of the clock is a quarter second after the one before
+    ticks = iter(range(1000))
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: next(ticks) / 4))
+    code, out, _ = run_cli(capsys, "verify", "--only", "su3.phi", "--term-budget", "5")
+    assert code == 3
+    over, = json.loads(out)["results"]
+    assert over["verdicts"][0]["name"] == "term-budget" and over["ms"] == 250.0
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_verify_non_positive_term_budget_exits_2(capsys, budget):
     code, out, err = run_cli(capsys, "verify", "--only", "picard.ledger",

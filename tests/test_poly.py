@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from cayleycert.errors import (DegenerateError, ExponentOverflowError, FieldMismatchError,
                                StructureError, TermBudgetError)
 from cayleycert.field import QuadExt, QuadField
-from cayleycert.poly import (EvalPlan, Poly, RatFunc, Relation, _cross, chart_restrict,
-                             ratfunc_compose, ratfunc_equal, term_budget)
+from cayleycert.poly import (ComposePlan, EvalPlan, Poly, RatFunc, Relation, _cross,
+                             chart_restrict, ratfunc_compose, ratfunc_equal, term_budget)
 from cayleycert.ratmap import Block, EquivMap, VarietySpec, map_of_point
 
 F = QuadField(-3)
@@ -286,6 +286,16 @@ def test_a_constant_still_compares_with_a_bool():
     one, zero = Poly.const(("x",), 1), Poly.zero(("x",))
     assert one == True and zero == False and one != False
     assert Poly.const(("x",), True) == one
+
+
+def test_a_constant_hashes_as_the_scalar_it_equals():
+    three, zero = Poly.const(("x",), 3), Poly.zero(("x",))
+    assert three == 3 and 3 in {three} and three in {3}
+    assert zero == 0 and 0 in {zero} and zero in {0}
+    half = Poly.const(("x",), QuadExt(Fraction(1, 2), 0, -3))
+    assert half == Fraction(1, 2) and Fraction(1, 2) in {half}
+    # equal non-constant Polys still hash alike, whatever the coefficient type
+    assert len({Poly(("x",), {(1,): 2, (0,): 1}), Poly(("x",), {(1,): Fraction(2), (0,): 1})}) == 1
 
 
 def test_derivative_of_an_unknown_variable_names_it():
@@ -715,6 +725,11 @@ def substitutions(draw, d):
 # a zero substitution numerator, then the one-term row of y
 @example((xyz_rf({(1, 1, 0): 1, (0, 0, 0): 1}, {(0, 0, 0): 1}),
           (st_rf({}, {(0, 0): 1}), st_rf({(1, 0): 2}, {(0, 1): 1}), T_PLUS_1)))
+# budget 3: the denominator row of x (4 terms) fails before the square of
+# its numerator row (6 terms), since the two rows of a block grow in step
+@example((xyz_rf({(2, 0, 0): 1}, {(0, 0, 0): 1}),
+          (st_rf({(1, 0): 1, (0, 1): 1, (0, 0): 1},
+                 {(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1}), T_PLUS_1, S_PLUS_1)))
 def test_compose_matches_ratfunc_arithmetic(case):
     f, subst = case
     try:
@@ -864,6 +879,131 @@ def test_compose_and_cross_reject_irrational_coefficients_of_two_fields():
         got = ratfunc_compose(f, tuple(s * r_c for s in subst))
         assert got == reference_compose(f, tuple(s * r_c for s in subst))
         assert _cross(f, X, Y, Y * r_c) == reference_cross(f, X, Y, Y * r_c)
+
+
+# -- the scalar paths of RatFunc against the constant RatFunc they skip -----
+
+QUAD = QuadExt(0, 1, -3)
+SCALARS = [3, Fraction(-2, 3), QUAD + 1, QuadExt(Fraction(1, 2), 0, -3), 0]
+
+
+def exact_terms(f):
+    """Terms of numerator and denominator in stored order, with each
+    coefficient's type and field."""
+    return [[(e, c, type(c), getattr(c, "d", None)) for e, c in p.terms.items()]
+            for p in (f.num, f.den)]
+
+
+@pytest.mark.parametrize("c", SCALARS, ids=["int", "Fraction", "QuadExt",
+                                            "rational-QuadExt", "zero"])
+@pytest.mark.parametrize("f", [
+    RatFunc(Poly(XYZ, {(1, 0, 0): 2, (0, 0, 0): 1}), Poly(XYZ, {(0, 1, 0): 1})),
+    (X * X / 3 + Y) / (Y * 2 + 3),
+    X * QUAD / (Y + QUAD),
+    RatFunc(Poly(XYZ, {(1, 0, 1): QuadExt(2, 0, 5)}), Poly(XYZ, {(0, 2, 0): 1, (0, 0, 0): 4})),
+    ZERO,
+], ids=["int", "Fraction", "QuadExt", "rational-QuadExt", "zero"])
+def test_scalar_ops_match_the_constant_route(f, c):
+    k = RatFunc.const(f.vars, c)
+    assert exact_terms(f * c) == exact_terms(f * k)
+    assert exact_terms(c * f) == exact_terms(k * f)
+    if f.is_zero():
+        with pytest.raises(DegenerateError) as got:
+            c / f
+        with pytest.raises(DegenerateError) as want:
+            k / f
+        assert str(got.value) == str(want.value) == "division by the zero rational function"
+    else:
+        assert exact_terms(c / f) == exact_terms(k / f)
+
+
+def test_scalar_ops_reject_an_irrational_scalar_of_another_field():
+    f = X * QUAD / (Y + 1)
+    for op in (lambda c: f * c, lambda c: c * f, lambda c: c / f):
+        with pytest.raises(FieldMismatchError):
+            op(QuadExt(1, 1, 5))
+
+
+# -- one plan for many functions against one plan per function -------------
+
+def compose_each(compose, funcs):
+    """compose(f) for each f in turn up to the first error: the results so
+    far, and that error's type and message (None when nothing raised)."""
+    out = []
+    for f in funcs:
+        try:
+            out.append(compose(f))
+        except (TermBudgetError, DegenerateError) as exc:
+            return out, f"{type(exc).__name__}: {exc}"
+    return out, None
+
+
+def assert_plan_matches_one_at_a_time(funcs, subst):
+    """At every budget from 1 up to the first under which no TermBudgetError
+    is raised, a plan over subst composes funcs term for term as
+    ratfunc_compose does one function at a time, and fails with the same
+    error at the same function.  Returns the last error."""
+    budget = 1
+    while True:
+        with term_budget(budget):
+            want = compose_each(lambda f: ratfunc_compose(f, subst), funcs)
+            got = compose_each(ComposePlan(subst).compose, funcs)
+        assert got[1] == want[1], budget
+        assert [exact_terms(g) for g in got[0]] == [exact_terms(w) for w in want[0]]
+        if not (want[1] or "").startswith("TermBudgetError"):
+            return want[1]
+        budget += 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda d: st.tuples(
+    st.tuples(ratfuncs(d, XYZ, 3, 1), ratfuncs(d, XYZ, 3, 3), ratfuncs(d, XYZ, 2, 2)),
+    substitutions(d))))
+# each function needs higher powers than the ones before it, of a numerator
+# and of a shared denominator
+@example(((xyz_rf({(1, 0, 0): 1}, {(0, 0, 0): 1}),
+           xyz_rf({(3, 1, 0): 1, (0, 0, 1): 2}, {(0, 1, 0): 1, (0, 0, 0): 1}),
+           xyz_rf({(0, 0, 0): 1}, {(2, 0, 2): 1, (0, 3, 0): 1})),
+          (st_rf({(1, 0): 1}, D_ST), st_rf({(0, 1): 1, (0, 0): 1}, E_ST),
+           st_rf({(1, 1): 1}, D_ST))))
+def test_a_plan_composes_each_function_as_a_plan_of_it_alone(case):
+    assert_plan_matches_one_at_a_time(*case)
+
+
+def test_a_plan_overflows_at_the_function_that_first_needs_the_power():
+    t = Poly.variable(("t",), "t")
+    x, y = RatFunc.variables(("x", "y"))
+    subst = (RatFunc(t ** 20000 + 1), RatFunc(t))
+    funcs = (x * y, x ** 3 + y, x ** 4 * y, x)
+    error = assert_plan_matches_one_at_a_time(funcs, subst)
+    assert error == ("ExponentOverflowError: product of degree 80000 exceeds "
+                     "the 16-bit exponent field")
+    assert len(compose_each(ComposePlan(subst).compose, funcs)[0]) == 2
+
+
+def test_a_plan_keeps_the_field_of_every_entry():
+    # an irrational QuadExt of Q(sqrt(-3)), then a rational one
+    subst = (RatFunc.variable(ST, "t") * QUAD, RatFunc.variable(ST, "s") * QuadExt(2, 0, -3),
+             RatFunc.variable(ST, "s"))
+    plan = ComposePlan(subst)
+    with pytest.raises(FieldMismatchError):
+        plan.compose(X * QuadExt(1, 1, 5) + Y)
+    f = X * QuadExt(3, 0, 5) + Y
+    got = plan.compose(f)
+    assert got == reference_compose(f, subst)
+    assert {(type(c), c.d) for p in (got.num, got.den) for c in p.terms.values()} == \
+        {(QuadExt, -3)}
+
+
+def test_a_plan_checks_its_substitution_once_and_each_arity():
+    with pytest.raises(StructureError, match="empty substitution"):
+        ComposePlan(())
+    with pytest.raises(StructureError, match="mixed variables"):
+        ComposePlan((X, RatFunc.variable(ST, "s")))
+    plan = ComposePlan(RatFunc.variables(ST))
+    assert plan.compose(RatFunc.variable(ST, "t") / 2) == RatFunc.variable(ST, "t") / 2
+    with pytest.raises(StructureError, match="substitution arity 2 != 3"):
+        plan.compose(X)
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from cayleycert.errors import DegenerateError, SamplingError, StructureError
 from cayleycert.group import ActionGen, GroupSpec, identity_perm
 from cayleycert.poly import RatFunc, chart_restrict, ratfunc_equal
 from cayleycert.ratmap import (NO_ACTION, Block, EquivMap, Relation, VarietySpec,
-                               chart_tuple, check_equivariance, check_group_relations,
+                               check_equivariance, check_group_relations,
                                check_inverse_pair, check_target_relations, compose,
                                compose_pair, linear_slice, map_of_point, product,
                                projective_space, random_point, sample, torus,
@@ -84,7 +84,8 @@ def test_chart_tuple_matches_one_relation_at_a_time(name):
             f = chart_restrict(f, rel.kind, rel.solve_for, variables=rel.variables,
                                exponents=rel.exponents)
         reference.append(f)
-    assert [_terms(f) for f in chart_tuple(spec)] == [_terms(f) for f in reference]
+    assert [_terms(f) for f in spec.chart] == [_terms(f) for f in reference]
+    assert spec.chart is spec.chart
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_SPECS))
@@ -108,7 +109,7 @@ def test_relation_may_not_use_a_coordinate_solved_later():
     with pytest.raises(StructureError, match="uses 'a', which a later relation solves"):
         Block("affine", ("a", "b", "c"), (total, Relation("linear-sum", ("a", "c"), "a")))
     spec = VarietySpec("abc", (Block("affine", ("a", "b", "c"), (unit, total)),))
-    assert all(f.vars == ("c",) for f in chart_tuple(spec))
+    assert all(f.vars == ("c",) for f in spec.chart)
 
 
 def test_random_point_reject_budget():
@@ -507,21 +508,17 @@ def test_spot_check_evaluates_through_map_of_point(monkeypatch):
 
 
 def test_link_certificate_composes_each_map_with_its_chart_once(monkeypatch):
-    charts, composed = [], []
-    chart, compose_ = ratmap.chart_tuple, ratmap.ratfunc_compose
+    composed = []
 
-    def recording_chart(spec):
-        charts.append(chart(spec))
-        return charts[-1]
+    class RecordingPlan(poly.ComposePlan):
+        def compose(self, f):
+            composed.append((f, self.subst))
+            return super().compose(f)
 
-    def recording_compose(f, subst):
-        composed.append((f, subst))
-        return compose_(f, subst)
-
-    monkeypatch.setattr(ratmap, "chart_tuple", recording_chart)
-    monkeypatch.setattr(ratmap, "ratfunc_compose", recording_compose)
+    monkeypatch.setattr(ratmap, "ComposePlan", RecordingPlan)
     pair = link_quotient()
     assert su3.link_certificate(pair, seed=3, trials=2).ok
+    charts = [m.source.chart for m in (pair.forward, pair.inverse)]
     on_chart = [f for f, subst in composed if any(subst is x for x in charts)]
     for m in (pair.forward, pair.inverse):
         assert [sum(f is c for f in on_chart) for c in m.components] == \

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
-from cayleycert import ratmap, su3
+from cayleycert import su3
 from cayleycert.field import QuadField
 from cayleycert.group import apply_action
+from cayleycert.poly import ComposePlan
 from cayleycert.ratmap import (check_equivariance, check_inverse_pair,
                                check_target_relations, map_of_point,
                                _points_equal)
@@ -147,13 +148,13 @@ def test_chain_compositions_clear_a_shared_denominator_once(monkeypatch):
     # the terms of every composition result in one chain run; clearing each
     # substituted denominator on its own gave 4,591
     terms = []
-    compose = ratmap.ratfunc_compose
+    compose = ComposePlan.compose
 
-    def counting(f, subst):
-        got = compose(f, subst)
+    def counting(plan, f):
+        got = compose(plan, f)
         terms.append(len(got.num.terms) + len(got.den.terms))
         return got
 
-    monkeypatch.setattr(ratmap, "ratfunc_compose", counting)
+    monkeypatch.setattr(ComposePlan, "compose", counting)
     assert chain_certificate(seed=23, trials=20).ok
     assert (len(terms), sum(terms)) == (298, 2580)

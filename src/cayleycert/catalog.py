@@ -5,7 +5,7 @@ literal table ``CONSTRUCTIONS``; the command line selects them by id or
 runs the whole non-fixture set.  Mutation fixtures are intentionally
 broken variants (a swapped component, a dropped twist, a dropped
 conjugation, a wrong cocycle value, a bumped lattice entry, a lost sign in
-the classical gather) whose
+the classical gather, a dropped conjugation in the Hermitian gather) whose
 certificates must fail with a named check; they are excluded from "all"
 and only run when selected explicitly.
 """
@@ -113,13 +113,22 @@ def _mutant_lattice_offbyone(seed: int, trials: int) -> Certificate:
 
 
 def _mutant_classical_gather_sign(seed: int, trials: int) -> Certificate:
-    # every -1 factor of sp4's symbolic gather read as +1: iota stays an
+    # every factor of sp4's gather read as |u|: iota stays an
     # anti-automorphism (the transpose against a permutation) but is no
-    # longer the one the integer gather and the skew space belong to
+    # longer the symplectic form's
     alg = symplectic_alg(4)
-    alg._gather = tuple(tuple((q, p, f, (f == 1) + (f == -1), u, v)
-                              for q, p, f, _, u, v in row) for row in alg._gather)
+    alg._gather = tuple(tuple((q, p, abs(u), v) for q, p, u, v in row)
+                        for row in alg._gather)
     return classical_certificate("mutation.classical-gather-sign", alg, seed, trials)
+
+
+def _mutant_classical_dropped_conjugation(seed: int, trials: int) -> Certificate:
+    # su3's gather without its conjugation: iota(a) = H^-1 a^T H is a
+    # K-linear anti-automorphism, and so no Hermitian form's involution
+    alg = unitary_alg(3, -3)
+    alg._conj = False
+    return classical_certificate("mutation.classical-dropped-conjugation", alg, seed,
+                                 trials)
 
 
 # -- the construction table --------------------------------------------------
@@ -198,6 +207,9 @@ CONSTRUCTIONS = (
     Construction("mutation.classical-gather-sign",
                  "fixture: sign of the symplectic gather dropped",
                  _mutant_classical_gather_sign, fixture=True),
+    Construction("mutation.classical-dropped-conjugation",
+                 "fixture: conjugation of the Hermitian gather dropped",
+                 _mutant_classical_dropped_conjugation, fixture=True),
 )
 
 MUTATION_IDS = tuple(c.id for c in CONSTRUCTIONS if c.fixture)

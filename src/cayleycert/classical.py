@@ -12,21 +12,22 @@ form has ``QuadExt`` entries, else Q.
 Forms must be monomial: row l of H has one nonzero entry h_l, in column
 sigma(l).  Over Q this loses nothing, as every symmetric or Hermitian form
 is congruent to a diagonal one and every symplectic form to J.  Then iota
-is a gather, iota(a)[i][j] = (h_q / h_p) core(a)[p][q] with p = sigma^-1(i)
-and q = sigma^-1(j), read from a table built once: a factor of +-1 is a
-sign, any other (as for diag(1, 2, -3)) one scalar product, and the
-conjugation is applied to each gathered entry.  The transform uses
-(1 - a)(1 + a)^-1 = 2(1 + a)^-1 - 1: one inverse, of (1 + a)/2, then a
-diagonal shift by -1, with no matrix product.
+is a gather, iota(a)[i][j] = g core(a)[p][q] with p = sigma^-1(i),
+q = sigma^-1(j) and g = h_q / h_p, read from one table built once: cell
+(i, j) holds (q, p, u, v), g being (u + v*sqrt(d))/L over one common
+integer L, and the conjugation is applied to each gathered entry.  The
+table has two readers: :meth:`MatrixAlg.involute` on generic matrices,
+where a factor of +-1 is a sign and any other (as for diag(1, 2, -3))
+one scalar product, and :meth:`MatrixAlg._involute_int` on the integer
+form of ``matrices`` (``_IntMat``), on which all scalar work runs.  The
+transform uses (1 - a)(1 + a)^-1 = 2(1 + a)^-1 - 1: one inverse, of
+(1 + a)/2, then a diagonal shift by -1, with no matrix product.
 
-Scalar work runs on the integer form of ``matrices`` (``_IntMat``), and
-the gather table also holds each factor as integers over one common L:
-the symbolic gather serves the exact checks on generic matrices, the
-integer one the scalars, the skew basis and the spot check.
-:func:`classical_certificate` derives the transform's verdicts from two
-exact checks by a stated ring rule; its spot check stays on integer
-forms from draw to verdict, and builds scalars only for a witness; the
-public functions convert scalar matrices in and out.
+:func:`classical_certificate` ties the table to its form by an exact
+check and derives the transform's verdicts by a stated ring rule; its
+spot check stays on integer forms from draw to verdict, and builds
+scalars only for a witness; the public functions convert scalar matrices
+in and out.
 
 The projective variant for the quotient of the full matrix group by
 scalars is built here too: [a] -> (n / tr a) a - 1 with inverse
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import DegenerateError, PreconditionError, StructureError
 from .field import QuadField, _domain, conj
@@ -95,16 +96,14 @@ class MatrixAlg:
             raise StructureError(MONOMIAL_RULE)
         sigma = [c[0][0] for c in cells]
         h = [c[0][1] for c in cells]
-        # entry (i, j) is f * core(a)[p][q] = f * a[q][p] with p = sigma[i],
-        # q = sigma[j], f = h_q / h_p = (u + v*sqrt(d))/L over one L =
-        # self._den, and s = f when f = +-1, else 0
-        fs = [[h[q] / h[p] for q in sigma] for p in sigma]
-        k = _IntMat.of(fs, self._d)
+        # cell (i, j) reads a[q][p] = core(a)[p][q] with p = sigma[i],
+        # q = sigma[j], times h_q / h_p = (u + v*sqrt(d))/L over one
+        # L = self._den
+        k = _IntMat.of([[h[q] / h[p] for q in sigma] for p in sigma], self._d)
         self._den = k.den
         self._gather = tuple(
-            tuple((q, p, f, (f == 1) - (f == -1), u, v)
-                  for q, f, u, v in zip(sigma, fr, ur, vr))
-            for p, fr, ur, vr in zip(sigma, fs, k.p, k.q or [[0] * self.n] * self.n))
+            tuple(zip(sigma, repeat(p), ur, vr))
+            for p, ur, vr in zip(sigma, k.p, k.q or [[0] * self.n] * self.n))
         self.one = identity(self.n, self.field.one if self.field else Fraction(1))
 
     def involute(self, a):
@@ -112,26 +111,29 @@ class MatrixAlg:
         entries); an anti-automorphism with iota^2 = id.  A gather of
         signed entries (module docstring).  Scalar matrices take
         :meth:`_involute_int`, on their integer form."""
-        if self._conj:
-            # the inner loop binds c to the conjugated entry once
-            return tuple(tuple(c if s == 1 else -c if s else f * c
-                               for q, p, f, s, _, _ in row for c in (conj(a[q][p]),))
-                         for row in self._gather)
-        return tuple(tuple(a[q][p] if s == 1 else -a[q][p] if s else f * a[q][p]
-                           for q, p, f, s, _, _ in row)
+        take = conj if self._conj else lambda c: c
+        return tuple(tuple(self._times(u, v, take(a[q][p])) for q, p, u, v in row)
                      for row in self._gather)
+
+    def _times(self, u, v, c):
+        """c times the cell factor (u + v*sqrt(d))/L: a sign when that is
+        +-1, else one product by a scalar of the algebra's field."""
+        L, K = self._den, self.field
+        if not v and abs(u) == L:
+            return c if u > 0 else -c
+        return (K.of(Fraction(u, L), Fraction(v, L)) if K else Fraction(u, L)) * c
 
     def _involute_int(self, m):
         """iota on an integer form: the gather of :meth:`involute` with the
         integer factors u + v*sqrt(d), over the denominator L * m.den."""
         a, b, den = m.p, m.q, self._den * m.den
         if b is None:
-            return _IntMat([[u * a[q][p] for q, p, _, _, u, _ in row]
+            return _IntMat([[u * a[q][p] for q, p, u, _ in row]
                             for row in self._gather], None, den, None)
         c, cd = (-1, -m.d) if self._conj else (1, m.d)
-        return _IntMat([[u * a[q][p] + cd * v * b[q][p] for q, p, _, _, u, v in row]
+        return _IntMat([[u * a[q][p] + cd * v * b[q][p] for q, p, u, v in row]
                         for row in self._gather],
-                       [[c * u * b[q][p] + v * a[q][p] for q, p, _, _, u, v in row]
+                       [[c * u * b[q][p] + v * a[q][p] for q, p, u, v in row]
                         for row in self._gather], den, m.d)
 
     def _int(self, *mats):
@@ -164,36 +166,6 @@ class MatrixAlg:
         x = _IntMat([[p for p, _ in r] for r in pairs],
                     self._d and [[q for _, q in r] for r in pairs], 2, self._d)
         return (x + -self._involute_int(x)).over(2)
-
-    def _generic_skew(self):
-        """(k, x): x = sum_k v_k B_k with ``Poly`` entries over v1..vk, for
-        a Q-basis B_k of the skew space read off the integer gather.  Cell
-        (i, j) reads (q, p), so iota(e E_qp) = g conj(e) E_ij with
-        g = (u + v*sqrt(d))/L; B = (e E_qp - iota(e E_qp))/2 for one cell
-        of each orbit {(q, p), (i, j)} and e = 1, and e = sqrt(d) over
-        Q(sqrt(d)), dropping zeros.  A cell that reads itself under a
-        conjugate-linear iota has a one-dimensional skew part: one B."""
-        K, L = self.field, self._den
-        units = (Fraction(1), K.sqrt) if K else (Fraction(1),)
-        basis = []                    # one {(row, col): entry} per B
-        for i, row in enumerate(self._gather):
-            for j, (q, p, _, _, u, v) in enumerate(row):
-                if (q, p) > (i, j):
-                    continue
-                g = K.of(Fraction(u, L), Fraction(v, L)) if K else Fraction(u, L)
-                for e in units:
-                    b = {(q, p): e / 2}
-                    b[i, j] = b.get((i, j), 0) - g * (conj(e) if self._conj else e) / 2
-                    if any(b.values()):
-                        basis.append(b)
-                        if self._conj and (q, p) == (i, j):
-                            break
-        names = tuple(f"v{k + 1}" for k in range(len(basis)))
-        terms = [[{} for _ in range(self.n)] for _ in range(self.n)]
-        for k, b in enumerate(basis):
-            for (i, j), c in b.items():
-                terms[i][j][tuple(int(m == k) for m in range(len(basis)))] = c
-        return len(basis), tuple(tuple(Poly(names, t) for t in row) for row in terms)
 
     def _random_point(self, rng):
         """A group point (integer form): the transform of a random skew,
@@ -318,18 +290,21 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
     """Image skewness, round trips and conjugation equivariance of the
     transform T(a) = (1 - a)(1 + a)^-1, exactly, then one spot check.
 
-    Two checks are exact on generic matrices, and a failed one returns the
-    certificate: ``involution-anti-automorphism`` (iota(ab) = iota(b)
-    iota(a), iota(a + b) = iota(a) + iota(b), iota(iota(a)) = a) and
-    ``generic-skew`` (iota(1 + x) = 1 - x for x = sum_k v_k B_k over the
-    basis of :meth:`MatrixAlg._generic_skew`; the detail states k).  The
-    three transform verdicts follow by this rule.  iota(1) iota(a) =
-    iota(a) and iota is onto, so iota(1) = 1 and iota(B^-1) = iota(B)^-1,
-    and by additivity iota(x) = -x.  1 + x is invertible over K(v), as
-    det(1 + x) is 1 at v = 0, so iota(T(x)) T(x) =
-    (1 - x)^-1 (1 + x)(1 - x)(1 + x)^-1 = 1.  For a group point a,
-    iota(T(a)) = (1 + a^-1)^-1 (1 - a^-1) = -T(a).  T(T(a)) = a and
-    T(g a g^-1) = g T(a) g^-1 are ring identities.
+    Two checks are exact on generic matrices a, b, and a failed one
+    returns the certificate: ``involution-anti-automorphism`` (iota(ab) =
+    iota(b) iota(a), iota(a + b) = iota(a) + iota(b), iota(iota(a)) = a)
+    and ``involution-of-form`` (H iota(a) = core(a) H, core(a) being the
+    conjugate transpose for a Hermitian form and the transpose otherwise,
+    chosen by ``alg.involution``).  As H is invertible, the second pins
+    iota to H^-1 core(a) H, the involution whose group and skew space the
+    verdicts speak of, and the spot check's integer gather reads the same
+    table.  The three transform verdicts follow from the anti-automorphism
+    by this rule.  iota(1) iota(a) = iota(a) and iota is onto, so
+    iota(1) = 1 and iota(B^-1) = iota(B)^-1.  For skew x (iota(x) = -x)
+    with 1 + x invertible, iota(1 + x) = 1 - x by additivity, so 1 - x is
+    invertible and iota(T(x)) T(x) = (1 - x)^-1 (1 + x)(1 - x)(1 + x)^-1
+    = 1.  For a group point a, iota(T(a)) = (1 + a^-1)^-1 (1 - a^-1) =
+    -T(a).  T(T(a)) = a and T(g a g^-1) = g T(a) g^-1 are ring identities.
 
     ``spot-check[<trials> points]`` (:func:`cayleycert.ratmap.spot_check`)
     draws skew x with :meth:`MatrixAlg._random_skew`; x agrees when
@@ -351,18 +326,20 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
     cert.add("involution-anti-automorphism", "pass",
              "exact on generic a, b: iota(ab) = iota(b) iota(a), "
              "iota(a + b) = iota(a) + iota(b), iota(iota(a)) = a")
-    k, x = alg._generic_skew()
-    on = f"x = sum of v_k B_k, k = 1..{k}, B_k a basis of the skew space"
-    if not mat_eq(alg.involute(mat_add(alg.one, x)), mat_sub(alg.one, x)):
-        cert.add("generic-skew", "fail", f"iota(1 + x) != 1 - x on {on}")
+    H = alg.form
+    core, said = ((conj_transpose(a), "conj(a)^T") if alg.involution == "hermitian-form"
+                  else (transpose(a), "a^T"))
+    if not mat_eq(mat_mul(H, ia), mat_mul(core, H)):
+        cert.add("involution-of-form", "fail", f"H iota(a) != {said} H on generic a")
         return cert
-    cert.add("generic-skew", "pass", f"exact on {on}: iota(1 + x) = 1 - x")
+    cert.add("involution-of-form", "pass",
+             f"exact on generic a: H iota(a) = {said} H for the invertible form H")
     cert.add("image-skewness", "pass",
              "from the anti-automorphism: iota(1) = 1, so for a group point a, "
              "iota(T(a)) = (1 + a^-1)^-1 (1 - a^-1) = -T(a)")
     cert.add("round-trip", "pass",
-             "from generic-skew: iota(T(x)) T(x) = (1 - x)^-1 (1 + x)(1 - x)(1 + x)^-1 "
-             "= 1, and T(T(a)) = a is a ring identity")
+             "from the anti-automorphism: for skew x, iota(T(x)) T(x) = "
+             "(1 - x)^-1 (1 + x)(1 - x)(1 + x)^-1 = 1, and T(T(a)) = a is a ring identity")
     cert.add("conjugation-equivariance", "pass",
              "ring identity: T(g a g^-1) = g T(a) g^-1")
 

@@ -8,8 +8,9 @@ product is integer dot products, over Z[sqrt(d)] the pair
 (P P' + d Q Q', P Q' + Q P'); an inverse is fraction-free Gauss-Jordan
 elimination (Bareiss 1968, :func:`_bareiss`) and one content gcd; a sum
 and equality cross-multiply the denominators.  So a chain of steps builds
-no ``Fraction`` or ``QuadExt`` in between: ``classical`` runs its sampled
-suite on forms, and ``mat_mul`` and ``mat_inverse`` convert once.
+no ``Fraction`` or ``QuadExt`` in between: ``classical`` runs its spot
+check on forms from draw to verdict, and ``mat_mul`` and ``mat_inverse``
+convert once.
 
 Entry types follow the one rule of ``field._domain``, which ``poly``
 shares: a product of two int matrices has int entries; a product or

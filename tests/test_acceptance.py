@@ -82,7 +82,7 @@ def test_criterion_3_classical_transforms():
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 20
     report(3, ok, f"{len(grid)} algebras: skewness, round trips and equivariance "
-                  f"exact from the anti-automorphism and a generic skew element, "
+                  f"exact from the anti-automorphism, tied to the form exactly, "
                   f"plus a 100-point spot check, in {elapsed:.1f}s (< 20s)")
 
 

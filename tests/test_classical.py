@@ -64,6 +64,17 @@ def test_exceptional_locus_named():
         cayley_transform(alg, a)
 
 
+def swap_form(n, c, c_mirror, zero):
+    """Monomial form pairing coordinates 2k and 2k+1 through c (and c_mirror
+    below the diagonal); with n odd the last coordinate pairs with itself."""
+    H = [[zero] * n for _ in range(n)]
+    for k in range(0, n - 1, 2):
+        H[k][k + 1], H[k + 1][k] = c, c_mirror
+    if n % 2:
+        H[n - 1][n - 1] = c * c_mirror
+    return tuple(map(tuple, H))
+
+
 def random_matrix(alg, rng):
     """A square matrix of the entries the spot check draws: r/s with r in
     [-3, 3] and s in {1, 2}, and a + b*sqrt(d) with such a, b over a field."""
@@ -142,7 +153,19 @@ def test_certificates_pass_for_all_involution_kinds():
     for name, alg in (("sp2", symplectic_alg(2)),
                       ("so3", orthogonal_alg(3)),
                       ("su3", unitary_alg(3)),
-                      ("u3gauss", unitary_alg(3, -1))):
+                      ("u3gauss", unitary_alg(3, -1)),
+                      ("so1", orthogonal_alg(1)),
+                      ("so4", orthogonal_alg(4)),
+                      ("sp4", symplectic_alg(4)),
+                      ("su21", unitary_alg(3, -3, (1, 1, -1))),
+                      ("u2gauss-2-half", unitary_alg(2, -1, (2, Fraction(1, 2)))),
+                      # a symmetric form over Q(sqrt(-3)), and a Hermitian
+                      # pairing whose self-read cells have irrational factors
+                      ("so3-over-q-sqrt-3", MatrixAlg(n=3, involution="transpose-form",
+                                                      form=identity(3, F.one))),
+                      ("hermitian-swap", MatrixAlg(n=3, involution="hermitian-form",
+                                                   form=swap_form(3, F.of(1, 2), F.of(1, -2),
+                                                                  F.zero)))):
         cert = classical_certificate(name, alg, seed=7, trials=15)
         assert cert.ok, [v.name for v in cert.failing()]
 
@@ -160,7 +183,7 @@ def test_certificate_refuses_a_non_positive_trial_count(trials):
         classical_certificate("so3", orthogonal_alg(3), seed=7, trials=trials)
 
 
-EXACT_NAMES = ["involution-anti-automorphism", "generic-skew", "image-skewness",
+EXACT_NAMES = ["involution-anti-automorphism", "involution-of-form", "image-skewness",
                "round-trip", "conjugation-equivariance"]
 
 
@@ -226,20 +249,48 @@ def test_a_broken_transform_fails_verify_with_a_report(monkeypatch, capsys):
     assert record["verdicts"][-1]["witness"] == first_skew(orthogonal_alg(3), record["seed"])
 
 
-def test_a_non_skew_draw_fails_the_suite_with_a_report():
-    # an off-diagonal integer factor flipped alone: the symbolic gather, and
-    # so the anti-automorphism, is unchanged, and the skew basis reads the
-    # other cell of that orbit, but the integer gather is no involution and
-    # the first drawn skew is not skew
-    alg = orthogonal_alg(3)
-    rows = [list(r) for r in alg._gather]
-    q, p, f, s, u, v = rows[0][1]
-    rows[0][1] = (q, p, f, s, -u, -v)
-    alg._gather = tuple(map(tuple, rows))
-    cert = classical_certificate("flipped", alg, seed=7, trials=5)
+def test_a_non_skew_draw_fails_the_suite_with_a_report(monkeypatch):
+    # the identity is drawn as a skew: the exact verdicts pass, and the spot
+    # check reports the draw instead of transforming it
+    monkeypatch.setattr(MatrixAlg, "_random_skew",
+                        lambda self, rng: _IntMat.of(identity(self.n), self._d))
+    cert = classical_certificate("not-skew", orthogonal_alg(3), seed=7, trials=5)
     assert [(v.name, v.status) for v in cert.verdicts] == [
         (name, "pass") for name in EXACT_NAMES] + [("spot-check[5 points]", "fail")]
-    assert cert.verdicts[-1].witness.startswith("drawn skew is not skew: [")
+    assert cert.verdicts[-1].witness == "drawn skew is not skew: [1, 0, 0; 0, 1, 0; 0, 0, 1]"
+
+
+FLIP_ALGEBRAS = {
+    "so3": lambda: orthogonal_alg(3),
+    "so-1-2-3": lambda: orthogonal_alg(3, (1, 2, -3)),
+    "sp4": lambda: symplectic_alg(4),
+    "su3": lambda: unitary_alg(3),
+    "u4gauss": lambda: unitary_alg(4, -1),
+    "u2gauss-2-half": lambda: unitary_alg(2, -1, (2, Fraction(1, 2))),
+    "hermitian-swap": lambda: MatrixAlg(n=3, involution="hermitian-form",
+                                        form=swap_form(3, F.of(1, 2), F.of(1, -2), F.zero)),
+}
+
+
+def negate_cell(alg, i, j):
+    """alg with the factor (u, v) of gather cell (i, j) negated."""
+    rows = [list(r) for r in alg._gather]
+    q, p, u, v = rows[i][j]
+    rows[i][j] = (q, p, -u, -v)
+    alg._gather = tuple(map(tuple, rows))
+    return alg
+
+
+@pytest.mark.parametrize("name, i, j", [
+    (name, i, j) for name, build in FLIP_ALGEBRAS.items()
+    for i in range(build().n) for j in range(build().n)])
+def test_every_negated_gather_cell_fails_an_exact_verdict(name, i, j):
+    # both readers share the table, so no cell's factor escapes the exact
+    # checks: the certificate stops at a failed exact verdict, before the
+    # spot check runs
+    alg = negate_cell(FLIP_ALGEBRAS[name](), i, j)
+    last = classical_certificate("negated", alg, seed=7, trials=5).verdicts[-1]
+    assert (last.name in EXACT_NAMES, last.status) == (True, "fail")
 
 
 def test_an_involution_wrong_on_sums_fails_the_anti_automorphism(monkeypatch):
@@ -257,10 +308,10 @@ def test_an_involution_wrong_on_sums_fails_the_anti_automorphism(monkeypatch):
 
 
 def lose_gather_signs(alg):
-    """The sign field of the symbolic gather as (f == 1) + (f == -1): every
-    -1 factor is read as +1, and the integer gather is kept."""
-    alg._gather = tuple(tuple((q, p, f, (f == 1) + (f == -1), u, v)
-                              for q, p, f, _, u, v in row) for row in alg._gather)
+    """Every factor of the gather as (|u|, v): each -1 is read as +1, by
+    the symbolic and the integer reader alike."""
+    alg._gather = tuple(tuple((q, p, abs(u), v) for q, p, u, v in row)
+                        for row in alg._gather)
     return alg
 
 
@@ -269,64 +320,51 @@ def lose_gather_signs(alg):
     lambda: orthogonal_alg(3, (1, 1, -1)),                 # so21
     lambda: unitary_alg(3, -3, (1, 1, -1)),                # su21
 ])
-def test_a_lost_gather_sign_fails_generic_skew(build):
+def test_a_lost_gather_sign_fails_involution_of_form(build):
     # the transpose against a permutation is still an anti-automorphism:
-    # only the generic skew element sees that it is the wrong one
+    # only the comparison with the form sees that it is the wrong one
     cert = classical_certificate("signs", lose_gather_signs(build()), seed=7, trials=5)
     assert [(v.name, v.status) for v in cert.verdicts] == [
-        ("involution-anti-automorphism", "pass"), ("generic-skew", "fail")]
+        ("involution-anti-automorphism", "pass"), ("involution-of-form", "fail")]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: unitary_alg(2),
+    lambda: unitary_alg(3),
+    lambda: unitary_alg(3, -1),
+])
+def test_a_dropped_conjugation_fails_involution_of_form(build):
+    # iota(a) = H^-1 a^T H over Q(sqrt(d)) is an anti-automorphism, and its
+    # group and skew space are a consistent pair, but not the Hermitian ones
+    alg = build()
+    alg._conj = False
+    cert = classical_certificate("no-conj", alg, seed=7, trials=5)
+    assert [(v.name, v.status, v.detail) for v in cert.verdicts[1:]] == [
+        ("involution-of-form", "fail", "H iota(a) != conj(a)^T H on generic a")]
+    assert cert.verdicts[0].status == "pass"
 
 
 def test_a_floor_division_in_the_gather_cannot_pass(monkeypatch):
-    # f * c -> f // c on the cells whose factor is not +-1 (diag(1, 2, -3)):
-    # the symbolic gather raises before any verdict could pass
-    def involute(self, a):
-        return tuple(tuple(a[q][p] if s == 1 else -a[q][p] if s else f // a[q][p]
-                           for q, p, f, s, _, _ in row) for row in self._gather)
-    monkeypatch.setattr(MatrixAlg, "involute", involute)
+    # factor * c -> factor // c on the cells whose factor is not +-1
+    # (diag(1, 2, -3)): the symbolic gather raises before any verdict could pass
+    def times(self, u, v, c):
+        L = self._den
+        return c if (u, v) == (L, 0) else -c if (u, v) == (-L, 0) else Fraction(u, L) // c
+    monkeypatch.setattr(MatrixAlg, "_times", times)
     with pytest.raises(TypeError):
         classical_certificate("floor", orthogonal_alg(3, (1, 2, -3)), seed=7, trials=5)
 
 
-@pytest.mark.parametrize("build, k", [
-    (lambda: orthogonal_alg(2), 1), (lambda: orthogonal_alg(3, (1, 1, -1)), 3),
-    (lambda: orthogonal_alg(4), 6), (lambda: orthogonal_alg(1), 0),
-    (lambda: symplectic_alg(2), 3), (lambda: symplectic_alg(4), 10),
-    (lambda: unitary_alg(2, -1), 4), (lambda: unitary_alg(3, -3, (1, 1, -1)), 9),
-    (lambda: unitary_alg(4), 16),
-    # over Q(sqrt(-3)) a symmetric form's skew space has twice the Q-dimension
-    (lambda: MatrixAlg(n=3, involution="transpose-form", form=identity(3, F.one)), 6),
-    # a Hermitian pairing whose self-read cells have irrational factors
-    (lambda: MatrixAlg(n=3, involution="hermitian-form",
-                       form=swap_form(3, F.of(1, 2), F.of(1, -2), F.zero)), 9),
-])
-def test_generic_skew_has_one_variable_per_skew_dimension(build, k):
-    # n(n-1)/2 orthogonal, n(n+1)/2 symplectic, n^2 unitary, over Q
-    alg = build()
-    got, x = alg._generic_skew()
-    assert got == k
-    assert {v for row in x for e in row for v in e.vars} == {f"v{i + 1}" for i in range(k)}
-    [skew] = [v for v in classical_certificate("k", alg, seed=7, trials=3).verdicts
-              if v.name == "generic-skew"]
-    assert (skew.status, f"k = 1..{k}," in skew.detail) == ("pass", True)
-
-
 @pytest.mark.parametrize("build, cell", [
-    (lambda: orthogonal_alg(3), (0, 0)),
-    (lambda: orthogonal_alg(3, (1, 2, -3)), (0, 2)),
-    (lambda: symplectic_alg(4), (1, 3)),
-    (lambda: unitary_alg(3), (2, 2)),
-    (lambda: unitary_alg(4, -1), (0, 1)),
+    (FLIP_ALGEBRAS["so3"], (0, 0)),
+    (FLIP_ALGEBRAS["so-1-2-3"], (0, 2)),
+    (FLIP_ALGEBRAS["sp4"], (1, 3)),
+    (FLIP_ALGEBRAS["su3"], (2, 2)),
+    (FLIP_ALGEBRAS["u4gauss"], (0, 1)),
 ])
 def test_flipped_gather_sign_fails_anti_automorphism(build, cell):
     # a flipped diagonal cell keeps iota^2 = id; only the product rule sees it
-    alg = build()
-    rows = [list(r) for r in alg._gather]
-    i, j = cell
-    q, p, f, s, u, v = rows[i][j]
-    rows[i][j] = (q, p, -f, -s, -u, -v)
-    alg._gather = tuple(map(tuple, rows))
-    cert = classical_certificate("flipped", alg, seed=7, trials=5)
+    cert = classical_certificate("flipped", negate_cell(build(), *cell), seed=7, trials=5)
     assert [(v.name, v.status) for v in cert.verdicts] == [
         ("involution-anti-automorphism", "fail")]
 
@@ -413,17 +451,6 @@ def assert_same(got, want):
     assert entry_types(got) == entry_types(want)
 
 
-def swap_form(n, c, c_mirror, zero):
-    """Monomial form pairing coordinates 2k and 2k+1 through c (and c_mirror
-    below the diagonal); with n odd the last coordinate pairs with itself."""
-    H = [[zero] * n for _ in range(n)]
-    for k in range(0, n - 1, 2):
-        H[k][k + 1], H[k + 1][k] = c, c_mirror
-    if n % 2:
-        H[n - 1][n - 1] = c * c_mirror
-    return tuple(map(tuple, H))
-
-
 @st.composite
 def algebras(draw):
     kind = draw(st.sampled_from(("symplectic", "orthogonal", "unitary",
@@ -472,11 +499,14 @@ def algebra_and_matrix(draw, mixed=False):
     lambda: orthogonal_alg(3, (1, 2, -3)),
     lambda: unitary_alg(3, -3, (1, 1, -1)),                # su21
     lambda: unitary_alg(2, -1, (2, Fraction(1, 2))),
+    # a factor 1 + sqrt(2), whose rational part is 1 but which is no sign
+    lambda: MatrixAlg(n=2, involution="transpose-form",
+                      form=((QuadField(2).one, 0), (0, QuadField(2).of(1, 1)))),
 ])
 def test_symbolic_gather_matches_multiplied_out_form(build):
     # iota(ab) = iota(b) iota(a) holds for any transpose-like gather, whatever
-    # its signs and factors, and the spot check reads the integer gather:
-    # this pins the symbolic one, as generic-skew does on the skew space
+    # its signs and factors: this pins the symbolic reader of the table, as
+    # involution-of-form does inside the certificate
     alg = build()
     a, = generic_matrices(alg.n, "a", alg.field.sqrt if alg.field else None)
     assert alg.involute(a) == oracle_involute(alg, a)
@@ -684,25 +714,25 @@ PINNED_ALGEBRAS = {
 
 ANTI_AUTOMORPHISM = ("exact on generic a, b: iota(ab) = iota(b) iota(a), "
                      "iota(a + b) = iota(a) + iota(b), iota(iota(a)) = a")
-SKEW_DIMENSION = {"sp4": 10, "so3": 3, "su3": 9, "u3gauss": 9, "so4": 6, "su4": 16,
-                  "u4gauss": 16}
+CORE = {"sp4": "a^T", "so3": "a^T", "so4": "a^T", "su3": "conj(a)^T",
+        "u3gauss": "conj(a)^T", "su4": "conj(a)^T", "u4gauss": "conj(a)^T"}
 PINNED_SPOT_CHECKS = {"so3": "15 agreements, 1 exceptional-locus resamples"}
 
 
 def pinned_report(name):
-    k = SKEW_DIMENSION[name]
     return {"id": name, "ok": True, "seed": 7, "term_stats": {}, "verdicts": [
         {"name": "involution-anti-automorphism", "status": "pass",
          "detail": ANTI_AUTOMORPHISM},
-        {"name": "generic-skew", "status": "pass",
-         "detail": f"exact on x = sum of v_k B_k, k = 1..{k}, B_k a basis of the "
-                   "skew space: iota(1 + x) = 1 - x"},
+        {"name": "involution-of-form", "status": "pass",
+         "detail": f"exact on generic a: H iota(a) = {CORE[name]} H for the invertible "
+                   "form H"},
         {"name": "image-skewness", "status": "pass",
          "detail": "from the anti-automorphism: iota(1) = 1, so for a group point a, "
                    "iota(T(a)) = (1 + a^-1)^-1 (1 - a^-1) = -T(a)"},
         {"name": "round-trip", "status": "pass",
-         "detail": "from generic-skew: iota(T(x)) T(x) = (1 - x)^-1 (1 + x)(1 - x)"
-                   "(1 + x)^-1 = 1, and T(T(a)) = a is a ring identity"},
+         "detail": "from the anti-automorphism: for skew x, iota(T(x)) T(x) = "
+                   "(1 - x)^-1 (1 + x)(1 - x)(1 + x)^-1 = 1, and T(T(a)) = a is a "
+                   "ring identity"},
         {"name": "conjugation-equivariance", "status": "pass",
          "detail": "ring identity: T(g a g^-1) = g T(a) g^-1"},
         {"name": "spot-check[15 points]", "status": "pass",

@@ -46,7 +46,7 @@ from .matrices import (_IntMat, conj_transpose, identity, mat_add, mat_eq, mat_m
                        mat_neg, mat_str, mat_sub, transpose)
 from .poly import ComposePlan, Poly, RatFunc, ratfunc_equal
 from .ratmap import (Certificate, EquivMap, MapPair, Relation, VarietySpec, Block,
-                     projective_space, spot_check)
+                     check_inverse_pair, projective_space, spot_check)
 
 INVOLUTIONS = ("symplectic", "transpose-form", "hermitian-form")
 FORM_KINDS = {"symplectic": "antisymmetric", "transpose-form": "symmetric",
@@ -64,8 +64,7 @@ class MatrixAlg:
     raises :class:`StructureError`.  The algebra's field is its form's:
     ``field`` is the :class:`QuadField` of the form's ``QuadExt`` entries
     (by ``field._domain``), or None when the form is rational, and a
-    Hermitian form needs one.  ``one`` is the identity matrix over that
-    field, built once.
+    Hermitian form needs one.
     """
 
     n: int
@@ -104,7 +103,6 @@ class MatrixAlg:
         self._gather = tuple(
             tuple(zip(sigma, repeat(p), ur, vr))
             for p, ur, vr in zip(sigma, k.p, k.q or [[0] * self.n] * self.n))
-        self.one = identity(self.n, self.field.one if self.field else Fraction(1))
 
     def involute(self, a):
         """iota(a) = H^-1 core(a) H on a generic matrix (``Poly``
@@ -167,21 +165,13 @@ class MatrixAlg:
                     self._d and [[q for _, q in r] for r in pairs], 2, self._d)
         return (x + -self._involute_int(x)).over(2)
 
-    def _random_point(self, rng):
-        """A group point (integer form): the transform of a random skew,
-        checked skew first; 32 exceptional skews raise DegenerateError."""
-        for _ in range(32):
-            x = self._random_skew(rng)
-            if not self._is_skew(x):
-                raise PreconditionError(f"drawn skew is not skew: {mat_str(x.scalars())}")
-            try:
-                return _transform(x)
-            except DegenerateError:
-                continue
-        raise DegenerateError("could not sample a group point")
-
     def random_group_point(self, rng):
-        return self._random_point(rng).scalars()
+        """A group point: the transform of one random skew, checked skew
+        first.  An exceptional skew (1 + x singular) raises DegenerateError."""
+        x = self._random_skew(rng)
+        if not self._is_skew(x):
+            raise PreconditionError(f"drawn skew is not skew: {mat_str(x.scalars())}")
+        return _transform(x).scalars()
 
 
 def cayley_transform(alg: MatrixAlg, a):
@@ -375,7 +365,7 @@ def pgl_cayley(n: int) -> MapPair:
     xvars = _matrix_vars("x", n)
     diag = range(0, n * n, n + 1)          # row-major positions of a_ii
     diag_x = tuple(xvars[k] for k in diag)
-    source = projective_space(f"pgl{n}-matrices", avars, multiplicative=False)
+    source = projective_space(f"pgl{n}-matrices", avars)
     target = VarietySpec(f"sl{n}-traceless", (Block(
         "affine", xvars, (Relation("linear-sum", diag_x, diag_x[-1]),)),))
     a = RatFunc.variables(avars)
@@ -401,7 +391,6 @@ def pgl_scalar_invariance(n: int) -> bool:
 
 
 def pgl_certificate(n: int, seed: int, trials: int = 100) -> Certificate:
-    from .ratmap import check_inverse_pair
     cert = Certificate(construction=f"pgl{n}", seed=seed)
     cert.add("scalar-invariance", "pass" if pgl_scalar_invariance(n) else "fail",
              "forward map composed with a -> lambda a")

@@ -149,11 +149,6 @@ class QuadExt:
         p, q, n = self._pqn
         return _make(-p, -q, n, self._d)
 
-    def norm(self) -> Fraction:
-        """Field norm x * conj(x) = a^2 - d*b^2, always a rational."""
-        p, q, n = self._pqn
-        return Fraction(p * p - self._d * q * q, n * n)
-
     def conj(self) -> "QuadExt":
         """Galois conjugate a - b*sqrt(d)."""
         p, q, n = self._pqn
@@ -355,8 +350,10 @@ class QuadField:
         return f"QuadField(d={self.d})"
 
 
-def random_rational(rng, span: int = 9, nonzero: bool = False) -> Fraction:
+def random_rational(rng, nonzero: bool = False) -> Fraction:
+    """r/s with r uniform in [-9, 9] and s uniform in [1, 9], drawn from
+    ``rng``; with ``nonzero``, a draw with r = 0 is drawn again."""
     while True:
-        x = Fraction(rng.randint(-span, span), rng.randint(1, span))
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         if not nonzero or x != 0:
             return x

@@ -328,10 +328,6 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, variables):
-        return cls(variables, {})
-
-    @classmethod
     def const(cls, variables, c):
         variables = tuple(variables)
         if not isinstance(c, _SCALAR_TYPES):     # a bool is an int: p == True works

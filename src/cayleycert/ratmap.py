@@ -3,8 +3,8 @@
 A :class:`VarietySpec` is a product of blocks (affine, torus, linear
 slice, projective), each carrying the :class:`~cayleycert.poly.Relation`
 values that cut it out, solved in order: the chart is that solve at
-generic free coordinates, a random point the same solve at random free
-values.  An :class:`EquivMap` bundles the component
+generic free coordinates, a random point the same solve at one draw of
+random free values.  An :class:`EquivMap` bundles the component
 rational functions with source and target action tables over a common
 group.  Equivariance and inverse identities are exact: rational function
 identities modulo the source relations, with projective blocks compared
@@ -14,7 +14,9 @@ telescoped over stages (a plain pair is one stage).  A group's defining
 relations are decided the same way on the chart, and two generator
 actions are compared on a generic tuple.  Random points only confirm these identities
 (the spot check of a round trip) or localise a failure (a witness), and
-every draw goes through :func:`sample`, the package's one sampling loop.
+every draw goes through :func:`sample`, the package's one sampling loop:
+a draw on the exceptional locus raises, and only ``sample`` draws again,
+so every redraw is counted.
 
 A map is evaluated at a point by :func:`map_of_point`, which runs the
 map's :class:`~cayleycert.poly.EvalPlan` on every component at once: the
@@ -253,7 +255,7 @@ class Certificate:
 
     @property
     def ok(self) -> bool:
-        return all(v.status != "fail" for v in self.verdicts)
+        return not self.failing()
 
     def add(self, name, status, detail="", witness=None):
         self.verdicts.append(Verdict(name, status, detail, witness))
@@ -362,30 +364,25 @@ def format_point(point) -> str:
 
 # -- random points --------------------------------------------------------
 
-def random_point(spec: VarietySpec, seed):
-    """A random rational point exactly on the variety.
+def random_point(spec: VarietySpec, rng: random.Random):
+    """A random rational point exactly on the variety, from one draw.
 
-    ``seed`` may be an int or a random.Random.  Free coordinates are
-    sampled (numerators and denominators up to 9, nonzero on multiplicative
-    blocks), then each relation is solved for its designated coordinate.
-    A draw that solves a multiplicative coordinate to zero is redrawn;
-    after 64 such draws the sampler raises :class:`SamplingError` so the
-    caller can report the locus.
+    Free coordinates are drawn by :func:`~cayleycert.field.random_rational`
+    (nonzero on multiplicative and projective blocks), then each relation
+    is solved for its designated coordinate.  A draw that solves a
+    multiplicative coordinate to zero is on the exceptional locus and
+    raises :class:`SamplingError`; :func:`sample` counts it as a resample.
     """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     solved = {rel.solve_for for rel in spec.relations()}
-    for _ in range(64):
-        # projective representatives are kept away from the zero tuple
-        values = {c: random_rational(rng, span=9,
-                                     nonzero=block.is_multiplicative or block.is_projective)
-                  for block in spec.blocks for c in block.coords if c not in solved}
-        point = _solve(spec, values, Fraction(1))
-        if all(all(point[start:stop]) for block, start, stop in spec.block_slices()
+    # projective representatives are kept away from the zero tuple
+    values = {c: random_rational(rng, nonzero=block.is_multiplicative or block.is_projective)
+              for block in spec.blocks for c in block.coords if c not in solved}
+    point = _solve(spec, values, Fraction(1))
+    if not all(all(point[start:stop]) for block, start, stop in spec.block_slices()
                if block.is_multiplicative):
-            return point
-    raise SamplingError(
-        f"no usable point on {spec.name} after 64 tries; "
-        "the exceptional locus keeps being hit")
+        raise SamplingError(f"a multiplicative coordinate of {spec.name} solves to zero "
+                            "(the exceptional locus)")
+    return point
 
 
 def sample(seed, draw, check, want: int, limit: int):

@@ -58,10 +58,9 @@ S3_GAMMA_RELATIONS = (
 )
 
 
-def s3_gamma_action(t12: ActionGen, c123: ActionGen, gamma: ActionGen,
-                    name: str = "S3xGamma") -> GroupSpec:
+def s3_gamma_action(t12: ActionGen, c123: ActionGen, gamma: ActionGen) -> GroupSpec:
     """S3 x Galois acting on one variety through the three given generators."""
-    return GroupSpec(name, ((T12, t12), (C123, c123), (GAMMA, gamma)),
+    return GroupSpec("S3xGamma", ((T12, t12), (C123, c123), (GAMMA, gamma)),
                      S3_GAMMA_RELATIONS)
 
 

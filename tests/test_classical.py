@@ -435,11 +435,12 @@ def oracle_involute(alg, a):
 
 
 def oracle_transform(alg, a):
+    one = identity(alg.n, alg.field.one if alg.field else Fraction(1))
     try:
-        inv = mat_inverse(mat_add(alg.one, a))
+        inv = mat_inverse(mat_add(one, a))
     except DegenerateError:
         raise DegenerateError("1 + a is singular (exceptional locus)")
-    return mat_mul(mat_sub(alg.one, a), inv)
+    return mat_mul(mat_sub(one, a), inv)
 
 
 def entry_types(m):
@@ -560,6 +561,16 @@ def test_singular_one_plus_a_is_named(alg, a, skew):
         fn(alg, a)
 
 
+def test_random_group_point_raises_on_an_exceptional_skew(monkeypatch):
+    # x = [[0, 1], [1, 0]] is skew for diag(1, -1), and 1 + x is singular
+    alg = orthogonal_alg(2, (1, -1))
+    x, = alg._int(((0, 1), (1, 0)))
+    assert alg._is_skew(x)
+    monkeypatch.setattr(alg, "_random_skew", lambda rng: x)
+    with pytest.raises(DegenerateError, match=r"^1 \+ a is singular \(exceptional locus\)$"):
+        alg.random_group_point(random.Random(0))
+
+
 def test_non_unit_signs_keep_working():
     alg = orthogonal_alg(3, (1, 2, -3))
     rng = random.Random(3)
@@ -632,13 +643,6 @@ def test_the_algebras_field_is_its_forms():
 def test_constructors_refuse_bad_sizes(build, message):
     with pytest.raises(StructureError, match=re.escape(message)):
         build()
-
-
-def test_one_is_built_once_over_the_algebras_scalars():
-    alg = unitary_alg(2, -1)
-    assert alg.one is alg.one
-    assert_same(alg.one, identity(2, QuadField(-1).one))
-    assert_same(symplectic_alg(2).one, identity(2))
 
 
 # -- pinned reports -----------------------------------------------------------

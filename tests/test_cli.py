@@ -107,7 +107,7 @@ def test_verify_term_budget_exit_3(capsys):
     assert err == f"term budget exceeded in su3.phi: {over['verdicts'][0]['detail']}\n"
     # the budget ends with verify: a 10-term product is fine again
     vs = ("a", "b", "c")
-    p = sum((Poly.variable(vs, v) for v in vs), Poly.zero(vs)) + 1
+    p = sum((Poly.variable(vs, v) for v in vs), Poly(vs, {})) + 1
     assert len((p * p).terms) > 5
 
 

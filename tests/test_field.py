@@ -113,14 +113,6 @@ def test_field_axioms(x, y, z):
 
 
 @settings(max_examples=60, deadline=None)
-@given(qext_values())
-def test_norm_is_rational(x):
-    n = x * conj(x)
-    assert n.b == 0
-    assert n.a == x.norm()
-
-
-@settings(max_examples=60, deadline=None)
 @given(qext_values(), qext_values())
 def test_conjugation_is_ring_homomorphism(x, y):
     assert conj(x * y) == conj(x) * conj(y)
@@ -239,7 +231,7 @@ def test_arithmetic_matches_fraction_pair_model(pairs, r, k):
             assert_matches(op(c, x), op(mc, mx))
     assert_matches(-x, PairModel(0, 0, x.d) - mx)
     assert_matches(conj(x), mx.conj())
-    assert x.norm() == mx.norm()
+    assert_matches(x * x.conj(), mx * mx.conj())
     assert (x == y) == (mx == my)
     assert (x == r) == (mx == PairModel(r, 0, x.d))
     if y:
@@ -292,7 +284,7 @@ def test_arithmetic_matches_sympy_algebraic_field(sympy_fields, pairs):
     assert _in_sympy(fields, -x) == -sx
     assert (x == y) == (sx == sy)
     n = sympy_norm(mx)
-    assert x.norm() == n
+    assert x * x.conj() == n
     if x:
         assert _in_sympy(fields, x.inverse()) == K.one / sx
         # conj(x) is the unique y with x * y = N(x)

@@ -55,37 +55,47 @@ def test_checker_flags_an_unused_import(tmp_path):
     assert unused_imports(mod) == ["mod.py:2 os"]
 
 
-def _reads(tree) -> set:
-    """Names a module reads: names, attributes, and the dotted parts of
-    its strings other than docstrings (the benchmark wraps by string)."""
+def _reads(tree) -> tuple:
+    """(names, attributes) a module reads: its bare names, and its
+    attribute names with the dotted parts of its strings other than
+    docstrings (the benchmark wraps by string)."""
     docs = {id(node.body[0].value) for node in ast.walk(tree)
             if isinstance(node, (ast.Module, *DEFINITIONS)) and node.body
             and isinstance(node.body[0], ast.Expr)}
-    reads = set()
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            reads.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            reads.add(node.attr)
+            attrs.add(node.attr)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docs):
-            reads.update(node.value.split("."))
-    return reads
+            attrs.update(node.value.split("."))
+    return names, attrs
 
 
 def unread_definitions(src: Path, readers) -> list:
     """``file:line name`` for each function, class or method defined in a
     module of ``src`` that no module of ``src`` (``__init__.py`` aside) and
-    no file of the ``readers`` directories reads.  Dunders are exempt."""
+    no file of the ``readers`` directories reads.  A method, a function
+    defined directly in a class body, is read only through an attribute
+    or a string: a bare name equal to it is some other binding.  Dunders
+    are exempt."""
     trees = {p: ast.parse(p.read_text(), filename=str(p))
              for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
-    reads = set()
+    names, attrs = set(), set()
     for tree in (*trees.values(), *(ast.parse(p.read_text(), filename=str(p))
                                      for d in readers for p in sorted(d.glob("*.py")))):
-        reads |= _reads(tree)
+        n, a = _reads(tree)
+        names |= n
+        attrs |= a
+    methods = {id(node) for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     found = [(p.name, node.lineno, node.name) for p, tree in trees.items()
              for node in ast.walk(tree)
-             if isinstance(node, DEFINITIONS) and node.name not in reads
+             if isinstance(node, DEFINITIONS)
+             and node.name not in (attrs if id(node) in methods else names | attrs)
              and not (node.name.startswith("__") and node.name.endswith("__"))]
     return [f"{name}:{line} {what}" for name, line, what in sorted(found)]
 
@@ -128,8 +138,17 @@ def test_checker_flags_an_unread_definition(tmp_path):
     assert unread_definitions(src, [demos]) == ["mod.py:10 hidden", "mod.py:16 unread"]
 
 
+def test_checker_does_not_count_a_local_as_a_method_read(tmp_path):
+    # the local ``norm`` of ``size`` is not a read of the method Box.norm
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n    def norm(self):\n        return 1\n\n\n"
+        "def size(x):\n    norm = x * x\n    return norm\n\n\nSIZE = size(2), Box\n")
+    assert unread_definitions(tmp_path, []) == ["mod.py:2 norm"]
+
+
 # The one module that draws random samples: ratmap, whose ``sample`` loop
-# runs the spot checks, the witness searches and classical's transform suite.
+# runs the spot checks and the witness searches, classical's spot check
+# included.
 SAMPLERS = {"ratmap"}
 
 

@@ -23,7 +23,7 @@ def rf(name):
 
 
 def test_eval_cube_roots_sum_to_zero():
-    p = sum((Poly.variable(V3, v) for v in V3), Poly.zero(V3))
+    p = sum((Poly.variable(V3, v) for v in V3), Poly(V3, {}))
     assert RatFunc(p).eval((F.one, ZETA, ZETA ** 2)) == 0
 
 
@@ -197,7 +197,7 @@ def test_equivalence_compatible_with_arithmetic():
 
 def test_term_budget_guard():
     vs = tuple(f"v{i}" for i in range(6))
-    p = sum((Poly.variable(vs, v) for v in vs), Poly.zero(vs)) + 1
+    p = sum((Poly.variable(vs, v) for v in vs), Poly(vs, {})) + 1
     with term_budget(10), pytest.raises(TermBudgetError):
         q = p
         for _ in range(6):
@@ -214,7 +214,7 @@ def test_term_budget_must_be_positive():
 
 def test_zero_denominator_rejected():
     with pytest.raises(DegenerateError):
-        RatFunc(Poly.variable(V3, "x1"), Poly.zero(V3))
+        RatFunc(Poly.variable(V3, "x1"), Poly(V3, {}))
 
 
 def test_monomial_normalization_keeps_value():
@@ -283,13 +283,13 @@ def test_constant_that_is_no_scalar_is_rejected(c):
 
 
 def test_a_constant_still_compares_with_a_bool():
-    one, zero = Poly.const(("x",), 1), Poly.zero(("x",))
+    one, zero = Poly.const(("x",), 1), Poly(("x",), {})
     assert one == True and zero == False and one != False
     assert Poly.const(("x",), True) == one
 
 
 def test_a_constant_hashes_as_the_scalar_it_equals():
-    three, zero = Poly.const(("x",), 3), Poly.zero(("x",))
+    three, zero = Poly.const(("x",), 3), Poly(("x",), {})
     assert three == 3 and 3 in {three} and three in {3}
     assert zero == 0 and 0 in {zero} and zero in {0}
     half = Poly.const(("x",), QuadExt(Fraction(1, 2), 0, -3))
@@ -604,7 +604,7 @@ def reference_compose(f, subst):
         nrows.append(nrow)
 
     def cleared(poly):
-        acc = Poly.zero(out_vars)
+        acc = Poly(out_vars, {})
         for exps, c in poly.items():
             val = Poly.const(out_vars, c)
             for i, e in enumerate(exps):
@@ -631,7 +631,7 @@ def per_variable_compose(f, subst):
            for i in range(len(f.vars))]
 
     def cleared(poly):
-        acc = Poly.zero(out_vars)
+        acc = Poly(out_vars, {})
         for exps, c in poly.items():
             val = Poly.const(out_vars, c)
             for s, e, m in zip(subst, exps, top):

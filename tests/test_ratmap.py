@@ -12,12 +12,12 @@ from cayleycert.classical import pgl_cayley
 from cayleycert.errors import DegenerateError, SamplingError, StructureError
 from cayleycert.group import ActionGen, GroupSpec, identity_perm
 from cayleycert.poly import RatFunc, chart_restrict, ratfunc_equal
-from cayleycert.ratmap import (NO_ACTION, Block, EquivMap, Relation, VarietySpec,
-                               check_equivariance, check_group_relations,
+from cayleycert.ratmap import (NO_ACTION, Block, Certificate, EquivMap, Relation,
+                               VarietySpec, check_equivariance, check_group_relations,
                                check_inverse_pair, check_target_relations, compose,
                                compose_pair, linear_slice, map_of_point, product,
-                               projective_space, random_point, sample, torus,
-                               _points_equal, _tuple_equal)
+                               projective_space, random_point, sample, spot_check,
+                               torus, _points_equal, _tuple_equal)
 from cayleycert.su3 import (link_phi, link_quotient, link_segre, quotient_variety,
                             torus_variety)
 
@@ -40,7 +40,7 @@ SHIPPED_SPECS = _shipped_specs()
 def test_random_point_torus_satisfies_relation():
     spec = torus("T", ("t1", "t2", "t3"))
     for seed in range(20):
-        p = random_point(spec, seed)
+        p = random_point(spec, random.Random(seed))
         assert p[0] * p[1] * p[2] == 1
         assert all(x != 0 for x in p)
 
@@ -48,14 +48,14 @@ def test_random_point_torus_satisfies_relation():
 def test_random_point_linear_slice_sums_to_zero():
     spec = linear_slice("t", ("u1", "u2", "u3"))
     for seed in range(20):
-        p = random_point(spec, seed)
+        p = random_point(spec, random.Random(seed))
         assert sum(p) == 0
 
 
 def test_random_point_projective_not_zero():
     spec = projective_space("P", ("a", "b", "c"))
     for seed in range(20):
-        p = random_point(spec, seed)
+        p = random_point(spec, random.Random(seed))
         assert any(p)
 
 
@@ -65,7 +65,7 @@ def test_random_point_quadric_relation():
     spec = projective_space("Q", ("a11", "a12", "a21", "a22"), relations=(rel,),
                             multiplicative=True)
     for seed in range(20):
-        p = random_point(spec, seed)
+        p = random_point(spec, random.Random(seed))
         assert p[0] * p[3] == p[1] * p[2]
 
 
@@ -92,7 +92,7 @@ def test_chart_tuple_matches_one_relation_at_a_time(name):
 def test_random_point_satisfies_every_relation(name):
     spec = SHIPPED_SPECS[name]
     for seed in range(10):
-        value = dict(zip(spec.coords, random_point(spec, seed)))
+        value = dict(zip(spec.coords, random_point(spec, random.Random(seed))))
         for rel in spec.relations():
             if rel.kind == "linear-sum":
                 assert sum(value[v] for v in rel.variables) == 0
@@ -113,12 +113,27 @@ def test_relation_may_not_use_a_coordinate_solved_later():
 
 
 def test_random_point_reject_budget():
-    # a torus coordinate whose relation solves it to zero: every draw is
-    # rejected, and the sampler gives up with a named error
+    # a torus coordinate whose relation solves it to zero: the first draw
+    # raises a named error, and a spot check spends every attempt on it
     spec = VarietySpec("zero", (Block("torus", ("a",),
                                       (Relation("linear-sum", ("a",), "a"),)),))
-    with pytest.raises(SamplingError, match="no usable point on zero after 64 tries"):
-        random_point(spec, 0)
+    with pytest.raises(SamplingError, match="coordinate of zero solves to zero"):
+        random_point(spec, random.Random(0))
+    cert = Certificate("zero")
+    spot_check(cert, 0, lambda rng: random_point(spec, rng), lambda x: None, 5, "")
+    assert [(v.status, v.detail) for v in cert.verdicts] == [
+        ("fail", "only 0 usable points in 20 attempts; the exceptional locus keeps being hit")]
+
+
+def test_spot_check_counts_the_redraws_of_a_point():
+    # y3 = -(y1 + y2) on a multiplicative block: a draw with y1 = -y2
+    # solves y3 to zero, and the spot check counts it as a resample
+    ys = ("y1", "y2", "y3")
+    spec = VarietySpec("units", (Block("affine", ys, (Relation("linear-sum", ys, "y3"),),
+                                       multiplicative=True),))
+    ident = EquivMap("id", spec, spec, RatFunc.variables(ys))
+    cert = check_inverse_pair(ident, ident, seed=0, trials=100)
+    assert cert.verdicts[-1].detail == "100 agreements, 1 exceptional-locus resamples"
 
 
 def test_sample_stops_at_the_first_disagreement():
@@ -358,7 +373,7 @@ def test_product_variety_flattens_blocks():
     spec = product("TxGm2", torus("T", ("t1", "t2", "t3")),
                    torus("Gm2", ("s1", "s2"), product_one=False))
     assert spec.coords == ("t1", "t2", "t3", "s1", "s2")
-    p = random_point(spec, 9)
+    p = random_point(spec, random.Random(9))
     assert p[0] * p[1] * p[2] == 1 and p[3] != 0 and p[4] != 0
 
 
@@ -463,7 +478,7 @@ def test_a_map_cannot_be_edited_in_place():
 def test_replace_rebuilds_the_evaluation_plan():
     m = link_quotient().forward
     swapped = replace(m, components=(m.components[0], m.components[2], m.components[1]))
-    x = random_point(m.source, 4)
+    x = random_point(m.source, random.Random(4))
     a, b, c = map_of_point(m, x)
     assert map_of_point(swapped, x) == (a, c, b)
     assert map_of_point(swapped, x) == tuple(f.eval(x) for f in swapped.components)
@@ -538,7 +553,7 @@ def test_a_map_builds_its_plan_at_the_first_evaluation(monkeypatch):
     pair = link_quotient()
     m = compose(pair.forward, pair.inverse)
     assert not built
-    x = random_point(m.source, 2)
+    x = random_point(m.source, random.Random(2))
     assert map_of_point(m, x) == map_of_point(m, x)
     assert built == [m.components]
 

@@ -16,8 +16,12 @@ Entry types follow the one rule of ``field._domain``, which ``poly``
 shares: a product of two int matrices has int entries; a product or
 inverse with any ``QuadExt`` entry has ``QuadExt`` entries in that field;
 everything else has ``Fraction`` entries.  Irrational entries from two
-different fields raise :class:`FieldMismatchError`.  A product with
-symbolic (``Poly``) entries is a plain sum of products, as for ints.
+different fields raise :class:`FieldMismatchError`.  A product with a
+symbolic (``Poly``) entry runs on ``poly``'s integer kernel
+(``poly._mat_product``): each entry scaled once, one integer accumulation
+and one ``Poly`` per output entry.  Every entry must be an int (a bool is
+one), ``Fraction``, ``QuadExt`` or ``Poly`` (``mat_inverse`` takes no
+``Poly``); any other entry raises :class:`StructureError` that names it.
 """
 
 from __future__ import annotations
@@ -28,8 +32,11 @@ from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import DegenerateError, StructureError
-from .field import _domain, _make, _scalar_triple
+from .field import QuadExt, _domain, _make, _scalar_triple
 from .field import conj as scalar_conj
+from .poly import Poly, _mat_product
+
+_ENTRY_TYPES = (int, Fraction, QuadExt, Poly)
 
 
 def mat_shape(a):
@@ -50,9 +57,22 @@ def _same_shape(a, b) -> bool:
     return list(map(len, a)) == list(map(len, b))
 
 
+def _check_entries(*mats) -> bool:
+    """Whether an entry of ``mats`` is a ``Poly``; an entry that is not an
+    int, ``Fraction``, ``QuadExt`` or ``Poly`` raises :class:`StructureError`."""
+    types = set(map(type, chain.from_iterable(chain.from_iterable(mats))))
+    if not types.issubset(_ENTRY_TYPES):       # a bool, or no entry of a kernel
+        for x in chain.from_iterable(chain.from_iterable(mats)):
+            if not isinstance(x, _ENTRY_TYPES):
+                raise StructureError(f"cannot use the matrix entry {x!r}: not an int, "
+                                     f"Fraction, QuadExt or Poly")
+    return Poly in types
+
+
 def _entrywise(op, a, b):
     if not _same_shape(a, b):
         raise StructureError(f"cannot combine shapes {mat_shape(a)} and {mat_shape(b)}")
+    _check_entries(a, b)
     return tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a, b))
 
 
@@ -73,8 +93,10 @@ def mat_mul(a, b):
     k2, m = mat_shape(b)
     if k != k2:
         raise StructureError(f"cannot multiply {n}x{k} by {k2}x{m}")
+    if _check_entries(a, b):
+        return _mat_product(a, b)
     kind, d = _domain(*a, *b)
-    if kind is int or kind is None:     # int or symbolic (Poly) entries
+    if kind is int or kind is None:     # int entries (None: a bool among them)
         return tuple(tuple(sum(map(mul, r, c)) for c in zip(*b)) for r in a)
     return (_IntMat.of(a, d) @ _IntMat.of(b, d)).scalars()
 
@@ -111,6 +133,8 @@ def mat_inverse(a):
     n, k = mat_shape(a)
     if n != k:
         raise StructureError(f"cannot invert a {n}x{k} matrix")
+    if _check_entries(a):
+        raise StructureError("cannot invert a matrix with a Poly entry")
     return _IntMat.of(a, _domain(*a)[1]).inverse().scalars()
 
 

@@ -85,7 +85,12 @@ the substitution (one per field and irrationality, kept by the plan) and
 the ``Fraction(1)`` that seeds the power rows: every coefficient of a
 nonzero result has that one type, never ``int`` (a zero result is 0/1).
 The two equality tests make one ``_domain`` call over all their
-coefficients.
+coefficients.  A matrix product with a ``Poly`` entry (``matrices.mat_mul``)
+is :func:`_mat_product`: each input entry is scaled once, each output
+entry sums its products as integers over one lcm denominator and is
+built once, and the product makes one ``_domain`` call over every
+coefficient and scalar entry of both factors, so each coefficient and
+scalar entry of the result has that one type.
 Either way, irrational coefficients from two fields anywhere in the input
 raise :class:`FieldMismatchError`.
 
@@ -177,6 +182,12 @@ def _poly(variables, terms) -> "Poly":
     _set(p, "vars", variables)
     _set(p, "terms", {e: terms[e] for e in sorted(terms, reverse=True)})
     return p
+
+
+def _check_vars(v1, v2):
+    """Raise StructureError unless the variable tuples v1 and v2 are equal."""
+    if v1 is not v2 and v1 != v2:
+        raise StructureError(f"variable mismatch: {v1} vs {v2}")
 
 
 def _scaled(terms):
@@ -337,25 +348,25 @@ class Poly:
 
     @classmethod
     def variable(cls, variables, name):
+        """The coordinate ``name``, built from its packed key; a name that is
+        not in ``variables``, or is in it twice, raises StructureError."""
         variables = tuple(variables)
-        if name not in variables:
-            raise StructureError(f"unknown variable {name!r} in {variables}")
-        exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: Fraction(1)})
+        count = variables.count(name)
+        if count != 1:
+            raise StructureError(f"unknown variable {name!r} in {variables}" if not count
+                                 else f"variable {name!r} repeats in {variables}")
+        n = len(variables)
+        key = 1 << WIDTH * n | 1 << WIDTH * (n - 1 - variables.index(name))
+        return _poly(variables, {key: Fraction(1)})
 
     # -- ring operations ----------------------------------------------
-
-    def _check_same(self, other):
-        if self.vars != other.vars:
-            raise StructureError(
-                f"variable mismatch: {self.vars} vs {other.vars}")
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
             other = Poly.const(self.vars, other)
-        self._check_same(other)
+        _check_vars(self.vars, other.vars)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             acc = terms.get(e, 0) + c
@@ -382,7 +393,7 @@ class Poly:
                 return NotImplemented
             return _poly(self.vars, {e: v for e, c in self.terms.items()
                                      if (v := c * other)})
-        self._check_same(other)
+        _check_vars(self.vars, other.vars)
         return _product(self.vars, self.terms, other.terms)
 
     def __rmul__(self, other):
@@ -482,6 +493,77 @@ class Poly:
         return f"Poly({self})"
 
 
+# -- symbolic matrix products ------------------------------------------------
+
+def _mat_product(a, b):
+    """The product of tuple matrices ``a`` (n x k) and ``b`` (k x m), of
+    checked shapes, with Poly and scalar entries (a bool is an int): the
+    symbolic branch of ``matrices.mat_mul``.
+
+    Each input entry is scaled once, a scalar as one term of key 0 (none
+    when zero).  Entry (i, j) forms a_ik * b_kj in the order row, column,
+    then k, as a sum of ``Poly`` products would: two Polys through
+    :func:`_mul`, so the term budget and the exponent field raise at the
+    same product with the same message, and a scalar factor with no key
+    moved and no budget charged, as ``Poly.__mul__`` does.  The products
+    are summed as integers over the lcm of their denominators, and the
+    entry is built once: a Poly over the variables of its first product
+    with a Poly factor, else a scalar.  Two variable tuples, in one
+    product or one sum, raise ``Poly``'s :class:`StructureError`.
+    """
+    values = []
+
+    def entry(x):
+        """(variables, scaled terms, ceiling); variables None for a scalar."""
+        if isinstance(x, Poly):
+            values.append(x.terms.values())
+            return x.vars, _scaled(x.terms), _ceiling(len(x.vars))
+        x = int(x) if type(x) is bool else x
+        values.append((x,))
+        p, q, n = _scalar_triple(x)
+        return None, ([(0, p, q)] if p or q else [], n), None
+
+    rows = [[entry(x) for x in r] for r in a]
+    cols = [[entry(x) for x in c] for c in zip(*b)]
+    kind, d = _domain(*values)
+    return tuple(tuple(_dot(r, c, kind, d) for c in cols) for r in rows)
+
+
+def _dot(row, col, kind, d):
+    """One entry of :func:`_mat_product`: the products of a row and a
+    column of prepared entries, accumulated once and built once."""
+    vs, parts = None, []
+    for (xv, x, top), (yv, y, _) in zip(row, col):
+        if xv is not None and yv is not None:
+            _check_vars(xv, yv)
+            if x[0] and y[0]:
+                parts.append(_mul(x, y, d, top))
+        elif x[0] and y[0]:
+            terms = _shift(x[0], y[0][0], d) if yv is None else _shift(y[0], x[0][0], d)
+            parts.append((terms, x[1] * y[1]))
+        pv = xv if xv is not None else yv
+        if pv is not None and pv is not vs:
+            if vs is None:
+                vs = pv
+            else:
+                _check_vars(vs, pv)
+    den = lcm(*[n for _, n in parts])
+    acc = {}
+    for terms, n in parts:
+        f = den // n
+        for e, p, q in terms:
+            s = acc.get(e)
+            if s is None:
+                acc[e] = [p * f, q * f]
+            else:
+                s[0] += p * f
+                s[1] += q * f
+    out = [(e, p, q) for e, (p, q) in acc.items() if p or q]
+    if vs is None:                  # no Poly factor: a scalar, of key 0
+        return _built(out or [(0, 0, 0)], den, kind, d)[0]
+    return _poly(vs, _built(out, den, kind, d))
+
+
 class RatFunc:
     """Quotient of two sparse polynomials over the same variables.
 
@@ -557,9 +639,7 @@ class RatFunc:
         if isinstance(other, Poly):
             other = RatFunc(other)
         if isinstance(other, RatFunc):
-            if other.vars != self.vars:
-                raise StructureError(
-                    f"variable mismatch: {self.vars} vs {other.vars}")
+            _check_vars(self.vars, other.vars)
             return other
         if isinstance(other, _SCALAR_TYPES):
             return RatFunc.const(self.vars, other)
@@ -696,8 +776,7 @@ class EvalPlan:
         funcs = tuple(funcs)
         self.arity = len(funcs[0].vars) if funcs else 0
         for f in funcs:
-            if f.vars != funcs[0].vars:
-                raise StructureError(f"variable mismatch: {funcs[0].vars} vs {f.vars}")
+            _check_vars(funcs[0].vars, f.vars)
         polys = [p for f in funcs for p in (f.num, f.den)]
         exps = [[e for e, _ in poly.items()] for poly in polys]
         self.monos = list(dict.fromkeys(e for es in exps for e in es))
@@ -788,8 +867,7 @@ def _scaled_parts(*fs):
     variable tuple, the key ceiling of that tuple, and the scaled
     numerator and denominator of each."""
     for f in fs:
-        if f.vars != fs[0].vars:
-            raise StructureError(f"variable mismatch: {fs[0].vars} vs {f.vars}")
+        _check_vars(fs[0].vars, f.vars)
     terms = [p.terms for f in fs for p in (f.num, f.den)]
     return (_domain(*(t.values() for t in terms))[1], _ceiling(len(fs[0].vars)),
             [_scaled(t) for t in terms])

@@ -16,7 +16,7 @@ from cayleycert.classical import (MatrixAlg, cayley_conjugation_equivariance,
                                   symplectic_alg, unitary_alg)
 from cayleycert.errors import DegenerateError, PreconditionError, StructureError
 from cayleycert.field import QuadField
-from cayleycert.poly import RatFunc
+from cayleycert.poly import Poly, RatFunc
 from cayleycert.ratmap import MapPair
 from cayleycert.matrices import (_IntMat, conj_transpose, identity, mat_add, mat_eq,
                                  mat_inverse, mat_mul, mat_str, mat_sub, trace, transpose)
@@ -751,3 +751,20 @@ def test_classical_report_is_pinned(name):
     report.pop("ms")
     assert report == pinned_report(name)
     assert mat_str(alg.random_group_point(random.Random(7))) == PINNED_GROUP_POINTS[name]
+
+
+@pytest.mark.parametrize("root", [None, QuadField(-3).sqrt, QuadField(-1).sqrt])
+def test_generic_matrices_match_the_exponent_tuple_construction(root):
+    # each coordinate built through the validating constructor, as the
+    # variables were before they were built from their packed keys
+    parts = ("", "'") if root is not None else ("",)
+    coords = tuple(f"{m}{i}{j}{s}" for m in "ab" for i in (1, 2, 3) for j in (1, 2, 3)
+                   for s in parts)
+    xs = iter([Poly(coords, {tuple(int(v == c) for v in coords): Fraction(1)})
+               for c in coords])
+    want = [tuple(tuple(next(xs) if root is None else next(xs) + root * next(xs)
+                        for _ in range(3)) for _ in range(3)) for _ in "ab"]
+    got = generic_matrices(3, "ab", root)
+    assert got == want
+    assert [str(x) for m in got for r in m for x in r] == \
+        [str(x) for m in want for r in m for x in r]

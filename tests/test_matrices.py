@@ -3,21 +3,29 @@
 ``mat_mul`` and ``mat_inverse`` are checked against a textbook
 Gauss-Jordan reference written here on the scalars' own field arithmetic
 (values and entry types), and ``mat_inverse`` against sympy.  So are the
-operations of the integer form ``_IntMat`` that they convert through.
+operations of the integer form ``_IntMat`` that they convert through.  A
+product with ``Poly`` entries is checked against the sum of ``Poly``
+products that its kernel replaces: values, term budget, exponent field
+and variable mismatches.
 """
 
 import re
 from fractions import Fraction
 from itertools import chain
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleycert.errors import DegenerateError, FieldMismatchError, StructureError
-from cayleycert.field import QuadExt, _domain
+from cayleycert import poly
+from cayleycert.classical import generic_matrices
+from cayleycert.errors import (DegenerateError, ExponentOverflowError, FieldMismatchError,
+                               StructureError, TermBudgetError)
+from cayleycert.field import QuadExt, QuadField, _domain
 from cayleycert.matrices import (_IntMat, identity, mat_add, mat_eq, mat_inverse, mat_mul,
                                  mat_sub)
+from cayleycert.poly import Poly, term_budget
 
 DISCRIMINANTS = (-3, -1, 2, 5)
 FIELDS = (None,) + DISCRIMINANTS          # None: plain Fraction matrices
@@ -309,3 +317,187 @@ def test_inverse_refuses_non_square_and_ragged_input(a, message):
 def test_mul_refuses_a_ragged_factor(a, b):
     with pytest.raises(StructureError, match="ragged matrix"):
         mat_mul(a, b)
+
+
+# -- entries that are no scalar of the kernels ------------------------------
+
+NOT_ENTRIES = [0.5, "1", None, complex(1, 1)]
+
+
+@pytest.mark.parametrize("x", NOT_ENTRIES)
+def test_mul_names_an_entry_that_is_no_scalar_or_poly(x):
+    with pytest.raises(StructureError, match=re.escape(f"matrix entry {x!r}: not an int")):
+        mat_mul(((x,),), ((2,),))
+    with pytest.raises(StructureError, match=re.escape(f"matrix entry {x!r}: not an int")):
+        mat_mul(((Poly.variable(("x",), "x"),),), ((x,),))
+
+
+@pytest.mark.parametrize("x", NOT_ENTRIES)
+def test_inverse_names_an_entry_that_is_no_scalar(x):
+    with pytest.raises(StructureError, match=re.escape(f"matrix entry {x!r}: not an int")):
+        mat_inverse(((x,),))
+    with pytest.raises(StructureError, match="cannot invert a matrix with a Poly entry"):
+        mat_inverse(((Poly.variable(("x",), "x"),),))
+
+
+@pytest.mark.parametrize("x", NOT_ENTRIES)
+def test_add_names_an_entry_that_is_no_scalar_or_poly(x):
+    with pytest.raises(StructureError, match=re.escape(f"matrix entry {x!r}: not an int")):
+        mat_add(((1, x),), ((2, 3),))
+
+
+@pytest.mark.parametrize("x", NOT_ENTRIES)
+def test_sub_names_an_entry_that_is_no_scalar_or_poly(x):
+    with pytest.raises(StructureError, match=re.escape(f"matrix entry {x!r}: not an int")):
+        mat_sub(((2, 3),), ((1, x),))
+
+
+def test_a_bool_entry_counts_as_an_int():
+    assert mat_mul(((True, 2),), ((3,), (False,))) == ((3,),)
+    assert mat_add(((True,),), ((1,),)) == ((2,),)
+    assert mat_inverse(((True,),)) == ((Fraction(1),),)
+    x = Poly.variable(("x",), "x")
+    assert mat_mul(((True, x),), ((x,), (True,))) == ((2 * x,),)
+
+
+# -- symbolic products -------------------------------------------------------
+
+XY = ("x", "y")
+
+
+def reference_symbolic(a, b):
+    """The sum of Poly products that the symbolic kernel replaces, in the
+    same order: row, column, then k."""
+    return tuple(tuple(sum(map(mul, r, c)) for c in zip(*b)) for r in a)
+
+
+def outcome(f, *args):
+    """("ok", value) or (error type, message) for the errors a product raises."""
+    try:
+        return "ok", f(*args)
+    except (TermBudgetError, StructureError) as e:
+        return type(e), str(e)
+
+
+def coefficients(d):
+    """Nonzero coefficients: ints only, or ints, Fractions and QuadExts of
+    one field d (None: no QuadExt)."""
+    ints = st.integers(-5, 5).filter(bool)
+    if d == "int":
+        return ints
+    fracs = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    if d is None:
+        return st.one_of(ints, fracs)
+    return st.one_of(ints, fracs, st.builds(lambda p, q: QuadExt(p, q, d), rationals,
+                                            rationals.filter(bool)))
+
+
+def symbolic_entries(d):
+    """Polys over XY with up to six terms (the zero Poly among them), and
+    scalars (0 among them)."""
+    c = coefficients(d)
+    polys = st.builds(lambda t: Poly(XY, t), st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), c, max_size=6))
+    return st.one_of(polys, st.just(Poly(XY, {})), c, st.just(0))
+
+
+@st.composite
+def symbolic_operands(draw):
+    d = draw(st.sampled_from(("int", None, -3, -1, 2)))
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    entry = symbolic_entries(d)
+    a = tuple(tuple(draw(entry) for _ in range(k)) for _ in range(n))
+    b = tuple(tuple(draw(entry) for _ in range(m)) for _ in range(k))
+    if not any(isinstance(x, Poly) for x in chain(*a, *b)):
+        a = ((Poly.variable(XY, "x"),) + a[0][1:],) + a[1:]
+    return a, b
+
+
+def coefficient_types(m):
+    """(type, field) of every coefficient of a Poly entry and of every scalar entry."""
+    vals = chain.from_iterable((c for _, c in x.items()) if isinstance(x, Poly) else (x,)
+                               for x in chain.from_iterable(m))
+    return {(type(c), c.d if isinstance(c, QuadExt) else None) for c in vals}
+
+
+@settings(max_examples=150, deadline=None)
+@given(symbolic_operands())
+def test_symbolic_product_matches_the_sum_of_poly_products(case):
+    a, b = case
+    got, want = mat_mul(a, b), reference_symbolic(a, b)
+    assert got == want
+    assert [[isinstance(x, Poly) for x in r] for r in got] == \
+        [[isinstance(x, Poly) for x in r] for r in want]
+    # every coefficient has the one kind of field._domain over the inputs
+    kind, d = _domain(*(x.terms.values() if isinstance(x, Poly) else (x,)
+                        for x in chain(*a, *b)))
+    assert coefficient_types(got) <= {(kind, d if kind is QuadExt else None)}
+    for budget in (1, 2, 3, 5, 9, 20):
+        with term_budget(budget):
+            assert outcome(mat_mul, a, b) == outcome(reference_symbolic, a, b)
+
+
+def test_a_budget_sweep_reaches_both_budget_checks():
+    # 6 x 6 term pairs over budget 2 fail before the work, 36 terms after it
+    p = Poly(XY, {(i, j): 1 for i in range(3) for j in range(2)})
+    q = Poly(XY, {(i, j): 1 for i in range(0, 9, 3) for j in range(0, 4, 2)})
+    for budget, message in ((2, "product of 6 x 6 terms exceeds budget 2"),
+                            (35, "36 terms exceed budget 35")):
+        with term_budget(budget):
+            for f in (mat_mul, reference_symbolic):
+                with pytest.raises(TermBudgetError, match=re.escape(message)):
+                    f(((1, p),), ((p * 0,), (q,)))
+    with term_budget(36):
+        assert mat_mul(((1, p),), ((p,), (q,))) == ((p + p * q,),)
+
+
+def test_symbolic_product_overflows_at_the_same_product():
+    high = Poly(XY, {(2 ** 15, 0): 1})
+    a, b = ((3, high),), ((high,), (high,))
+    for f in (mat_mul, reference_symbolic):
+        with pytest.raises(ExponentOverflowError,
+                           match="product of degree 65536 exceeds the 16-bit exponent field"):
+            f(a, b)
+    # a scalar factor moves no key
+    assert mat_mul(((3,),), ((high,),)) == ((3 * high,),)
+
+
+U = ("u",)
+
+
+@pytest.mark.parametrize("a, b", [
+    (((Poly.variable(XY, "x"),),), ((Poly.variable(U, "u"),),)),
+    (((Poly.variable(XY, "x"), Poly.variable(U, "u")),), ((1,), (1,))),
+    (((2, Poly.variable(U, "u"), Poly.variable(XY, "y")),), ((1,), (0,), (1,))),
+    (((Poly(XY, {}), Poly(U, {})),), ((0,), (Poly(U, {}),))),
+])
+def test_symbolic_product_raises_the_variable_mismatch_of_the_sum(a, b):
+    want = outcome(reference_symbolic, a, b)
+    assert want[0] is StructureError and want[1].startswith("variable mismatch")
+    assert outcome(mat_mul, a, b) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_symbolic_product_accumulates_each_entry_once(monkeypatch, n):
+    a, b = generic_matrices(n, "ab", QuadField(-3).sqrt)
+    calls = {"_mul": 0, "_poly": 0}
+
+    def count(name):
+        real = getattr(poly, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(poly, name, counted)
+
+    def no_add(*args):
+        raise AssertionError("a Poly sum ran")
+
+    count("_mul")
+    count("_poly")
+    monkeypatch.setattr(Poly, "__add__", no_add)
+    monkeypatch.setattr(Poly, "__radd__", no_add)
+    got = mat_mul(a, b)
+    assert calls["_mul"] <= n ** 3 and calls["_poly"] == n * n
+    monkeypatch.undo()
+    assert got == reference_symbolic(a, b)

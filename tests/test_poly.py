@@ -298,6 +298,31 @@ def test_a_constant_hashes_as_the_scalar_it_equals():
     assert len({Poly(("x",), {(1,): 2, (0,): 1}), Poly(("x",), {(1,): Fraction(2), (0,): 1})}) == 1
 
 
+def exponent_tuple_variable(variables, name):
+    """A coordinate function through the validating constructor."""
+    variables = tuple(variables)
+    return Poly(variables, {tuple(int(v == name) for v in variables): Fraction(1)})
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_variable_is_the_exponent_tuple_construction(n):
+    names = tuple("xyzuv"[:n])
+    for name in names:
+        got, want = Poly.variable(names, name), exponent_tuple_variable(names, name)
+        assert got == want and got.items() == want.items()
+        assert [type(c) for _, c in got.items()] == [Fraction]
+        assert hash(got) == hash(want) and str(got) == name
+        assert got.derivative(name) == 1
+    with pytest.raises(StructureError, match=re.escape(f"unknown variable 'w' in {names}")):
+        Poly.variable(names, "w")
+
+
+def test_variable_refuses_a_repeated_name():
+    with pytest.raises(StructureError, match=re.escape("variable 'x' repeats in ('x', 'y', 'x')")):
+        Poly.variable(("x", "y", "x"), "x")
+    assert Poly.variable(("x", "y", "x"), "y") == exponent_tuple_variable(("x", "y", "x"), "y")
+
+
 def test_derivative_of_an_unknown_variable_names_it():
     p = Poly(("x", "y"), {(2, 1): 3, (0, 3): 1})
     assert str(p.derivative("y")) == "3*x^2 + 3*y^2"

@@ -18,8 +18,8 @@ inverse with any ``QuadExt`` entry has ``QuadExt`` entries in that field;
 everything else has ``Fraction`` entries.  Irrational entries from two
 different fields raise :class:`FieldMismatchError`.  A product with a
 symbolic (``Poly``) entry runs on ``poly``'s integer kernel
-(``poly._mat_product``): each entry scaled once, one integer accumulation
-and one ``Poly`` per output entry.  Every entry must be an int (a bool is
+(``poly._mat_product``): each entry read in its integer form, one integer
+accumulation and one ``Poly`` per output entry.  Every entry must be an int (a bool is
 one), ``Fraction``, ``QuadExt`` or ``Poly`` (``mat_inverse`` takes no
 ``Poly``); any other entry raises :class:`StructureError` that names it.
 """

@@ -1,11 +1,42 @@
 """Sparse multivariate polynomials and rational functions, exact throughout.
 
-``Poly`` stores a map from monomials, packed as below, to nonzero
-coefficients over a fixed ordered variable tuple; coefficients are ints, Fractions or
-:class:`~cayleycert.field.QuadExt` values (the constructor refuses any other
-type with :class:`StructureError`).  ``RatFunc`` is a
-numerator/denominator pair that is *not* kept in lowest terms: there is
-no multivariate GCD here.
+A ``Poly`` is one value over a fixed ordered variable tuple, held in up to
+two views, each built at most once and never changed:
+
+- ``terms``, the coefficient dict from packed monomials (below) to nonzero
+  ints, Fractions or :class:`~cayleycert.field.QuadExt` values, which the
+  public constructor ``Poly(variables, terms)`` makes (it refuses any other
+  coefficient type with :class:`StructureError`);
+- the integer form (the integral representation of Cohen, *A Course in
+  Computational Algebraic Number Theory*, 4.2, as in ``matrices``): terms
+  (key, p, q), the largest key first, each the coefficient
+  (p + q*sqrt(d))/den over one denominator den > 0 whose gcd with every p
+  and q is 1, and the (kind, d) that every coefficient shares: kind int,
+  Fraction or QuadExt, d the discriminant of a QuadExt kind.  The form is
+  canonical: den is the lcm of the coefficients' denominators.
+
+The kernel reads and makes integer forms only: products, sums, negation,
+conjugation, scalar multiples, derivatives, compositions, evaluation
+plans, the equality tests, ``RatFunc`` normalisation and the symbolic
+matrix products of ``matrices``.  A Poly it makes has no dict, and builds
+each coefficient only when one is read: through ``terms``,
+:meth:`Poly.items`, ``str`` or ``hash``.  A Poly made by the constructor
+gets its integer form from its dict on first use, kind and d by the rule
+of ``field._domain``; a dict whose irrational coefficients lie in two
+fields has none, so the kernel raises :class:`FieldMismatchError` on it.
+Two Polys that both carry a dict compare as dicts, and any other pair by
+integer forms, which are equal exactly when the values are (equal
+integers with irrational parts in two fields are not).
+:meth:`Poly.term_count` reads whichever view exists.
+
+``RatFunc`` is a numerator/denominator pair that is *not* kept in lowest
+terms: there is no multivariate GCD here.  Its constructor normalises on
+integer forms: it strips the common monomial (one key subtraction per
+term) and makes the denominator monic, multiplying by n0/p0 for a
+rational lead p0/n0 and by the conjugate over the norm for an irrational
+one.  The coefficient types are those of c / lead: an int becomes a
+``Fraction`` on a lead other than 1, and the result is a ``QuadExt`` if c
+or the lead is one, in the field of c unless only the lead is irrational.
 Equality is decided exactly by cross multiplication and full expansion,
 after a shared denominator cancels (see below).
 A variety relation is a :class:`Relation`, the one reader of its two
@@ -27,14 +58,11 @@ fit: :class:`ExponentOverflowError`, a :class:`TermBudgetError`, is raised
 at the constructor, and a product checks the sum of its factors' largest
 keys before it forms any key.  There is no wider fallback.
 
-Products run on integers (the integral representation of Cohen, *A Course
-in Computational Algebraic Number Theory*, 4.2, as in ``matrices``): the
-kernel puts each factor's coefficients over one denominator, the lcm of
-theirs, sums the products of term pairs as integers, over Z[sqrt(d)] as
-the pairs (p*p' + d*q*q', p*q' + q*p'), and normalises each output
-coefficient once.  A factor with one term takes a fast path that shifts
-the other factor's keys and accumulates nothing.  A result is sorted once,
-by its int keys.
+A product sums the products of term pairs as integers, over Z[sqrt(d)] as
+the pairs (p*p' + d*q*q', p*q' + q*p'), over the product of the two
+denominators, and reduces the content of the result once.  A factor with
+one term takes a fast path that shifts the other factor's keys and
+accumulates nothing.  A result is sorted once, by its int keys.
 
 Composition and the exact equality tests stay on integers from input to
 verdict.  A :class:`ComposePlan`, the one composition, prepares a
@@ -51,8 +79,8 @@ denominator grow only when a function first needs a higher power, in the
 order a fresh plan builds them, so every product, budget check and
 overflow comes where a plan of that function alone has it.  Each term's
 chain of products (a group's row right after the numerator row of its
-last variable) runs on integers over one lcm denominator, and each output
-coefficient is built once.  The one-term rows of a chain fold into
+last variable) runs on integers over one lcm denominator, and the result
+is reduced once.  The one-term rows of a chain fold into
 a pending monomial (one key addition and one coefficient product each),
 which multiplies into the running product only just before a many-term
 row and once at the end.  :func:`ratfunc_equal` and ``_cross`` (the
@@ -71,39 +99,35 @@ many-term products keep their operand sizes and order, and a fold raises
 the :class:`ExponentOverflowError` of the product it replaces, with its
 message.
 
-Coefficient types of a product follow the one rule of ``field._domain``,
-shared with ``matrices``: ``QuadExt`` in the field of the irrational
-coefficients if either factor has a ``QuadExt`` coefficient, ``int`` if
-both factors are int-only, else ``Fraction``; irrational coefficients from
-two fields raise :class:`FieldMismatchError`.  So a rational coefficient
-of a product whose factors mix ``Fraction`` and ``QuadExt`` is a rational
-``QuadExt``, with the same value, hash, ``==`` and ``scalar_str`` as the
-``Fraction``; f * c, c * f and c / f, f a ``RatFunc`` and c a scalar,
-form the products of the ``RatFunc.const(c)`` route without building it.
-A composition makes one ``_domain`` call, over the coefficients of f, of
-the substitution (one per field and irrationality, kept by the plan) and
-the ``Fraction(1)`` that seeds the power rows: every coefficient of a
-nonzero result has that one type, never ``int`` (a zero result is 0/1).
-The two equality tests make one ``_domain`` call over all their
-coefficients.  A matrix product with a ``Poly`` entry (``matrices.mat_mul``)
-is :func:`_mat_product`: each input entry is scaled once, each output
-entry sums its products as integers over one lcm denominator and is
-built once, and the product makes one ``_domain`` call over every
-coefficient and scalar entry of both factors, so each coefficient and
-scalar entry of the result has that one type.
-Either way, irrational coefficients from two fields anywhere in the input
-raise :class:`FieldMismatchError`.
+The kind of a kernel result follows the one rule of ``field._domain``,
+shared with ``matrices``, over all the coefficients and scalars of its
+operands: ``QuadExt`` in the field of the irrational values if any is a
+``QuadExt``, ``int`` if all are ints, else ``Fraction``; irrational values
+from two fields raise :class:`FieldMismatchError`.  It is read from each
+operand's (kind, d) while every ``QuadExt`` lies in one field, and from
+the values (one per kind, field and irrationality) where two fields meet.
+So a rational coefficient of a sum or product whose operands mix
+``Fraction`` and ``QuadExt`` is a rational ``QuadExt``, with the same
+value, hash, ``==`` and ``scalar_str`` as the ``Fraction``; f * c, c * f
+and c / f, f a ``RatFunc`` and c a scalar, form the products of the
+``RatFunc.const(c)`` route without building it.  A composition's kind
+also counts the substitution and the ``Fraction(1)`` that seeds the
+power rows, so a nonzero result is never ``int`` (a zero result is 0/1).
+A matrix product with a ``Poly`` entry (``matrices.mat_mul``) is
+:func:`_mat_product`: each output entry sums its products as integers
+over one lcm denominator and is built once, and one kind, over every
+coefficient and scalar entry of both factors, holds for every entry of
+the result.
 
 Evaluation at a point of scalars (``int``, ``Fraction``, ``QuadExt``) is
 :class:`EvalPlan`'s alone, planned once per set of functions and run on
-integers (``ratmap`` keeps one plan per map; :meth:`RatFunc.eval` is a plan
-of one function).  With M_i the largest power of variable i in any of them
+integer forms (``ratmap`` keeps one plan per map; :meth:`RatFunc.eval` is
+a plan of one function).  With M_i the largest power of variable i in any of them
 and x_i = (p_i + q_i*sqrt(d))/n_i, a term c*x^e is
 c * prod (p_i + q_i*sqrt(d))^e_i * n_i^(M_i - e_i) over prod n_i^M_i, the
 row trick of :class:`ComposePlan`.  The rows are built once per point,
 each distinct monomial once across all the functions, and each numerator
-or denominator is a sum of integer pairs over one lcm of its
-coefficients' denominators.  The factor prod n_i^M_i cancels in a
+or denominator is a sum of the integer pairs of its form over its den.  The factor prod n_i^M_i cancels in a
 quotient, so it is never formed, and a value costs one ``_quotient`` or
 one ``Fraction``; the cleared denominator is zero exactly when the
 denominator vanishes at the point.  A value is a ``QuadExt`` if a
@@ -131,17 +155,19 @@ import contextlib
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
-from operator import getitem, mul
+from math import gcd, lcm, prod
+from operator import getitem, itemgetter, mul
 from struct import unpack
 
-from .errors import DegenerateError, ExponentOverflowError, StructureError, TermBudgetError
+from .errors import (DegenerateError, ExponentOverflowError, FieldMismatchError,
+                     StructureError, TermBudgetError)
 from .field import QuadExt, _domain, _make, _quotient, _scalar_triple, scalar_str
-from .field import conj as scalar_conj
 
 _new = object.__new__
 _set = object.__setattr__
 _SCALAR_TYPES = (int, Fraction, QuadExt)      # the coefficients and constants
+_KEY = itemgetter(0)                          # a term's packed key
+_ZERO = ([], 1, int, None)                    # the integer form of every zero Poly
 
 DEFAULT_TERM_BUDGET = 10 ** 6
 _term_budget = ContextVar("term_budget", default=DEFAULT_TERM_BUDGET)
@@ -176,31 +202,106 @@ def _ceiling(n: int) -> int:
     return _FIELD << (WIDTH * n)
 
 
-def _poly(variables, terms) -> "Poly":
-    """The Poly of nonzero, packed ``terms`` over a variable tuple, sorted once."""
+def _exponents(n: int, keys) -> list:
+    """The exponent tuples of packed keys over ``n`` variables."""
+    # one 16-bit field per exponent, after the total degree
+    fmt, size = f">{n + 1}H", 2 * n + 2
+    return [unpack(fmt, key.to_bytes(size, "big"))[1:] for key in keys]
+
+
+def _wrap(variables, form) -> "Poly":
+    """The Poly made by the kernel of a canonical integer form, with no dict."""
     p = _new(Poly)
     _set(p, "vars", variables)
-    _set(p, "terms", {e: terms[e] for e in sorted(terms, reverse=True)})
+    _set(p, "_terms", None)
+    _set(p, "_int", form)
     return p
+
+
+def _poly(variables, terms, den, kind, d) -> "Poly":
+    """The Poly made by the kernel of nonzero ``terms`` [(key, p, q)], the
+    largest key first, over ``den`` > 0, every coefficient of the one
+    ``kind`` (in Q(sqrt(d)) for QuadExt); the content is reduced here."""
+    if not terms:
+        return _wrap(variables, _ZERO)
+    if den != 1:
+        g = den
+        for _, p, q in terms:
+            g = gcd(g, p, q)
+            if g == 1:
+                break
+        if g != 1:
+            terms = [(e, p // g, q // g) for e, p, q in terms]
+            den //= g
+    return _wrap(variables, (terms, den, kind, d))
+
+
+def _sorted(terms) -> list:
+    """Terms [(key, p, q)] with distinct keys, the largest key first."""
+    return sorted(terms, key=_KEY, reverse=True)
+
+
+def _int_form(p) -> tuple:
+    """The integer form (terms, den, kind, d) of a Poly, computed from its
+    dict on first use and kept.  A dict whose irrational coefficients lie in
+    two fields has none: :class:`FieldMismatchError`."""
+    form = p._int
+    if form is None:
+        terms = p._terms
+        t = [(e, _scalar_triple(c)) for e, c in terms.items()]
+        den = lcm(*[n for _, (_, _, n) in t])
+        form = ([(e, a * (den // n), b * (den // n)) for e, (a, b, n) in t], den,
+                *_domain(terms.values()))
+        _set(p, "_int", form)
+    return form
+
+
+def _built(terms, den, kind, d):
+    """Term dict of integer ``terms`` over ``den``, each coefficient built once."""
+    if kind is QuadExt:
+        return {e: _make(p, q, den, d) for e, p, q in terms}
+    if kind is int:
+        return {e: p for e, p, _ in terms}
+    return {e: Fraction(p, den) for e, p, _ in terms}
+
+
+def _scalar_kind(c) -> tuple:
+    """(kind, d) of one scalar, a bool counting as an int."""
+    if isinstance(c, QuadExt):
+        return QuadExt, c.d
+    return (Fraction if isinstance(c, Fraction) else int), None
+
+
+def _marks(p):
+    """Scalars over which ``field._domain`` gives what it gives over the
+    coefficients of p: its dict's values, or one value of its kind."""
+    if p._terms is not None:
+        return p._terms.values()
+    t, _, kind, d = p._int
+    if kind is not QuadExt:
+        return (kind(1),) if t else ()
+    return (_make(0, 1, 1, d) if any(q for _, _, q in t) else _make(1, 0, 1, d),)
+
+
+def _kind(polys, scalars=()) -> tuple:
+    """(kind, d) of a kernel result over the coefficients of ``polys`` and
+    the ``scalars``: the rule of ``field._domain``, read from each Poly's
+    (kind, d) while every QuadExt lies in one field, and from the values
+    themselves where two fields meet."""
+    kinds = {(p._int or _int_form(p))[2:] for p in polys}
+    kinds.update(map(_scalar_kind, scalars))
+    ds = {d for k, d in kinds if k is QuadExt}
+    if len(ds) > 1:
+        return _domain(*map(_marks, polys), scalars)
+    if ds:
+        return QuadExt, ds.pop()
+    return (Fraction if (Fraction, None) in kinds else int), None
 
 
 def _check_vars(v1, v2):
     """Raise StructureError unless the variable tuples v1 and v2 are equal."""
     if v1 is not v2 and v1 != v2:
         raise StructureError(f"variable mismatch: {v1} vs {v2}")
-
-
-def _scaled(terms):
-    """Coefficients of a term dict over one denominator, the lcm of theirs:
-    ([(key, p, q)], n) with coefficient (p + q*sqrt(d))/n, q = 0 for
-    rationals.  The largest key comes first, as in a Poly."""
-    if len(terms) == 1:
-        (e, c), = terms.items()
-        p, q, n = _scalar_triple(c)
-        return [(e, p, q)], n
-    t = [(e, _scalar_triple(c)) for e, c in terms.items()]
-    den = lcm(*[n for _, (_, _, n) in t])
-    return [(e, p * (den // n), q * (den // n)) for e, (p, q, n) in t], den
 
 
 def _overflow(k1, k2, ceiling):
@@ -211,7 +312,7 @@ def _overflow(k1, k2, ceiling):
 
 
 def _shift(terms, mono, d):
-    """Scaled ``terms`` times the one term ``mono`` = (key, p, q): each key
+    """Integer ``terms`` times the one term ``mono`` = (key, p, q): each key
     shifts and no term meets another, so none cancels."""
     e1, p1, q1 = mono
     if d is None:
@@ -221,19 +322,20 @@ def _shift(terms, mono, d):
 
 
 def _mul(x, y, d, ceiling):
-    """Product of two scaled polys (terms, den), terms [(key, p, q)] as
-    from :func:`_scaled`, on integers and not normalised: the nonzero terms
-    over the product of the denominators, the largest key first.  d is the
+    """Product of two scaled polys x and y, each (terms, den, ...) with
+    terms [(key, p, q)] the largest key first, as an integer form is, on
+    integers and not normalised: the nonzero terms over the product of the
+    denominators, the largest key first and the rest unsorted.  d is the
     discriminant of the QuadExt kind, None over Q (every q is 0), and
     ``ceiling`` the :func:`_ceiling` of the variable count.  The term budget
     is checked before and after, as described in the module docstring.
 
-    Each factor lists its largest key first, and over an integral domain
-    the product of the leading terms is the nonzero leading term of the
-    product, so the sum of the first keys is the product's largest key and
-    reaches ``ceiling`` exactly when its total degree overflows.
+    Over an integral domain the product of the leading terms is the nonzero
+    leading term of the product, so the sum of the first keys is the
+    product's largest key and reaches ``ceiling`` exactly when its total
+    degree overflows.
     """
-    (a, da), (b, db) = x, y
+    a, da, b, db = x[0], x[1], y[0], y[1]
     budget = _term_budget.get()
     if len(a) * len(b) > 16 * budget:
         raise TermBudgetError(
@@ -269,28 +371,10 @@ def _mul(x, y, d, ceiling):
     return out, da * db
 
 
-def _built(terms, den, kind, d):
-    """Term dict of scaled ``terms`` over ``den``, each coefficient built once."""
-    if kind is QuadExt:
-        return {e: _make(p, q, den, d) for e, p, q in terms}
-    if kind is int:
-        return {e: p for e, p, _ in terms}
-    return {e: Fraction(p, den) for e, p, _ in terms}
-
-
-def _product(variables, t1, t2) -> Poly:
-    """Product of two term dicts as a Poly over ``variables``, computed on
-    integers with the coefficient types and term budget checks described
-    in the module docstring."""
-    kind, d = _domain(t1.values(), t2.values())
-    terms = _mul(_scaled(t1), _scaled(t2), d, _ceiling(len(variables)))
-    return _poly(variables, _built(*terms, kind, d))
-
-
 def _nonzero_difference(x, y):
-    """Number of nonzero terms of x - y for scaled polys (terms, den)."""
+    """Number of nonzero terms of x - y for scaled polys (terms, den, ...)."""
     acc = {}
-    for (terms, _), k in ((x, y[1]), (y, -x[1])):
+    for terms, k in ((x[0], y[1]), (y[0], -x[1])):
         for e, p, q in terms:
             s = acc.setdefault(e, [0, 0])
             s[0] += k * p
@@ -298,16 +382,27 @@ def _nonzero_difference(x, y):
     return sum(1 for p, q in acc.values() if p or q)
 
 
+def _times(a, b) -> "Poly":
+    """The product of two Polys over one variable tuple, through :func:`_mul`."""
+    x, y = a._int or _int_form(a), b._int or _int_form(b)
+    kind, d = (x[2], x[3]) if x[2] is y[2] and x[3] == y[3] else _kind((a, b))
+    t, den = _mul(x, y, d, _ceiling(len(a.vars)))
+    return _poly(a.vars, _sorted(t), den, kind, d)
+
+
 class Poly:
     """Sparse polynomial over an ordered variable tuple.
 
-    Invariant: no zero coefficients are stored and ``terms`` maps packed
-    keys (see the module docstring) to coefficients, sorted by key from the
-    largest down, so dict equality is mathematical equality and ``str()``
-    is canonical.  :meth:`items` reads the terms with exponent tuples.
+    One value in up to two views (see the module docstring): ``terms``,
+    the coefficient dict, and the integer form, each built at most once
+    and never changed.  The public constructor makes the dict; the kernel
+    makes the integer form alone.  No zero coefficient is stored, and
+    both views list their terms from the largest packed key down, so
+    ``str()`` is canonical.  :meth:`items` reads the terms with exponent
+    tuples.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_terms", "_int")
 
     def __init__(self, variables, terms):
         variables = tuple(variables)
@@ -331,20 +426,35 @@ class Poly:
             if c:
                 clean[_pack(exps)] = c
         _set(self, "vars", variables)
-        _set(self, "terms", {e: clean[e] for e in sorted(clean, reverse=True)})
+        _set(self, "_terms", {e: clean[e] for e in sorted(clean, reverse=True)})
+        _set(self, "_int", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Poly values are immutable")
+
+    @property
+    def terms(self) -> dict:
+        """The coefficient dict {packed key: coefficient}, the largest key
+        first: built from the integer form on the first read, and kept."""
+        terms = self._terms
+        if terms is None:
+            terms = _built(*self._int)
+            _set(self, "_terms", terms)
+        return terms
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def const(cls, variables, c):
+        """The constant ``c``, of ``c``'s kind (a bool's is int)."""
         variables = tuple(variables)
-        if not isinstance(c, _SCALAR_TYPES):     # a bool is an int: p == True works
+        if not isinstance(c, _SCALAR_TYPES):
             raise StructureError(f"coefficient {c!r} of {(0,) * len(variables)} is not "
                                  f"an int, Fraction or QuadExt")
-        return _poly(variables, {0: c} if c else {})
+        if not c:
+            return _wrap(variables, _ZERO)
+        p, q, n = _scalar_triple(c)
+        return _wrap(variables, ([(0, p, q)], n, *_scalar_kind(c)))
 
     @classmethod
     def variable(cls, variables, name):
@@ -357,7 +467,7 @@ class Poly:
                                  else f"variable {name!r} repeats in {variables}")
         n = len(variables)
         key = 1 << WIDTH * n | 1 << WIDTH * (n - 1 - variables.index(name))
-        return _poly(variables, {key: Fraction(1)})
+        return _wrap(variables, ([(key, 1, 0)], 1, Fraction, None))
 
     # -- ring operations ----------------------------------------------
 
@@ -367,19 +477,33 @@ class Poly:
                 return NotImplemented
             other = Poly.const(self.vars, other)
         _check_vars(self.vars, other.vars)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e, 0) + c
-            if acc:
-                terms[e] = acc
+        x, y = self._int or _int_form(self), other._int or _int_form(other)
+        if not y[0]:
+            return self
+        if not x[0]:
+            return other
+        kind, d = (x[2], x[3]) if x[2] is y[2] and x[3] == y[3] else _kind((self, other))
+        den = lcm(x[1], y[1])
+        acc = {}
+        f = den // x[1]
+        for e, p, q in x[0]:
+            acc[e] = [p * f, q * f]
+        f = den // y[1]
+        for e, p, q in y[0]:
+            s = acc.get(e)
+            if s is None:
+                acc[e] = [p * f, q * f]
             else:
-                terms.pop(e, None)
-        return _poly(self.vars, terms)
+                s[0] += p * f
+                s[1] += q * f
+        return _poly(self.vars, _sorted([(e, p, q) for e, (p, q) in acc.items() if p or q]),
+                     den, kind, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.vars, {e: -c for e, c in self.terms.items()})
+        t, den, kind, d = self._int or _int_form(self)
+        return _wrap(self.vars, ([(e, -p, -q) for e, p, q in t], den, kind, d))
 
     def __sub__(self, other):
         return self + (-other)
@@ -391,10 +515,13 @@ class Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
-            return _poly(self.vars, {e: v for e, c in self.terms.items()
-                                     if (v := c * other)})
+            other = int(other) if type(other) is bool else other
+            t, den = (self._int or _int_form(self))[:2]
+            kind, d = _kind((self,), (other,))
+            p, q, n = _scalar_triple(other)
+            return _poly(self.vars, _shift(t, (0, p, q), d) if other else (), den * n, kind, d)
         _check_vars(self.vars, other.vars)
-        return _product(self.vars, self.terms, other.terms)
+        return _times(self, other)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -416,20 +543,16 @@ class Poly:
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._terms if self._terms is not None else self._int[0])
 
-    def lead_coeff(self):
-        if not self.terms:
-            return 0
-        return next(iter(self.terms.values()))
+    def term_count(self) -> int:
+        """The number of terms, read from whichever view exists."""
+        return len(self._terms if self._terms is not None else self._int[0])
 
     def items(self) -> list:
         """(exponent tuple, coefficient) for each term, in stored order."""
-        n = len(self.vars)
-        # one 16-bit field per exponent, after the total degree
-        fmt, size = f">{n + 1}H", 2 * n + 2
-        return [(unpack(fmt, key.to_bytes(size, "big"))[1:], c)
-                for key, c in self.terms.items()]
+        terms = self.terms
+        return list(zip(_exponents(len(self.vars), terms), terms.values()))
 
     def derivative(self, name: str) -> "Poly":
         if name not in self.vars:
@@ -438,32 +561,42 @@ class Poly:
         shift = WIDTH * (n - 1 - self.vars.index(name))
         # one less in the variable's field and in the total degree
         step = (1 << shift) + (1 << WIDTH * n)
-        terms = {}
-        for key, c in self.terms.items():
-            e = key >> shift & (_FIELD - 1)
-            if e:
-                terms[key - step] = c * e
-        return _poly(self.vars, terms)
+        t, den, kind, d = self._int or _int_form(self)
+        return _poly(self.vars, [(key - step, p * e, q * e) for key, p, q in t
+                                 if (e := key >> shift & (_FIELD - 1))], den, kind, d)
 
     def conj_coeffs(self) -> "Poly":
-        return _poly(self.vars, {e: scalar_conj(c) for e, c in self.terms.items()})
+        t, den, kind, d = self._int or _int_form(self)
+        return _wrap(self.vars, ([(e, p, -q) for e, p, q in t], den, kind, d))
 
     # -- rendering and equality -----------------------------------------
 
     def __eq__(self, other):
+        """Two dicts compare as dicts, anything else on integer forms."""
         if isinstance(other, Poly):
-            return self.vars == other.vars and self.terms == other.terms
-        if not isinstance(other, _SCALAR_TYPES):
+            if self.vars != other.vars:
+                return False
+            if self._terms is not None and other._terms is not None:
+                return self._terms == other._terms
+        elif isinstance(other, _SCALAR_TYPES):
+            other = Poly.const(self.vars, other)
+        else:
             return NotImplemented
-        return self.terms == Poly.const(self.vars, other).terms
+        try:
+            x, y = self._int or _int_form(self), other._int or _int_form(other)
+        except FieldMismatchError:      # a dict over two fields equals no such form
+            return False
+        return x[1] == y[1] and x[0] == y[0] and (x[3] == y[3] or not any(
+            q for _, _, q in x[0]))
 
     def __hash__(self):
-        if not self.terms.keys() - {0}:     # a constant equals its scalar
-            return hash(self.terms.get(0, 0))
-        return hash((self.vars, tuple(self.terms.items())))
+        terms = self.terms
+        if not terms.keys() - {0}:     # a constant equals its scalar
+            return hash(terms.get(0, 0))
+        return hash((self.vars, tuple(terms.items())))
 
     def __str__(self):
-        if not self.terms:
+        if self.is_zero():
             return "0"
         parts = []
         for exps, c in self.items():
@@ -500,32 +633,32 @@ def _mat_product(a, b):
     checked shapes, with Poly and scalar entries (a bool is an int): the
     symbolic branch of ``matrices.mat_mul``.
 
-    Each input entry is scaled once, a scalar as one term of key 0 (none
-    when zero).  Entry (i, j) forms a_ik * b_kj in the order row, column,
-    then k, as a sum of ``Poly`` products would: two Polys through
-    :func:`_mul`, so the term budget and the exponent field raise at the
-    same product with the same message, and a scalar factor with no key
+    Each Poly entry is read in its integer form, a scalar as one term of
+    key 0 (none when zero).  Entry (i, j) forms a_ik * b_kj in the order
+    row, column, then k, as a sum of ``Poly`` products would: two Polys
+    through :func:`_mul`, so the term budget and the exponent field raise at
+    the same product with the same message, and a scalar factor with no key
     moved and no budget charged, as ``Poly.__mul__`` does.  The products
     are summed as integers over the lcm of their denominators, and the
     entry is built once: a Poly over the variables of its first product
     with a Poly factor, else a scalar.  Two variable tuples, in one
     product or one sum, raise ``Poly``'s :class:`StructureError`.
     """
-    values = []
+    polys, scalars = [], []
 
     def entry(x):
-        """(variables, scaled terms, ceiling); variables None for a scalar."""
+        """(variables, integer form, ceiling); variables None for a scalar."""
         if isinstance(x, Poly):
-            values.append(x.terms.values())
-            return x.vars, _scaled(x.terms), _ceiling(len(x.vars))
+            polys.append(x)
+            return x.vars, x._int or _int_form(x), _ceiling(len(x.vars))
         x = int(x) if type(x) is bool else x
-        values.append((x,))
+        scalars.append(x)
         p, q, n = _scalar_triple(x)
         return None, ([(0, p, q)] if p or q else [], n), None
 
     rows = [[entry(x) for x in r] for r in a]
     cols = [[entry(x) for x in c] for c in zip(*b)]
-    kind, d = _domain(*values)
+    kind, d = _kind(polys, scalars)
     return tuple(tuple(_dot(r, c, kind, d) for c in cols) for r in rows)
 
 
@@ -561,15 +694,47 @@ def _dot(row, col, kind, d):
     out = [(e, p, q) for e, (p, q) in acc.items() if p or q]
     if vs is None:                  # no Poly factor: a scalar, of key 0
         return _built(out or [(0, 0, 0)], den, kind, d)[0]
-    return _poly(vs, _built(out, den, kind, d))
+    return _poly(vs, _sorted(out), den, kind, d)
+
+
+def _common_monomial(x, y, n: int) -> int:
+    """The packed key of the largest monomial that divides every key of the
+    nonempty terms x and y over ``n`` variables (0 when none)."""
+    if not x[-1][0] or not y[-1][0]:        # the smallest key is a constant's
+        return 0
+    keys = [e for e, _, _ in x] + [e for e, _, _ in y]
+    strip = 0
+    for s in range(0, WIDTH * n, WIDTH):
+        m = min(k >> s & (_FIELD - 1) for k in keys)
+        strip += (m << s) + (m << WIDTH * n)        # the field and the degree
+    return strip
+
+
+def _over(terms, den, lead, d):
+    """Integer ``terms`` over ``den`` divided by the scalar ``lead`` = (p0,
+    q0, n0) on integers, as (terms, den) with den > 0 and not reduced: a
+    rational lead multiplies by n0/p0, an irrational one by its conjugate
+    over its norm p0^2 - d*q0^2."""
+    p0, q0, n0 = lead
+    if not q0:
+        if p0 < 0:
+            n0, p0 = -n0, -p0
+        return [(e, p * n0, q * n0) for e, p, q in terms], den * p0
+    norm = p0 * p0 - d * q0 * q0
+    if norm < 0:
+        n0, norm = -n0, -norm
+    dq0 = d * q0
+    return [(e, (p * p0 - dq0 * q) * n0, (q * p0 - p * q0) * n0) for e, p, q in terms], \
+        den * norm
 
 
 class RatFunc:
     """Quotient of two sparse polynomials over the same variables.
 
     Not reduced to lowest terms; the only normalisations applied are exact
-    and cheap (common monomial factors are stripped and the denominator is
-    made monic in the canonical order), so results stay deterministic.
+    and cheap, and run on integer forms (common monomial factors are
+    stripped and the denominator is made monic in the canonical order), so
+    results stay deterministic.
     """
 
     __slots__ = ("num", "den")
@@ -581,35 +746,39 @@ class RatFunc:
             raise StructureError("numerator/denominator variable mismatch")
         if den.is_zero():
             raise DegenerateError("identically zero denominator")
-        num, den = self._strip_monomial(num, den)
-        lead = den.lead_coeff()
-        if lead != 1:
-            if isinstance(lead, int):
-                lead = Fraction(lead)       # int / int would be a float
-            num = _poly(num.vars, {e: c / lead for e, c in num.terms.items()})
-            den = _poly(den.vars, {e: c / lead for e, c in den.terms.items()})
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        a, na, ka, da = num._int or _int_form(num)
+        if not a:
+            den = Poly.const(den.vars, Fraction(1))
+        else:
+            b, nb, kb, db = den._int or _int_form(den)
+            strip = _common_monomial(a, b, len(num.vars))
+            if strip:
+                a = [(e - strip, p, q) for e, p, q in a]
+                b = [(e - strip, p, q) for e, p, q in b]
+            _, p0, q0 = b[0]
+            if q0 or p0 != nb:                  # the lead is not 1: divide by it
+                # the types of c / lead: Fraction for two rationals, else a
+                # QuadExt, in the field of c unless only the lead is irrational
+                if ka is not QuadExt:
+                    ka, da = (QuadExt, db) if kb is QuadExt else (Fraction, None)
+                elif kb is QuadExt and da != db and q0:
+                    if any(q for _, _, q in a):
+                        raise FieldMismatchError(
+                            f"mixed discriminants: sqrt({da}) vs sqrt({db})")
+                    da = db
+                a, na = _over(a, na, (p0, q0, nb), db)
+                b, nb = _over(b, nb, (p0, q0, nb), db)
+                kb = QuadExt if kb is QuadExt else Fraction
+            elif not strip:
+                a = None                        # already normal: keep both Polys
+            if a is not None:
+                num = _poly(num.vars, a, na, ka, da)
+                den = _poly(den.vars, b, nb, kb, db)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     def __setattr__(self, *args):
         raise AttributeError("RatFunc values are immutable")
-
-    @staticmethod
-    def _strip_monomial(num: Poly, den: Poly):
-        if num.is_zero():
-            return num, Poly.const(den.vars, Fraction(1))
-        # the smallest key comes last, and key 0 is a constant term
-        if not next(reversed(num.terms)) or not next(reversed(den.terms)):
-            return num, den
-        mins = tuple(map(min, zip(*(exps for poly in (num, den)
-                                    for exps, _ in poly.items()))))
-        if not any(mins):
-            return num, den
-        # each field of each key is at least strip's, so nothing borrows
-        strip = _pack(mins)
-        num = _poly(num.vars, {e - strip: c for e, c in num.terms.items()})
-        den = _poly(den.vars, {e - strip: c for e, c in den.terms.items()})
-        return num, den
 
     # -- constructors --------------------------------------------------
 
@@ -666,8 +835,9 @@ class RatFunc:
 
     def __mul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
-            num = _product(self.vars, self.num.terms, {0: other} if other else {})
-            den = _product(self.vars, self.den.terms, {0: Fraction(1)})
+            vs = self.vars
+            num = _times(self.num, Poly.const(vs, other))
+            den = _times(self.den, Poly.const(vs, Fraction(1)))
             if not other:
                 return RatFunc(num, den)
             out = _new(RatFunc)     # nothing to strip, and den stays monic
@@ -693,8 +863,9 @@ class RatFunc:
         if isinstance(other, _SCALAR_TYPES):
             if self.num.is_zero():
                 raise DegenerateError("division by the zero rational function")
-            return RatFunc(_product(self.vars, {0: other} if other else {}, self.den.terms),
-                           _product(self.vars, {0: Fraction(1)}, self.num.terms))
+            vs = self.vars
+            return RatFunc(_times(Poly.const(vs, other), self.den),
+                           _times(Poly.const(vs, Fraction(1)), self.num))
         o = self._coerce(other)
         return NotImplemented if o is None else o / self
 
@@ -777,23 +948,20 @@ class EvalPlan:
         self.arity = len(funcs[0].vars) if funcs else 0
         for f in funcs:
             _check_vars(funcs[0].vars, f.vars)
-        polys = [p for f in funcs for p in (f.num, f.den)]
-        exps = [[e for e, _ in poly.items()] for poly in polys]
+        forms = [p._int or _int_form(p) for f in funcs for p in (f.num, f.den)]
+        exps = [_exponents(self.arity, [e for e, _, _ in t]) for t, _, _, _ in forms]
         self.monos = list(dict.fromkeys(e for es in exps for e in es))
         self.tops = [max(col) for col in zip(*self.monos)] or [0] * self.arity
         self.used = [i for i, top in enumerate(self.tops) if top]
         index = dict(zip(self.monos, range(len(self.monos))))
         marks, sums = {}, []
-        for poly, es in zip(polys, exps):
-            kind, d = _domain(poly.terms.values())
-            t = list(map(_scalar_triple, poly.terms.values()))
-            n = lcm(*[m for _, _, m in t])
-            cq = [q * (n // m) for _, q, m in t]
+        for (t, n, kind, d), es in zip(forms, exps):
+            cq = [q for _, _, q in t]
             irrational = any(cq)
             if kind is QuadExt:
                 marks.setdefault((d, irrational), _make(0, 1, 1, d) if irrational
                                  else _make(1, 0, 1, d))
-            sums.append(((list(map(index.__getitem__, es)), [p * (n // m) for p, _, m in t],
+            sums.append(((list(map(index.__getitem__, es)), [p for _, p, _ in t],
                           cq if irrational else None, n), kind is QuadExt,
                          {i for i, col in enumerate(zip(*es)) if any(col)}))
         self.parts = [(num, den, nquad or dquad, nhas | dhas)
@@ -864,13 +1032,13 @@ class EvalPlan:
 
 def _scaled_parts(*fs):
     """The discriminant d of the coefficients of RatFuncs ``fs`` over one
-    variable tuple, the key ceiling of that tuple, and the scaled
-    numerator and denominator of each."""
+    variable tuple, the key ceiling of that tuple, and the integer forms of
+    the numerator and denominator of each."""
     for f in fs:
         _check_vars(fs[0].vars, f.vars)
-    terms = [p.terms for f in fs for p in (f.num, f.den)]
-    return (_domain(*(t.values() for t in terms))[1], _ceiling(len(fs[0].vars)),
-            [_scaled(t) for t in terms])
+    polys = [p for f in fs for p in (f.num, f.den)]
+    return (_kind(polys)[1], _ceiling(len(fs[0].vars)),
+            [p._int or _int_form(p) for p in polys])
 
 
 def _lead(x) -> int:
@@ -949,7 +1117,7 @@ class ComposePlan:
                 raise StructureError("substitution entries over mixed variables")
         self.subst = subst
         marks = {(c.d, bool(_scalar_triple(c)[1])): c for s in subst for p in (s.num, s.den)
-                 for c in p.terms.values() if type(c) is QuadExt}
+                 for c in _marks(p) if type(c) is QuadExt}
         self.marks = (*marks.values(), Fraction(1))
         self.ceiling = _ceiling(len(out_vars))
         # members[g] lists the entries that share the denominator dens[g]
@@ -964,20 +1132,20 @@ class ComposePlan:
         self.blocks = [(i, ends[i]) if i in ends else (i,) for i in range(n)]
         self.order = [j for block in self.blocks for j in block]
         # the powers of each entry's numerator and each group's denominator
-        self.bases = [_scaled(p.terms) for p in [s.num for s in subst] + dens]
+        self.bases = [p._int or _int_form(p) for p in [s.num for s in subst] + dens]
         self.pows = [[(((0, 1, 0),), 1)] for _ in self.bases]
 
     def compose(self, f: RatFunc) -> RatFunc:
         n = len(self.subst)
         if n != len(f.vars):
             raise StructureError(f"substitution arity {n} != {len(f.vars)}")
-        kind, d = _domain(f.num.terms.values(), f.den.terms.values(), self.marks)
+        kind, d = _kind((f.num, f.den), self.marks)
         ceiling, pows, out_vars = self.ceiling, self.pows, self.subst[0].vars
         # one column per variable, its exponent in each term of f's numerator
         # and denominator, and one per group (column n + g), the sum of its
         # members' columns; tops holds each column's largest
-        fn, fd = f.num.items(), f.den.items()
-        cols = list(zip(*(exps for exps, _ in fn + fd)))
+        fn, fd = f.num._int or _int_form(f.num), f.den._int or _int_form(f.den)
+        cols = list(zip(*_exponents(n, [e for e, _, _ in fn[0] + fd[0]])))
         cols += [[sum(t) for t in zip(*(cols[i] for i in m))] for m in self.members]
         tops = [max(col) for col in cols]
         # rows missing a power f needs grow block by block, in step
@@ -998,13 +1166,12 @@ class ComposePlan:
                 return [mono], 1
             return val if mono == (0, 1, 0) else (_shift(val[0], mono, d), 1)
 
-        def cleared(terms, index):
+        def cleared(form, index):
             # each term's chain of rows, and its denominator before the products
             chains = []
-            for (_, c), k in zip(terms, index):
+            for (_, p, q), k in zip(form[0], index):
                 rows = [r[e] for r, e in zip(chain_rows, k) if e]
-                p, q, m = _scalar_triple(c)
-                chains.append((p, q, m * prod(r[1] for r in rows), rows))
+                chains.append((p, q, form[1] * prod(r[1] for r in rows), rows))
             # seed each chain over the lcm, so every product lands on it
             den = lcm(*[m for _, _, m, _ in chains])
             acc = {}
@@ -1034,10 +1201,10 @@ class ComposePlan:
                     else:
                         s[0] += x
                         s[1] += y
-            return _poly(out_vars, _built(((e, p, q) for e, (p, q) in acc.items()
-                                           if p or q), den, kind, d))
+            return _poly(out_vars, _sorted([(e, p, q) for e, (p, q) in acc.items() if p or q]),
+                         den, kind, d)
 
-        den = cleared(fd, index[len(fn):])
+        den = cleared(fd, index[len(fn[0]):])
         if den.is_zero():
             raise DegenerateError("composition produced an identically zero denominator")
         return RatFunc(cleared(fn, index), den)

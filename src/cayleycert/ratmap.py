@@ -313,7 +313,7 @@ def _tuple_equal(spec_tgt: VarietySpec, lhs, rhs) -> tuple:
     coordinate of lhs and j each other one.  Everything else compares
     coordinatewise.
     """
-    max_terms = max((len(f.num.terms) + len(f.den.terms) for f in (*lhs, *rhs)),
+    max_terms = max((f.num.term_count() + f.den.term_count() for f in (*lhs, *rhs)),
                     default=0)
     for block, start, stop in spec_tgt.block_slices():
         seg_l = lhs[start:stop]

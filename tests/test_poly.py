@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from cayleycert.errors import (DegenerateError, ExponentOverflowError, FieldMismatchError,
                                StructureError, TermBudgetError)
 from cayleycert.field import QuadExt, QuadField
-from cayleycert.poly import (ComposePlan, EvalPlan, Poly, RatFunc, Relation, _cross,
+from cayleycert import poly as poly_module, su3
+from cayleycert.poly import (ComposePlan, EvalPlan, Poly, RatFunc, Relation, _cross, _wrap,
                              chart_restrict, ratfunc_compose, ratfunc_equal, term_budget)
 from cayleycert.ratmap import Block, EquivMap, VarietySpec, map_of_point
 
@@ -233,7 +234,7 @@ def test_constant_ratfunc_compares_with_quadext():
 def test_int_denominator_normalises_exactly():
     f = RatFunc(Poly.const(V3, 1), Poly.const(V3, 3))
     assert dict(f.num.items()) == {(0, 0, 0): Fraction(1, 3)}
-    assert type(f.num.lead_coeff()) is Fraction and f.den == Poly.const(V3, 1)
+    assert type(f.num.items()[0][1]) is Fraction and f.den == Poly.const(V3, 1)
     assert str(f) == "1/3"
     g = RatFunc(Poly(V3, {(1, 0, 0): 4}), Poly(V3, {(0, 1, 0): 6, (0, 0, 0): -2}))
     assert str(g) == "(2/3*x1)/(x2 - 1/3)"
@@ -947,6 +948,126 @@ def test_scalar_ops_reject_an_irrational_scalar_of_another_field():
     for op in (lambda c: f * c, lambda c: c * f, lambda c: c / f):
         with pytest.raises(FieldMismatchError):
             op(QuadExt(1, 1, 5))
+
+
+# -- the two views of a Poly: its coefficient dict and its integer form ------
+#
+# The kernel makes a Poly with its integer form alone; the public constructor
+# makes one with its dict alone.  A kernel-made Poly and its twin, rebuilt
+# from its items(), are one value: equal both ways, with one hash, one str,
+# one items() and the same coefficients of the same types, and the twin's
+# integer form, computed from its dict, is the kernel's.
+
+
+def assert_views_agree(p):
+    form = p._int
+    assert p._terms is None and form is not None        # made by the kernel alone
+    fresh = _wrap(p.vars, form)                         # the same form, no dict yet
+    twin = Poly(p.vars, dict(_wrap(p.vars, form).items()))
+    assert twin._int is None
+    assert fresh == twin and twin == fresh and fresh == p
+    assert twin._int == form
+    assert hash(fresh) == hash(twin) and str(fresh) == str(twin)
+    assert fresh.items() == twin.items()
+    assert [(e, c, type(c), getattr(c, "d", None)) for e, c in fresh.terms.items()] == \
+           [(e, c, type(c), getattr(c, "d", None)) for e, c in twin.terms.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda d: st.tuples(
+    polys(d, XYZ, 4, 2), nonzero_polys(d, XYZ, 3, 2), coefficients(d), substitutions(d))))
+@example((Poly(XYZ, {(1, 0, 0): 2, (0, 0, 0): Fraction(1, 2)}), Poly(XYZ, {(0, 1, 0): 4}), 3,
+          (S_PLUS_1, T_PLUS_1, S_T_1)))
+def test_kernel_made_values_agree_with_their_dict_twins(case):
+    p, q, c, subst = case
+    made = [p * q, p + q, p - q, q - q, -p, p.conj_coeffs(), p * c, c * p, p + c,
+            p * q + p, p ** 2, p.derivative("x"), Poly.const(XYZ, c), Poly.variable(XYZ, "y")]
+    for k in made:
+        if k is not p and k is not q:       # a sum with 0 is the other term itself
+            assert_views_agree(k)
+    g = RatFunc(p * q, q * q)
+    funcs = [g, g * c, c * g, g + g, g - 1, -g, g.conj_coeffs(), g * g]
+    if not g.is_zero():
+        funcs += [c / g, 1 / g]
+    try:
+        funcs.append(ratfunc_compose(g, subst))
+    except DegenerateError:
+        pass
+    for k in (k for f in funcs for k in (f.num, f.den)):
+        assert_views_agree(k)
+    for f in funcs:
+        twin = RatFunc(*(Poly(f.vars, dict(k.items())) for k in (f.num, f.den)))
+        assert exact_terms(twin) == exact_terms(f) and str(twin) == str(f) and twin == f
+
+
+V2 = ("x", "y")
+X2, Y2 = Poly.variable(V2, "x"), Poly.variable(V2, "y")
+ONE_INT = Poly(V2, {(0, 0): 1}) * Poly(V2, {(0, 0): 1})        # the int 1, from the kernel
+
+
+@pytest.mark.parametrize("num, den", [
+    (X2 ** 2 * Y2, X2 * Y2 ** 2 * 3 + X2 * Y2),                     # strips x*y
+    (X2 + 1, 2 - Y2),                                               # a negative lead
+    (ONE_INT * Poly(V2, {(1, 0): 3, (0, 0): 1}), ONE_INT * Poly(V2, {(0, 1): 2})),
+    (X2 * QuadExt(1, 2, -3), Y2 * QUAD + 1),                        # an irrational lead
+    (X2 * QuadExt(1, 0, 5), Y2 * QuadExt(2, 0, 5) + 1),             # a rational QuadExt lead
+    (X2 - X2, Y2 + 1),                                              # a zero numerator
+], ids=["monomial", "negative-lead", "int-lead", "irrational-lead", "rational-quadext-lead",
+        "zero"])
+def test_ratfunc_normalises_on_integers_as_by_coefficient_division(num, den):
+    got = RatFunc(num, den)
+    for k in (got.num, got.den):
+        assert_views_agree(k)
+    # the same values from the public constructor give the same result
+    twin = RatFunc(Poly(V2, dict(num.items())), Poly(V2, dict(den.items())))
+    assert exact_terms(twin) == exact_terms(got) and str(twin) == str(got)
+    # and both are what dividing each coefficient by the lead gives
+    for k, want in zip((got.num, got.den), reference_ratfunc(num, den)):
+        assert [(e, c, type(c), getattr(c, "d", None)) for e, c in k.items()] == \
+               [(e, want[e], type(want[e]), getattr(want[e], "d", None))
+                for e in graded_order(want)]
+
+
+def test_int_lead_makes_fraction_coefficients():
+    f = RatFunc(ONE_INT * Poly(V2, {(1, 0): 3, (0, 0): 1}), ONE_INT * Poly(V2, {(0, 1): 2}))
+    assert [type(c) for _, c in f.num.items() + f.den.items()] == [Fraction] * 3
+    assert str(f) == "(3/2*x + 1/2)/(y)"
+
+
+def test_equal_integers_in_two_fields_compare_unequal():
+    # (p + q*sqrt(d))/n: one p, q and n, two fields
+    a, b = X2 * QuadExt(1, 2, -3), X2 * QuadExt(1, 2, -1)
+    assert a._int[:2] == b._int[:2] and a != b and b != a
+    assert a != Poly(V2, dict(b.items())) and Poly(V2, dict(a.items())) != b
+    # a rational value crosses fields, in either view
+    c, e = X2 * QuadExt(3, 0, -3), X2 * QuadExt(3, 0, 5)
+    assert c == e == X2 * 3 == Poly(V2, dict(e.items()))
+    assert hash(c) == hash(e) == hash(X2 * 3)
+
+
+def test_a_bool_constant_is_stored_as_an_int():
+    x = Poly.variable(("x",), "x")
+    root_x = QuadExt(0, 1, -3) * x
+    for c in (True, False):
+        k = Poly.const(("x",), c)
+        assert k == Poly.const(("x",), int(c)) and all(type(v) is int for v in k.terms.values())
+    assert Poly.const(("x",), True) * root_x == root_x
+    assert str(Poly.const(("x",), True) * root_x) == "(sqrt(-3))*x"
+    assert str(Poly.const(("x",), True) + root_x) == "(sqrt(-3))*x + 1"
+    assert str(root_x * True) == str(root_x + False) == "(sqrt(-3))*x"
+    assert RatFunc(root_x) * True == RatFunc(root_x)
+
+
+def test_a_link_certificate_builds_no_coefficient_dict(monkeypatch):
+    links = su3.build_su3_chain()
+    calls = []
+    for name in ("_built", "_int_form"):
+        real = getattr(poly_module, name)
+        monkeypatch.setattr(poly_module, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    for pair in links:
+        assert su3.link_certificate(pair, 23, 5).ok
+    assert calls == []
 
 
 # -- one plan for many functions against one plan per function -------------

@@ -298,9 +298,10 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
 
     ``spot-check[<trials> points]`` (:func:`cayleycert.ratmap.spot_check`)
     draws skew x with :meth:`MatrixAlg._random_skew`; x agrees when
-    a = T(x), on integer forms, is a group point with T(a) == x, else it
-    is the witness, and a drawn skew that is not skew fails with its text.
-    ``trials`` must be at least 1.
+    a = T(x), on integer forms, is a group point with (1 + a)(1 + x) = 2,
+    which is T(a) = x but ties a to the formula, not to a second call of
+    it.  Else x is the witness; a drawn skew that is not skew fails with
+    its text.  ``trials`` must be at least 1.
     """
     if trials < 1:
         raise StructureError(f"trials must be positive: {trials}")
@@ -337,10 +338,8 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
         if not alg._is_skew(x):
             return f"drawn skew is not skew: {mat_str(x.scalars())}"
         a = _transform(x)             # DegenerateError: x on the exceptional locus
-        try:
-            ok = not alg._residual(a) and _transform(a) == x
-        except DegenerateError:       # 1 + T(x) = 2(1 + x)^-1 is never singular
-            ok = False
+        # T(a) = 2(1 + a)^-1 - 1, so T(a) = x exactly when (1 + a)(1 + x) = 2
+        ok = not alg._residual(a) and not (a.shift(1) @ x.shift(1)).shift(-2)
         return None if ok else mat_str(x.scalars())
 
     spot_check(cert, seed, alg._random_skew, check, trials,

@@ -889,9 +889,17 @@ class RatFunc:
         return RatFunc(self.num.conj_coeffs(), self.den.conj_coeffs())
 
     def __eq__(self, other):
-        if isinstance(other, (RatFunc, Poly, *_SCALAR_TYPES)):
-            return ratfunc_equal(self, self._coerce(other))
-        return NotImplemented
+        if not isinstance(other, (RatFunc, Poly, *_SCALAR_TYPES)):
+            return NotImplemented
+        other = self._coerce(other)
+        try:
+            return ratfunc_equal(self, other)
+        except FieldMismatchError:
+            # irrational coefficients in two fields: equal values lie in Q(vars),
+            # where n conj(d) / (d conj(d)) has rational coefficients
+            f, g = (RatFunc(h.num * h.den.conj_coeffs(), h.den * h.den.conj_coeffs())
+                    for h in (self, other))
+            return all(h.num == h.num.conj_coeffs() for h in (f, g)) and ratfunc_equal(f, g)
 
     def __str__(self):
         if self.den == Poly.const(self.vars, Fraction(1)):

@@ -207,14 +207,13 @@ def first_skew(alg, seed):
     return mat_str(x.scalars())
 
 
-@pytest.mark.parametrize("build", [
-    lambda: orthogonal_alg(3),
-    lambda: unitary_alg(3),
-    lambda: symplectic_alg(4),
-])
+MUTANT_TARGETS = [lambda: orthogonal_alg(3), lambda: unitary_alg(3), lambda: symplectic_alg(4)]
+
+
+@pytest.mark.parametrize("build", MUTANT_TARGETS)
 def test_negated_transform_fails_the_suite_at_the_first_point(monkeypatch, build):
-    # -T(x) is still a group point, so the round trip T(a) == x is what
-    # catches it, at point one
+    # -T(x) is still a group point, so the product (1 + a)(1 + x) = 2 is
+    # what catches it, at point one
     transform = classical._transform
     monkeypatch.setattr(classical, "_transform", lambda a: -transform(a))
     cert = classical_certificate("negated", build(), seed=7, trials=5)
@@ -224,11 +223,88 @@ def test_negated_transform_fails_the_suite_at_the_first_point(monkeypatch, build
 
 
 def test_a_self_inverse_map_that_is_not_the_transform_fails_the_spot_check(monkeypatch):
-    # x -> -x is its own inverse, so only the group residual of -x catches it
+    # x -> -x is its own inverse; the group residual of -x catches it, and
+    # so would the product: (1 - x)(1 + x) = 2 only where x^2 = -1
     monkeypatch.setattr(classical, "_transform", lambda a: -a)
     cert = classical_certificate("minus", orthogonal_alg(3), seed=7, trials=5)
     assert [(v.name, v.status, v.witness) for v in cert.verdicts[-1:]] == [
         ("spot-check[5 points]", "fail", first_skew(orthogonal_alg(3), 7))]
+
+
+@pytest.mark.parametrize("build", MUTANT_TARGETS)
+def test_a_self_inverse_group_valued_map_fails_the_spot_check(monkeypatch, build):
+    # y -> -T(-y) = -T(y)^-1 sends skews to group points and is its own
+    # inverse, so a round trip through it passes; (1 + a)(1 + x) = 2 ties
+    # a to the formula and fails at point one
+    transform = classical._transform
+    monkeypatch.setattr(classical, "_transform", lambda y: -transform(-y))
+    cert = classical_certificate("conjugated", build(), seed=7, trials=5)
+    assert [(v.name, v.status, v.witness) for v in cert.verdicts] == [
+        (name, "pass", None) for name in EXACT_NAMES] + [
+        ("spot-check[5 points]", "fail", first_skew(build(), 7))]
+
+
+GRID_ALGEBRAS = {
+    **{f"symplectic-{n}": lambda n=n: symplectic_alg(n) for n in (2, 4)},
+    **{f"transpose-{n}": lambda n=n: orthogonal_alg(n) for n in (2, 3, 4)},
+    **{f"hermitian-3-{n}": lambda n=n: unitary_alg(n, -3) for n in (2, 3, 4)},
+    **{f"hermitian-1-{n}": lambda n=n: unitary_alg(n, -1) for n in (2, 3, 4)},
+}
+
+
+def usable_skews(alg, seed, count):
+    """The first ``count`` drawn skews off the exceptional locus, each with
+    its transform."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        x = alg._random_skew(rng)
+        try:
+            out.append((x, classical._transform(x)))
+        except DegenerateError:
+            pass
+    return out
+
+
+def round_trip(a, x):
+    """The check the product replaced: T(a) == x, False where 1 + a is singular."""
+    try:
+        return classical._transform(a) == x
+    except DegenerateError:
+        return False
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ALGEBRAS))
+def test_the_product_decides_the_round_trip(name):
+    # matched pairs a = T(x), mismatched a = T(x') and negated a = -T(x);
+    # for odd transpose sizes 1 - T(x) is singular, and both answer False
+    pairs = usable_skews(GRID_ALGEBRAS[name](), 23, 6)
+    cases = [(a, x, True) for x, a in pairs]
+    cases += [(a, x, None) for (x, _), (_, a) in zip(pairs, pairs[1:] + pairs[:1])]
+    cases += [(-a, x, False) for x, a in pairs]
+    for a, x, want in cases:
+        product = not (a.shift(1) @ x.shift(1)).shift(-2)
+        assert product == round_trip(a, x)
+        assert want is None or product is want
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ALGEBRAS))
+def test_the_spot_check_takes_one_inverse_per_transformed_draw(monkeypatch, name):
+    calls = {"inverse": 0, "transform": 0}
+    inverse, transform = _IntMat.inverse, classical._transform
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(_IntMat, "inverse", counted("inverse", inverse))
+    monkeypatch.setattr(classical, "_transform", counted("transform", transform))
+    cert = classical_certificate(name, GRID_ALGEBRAS[name](), seed=23, trials=20)
+    spot = cert.verdicts[-1]
+    assert (spot.name, spot.status) == ("spot-check[20 points]", "pass")
+    resamples = re.search(r"(\d+) exceptional-locus resamples", spot.detail)
+    attempts = 20 + (int(resamples.group(1)) if resamples else 0)
+    assert calls == {"inverse": attempts, "transform": attempts}
 
 
 def test_a_broken_transform_fails_verify_with_a_report(monkeypatch, capsys):

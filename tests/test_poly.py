@@ -1045,6 +1045,26 @@ def test_equal_integers_in_two_fields_compare_unequal():
     assert hash(c) == hash(e) == hash(X2 * 3)
 
 
+def test_rational_functions_over_two_fields_compare_like_polys():
+    a, b = X2 * QuadExt(1, 2, -3), X2 * QuadExt(1, 2, -1)
+    f, g = RatFunc(a), RatFunc(b)
+    # every operand order and kind answers as Poly.__eq__ does
+    assert (f == g, g == f, f == b, b == f, g == a, a == g) == (False,) * 6
+    assert f != QuadExt(1, 2, -1) and QuadExt(1, 2, -1) != f
+    assert f == a and f == RatFunc(X2 * QuadExt(1, 2, -3))
+    # ratfunc_equal itself still refuses the pair, as certificates call it
+    with pytest.raises(FieldMismatchError, match="mixed discriminants"):
+        ratfunc_equal(f, g)
+    # unreduced forms over two fields can hold one rational value: y, and
+    # 1, compared in their rational forms; x is not y
+    r3, r1 = X2 + QuadExt(0, 1, -3), X2 + QuadExt(0, 1, -1)
+    assert RatFunc(r3 * Y2, r3) == RatFunc(r1 * Y2, r1) == Y2
+    assert RatFunc(r3, r3) == RatFunc(r1, r1) == 1
+    assert RatFunc(r3 * Y2, r3) != RatFunc(r1 * X2, r1)
+    assert RatFunc(r3 * Y2, r3) != RatFunc(r1 * Y2, X2 + QuadExt(0, 2, -1))
+    assert RatFunc(r1 * Y2, X2 + QuadExt(0, 2, -1)) != RatFunc(r3 * Y2, r3)
+
+
 def test_a_bool_constant_is_stored_as_an_int():
     x = Poly.variable(("x",), "x")
     root_x = QuadExt(0, 1, -3) * x

@@ -1,33 +1,29 @@
 """Sparse multivariate polynomials and rational functions, exact throughout.
 
-A ``Poly`` is one value over a fixed ordered variable tuple, held in up to
-two views, each built at most once and never changed:
+A ``Poly`` is one value over a fixed ordered variable tuple, stored in one
+form that is never changed: its integer form (the integral representation
+of Cohen, *A Course in Computational Algebraic Number Theory*, 4.2, as in
+``matrices``), terms (key, p, q) over packed monomials (below), the
+largest key first, each the nonzero coefficient (p + q*sqrt(d))/den over
+one denominator den > 0 whose gcd with every p and q is 1, and the (kind,
+d) that every coefficient shares: kind int, Fraction or QuadExt, d the
+discriminant of a QuadExt kind.  The form is canonical: den is the lcm of
+the coefficients' denominators.
 
-- ``terms``, the coefficient dict from packed monomials (below) to nonzero
-  ints, Fractions or :class:`~cayleycert.field.QuadExt` values, which the
-  public constructor ``Poly(variables, terms)`` makes (it refuses any other
-  coefficient type with :class:`StructureError`);
-- the integer form (the integral representation of Cohen, *A Course in
-  Computational Algebraic Number Theory*, 4.2, as in ``matrices``): terms
-  (key, p, q), the largest key first, each the coefficient
-  (p + q*sqrt(d))/den over one denominator den > 0 whose gcd with every p
-  and q is 1, and the (kind, d) that every coefficient shares: kind int,
-  Fraction or QuadExt, d the discriminant of a QuadExt kind.  The form is
-  canonical: den is the lcm of the coefficients' denominators.
-
-The kernel reads and makes integer forms only: products, sums, negation,
-conjugation, scalar multiples, derivatives, compositions, evaluation
-plans, the equality tests, ``RatFunc`` normalisation and the symbolic
-matrix products of ``matrices``.  A Poly it makes has no dict, and builds
-each coefficient only when one is read: through ``terms``,
-:meth:`Poly.items`, ``str`` or ``hash``.  A Poly made by the constructor
-gets its integer form from its dict on first use, kind and d by the rule
-of ``field._domain``; a dict whose irrational coefficients lie in two
-fields has none, so the kernel raises :class:`FieldMismatchError` on it.
-Two Polys that both carry a dict compare as dicts, and any other pair by
-integer forms, which are equal exactly when the values are (equal
-integers with irrational parts in two fields are not).
-:meth:`Poly.term_count` reads whichever view exists.
+The public constructor ``Poly(variables, terms)`` checks a dict of
+coefficients (it refuses any type but int, Fraction and
+:class:`~cayleycert.field.QuadExt` with :class:`StructureError`) and builds
+the form at once, kind and d by the rule of ``field._domain`` over the
+nonzero coefficients; a dict whose irrational coefficients lie in two
+fields raises :class:`FieldMismatchError` there.  The kernel reads and
+makes integer forms only: products, sums, negation, conjugation, scalar
+multiples, derivatives, compositions, evaluation plans, the equality tests,
+``RatFunc`` normalisation and the symbolic matrix products of
+``matrices``.  Each coefficient is built, of the form's kind, only when
+one is read: ``terms``, the coefficient dict, is a cache that the first
+read through it, :meth:`Poly.items`, ``str`` or ``hash`` fills.  Two Polys
+are equal exactly when their integer forms are (equal integers with
+irrational parts in two fields are not).
 
 ``RatFunc`` is a numerator/denominator pair that is *not* kept in lowest
 terms: there is no multivariate GCD here.  Its constructor normalises on
@@ -210,7 +206,7 @@ def _exponents(n: int, keys) -> list:
 
 
 def _wrap(variables, form) -> "Poly":
-    """The Poly made by the kernel of a canonical integer form, with no dict."""
+    """The Poly of a canonical integer form, its coefficient dict not built."""
     p = _new(Poly)
     _set(p, "vars", variables)
     _set(p, "_terms", None)
@@ -241,21 +237,6 @@ def _sorted(terms) -> list:
     return sorted(terms, key=_KEY, reverse=True)
 
 
-def _int_form(p) -> tuple:
-    """The integer form (terms, den, kind, d) of a Poly, computed from its
-    dict on first use and kept.  A dict whose irrational coefficients lie in
-    two fields has none: :class:`FieldMismatchError`."""
-    form = p._int
-    if form is None:
-        terms = p._terms
-        t = [(e, _scalar_triple(c)) for e, c in terms.items()]
-        den = lcm(*[n for _, (_, _, n) in t])
-        form = ([(e, a * (den // n), b * (den // n)) for e, (a, b, n) in t], den,
-                *_domain(terms.values()))
-        _set(p, "_int", form)
-    return form
-
-
 def _built(terms, den, kind, d):
     """Term dict of integer ``terms`` over ``den``, each coefficient built once."""
     if kind is QuadExt:
@@ -272,27 +253,27 @@ def _scalar_kind(c) -> tuple:
     return (Fraction if isinstance(c, Fraction) else int), None
 
 
-def _marks(p):
-    """Scalars over which ``field._domain`` gives what it gives over the
-    coefficients of p: its dict's values, or one value of its kind."""
-    if p._terms is not None:
-        return p._terms.values()
-    t, _, kind, d = p._int
-    if kind is not QuadExt:
-        return (kind(1),) if t else ()
-    return (_make(0, 1, 1, d) if any(q for _, _, q in t) else _make(1, 0, 1, d),)
+def _quad_marks(forms) -> tuple:
+    """One QuadExt per field and irrationality of the QuadExt coefficients
+    of integer ``forms``: ``field._domain`` over these marks and other
+    scalars gives the field it gives over the coefficients themselves."""
+    found = dict.fromkeys((d, any(q for _, _, q in t)) for t, _, kind, d in forms
+                          if kind is QuadExt)
+    return tuple(_make(0, 1, 1, d) if irrational else _make(1, 0, 1, d)
+                 for d, irrational in found)
 
 
 def _kind(polys, scalars=()) -> tuple:
     """(kind, d) of a kernel result over the coefficients of ``polys`` and
     the ``scalars``: the rule of ``field._domain``, read from each Poly's
-    (kind, d) while every QuadExt lies in one field, and from the values
-    themselves where two fields meet."""
-    kinds = {(p._int or _int_form(p))[2:] for p in polys}
+    (kind, d) while every QuadExt lies in one field, and from the QuadExt
+    marks of the Polys where two fields meet: ``_domain`` then gives a
+    QuadExt kind or raises, so no other coefficient counts."""
+    kinds = {p._int[2:] for p in polys}
     kinds.update(map(_scalar_kind, scalars))
     ds = {d for k, d in kinds if k is QuadExt}
     if len(ds) > 1:
-        return _domain(*map(_marks, polys), scalars)
+        return _domain(_quad_marks(p._int for p in polys), scalars)
     if ds:
         return QuadExt, ds.pop()
     return (Fraction if (Fraction, None) in kinds else int), None
@@ -384,7 +365,7 @@ def _nonzero_difference(x, y):
 
 def _times(a, b) -> "Poly":
     """The product of two Polys over one variable tuple, through :func:`_mul`."""
-    x, y = a._int or _int_form(a), b._int or _int_form(b)
+    x, y = a._int, b._int
     kind, d = (x[2], x[3]) if x[2] is y[2] and x[3] == y[3] else _kind((a, b))
     t, den = _mul(x, y, d, _ceiling(len(a.vars)))
     return _poly(a.vars, _sorted(t), den, kind, d)
@@ -393,13 +374,13 @@ def _times(a, b) -> "Poly":
 class Poly:
     """Sparse polynomial over an ordered variable tuple.
 
-    One value in up to two views (see the module docstring): ``terms``,
-    the coefficient dict, and the integer form, each built at most once
-    and never changed.  The public constructor makes the dict; the kernel
-    makes the integer form alone.  No zero coefficient is stored, and
-    both views list their terms from the largest packed key down, so
-    ``str()`` is canonical.  :meth:`items` reads the terms with exponent
-    tuples.
+    One value in one stored form, its integer form (see the module
+    docstring), which the constructor builds from a coefficient dict and
+    the kernel makes directly, and which never changes.  No zero
+    coefficient is stored, and the terms run from the largest packed key
+    down, so ``str()`` is canonical.  ``terms``, the coefficient dict, is
+    built from the form on its first read and kept; :meth:`items` reads
+    the terms with exponent tuples.
     """
 
     __slots__ = ("vars", "_terms", "_int")
@@ -425,9 +406,13 @@ class Poly:
                     f"coefficient {c!r} of {exps} is not an int, Fraction or QuadExt")
             if c:
                 clean[_pack(exps)] = c
+        t = _sorted([(e, *_scalar_triple(c)) for e, c in clean.items()])
+        den = lcm(*[n for _, _, _, n in t])
+        form = ([(e, p * (den // n), q * (den // n)) for e, p, q, n in t], den,
+                *_domain(clean.values()))
         _set(self, "vars", variables)
-        _set(self, "_terms", {e: clean[e] for e in sorted(clean, reverse=True)})
-        _set(self, "_int", None)
+        _set(self, "_terms", None)
+        _set(self, "_int", form)
 
     def __setattr__(self, *args):
         raise AttributeError("Poly values are immutable")
@@ -477,7 +462,7 @@ class Poly:
                 return NotImplemented
             other = Poly.const(self.vars, other)
         _check_vars(self.vars, other.vars)
-        x, y = self._int or _int_form(self), other._int or _int_form(other)
+        x, y = self._int, other._int
         if not y[0]:
             return self
         if not x[0]:
@@ -502,7 +487,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        t, den, kind, d = self._int or _int_form(self)
+        t, den, kind, d = self._int
         return _wrap(self.vars, ([(e, -p, -q) for e, p, q in t], den, kind, d))
 
     def __sub__(self, other):
@@ -516,7 +501,7 @@ class Poly:
             if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
             other = int(other) if type(other) is bool else other
-            t, den = (self._int or _int_form(self))[:2]
+            t, den = self._int[:2]
             kind, d = _kind((self,), (other,))
             p, q, n = _scalar_triple(other)
             return _poly(self.vars, _shift(t, (0, p, q), d) if other else (), den * n, kind, d)
@@ -543,11 +528,11 @@ class Poly:
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self._terms if self._terms is not None else self._int[0])
+        return not self._int[0]
 
     def term_count(self) -> int:
-        """The number of terms, read from whichever view exists."""
-        return len(self._terms if self._terms is not None else self._int[0])
+        """The number of terms."""
+        return len(self._int[0])
 
     def items(self) -> list:
         """(exponent tuple, coefficient) for each term, in stored order."""
@@ -561,31 +546,27 @@ class Poly:
         shift = WIDTH * (n - 1 - self.vars.index(name))
         # one less in the variable's field and in the total degree
         step = (1 << shift) + (1 << WIDTH * n)
-        t, den, kind, d = self._int or _int_form(self)
+        t, den, kind, d = self._int
         return _poly(self.vars, [(key - step, p * e, q * e) for key, p, q in t
                                  if (e := key >> shift & (_FIELD - 1))], den, kind, d)
 
     def conj_coeffs(self) -> "Poly":
-        t, den, kind, d = self._int or _int_form(self)
+        t, den, kind, d = self._int
         return _wrap(self.vars, ([(e, p, -q) for e, p, q in t], den, kind, d))
 
     # -- rendering and equality -----------------------------------------
 
     def __eq__(self, other):
-        """Two dicts compare as dicts, anything else on integer forms."""
+        """Equal integer forms; the fields count only where a coefficient
+        is irrational."""
         if isinstance(other, Poly):
             if self.vars != other.vars:
                 return False
-            if self._terms is not None and other._terms is not None:
-                return self._terms == other._terms
         elif isinstance(other, _SCALAR_TYPES):
             other = Poly.const(self.vars, other)
         else:
             return NotImplemented
-        try:
-            x, y = self._int or _int_form(self), other._int or _int_form(other)
-        except FieldMismatchError:      # a dict over two fields equals no such form
-            return False
+        x, y = self._int, other._int
         return x[1] == y[1] and x[0] == y[0] and (x[3] == y[3] or not any(
             q for _, _, q in x[0]))
 
@@ -650,7 +631,7 @@ def _mat_product(a, b):
         """(variables, integer form, ceiling); variables None for a scalar."""
         if isinstance(x, Poly):
             polys.append(x)
-            return x.vars, x._int or _int_form(x), _ceiling(len(x.vars))
+            return x.vars, x._int, _ceiling(len(x.vars))
         x = int(x) if type(x) is bool else x
         scalars.append(x)
         p, q, n = _scalar_triple(x)
@@ -746,11 +727,11 @@ class RatFunc:
             raise StructureError("numerator/denominator variable mismatch")
         if den.is_zero():
             raise DegenerateError("identically zero denominator")
-        a, na, ka, da = num._int or _int_form(num)
+        a, na, ka, da = num._int
         if not a:
             den = Poly.const(den.vars, Fraction(1))
         else:
-            b, nb, kb, db = den._int or _int_form(den)
+            b, nb, kb, db = den._int
             strip = _common_monomial(a, b, len(num.vars))
             if strip:
                 a = [(e - strip, p, q) for e, p, q in a]
@@ -956,25 +937,21 @@ class EvalPlan:
         self.arity = len(funcs[0].vars) if funcs else 0
         for f in funcs:
             _check_vars(funcs[0].vars, f.vars)
-        forms = [p._int or _int_form(p) for f in funcs for p in (f.num, f.den)]
+        forms = [p._int for f in funcs for p in (f.num, f.den)]
         exps = [_exponents(self.arity, [e for e, _, _ in t]) for t, _, _, _ in forms]
         self.monos = list(dict.fromkeys(e for es in exps for e in es))
         self.tops = [max(col) for col in zip(*self.monos)] or [0] * self.arity
         self.used = [i for i, top in enumerate(self.tops) if top]
         index = dict(zip(self.monos, range(len(self.monos))))
-        marks, sums = {}, []
-        for (t, n, kind, d), es in zip(forms, exps):
+        sums = []
+        for (t, n, kind, _), es in zip(forms, exps):
             cq = [q for _, _, q in t]
-            irrational = any(cq)
-            if kind is QuadExt:
-                marks.setdefault((d, irrational), _make(0, 1, 1, d) if irrational
-                                 else _make(1, 0, 1, d))
             sums.append(((list(map(index.__getitem__, es)), [p for _, p, _ in t],
-                          cq if irrational else None, n), kind is QuadExt,
+                          cq if any(cq) else None, n), kind is QuadExt,
                          {i for i, col in enumerate(zip(*es)) if any(col)}))
         self.parts = [(num, den, nquad or dquad, nhas | dhas)
                       for (num, nquad, nhas), (den, dquad, dhas) in zip(sums[::2], sums[1::2])]
-        self.marks = tuple(marks.values())
+        self.marks = _quad_marks(forms)
 
     def eval(self, point) -> tuple:
         if not self.parts:
@@ -1046,7 +1023,7 @@ def _scaled_parts(*fs):
         _check_vars(fs[0].vars, f.vars)
     polys = [p for f in fs for p in (f.num, f.den)]
     return (_kind(polys)[1], _ceiling(len(fs[0].vars)),
-            [p._int or _int_form(p) for p in polys])
+            [p._int for p in polys])
 
 
 def _lead(x) -> int:
@@ -1124,9 +1101,7 @@ class ComposePlan:
             if not isinstance(s, RatFunc) or s.vars != out_vars:
                 raise StructureError("substitution entries over mixed variables")
         self.subst = subst
-        marks = {(c.d, bool(_scalar_triple(c)[1])): c for s in subst for p in (s.num, s.den)
-                 for c in _marks(p) if type(c) is QuadExt}
-        self.marks = (*marks.values(), Fraction(1))
+        self.marks = (*_quad_marks(p._int for s in subst for p in (s.num, s.den)), Fraction(1))
         self.ceiling = _ceiling(len(out_vars))
         # members[g] lists the entries that share the denominator dens[g]
         n, dens, self.members = len(subst), [], []
@@ -1140,7 +1115,7 @@ class ComposePlan:
         self.blocks = [(i, ends[i]) if i in ends else (i,) for i in range(n)]
         self.order = [j for block in self.blocks for j in block]
         # the powers of each entry's numerator and each group's denominator
-        self.bases = [p._int or _int_form(p) for p in [s.num for s in subst] + dens]
+        self.bases = [p._int for p in [s.num for s in subst] + dens]
         self.pows = [[(((0, 1, 0),), 1)] for _ in self.bases]
 
     def compose(self, f: RatFunc) -> RatFunc:
@@ -1152,7 +1127,7 @@ class ComposePlan:
         # one column per variable, its exponent in each term of f's numerator
         # and denominator, and one per group (column n + g), the sum of its
         # members' columns; tops holds each column's largest
-        fn, fd = f.num._int or _int_form(f.num), f.den._int or _int_form(f.den)
+        fn, fd = f.num._int, f.den._int
         cols = list(zip(*_exponents(n, [e for e, _, _ in fn[0] + fd[0]])))
         cols += [[sum(t) for t in zip(*(cols[i] for i in m))] for m in self.members]
         tops = [max(col) for col in cols]

@@ -2,8 +2,9 @@
 every function, class or method the package defines is read by the
 package, a demo or the benchmark, only the modules that sample import
 ``random``, only ``poly`` reads ``Poly.terms`` (packed keys, and
-coefficients that a read may build), and only the integer kernels read
-the triples that ``field`` stores.
+coefficients that a read may build), only ``Poly.terms`` reads the dict
+cache behind it, and only the integer kernels read the triples that
+``field`` stores.
 
 Package ``__init__.py`` files are exempt, because their imports are the
 package's re-exports.
@@ -210,6 +211,45 @@ def test_checker_flags_a_terms_read(tmp_path):
         "    return n + len(p.terms.keys()) + len(list(p.terms.items()))\n")
     assert terms_reads(tmp_path) == ["mod.py:2", "mod.py:3", "mod.py:4", "mod.py:5",
                                      "mod.py:5"]
+
+
+# A Poly stores one form, its integer form; ``_terms`` only caches the
+# coefficient dict that the ``Poly.terms`` property builds from it, so no
+# other code in poly.py reads it as a second view.
+def cache_reads(path: Path) -> list:
+    """Lines of ``path`` that read a ``._terms`` attribute outside the
+    ``terms`` method of class ``Poly``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {id(node) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name == "Poly"
+               for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "terms"
+               for node in ast.walk(f)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_terms"
+            and id(node) not in allowed]
+
+
+def test_only_poly_terms_reads_the_dict_cache():
+    found = cache_reads(SRC / "poly.py")
+    assert not found, f"reads of ._terms outside Poly.terms in poly.py, lines {found}"
+
+
+def test_checker_flags_a_cache_read(tmp_path):
+    path = tmp_path / "poly.py"
+    path.write_text(
+        "class Poly:\n"
+        "    @property\n"
+        "    def terms(self):\n"
+        "        return self._terms\n"
+        "    def is_zero(self):\n"
+        "        return not self._terms\n"
+        "class RatFunc:\n"
+        "    def terms(self):\n"
+        "        return self.num._terms\n"
+        "def _eq(p, q):\n"
+        "    _set(p, '_terms', None)\n"
+        "    return p._terms == q._terms\n")
+    assert sorted(cache_reads(path)) == [6, 9, 12, 12]
 
 
 # How a QuadExt is stored, the triple (p, q, n), is known to ``field`` and

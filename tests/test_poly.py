@@ -950,23 +950,23 @@ def test_scalar_ops_reject_an_irrational_scalar_of_another_field():
             op(QuadExt(1, 1, 5))
 
 
-# -- the two views of a Poly: its coefficient dict and its integer form ------
+# -- one stored form per Poly: the integer form, and its dict as a cache ------
 #
-# The kernel makes a Poly with its integer form alone; the public constructor
-# makes one with its dict alone.  A kernel-made Poly and its twin, rebuilt
-# from its items(), are one value: equal both ways, with one hash, one str,
-# one items() and the same coefficients of the same types, and the twin's
-# integer form, computed from its dict, is the kernel's.
+# The kernel makes a Poly's integer form directly; the public constructor
+# builds it from a coefficient dict at once.  Either way the dict is built
+# only when read.  A kernel-made Poly and its twin, rebuilt from its items(),
+# are one value: equal both ways, with one hash, one str, one items() and the
+# same coefficients of the same types, and the twin's integer form, built by
+# the constructor, is the kernel's.
 
 
 def assert_views_agree(p):
     form = p._int
-    assert p._terms is None and form is not None        # made by the kernel alone
+    assert p._terms is None and form is not None        # no dict read yet
     fresh = _wrap(p.vars, form)                         # the same form, no dict yet
     twin = Poly(p.vars, dict(_wrap(p.vars, form).items()))
-    assert twin._int is None
+    assert twin._terms is None and twin._int == form    # the form at once, no dict
     assert fresh == twin and twin == fresh and fresh == p
-    assert twin._int == form
     assert hash(fresh) == hash(twin) and str(fresh) == str(twin)
     assert fresh.items() == twin.items()
     assert [(e, c, type(c), getattr(c, "d", None)) for e, c in fresh.terms.items()] == \
@@ -1078,13 +1078,31 @@ def test_a_bool_constant_is_stored_as_an_int():
     assert RatFunc(root_x) * True == RatFunc(root_x)
 
 
+def test_the_constructor_takes_its_kind_from_the_nonzero_coefficients():
+    # a zero Fraction or QuadExt is dropped, and gives the kind nothing
+    for zero in (Fraction(0), QuadExt(0, 0, -3)):
+        p = Poly(("x",), {(1,): 1, (0,): zero})
+        assert [(e, c, type(c)) for e, c in p.items() + (p * p).items()] == \
+               [((1,), 1, int), ((2,), 1, int)]
+
+
+def test_a_dict_over_two_fields_raises_at_construction():
+    root3, golden = QuadExt(0, 1, -3), QuadExt(1, 1, 5)
+    with pytest.raises(FieldMismatchError, match="mixed discriminants"):
+        Poly(("x",), {(1,): root3, (0,): golden})
+    # a rational QuadExt of the other field crosses over, into the field of sqrt(-3)
+    p = Poly(("x",), {(1,): root3, (0,): QuadExt(1, 0, 5)})
+    assert p._int[2:] == (QuadExt, -3)
+    assert p.items() == [((1,), root3), ((0,), 1)]
+
+
 def test_a_link_certificate_builds_no_coefficient_dict(monkeypatch):
     links = su3.build_su3_chain()
     calls = []
-    for name in ("_built", "_int_form"):
-        real = getattr(poly_module, name)
-        monkeypatch.setattr(poly_module, name,
-                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    built, init = poly_module._built, Poly.__init__
+    monkeypatch.setattr(poly_module, "_built", lambda *a: calls.append("_built") or built(*a))
+    monkeypatch.setattr(Poly, "__init__",
+                        lambda self, *a: calls.append("Poly.__init__") or init(self, *a))
     for pair in links:
         assert su3.link_certificate(pair, 23, 5).ok
     assert calls == []

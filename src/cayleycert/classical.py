@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 
 from .errors import DegenerateError, PreconditionError, StructureError
-from .field import QuadField, _domain, conj
+from .field import QuadField, _domain, below, conj
 from .matrices import (_IntMat, conj_transpose, identity, mat_add, mat_eq, mat_mul,
                        mat_neg, mat_str, mat_sub, transpose)
 from .poly import ComposePlan, Poly, RatFunc, ratfunc_equal
@@ -156,9 +156,10 @@ class MatrixAlg:
     def _random_skew(self, rng):
         """(x - iota(x))/2, skew for any x, as an integer form.  Entries r/s
         of x (a + b*sqrt(d) with such a, b over a field) have r in [-3, 3]
-        and s in {1, 2}, held as r*(2 // s) over 2: short integers."""
+        and s in {1, 2}, held as r*(2 // s) over 2: short integers, drawn
+        by :func:`~cayleycert.field.below`, r first."""
         def half():
-            return rng.randint(-3, 3) * (2 // rng.randint(1, 2))
+            return (below(rng, 7) - 3) * (2 - below(rng, 2))
         pairs = [[(half(), half()) if self._d else (half(), 0)
                   for _ in range(self.n)] for _ in range(self.n)]
         x = _IntMat([[p for p, _ in r] for r in pairs],

@@ -350,10 +350,24 @@ class QuadField:
         return f"QuadField(d={self.d})"
 
 
+def below(rng, n: int) -> int:
+    """An int uniform in [0, n), n > 0, from ``rng.getrandbits`` alone: the
+    bits of n are drawn again while they read n or more.  This is the
+    stream of ``rng.randint(a, a + n - 1) - a`` on CPython 3.10 to 3.13
+    (``Random._randbelow_with_getrandbits``), fixed here so that a seed's
+    draws do not depend on the interpreter's ``randint``."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_rational(rng, nonzero: bool = False) -> Fraction:
     """r/s with r uniform in [-9, 9] and s uniform in [1, 9], drawn from
-    ``rng``; with ``nonzero``, a draw with r = 0 is drawn again."""
+    ``rng`` by :func:`below`; with ``nonzero``, a draw with r = 0 is drawn
+    again."""
     while True:
-        x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        x = Fraction(below(rng, 19) - 9, below(rng, 9) + 1)
         if not nonzero or x != 0:
             return x

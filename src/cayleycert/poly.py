@@ -72,11 +72,22 @@ common power of D to the result, which nothing here could cancel later,
 and with no two denominators equal each variable is its own group.  The
 integer power rows of the substituted numerators and of each group's
 denominator grow only when a function first needs a higher power, in the
-order a fresh plan builds them, so every product, budget check and
-overflow comes where a plan of that function alone has it.  Each term's
-chain of products (a group's row right after the numerator row of its
-last variable) runs on integers over one lcm denominator, and the result
-is reduced once.  The one-term rows of a chain fold into
+order a fresh plan builds them.  A term's index tuple k is its power in
+each row of its chain (a group's row right after the numerator row of its
+last variable).  The plan makes the product of the rows k picks once,
+with coefficient 1, for every term with that k in the numerator or the
+denominator of any function it composes; each term adds c times its
+product into one exact integer sum over the lcm denominator, reduced
+once.  A nonzero scalar changes no term count and no key, so a product
+the plan skips is one it already made, with the same operand sizes and
+leading keys, under the same budget: a budget check or an overflow fails
+at the same function, with the same message, as in a plan of that
+function alone.  The kept products hold at most the term budget in
+terms (a product past that is made and not kept), and under another
+budget the plan makes its rows and products again.  A kept product
+serves every function: a row with an irrational coefficient fixes d for
+all of them, and rational rows give the same products under every d.
+The one-term rows of a chain fold into
 a pending monomial (one key addition and one coefficient product each),
 which multiplies into the running product only just before a many-term
 row and once at the end.  :func:`ratfunc_equal` and ``_cross`` (the
@@ -1088,9 +1099,16 @@ def _cross(a: RatFunc, b: RatFunc, c: RatFunc, d: RatFunc) -> tuple:
 class ComposePlan:
     """A substitution of RatFuncs over one variable tuple, planned once for
     every RatFunc composed with it (see the module docstring): ``compose(f)``
-    substitutes subst[i] for the i-th variable of f."""
+    substitutes subst[i] for the i-th variable of f.
 
-    __slots__ = ("subst", "marks", "ceiling", "members", "blocks", "order", "bases", "pows")
+    ``pows`` keeps the power rows, and ``chains`` each index tuple's product
+    of rows (coefficient 1) with the product of the row denominators, made
+    for the first term that needs it and read by every later one.  At most
+    the term budget in terms is kept (``held`` counts them).  Both are made
+    under one ``budget``, and made again under another."""
+
+    __slots__ = ("subst", "marks", "ceiling", "members", "blocks", "order", "bases", "pows",
+                 "chains", "budget", "held")
 
     def __init__(self, subst):
         subst = tuple(subst)
@@ -1116,14 +1134,19 @@ class ComposePlan:
         self.order = [j for block in self.blocks for j in block]
         # the powers of each entry's numerator and each group's denominator
         self.bases = [p._int for p in [s.num for s in subst] + dens]
-        self.pows = [[(((0, 1, 0),), 1)] for _ in self.bases]
+        self.budget = None          # compose makes pows and chains under one
 
     def compose(self, f: RatFunc) -> RatFunc:
         n = len(self.subst)
         if n != len(f.vars):
             raise StructureError(f"substitution arity {n} != {len(f.vars)}")
         kind, d = _kind((f.num, f.den), self.marks)
-        ceiling, pows, out_vars = self.ceiling, self.pows, self.subst[0].vars
+        budget = _term_budget.get()
+        if budget != self.budget:
+            # rows and products made under another budget are made again
+            self.pows = [[(((0, 1, 0),), 1)] for _ in self.bases]
+            self.chains, self.budget, self.held = {}, budget, 0
+        ceiling, pows, chains, out_vars = self.ceiling, self.pows, self.chains, self.subst[0].vars
         # one column per variable, its exponent in each term of f's numerator
         # and denominator, and one per group (column n + g), the sum of its
         # members' columns; tops holds each column's largest
@@ -1149,43 +1172,56 @@ class ComposePlan:
                 return [mono], 1
             return val if mono == (0, 1, 0) else (_shift(val[0], mono, d), 1)
 
+        def chain(k):
+            # the product of the rows a term's index tuple k picks, with
+            # coefficient 1, and the product of their denominators
+            rows = [r[e] for r, e in zip(chain_rows, k) if e]
+            # one-term rows fold into the pending monomial (key, p, q); val,
+            # the product of the rest, meets it only before a many-term row
+            val, key, p, q = None, 0, 1, 0
+            for r in rows:
+                if len(r[0]) == 1:
+                    (e, x, y), = r[0]
+                    lead = key if val is None else key + val[0][0][0]
+                    if lead + e >= ceiling:
+                        raise _overflow(lead, e, ceiling)
+                    key += e
+                    p, q = (p * x, 0) if d is None else (p * x + d * q * y, p * y + q * x)
+                    continue
+                val = _mul(times(val, (key, p, q)), r, d, ceiling)
+                if not val[0]:
+                    break                   # a zero row: so is the term
+                key, p, q = 0, 1, 0
+            else:
+                val = times(val, (key, p, q))
+            made = val[0], prod(r[1] for r in rows)
+            if self.held + len(made[0]) <= budget:
+                chains[k] = made
+                self.held += len(made[0])
+            return made
+
         def cleared(form, index):
-            # each term's chain of rows, and its denominator before the products
-            chains = []
-            for (_, p, q), k in zip(form[0], index):
-                rows = [r[e] for r, e in zip(chain_rows, k) if e]
-                chains.append((p, q, form[1] * prod(r[1] for r in rows), rows))
-            # seed each chain over the lcm, so every product lands on it
-            den = lcm(*[m for _, _, m, _ in chains])
+            # each term's product of rows, scaled onto the lcm of their
+            # denominators, times the term's coefficient
+            made = [chains.get(k) or chain(k) for k in index]
+            big = lcm(*[m for _, m in made])
             acc = {}
-            for p, q, m, rows in chains:
-                # one-term rows fold into the pending monomial (key, p, q); val,
-                # the product of the rest, meets it only before a many-term row
-                val, key, p, q = None, 0, p * (den // m), q * (den // m)
-                for r in rows:
-                    if len(r[0]) == 1:
-                        (e, x, y), = r[0]
-                        lead = key if val is None else key + val[0][0][0]
-                        if lead + e >= ceiling:
-                            raise _overflow(lead, e, ceiling)
-                        key += e
-                        p, q = (p * x, 0) if d is None else (p * x + d * q * y, p * y + q * x)
-                        continue
-                    val = _mul(times(val, (key, p, q)), r, d, ceiling)
-                    if not val[0]:
-                        break               # a zero row: so is the term
-                    key, p, q = 0, 1, 0
-                else:
-                    val = times(val, (key, p, q))
-                for e, x, y in val[0]:
-                    s = acc.get(e)
-                    if s is None:
+            for (_, p, q), (terms, m) in zip(form[0], made):
+                s = big // m
+                p, q = p * s, q * s
+                for e, x, y in terms:
+                    if d is None:
+                        x *= p
+                    else:
+                        x, y = p * x + d * q * y, p * y + q * x
+                    t = acc.get(e)
+                    if t is None:
                         acc[e] = [x, y]
                     else:
-                        s[0] += x
-                        s[1] += y
+                        t[0] += x
+                        t[1] += y
             return _poly(out_vars, _sorted([(e, p, q) for e, (p, q) in acc.items() if p or q]),
-                         den, kind, d)
+                         form[1] * big, kind, d)
 
         den = cleared(fd, index[len(fn[0]):])
         if den.is_zero():

@@ -1,5 +1,6 @@
 import operator
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -7,10 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleycert.errors import DegenerateError, FieldMismatchError, StructureError
-from cayleycert.field import QuadExt, QuadField, conj, random_rational, scalar_str
+from cayleycert.field import QuadExt, QuadField, below, conj, random_rational, scalar_str
 
 F = QuadField(-3)
 ZETA = F.zeta()
+
+
+@pytest.mark.skipif(not (3, 10) <= sys.version_info[:2] <= (3, 13),
+                    reason="below reproduces randint on CPython 3.10 to 3.13")
+@pytest.mark.parametrize("n", [1, 2, 7, 9, 19, 64, 2 ** 70 + 3])
+def test_below_draws_the_stream_of_randint(n):
+    ours, theirs = random.Random(n), random.Random(n)
+    assert [below(ours, n) for _ in range(300)] == [theirs.randint(0, n - 1) for _ in range(300)]
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_conjugate_sum_is_rational():

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 every function, class or method the package defines is read by the
 package, a demo or the benchmark, only the modules that sample import
-``random``, only ``poly`` reads ``Poly.terms`` (packed keys, and
+``random``, no module draws through a ``Random`` method whose stream
+may change between interpreters, only ``poly`` reads ``Poly.terms`` (packed keys, and
 coefficients that a read may build), only ``Poly.terms`` reads the dict
 cache behind it, and only the integer kernels read the triples that
 ``field`` stores.
@@ -178,6 +179,32 @@ def test_checker_flags_a_random_import(tmp_path):
     found = random_importers(tmp_path)
     assert found == ["ratmap", "surfaces"]
     assert set(found) - SAMPLERS == {"surfaces"}
+
+
+# The draws whose streams CPython does not fix across versions; every
+# integer draw goes through ``field.below``, on ``getrandbits`` alone.
+RANDOM_DRAWS = {"randint", "randrange", "choice", "choices", "shuffle", "uniform"}
+
+
+def interpreter_draws(src: Path) -> list:
+    """``file:line`` for each use of a :data:`RANDOM_DRAWS` attribute in ``src``."""
+    found = []
+    for p in sorted(src.glob("*.py")):
+        tree = ast.parse(p.read_text(), filename=str(p))
+        found += [f"{p.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in RANDOM_DRAWS]
+    return found
+
+
+def test_no_draw_depends_on_the_interpreter():
+    assert interpreter_draws(SRC) == []
+
+
+def test_checker_flags_an_interpreter_draw(tmp_path):
+    (tmp_path / "classical.py").write_text(
+        "def half(rng):\n    return rng.getrandbits(3) + rng.randint(1, 2)\n")
+    (tmp_path / "field.py").write_text("pick = random.Random(1).choice\n")
+    assert interpreter_draws(tmp_path) == ["classical.py:2", "field.py:1"]
 
 
 # ``Poly.terms`` is keyed by packed ints, and reading it builds every

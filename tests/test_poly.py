@@ -1150,6 +1150,14 @@ def assert_plan_matches_one_at_a_time(funcs, subst):
            xyz_rf({(0, 0, 0): 1}, {(2, 0, 2): 1, (0, 3, 0): 1})),
           (st_rf({(1, 0): 1}, D_ST), st_rf({(0, 1): 1, (0, 0): 1}, E_ST),
            st_rf({(1, 1): 1}, D_ST))))
+# kept products: x^2*y is a term of the first numerator and its denominator,
+# and of the second numerator and the third denominator; x*z of the first
+# and the second denominator; the third needs a higher power of x as well
+@example(((xyz_rf({(2, 1, 0): 1, (0, 0, 1): 1}, {(2, 1, 0): 2, (1, 0, 1): 1, (0, 0, 0): 1}),
+           xyz_rf({(2, 1, 0): 3, (0, 0, 0): 2}, {(1, 0, 1): 1}),
+           xyz_rf({(3, 0, 1): 1}, {(2, 1, 0): 1, (0, 1, 0): -1})),
+          (st_rf({(1, 0): 1, (0, 0): 1}, D_ST), st_rf({(0, 1): 1, (1, 0): -1}, D_ST),
+           st_rf({(1, 1): 1, (0, 0): 2}, E_ST))))
 def test_a_plan_composes_each_function_as_a_plan_of_it_alone(case):
     assert_plan_matches_one_at_a_time(*case)
 
@@ -1163,6 +1171,61 @@ def test_a_plan_overflows_at_the_function_that_first_needs_the_power():
     assert error == ("ExponentOverflowError: product of degree 80000 exceeds "
                      "the 16-bit exponent field")
     assert len(compose_each(ComposePlan(subst).compose, funcs)[0]) == 2
+
+
+# polynomial entries of two and three terms, so every row is a product; every
+# term of the second function has the index tuple of a term of the first,
+# x*y or z^2 with the power 0 of the shared denominator 1
+PLAIN = (S_PLUS_1, T_PLUS_1, S_T_1)
+PLAIN_FUNCS = (xyz_rf({(1, 1, 0): 1, (0, 0, 2): 1}, {(1, 0, 0): 1, (0, 0, 0): 1}),
+               xyz_rf({(0, 0, 2): 2}, {(1, 1, 0): 1}),
+               xyz_rf({(2, 1, 0): 1, (0, 1, 2): 3}, {(1, 1, 1): 1, (0, 0, 0): 2}))
+
+
+def test_a_plan_makes_each_product_of_rows_once(monkeypatch):
+    f, g, _ = PLAIN_FUNCS
+    calls = []
+    mul = poly_module._mul
+    monkeypatch.setattr(poly_module, "_mul", lambda *a: calls.append(a) or mul(*a))
+    plan = ComposePlan(PLAIN)
+    assert plan.compose(f) == ratfunc_compose(f, PLAIN)
+    calls.clear()
+    got = plan.compose(g)
+    assert calls == []
+    assert exact_terms(got) == exact_terms(ratfunc_compose(g, PLAIN))
+
+
+def test_a_plan_keeps_at_most_the_budget_in_terms():
+    kept = {}
+    for budget in range(1, 41):
+        with term_budget(budget):
+            plan = ComposePlan(PLAIN)
+
+            def compose(f):
+                got = plan.compose(f)
+                assert plan.held == sum(len(t) for t, _ in plan.chains.values()) <= budget
+                return got
+            got = compose_each(compose, PLAIN_FUNCS)
+            want = compose_each(lambda f: ratfunc_compose(f, PLAIN), PLAIN_FUNCS)
+        assert got[1] == want[1], budget
+        assert [exact_terms(g) for g in got[0]] == [exact_terms(w) for w in want[0]]
+        kept[budget] = len(plan.chains), got[1]
+    # from budget 9 on nothing raises, and the cap leaves products unkept
+    assert kept[8][1] and not kept[9][1]
+    assert kept[9][0] < kept[40][0]
+
+
+def test_a_plan_makes_its_rows_and_products_again_under_another_budget():
+    plan = ComposePlan(PLAIN)
+    for f in PLAIN_FUNCS:
+        plan.compose(f)
+    assert plan.held
+    for budget in (3, 7):
+        with term_budget(budget):
+            want = compose_each(lambda f: ratfunc_compose(f, PLAIN), PLAIN_FUNCS)
+            assert want[1].startswith("TermBudgetError")
+            assert compose_each(plan.compose, PLAIN_FUNCS)[1] == want[1]
+            assert plan.held <= budget
 
 
 def test_a_plan_keeps_the_field_of_every_entry():

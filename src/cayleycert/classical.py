@@ -16,11 +16,12 @@ is a gather, iota(a)[i][j] = g core(a)[p][q] with p = sigma^-1(i),
 q = sigma^-1(j) and g = h_q / h_p, read from one table built once: cell
 (i, j) holds (q, p, u, v), g being (u + v*sqrt(d))/L over one common
 integer L, and the conjugation is applied to each gathered entry.  The
-table has two readers: :meth:`MatrixAlg.involute` on generic matrices,
-where a factor of +-1 is a sign and any other (as for diag(1, 2, -3))
-one scalar product, and :meth:`MatrixAlg._involute_int` on the integer
-form of ``matrices`` (``_IntMat``), on which all scalar work runs.  The
-transform uses (1 - a)(1 + a)^-1 = 2(1 + a)^-1 - 1: one inverse, of
+table is read on generic matrices by :meth:`MatrixAlg.involute`, where a
+factor of +-1 is a sign and any other (as for diag(1, 2, -3)) one scalar
+product, and on the integer form of ``matrices`` (``_IntMat``), on which
+all scalar work runs, by :meth:`MatrixAlg._involute_int`, and by the
+spot check's draw and skew test in one integer pass each.  The transform
+uses (1 - a)(1 + a)^-1 = 2(1 + a)^-1 - 1: one inverse, of
 (1 + a)/2, then a diagonal shift by -1, with no matrix product.
 
 :func:`classical_certificate` ties the table to its form by an exact
@@ -145,7 +146,17 @@ class MatrixAlg:
         return (self._involute_int(a) @ a).shift(-1)
 
     def _is_skew(self, x):
-        return not self._involute_int(x) + x
+        """iota(x) = -x on an integer form, in one pass over the gather and
+        no matrix built: L x[i][j] + (u + v*sqrt(d)) c(x[q][p]) = 0."""
+        a, b, L = x.p, x.q, self._den
+        if b is None:
+            return not any(L * e + u * a[q][p] for ra, g in zip(a, self._gather)
+                           for e, (q, p, u, _) in zip(ra, g))
+        c, cd = (-1, -x.d) if self._conj else (1, x.d)
+        return not any(L * e + u * a[q][p] + cd * v * b[q][p]
+                       or L * f + c * u * b[q][p] + v * a[q][p]
+                       for ra, rb, g in zip(a, b, self._gather)
+                       for e, f, (q, p, u, v) in zip(ra, rb, g))
 
     def is_group_point(self, a) -> bool:
         return not self._residual(*self._int(a))
@@ -154,17 +165,28 @@ class MatrixAlg:
         return self._is_skew(*self._int(x))
 
     def _random_skew(self, rng):
-        """(x - iota(x))/2, skew for any x, as an integer form.  Entries r/s
-        of x (a + b*sqrt(d) with such a, b over a field) have r in [-3, 3]
-        and s in {1, 2}, held as r*(2 // s) over 2: short integers, drawn
-        by :func:`~cayleycert.field.below`, r first."""
-        def half():
-            return (below(rng, 7) - 3) * (2 - below(rng, 2))
-        pairs = [[(half(), half()) if self._d else (half(), 0)
-                  for _ in range(self.n)] for _ in range(self.n)]
-        x = _IntMat([[p for p, _ in r] for r in pairs],
-                    self._d and [[q for _, q in r] for r in pairs], 2, self._d)
-        return (x + -self._involute_int(x)).over(2)
+        """(y - iota(y))/2, skew for any y, as an integer form over 4L.
+        Entries r/s of y (a + b*sqrt(d) with such a, b over a field), r in
+        [-3, 3] and s in {1, 2}, are held as Y = r*(2 // s) = 2y and drawn
+        by one :func:`~cayleycert.field.below` call, row by row, a before
+        b, r before s.  One pass over the gather builds x[i][j] = (L Y[i][j]
+        - (u + v*sqrt(d)) c(Y[q][p]))/(4L), c conjugating for a Hermitian form."""
+        n, d, L, g = self.n, self._d, self._den, self._gather
+        w = 2 if d else 1
+        m = w * n
+        t = below(rng, (7, 2) * (m * n))
+        y = [(r - 3) * (2 - s) for r, s in zip(t[::2], t[1::2])]
+        a = [y[k:k + m:w] for k in range(0, m * n, m)]
+        if not d:
+            return _IntMat([[L * e - u * a[q][p] for e, (q, p, u, _) in zip(ra, gr)]
+                            for ra, gr in zip(a, g)], None, 4 * L, None)
+        b = [y[k + 1:k + m:w] for k in range(0, m * n, m)]
+        c, cd = (-1, -d) if self._conj else (1, d)
+        return _IntMat([[L * e - u * a[q][p] - cd * v * b[q][p]
+                         for e, (q, p, u, v) in zip(ra, gr)] for ra, gr in zip(a, g)],
+                       [[L * f - c * u * b[q][p] - v * a[q][p]
+                         for f, (q, p, u, v) in zip(rb, gr)] for rb, gr in zip(b, g)],
+                       4 * L, d)
 
     def random_group_point(self, rng):
         """A group point: the transform of one random skew, checked skew
@@ -298,7 +320,9 @@ def classical_certificate(name: str, alg: MatrixAlg, seed: int,
     -T(a).  T(T(a)) = a and T(g a g^-1) = g T(a) g^-1 are ring identities.
 
     ``spot-check[<trials> points]`` (:func:`cayleycert.ratmap.spot_check`)
-    draws skew x with :meth:`MatrixAlg._random_skew`; x agrees when
+    draws skew x with :meth:`MatrixAlg._random_skew`, over 4L from one
+    draw call and one pass over the gather, and tests it skew with
+    :meth:`MatrixAlg._is_skew`, one pass over the gather; x agrees when
     a = T(x), on integer forms, is a group point with (1 + a)(1 + x) = 2,
     which is T(a) = x but ties a to the formula, not to a second call of
     it.  Else x is the witness; a drawn skew that is not skew fails with

@@ -350,17 +350,21 @@ class QuadField:
         return f"QuadField(d={self.d})"
 
 
-def below(rng, n: int) -> int:
-    """An int uniform in [0, n), n > 0, from ``rng.getrandbits`` alone: the
-    bits of n are drawn again while they read n or more.  This is the
-    stream of ``rng.randint(a, a + n - 1) - a`` on CPython 3.10 to 3.13
+def below(rng, bounds) -> list:
+    """One int uniform in [0, n) per bound n > 0 of ``bounds``, in order,
+    from ``rng.getrandbits`` alone: the bits of n are drawn again while
+    they read n or more.  Each draw is the stream of
+    ``rng.randint(a, a + n - 1) - a`` on CPython 3.10 to 3.13
     (``Random._randbelow_with_getrandbits``), fixed here so that a seed's
     draws do not depend on the interpreter's ``randint``."""
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
+    bits, out = rng.getrandbits, []
+    for n in bounds:
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(r)
+    return out
 
 
 def random_rational(rng, nonzero: bool = False) -> Fraction:
@@ -368,6 +372,7 @@ def random_rational(rng, nonzero: bool = False) -> Fraction:
     ``rng`` by :func:`below`; with ``nonzero``, a draw with r = 0 is drawn
     again."""
     while True:
-        x = Fraction(below(rng, 19) - 9, below(rng, 9) + 1)
+        r, s = below(rng, (19, 9))
+        x = Fraction(r - 9, s + 1)
         if not nonzero or x != 0:
             return x

@@ -15,7 +15,7 @@ from cayleycert.classical import (MatrixAlg, cayley_conjugation_equivariance,
                                   pgl_certificate, pgl_scalar_invariance,
                                   symplectic_alg, unitary_alg)
 from cayleycert.errors import DegenerateError, PreconditionError, StructureError
-from cayleycert.field import QuadField
+from cayleycert.field import QuadField, below
 from cayleycert.poly import Poly, RatFunc
 from cayleycert.ratmap import MapPair
 from cayleycert.matrices import (_IntMat, conj_transpose, identity, mat_add, mat_eq,
@@ -346,6 +346,69 @@ FLIP_ALGEBRAS = {
     "hermitian-swap": lambda: MatrixAlg(n=3, involution="hermitian-form",
                                         form=swap_form(3, F.of(1, 2), F.of(1, -2), F.zero)),
 }
+
+
+# The grid algebras, and three with a common denominator L > 1 in the
+# gather, one of them with irrational factors (v != 0)
+SKEW_ALGEBRAS = {**GRID_ALGEBRAS, **{name: FLIP_ALGEBRAS[name] for name in (
+    "so-1-2-3", "u2gauss-2-half", "hermitian-swap")}}
+# P or Q cells of x that can move alone in the skew space: none for a
+# symmetric form, the imaginary diagonal for a diagonal Hermitian form, the
+# diagonals of the off-diagonal blocks for J; for the swap form only the
+# imaginary part of the one diagonal cell the swap fixes
+FREE_CELLS = {"so-1-2-3": 0, "hermitian-swap": 1}
+
+
+def entrywise_skew(alg, rng):
+    """The draw of :meth:`MatrixAlg._random_skew` entry by entry, in its
+    order (row by row, a before b, r before s), and (y - iota(y))/2 by
+    matrix operations on the integer form."""
+    def half():
+        r, s = below(rng, (7, 2))
+        return (r - 3) * (2 - s)
+    pairs = [[(half(), half()) if alg._d else (half(), 0) for _ in range(alg.n)]
+             for _ in range(alg.n)]
+    y = _IntMat([[a for a, _ in r] for r in pairs],
+                alg._d and [[b for _, b in r] for r in pairs], 2, alg._d)
+    return (y + -alg._involute_int(y)).over(2)
+
+
+@pytest.mark.parametrize("name", sorted(SKEW_ALGEBRAS))
+def test_the_one_pass_draw_matches_the_entrywise_reference(name):
+    alg = SKEW_ALGEBRAS[name]()
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        x = alg._random_skew(ours)
+        assert x == entrywise_skew(alg, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+
+def bumped(x, part, i, j):
+    """x with 1 added to cell (i, j) of its P or Q integer matrix."""
+    mats = {"p": [list(r) for r in x.p], "q": x.q and [list(r) for r in x.q]}
+    mats[part][i][j] += 1
+    return _IntMat(mats["p"], mats["q"], x.den, x.d)
+
+
+@pytest.mark.parametrize("name", sorted(SKEW_ALGEBRAS))
+def test_the_one_pass_skew_test_fails_off_the_skew_space(name):
+    # a cell that the gather reads from itself can be a free coordinate of
+    # the skew space (FREE_CELLS); every other bumped cell breaks skewness,
+    # and the one-pass test agrees with not (iota(x) + x) on every bumped
+    # matrix
+    alg = SKEW_ALGEBRAS[name]()
+    x = alg._random_skew(random.Random(23))
+    assert alg._is_skew(x)
+    free = 0
+    for part in ("p", "q") if x.q else ("p",):
+        for i, row in enumerate(alg._gather):
+            for j, (q, p, _, _) in enumerate(row):
+                y = bumped(x, part, i, j)
+                skew = alg._is_skew(y)
+                assert skew == (not alg._involute_int(y) + y)
+                assert not skew or (q, p) == (i, j)
+                free += skew
+    assert free == FREE_CELLS.get(name, 0 if "transpose" in name else alg.n)
 
 
 def negate_cell(alg, i, j):

@@ -14,12 +14,27 @@ F = QuadField(-3)
 ZETA = F.zeta()
 
 
+SIZES = (1, 2, 7, 9, 19, 64, 2 ** 70 + 3)
+
+
 @pytest.mark.skipif(not (3, 10) <= sys.version_info[:2] <= (3, 13),
                     reason="below reproduces randint on CPython 3.10 to 3.13")
-@pytest.mark.parametrize("n", [1, 2, 7, 9, 19, 64, 2 ** 70 + 3])
+@pytest.mark.parametrize("n", SIZES)
 def test_below_draws_the_stream_of_randint(n):
+    # one call over mixed bounds, n first, the seven sizes interleaved with
+    # the bounds of the skew draw (7, 2) and of random_rational (19, 9)
+    bounds = [b for size in SIZES for b in (n, size, 7, 2, 19, 9)] * 20
     ours, theirs = random.Random(n), random.Random(n)
-    assert [below(ours, n) for _ in range(300)] == [theirs.randint(0, n - 1) for _ in range(300)]
+    assert below(ours, bounds) == [theirs.randint(0, b - 1) for b in bounds]
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.skipif(not (3, 10) <= sys.version_info[:2] <= (3, 13),
+                    reason="below reproduces randint on CPython 3.10 to 3.13")
+def test_random_rational_draws_the_stream_of_randint():
+    ours, theirs = random.Random(5), random.Random(5)
+    assert ([random_rational(ours) for _ in range(200)]
+            == [Fraction(theirs.randint(-9, 9), theirs.randint(1, 9)) for _ in range(200)])
     assert ours.getstate() == theirs.getstate()
 
 

@@ -207,6 +207,34 @@ def test_checker_flags_an_interpreter_draw(tmp_path):
     assert interpreter_draws(tmp_path) == ["classical.py:2", "field.py:1"]
 
 
+# ``field.below`` alone reads ``getrandbits``, so it is the one owner of the
+# rule that turns bits into a bounded int.
+def bit_draws(src: Path) -> list:
+    """``file:line`` for each ``getrandbits`` attribute or imported name in
+    a module of ``src`` other than field.py."""
+    found = []
+    for p in sorted(src.glob("*.py")):
+        if p.name == "field.py":
+            continue
+        tree = ast.parse(p.read_text(), filename=str(p))
+        found += [f"{p.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "getrandbits"
+                  or isinstance(node, ast.alias) and node.name == "getrandbits"]
+    return found
+
+
+def test_only_field_reads_getrandbits():
+    assert bit_draws(SRC) == []
+
+
+def test_checker_flags_a_bit_draw(tmp_path):
+    (tmp_path / "field.py").write_text("def below(rng):\n    return rng.getrandbits(3)\n")
+    (tmp_path / "classical.py").write_text(
+        "def half(rng):\n    bits = rng.getrandbits\n    return bits(3)\n")
+    (tmp_path / "ratmap.py").write_text("from random import getrandbits\n")
+    assert bit_draws(tmp_path) == ["classical.py:2", "ratmap.py:1"]
+
+
 # ``Poly.terms`` is keyed by packed ints, and reading it builds every
 # coefficient of a Poly the kernel made; outside poly.py the one read of
 # exponents is ``Poly.items()``, and ``Poly.term_count()`` counts terms.

@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 
 from .errors import DegenerateError, PreconditionError, StructureError
-from .field import QuadField, _domain, below, conj
+from .field import QuadExt, QuadField, _domain, below, conj
 from .matrices import (_IntMat, conj_transpose, identity, mat_add, mat_eq, mat_mul,
                        mat_neg, mat_str, mat_sub, transpose)
 from .poly import ComposePlan, Poly, RatFunc, ratfunc_equal
@@ -271,16 +271,17 @@ def unitary_alg(n: int, d: int = -3, signs=None) -> MatrixAlg:
 def generic_matrices(n: int, names, root=None):
     """One n x n matrix per name, whose entries are independent ``Poly``
     variables over one variable tuple: entry (i, j) of matrix "a" is a_ij,
-    or a_ij + root * a_ij' for a root sqrt(d) of a quadratic field."""
+    or a_ij + root * a_ij' for the root sqrt(d) of a quadratic field (any
+    other root raises :class:`StructureError`).  The entries come from
+    :meth:`Poly.generic`, each built at once on the integer form."""
+    if root is not None and not (isinstance(root, QuadExt)
+                                 and root == QuadField(root.d).sqrt):
+        raise StructureError(f"root must be sqrt(d) of a quadratic field: {root!r}")
     parts = ("", "'") if root is not None else ("",)
     coords = tuple(f"{m}{i + 1}{j + 1}{s}"
                    for m in names for i in range(n) for j in range(n) for s in parts)
-    xs = iter([Poly.variable(coords, c) for c in coords])
-
-    def entry():
-        x = next(xs)
-        return x if root is None else x + root * next(xs)
-    return [tuple(tuple(entry() for _ in range(n)) for _ in range(n)) for _ in names]
+    xs = iter(Poly.generic(coords, None if root is None else root.d))
+    return [tuple(tuple(next(xs) for _ in range(n)) for _ in range(n)) for _ in names]
 
 
 def full_linear_certificate(n: int) -> Certificate:
@@ -405,9 +406,13 @@ def pgl_cayley(n: int) -> MapPair:
 
 
 def pgl_scalar_invariance(n: int) -> bool:
-    """The forward components of :func:`pgl_cayley` composed with
-    a -> lambda a equal themselves, symbolically."""
-    forward = pgl_cayley(n).forward
+    """:func:`_scalar_invariant` on the forward map of :func:`pgl_cayley`."""
+    return _scalar_invariant(pgl_cayley(n).forward)
+
+
+def _scalar_invariant(forward: EquivMap) -> bool:
+    """The components of ``forward`` composed with a -> lambda a equal
+    themselves, symbolically."""
     *a, lam = RatFunc.variables(forward.source.coords + ("lam",))
     scaled, plain = ComposePlan(lam * x for x in a), ComposePlan(a)
     return all(ratfunc_equal(scaled.compose(f), plain.compose(f))
@@ -415,10 +420,12 @@ def pgl_scalar_invariance(n: int) -> bool:
 
 
 def pgl_certificate(n: int, seed: int, trials: int = 100) -> Certificate:
+    """Scalar invariance of the forward map of :func:`pgl_cayley`, built
+    once, then the checks of :func:`check_inverse_pair` on that pair."""
     cert = Certificate(construction=f"pgl{n}", seed=seed)
-    cert.add("scalar-invariance", "pass" if pgl_scalar_invariance(n) else "fail",
-             "forward map composed with a -> lambda a")
     pair = pgl_cayley(n)
+    cert.add("scalar-invariance", "pass" if _scalar_invariant(pair.forward) else "fail",
+             "forward map composed with a -> lambda a")
     cert.extend(check_inverse_pair(pair.forward, pair.inverse, seed=seed,
                                    trials=trials))
     return cert

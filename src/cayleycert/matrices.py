@@ -7,7 +7,8 @@ in Computational Algebraic Number Theory*, 4.2, for a whole matrix).  A
 product is integer dot products, over Z[sqrt(d)] the pair
 (P P' + d Q Q', P Q' + Q P'); an inverse is fraction-free Gauss-Jordan
 elimination (Bareiss 1968, :func:`_bareiss`) and one content gcd; a sum
-and equality cross-multiply the denominators.  So a chain of steps builds
+and equality cross-multiply the denominators; a diagonal shift by k*1
+copies the rows of P, adds k*D on the diagonal and shares Q.  So a chain of steps builds
 no ``Fraction`` or ``QuadExt`` in between: ``classical`` runs its spot
 check on forms from draw to verdict, and ``mat_mul`` and ``mat_inverse``
 convert once.
@@ -255,10 +256,12 @@ class _IntMat:
         return not self + -other
 
     def shift(self, k):
-        """self + k*1, for an int k."""
-        kd = k * self.den
-        return _IntMat([[x + kd if i == j else x for j, x in enumerate(r)]
-                        for i, r in enumerate(self.p)], self.q, self.den, self.d)
+        """self + k*1, for an int k: P's rows copied with k*D added on the
+        diagonal, Q shared."""
+        kd, p = k * self.den, list(map(list, self.p))
+        for i, r in enumerate(p):
+            r[i] += kd
+        return _IntMat(p, self.q, self.den, self.d)
 
     def over(self, k):
         """self / k, for an int k > 0."""

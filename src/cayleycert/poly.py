@@ -15,8 +15,11 @@ coefficients (it refuses any type but int, Fraction and
 :class:`~cayleycert.field.QuadExt` with :class:`StructureError`) and builds
 the form at once, kind and d by the rule of ``field._domain`` over the
 nonzero coefficients; a dict whose irrational coefficients lie in two
-fields raises :class:`FieldMismatchError` there.  The kernel reads and
-makes integer forms only: products, sums, negation, conjugation, scalar
+fields raises :class:`FieldMismatchError` there.  :meth:`Poly.variable`
+and :meth:`Poly.generic` (the generic matrix entries x or
+x + sqrt(d)*x') build their forms at once from the variables' positions,
+with no dict and no Poly arithmetic.  The kernel reads and makes integer
+forms only: products, sums, negation, conjugation, scalar
 multiples, derivatives, compositions, evaluation plans, the equality tests,
 ``RatFunc`` normalisation and the symbolic matrix products of
 ``matrices``.  Each coefficient is built, of the form's kind, only when
@@ -464,6 +467,28 @@ class Poly:
         n = len(variables)
         key = 1 << WIDTH * n | 1 << WIDTH * (n - 1 - variables.index(name))
         return _wrap(variables, ([(key, 1, 0)], 1, Fraction, None))
+
+    @classmethod
+    def generic(cls, variables, d=None) -> list:
+        """Generic entries over ``variables``, each form built at once from
+        the variables' positions: with d None the variables in order, each
+        the ``Fraction``-kind form of :meth:`variable`; else x + sqrt(d)*x'
+        for each pair (x, x') of variables in order, of ``QuadExt`` kind in
+        Q(sqrt(d)), the form of ``x + QuadField(d).sqrt * x'``.  A name that
+        repeats raises StructureError, as does an odd count with d."""
+        variables = tuple(variables)
+        n = len(variables)
+        if len(set(variables)) != n:
+            name = next(v for v in variables if variables.count(v) > 1)
+            raise StructureError(f"variable {name!r} repeats in {variables}")
+        top = 1 << WIDTH * n
+        keys = [top | 1 << WIDTH * i for i in reversed(range(n))]
+        if d is None:
+            return [_wrap(variables, ([(k, 1, 0)], 1, Fraction, None)) for k in keys]
+        if n % 2:
+            raise StructureError(f"cannot pair an odd count of variables: {variables}")
+        return [_wrap(variables, ([(x, 1, 0), (y, 0, 1)], 1, QuadExt, d))
+                for x, y in zip(keys[::2], keys[1::2])]
 
     # -- ring operations ----------------------------------------------
 

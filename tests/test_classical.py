@@ -15,7 +15,7 @@ from cayleycert.classical import (MatrixAlg, cayley_conjugation_equivariance,
                                   pgl_certificate, pgl_scalar_invariance,
                                   symplectic_alg, unitary_alg)
 from cayleycert.errors import DegenerateError, PreconditionError, StructureError
-from cayleycert.field import QuadField, below
+from cayleycert.field import QuadExt, QuadField, below
 from cayleycert.poly import Poly, RatFunc
 from cayleycert.ratmap import MapPair
 from cayleycert.matrices import (_IntMat, conj_transpose, identity, mat_add, mat_eq,
@@ -892,18 +892,44 @@ def test_classical_report_is_pinned(name):
     assert mat_str(alg.random_group_point(random.Random(7))) == PINNED_GROUP_POINTS[name]
 
 
-@pytest.mark.parametrize("root", [None, QuadField(-3).sqrt, QuadField(-1).sqrt])
+@pytest.mark.parametrize("root", [None, QuadField(-3).sqrt, QuadField(-1).sqrt,
+                                  QuadField(2).sqrt])
 def test_generic_matrices_match_the_exponent_tuple_construction(root):
     # each coordinate built through the validating constructor, as the
-    # variables were before they were built from their packed keys
+    # variables were before they were built from their packed keys, and
+    # each entry x + root * x' by Poly arithmetic: equal values, equal
+    # text and the same integer form (terms, den, kind, d), which == and
+    # str do not see
     parts = ("", "'") if root is not None else ("",)
-    coords = tuple(f"{m}{i}{j}{s}" for m in "ab" for i in (1, 2, 3) for j in (1, 2, 3)
-                   for s in parts)
-    xs = iter([Poly(coords, {tuple(int(v == c) for v in coords): Fraction(1)})
-               for c in coords])
-    want = [tuple(tuple(next(xs) if root is None else next(xs) + root * next(xs)
-                        for _ in range(3)) for _ in range(3)) for _ in "ab"]
-    got = generic_matrices(3, "ab", root)
-    assert got == want
-    assert [str(x) for m in got for r in m for x in r] == \
-        [str(x) for m in want for r in m for x in r]
+    for n in (1, 2, 3, 4):
+        coords = tuple(f"{m}{i}{j}{s}" for m in "ab" for i in range(1, n + 1)
+                       for j in range(1, n + 1) for s in parts)
+        xs = iter([Poly(coords, {tuple(int(v == c) for v in coords): Fraction(1)})
+                   for c in coords])
+        want = [tuple(tuple(next(xs) if root is None else next(xs) + root * next(xs)
+                            for _ in range(n)) for _ in range(n)) for _ in "ab"]
+        got = generic_matrices(n, "ab", root)
+        assert got == want
+        got, want = ([x for m in ms for r in m for x in r] for ms in (got, want))
+        assert list(map(str, got)) == list(map(str, want))
+        assert [x._int for x in got] == [x._int for x in want]
+        assert {x._int[2:] for x in got} == ({(Fraction, None)} if root is None
+                                              else {(QuadExt, root.d)})
+
+
+@pytest.mark.parametrize("root", [QuadField(-3).of(0, 2), QuadField(-3).one, Fraction(1)])
+def test_generic_matrices_refuse_a_root_that_is_not_sqrt_d(root):
+    with pytest.raises(StructureError, match="root must be sqrt"):
+        generic_matrices(2, "a", root)
+
+
+def test_pgl_certificate_builds_its_pair_once_and_reads_its_forward_map(monkeypatch):
+    real = pgl_cayley(2)
+    plain = replace(real.forward, components=RatFunc.variables(real.forward.source.coords))
+    for pair, status in ((real, "pass"), (MapPair(plain, real.inverse), "fail")):
+        calls = []
+        monkeypatch.setattr(classical, "pgl_cayley", lambda n: calls.append(n) or pair)
+        cert = pgl_certificate(2, seed=13, trials=5)
+        assert calls == [2]
+        assert cert.verdicts[0].name == "scalar-invariance"
+        assert cert.verdicts[0].status == status

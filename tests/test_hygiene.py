@@ -4,8 +4,8 @@ package, a demo or the benchmark, only the modules that sample import
 ``random``, no module draws through a ``Random`` method whose stream
 may change between interpreters, only ``poly`` reads ``Poly.terms`` (packed keys, and
 coefficients that a read may build), only ``Poly.terms`` reads the dict
-cache behind it, and only the integer kernels read the triples that
-``field`` stores.
+cache behind it, only the integer kernels read the triples that
+``field`` stores, and only ``poly`` reads its packed-key helpers.
 
 Package ``__init__.py`` files are exempt, because their imports are the
 package's re-exports.
@@ -338,3 +338,39 @@ def test_checker_flags_a_triple_read(tmp_path):
     (tmp_path / "su3.py").write_text(
         "from . import field\n\ndef f(x):\n    return field._scalar_triple(x)\n")
     assert triple_reads(tmp_path) == ["classical.py:1 _make", "su3.py:4 _scalar_triple"]
+
+
+# How a monomial is packed into an int, and the wrapper that makes a Poly
+# of an integer form, are poly.py's own: other modules build Polys through
+# its constructors and read exponents through ``Poly.items()``.
+PACKED_KEY_HELPERS = {"_pack", "_wrap", "_exponents", "_ceiling", "WIDTH"}
+
+
+def packed_key_reads(src: Path) -> list:
+    """``file:line name`` for each import or attribute read of a packed-key
+    helper in a module of ``src`` other than poly.py."""
+    found = []
+    for p in sorted(src.glob("*.py")):
+        if p.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(p.read_text(), filename=str(p))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            found += [f"{p.name}:{node.lineno} {n}" for n in names
+                      if n in PACKED_KEY_HELPERS]
+    return sorted(found)
+
+
+def test_only_poly_reads_packed_keys():
+    found = packed_key_reads(SRC)
+    assert not found, "packed-key helpers read outside poly.py: " + ", ".join(found)
+
+
+def test_checker_flags_a_packed_key_read(tmp_path):
+    (tmp_path / "poly.py").write_text("WIDTH = 16\n\ndef _wrap(v, f):\n    return _pack(f)\n")
+    (tmp_path / "classical.py").write_text("from .poly import Poly, WIDTH, _wrap\n")
+    (tmp_path / "matrices.py").write_text(
+        "from . import poly\n\ndef f(n):\n    return poly._ceiling(n) + poly._exponents\n")
+    (tmp_path / "su3.py").write_text("from .poly import Poly\n\n_pack = Poly.items\n")
+    assert packed_key_reads(tmp_path) == ["classical.py:1 WIDTH", "classical.py:1 _wrap",
+                                          "matrices.py:4 _ceiling", "matrices.py:4 _exponents"]

@@ -159,6 +159,40 @@ def test_integer_form_matches_the_reference(case):
     assert inv.den > 0 and gcd(inv.den, *chain(*inv.p), *chain(*(inv.q or ()))) == 1
 
 
+SHIFT_OPERANDS = {
+    # 3x3 forms over a denominator D != 1, with zeros on and off the diagonal
+    None: ((Fraction(1, 2), Fraction(-2, 3), 0), (Fraction(5, 6), 0, 1),
+           (2, Fraction(1, 4), Fraction(-7, 12))),
+    -3: ((QuadExt(Fraction(1, 2), 1, -3), 0, QuadExt(0, Fraction(1, 3), -3)),
+         (Fraction(3, 5), QuadExt(2, Fraction(-1, 4), -3), 1),
+         (0, QuadExt(0, 1, -3), QuadExt(Fraction(-1, 6), 0, -3))),
+    2: ((QuadExt(0, Fraction(1, 2), 2), 1, 0),
+        (QuadExt(Fraction(2, 3), -1, 2), 0, Fraction(1, 7)),
+        (0, 0, QuadExt(1, Fraction(1, 5), 2))),
+}
+
+
+@pytest.mark.parametrize("k", [-2, -1, 1, 2])
+@pytest.mark.parametrize("d", list(SHIFT_OPERANDS))
+def test_shift_matches_an_entrywise_reference(d, k):
+    a = SHIFT_OPERANDS[d]
+    m = _IntMat.of(a, d)
+    p, q = [list(r) for r in m.p], m.q and [list(r) for r in m.q]
+    assert m.den != 1
+    s = m.shift(k)
+    # entry (i, j) is (P_ij + k D [i = j] + Q_ij sqrt(d))/D
+    assert (s.den, s.d, s.q) == (m.den, d, m.q)
+    assert s.p == [[x + k * m.den * (i == j) for j, x in enumerate(r)]
+                   for i, r in enumerate(p)]
+    assert s.scalars() == tuple(tuple(x + k if i == j else x for j, x in enumerate(r))
+                                for i, r in enumerate(a))
+    assert kinds(s.scalars()) == kinds(m.scalars())
+    # P's rows are new lists, and an edit of the result leaves the operand
+    assert not any(r is t for r in s.p for t in m.p)
+    s.p[0][0] += 1
+    assert m.p == p and (m.q and [list(r) for r in m.q]) == q
+
+
 @pytest.fixture(scope="module")
 def sympy_oracle():
     sympy = pytest.importorskip("sympy")

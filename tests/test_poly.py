@@ -324,6 +324,13 @@ def test_variable_refuses_a_repeated_name():
     assert Poly.variable(("x", "y", "x"), "y") == exponent_tuple_variable(("x", "y", "x"), "y")
 
 
+def test_generic_entries_refuse_a_repeated_name_and_an_odd_pairing():
+    with pytest.raises(StructureError, match=re.escape("variable 'x' repeats in ('x', 'y', 'x')")):
+        Poly.generic(("x", "y", "x"))
+    with pytest.raises(StructureError, match="odd count"):
+        Poly.generic(("x", "y", "z"), -3)
+
+
 def test_derivative_of_an_unknown_variable_names_it():
     p = Poly(("x", "y"), {(2, 1): 3, (0, 3): 1})
     assert str(p.derivative("y")) == "3*x^2 + 3*y^2"

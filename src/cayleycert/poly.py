@@ -66,7 +66,10 @@ accumulates nothing.  A result is sorted once, by its int keys.
 Composition and the exact equality tests stay on integers from input to
 verdict.  A :class:`ComposePlan`, the one composition, prepares a
 substitution once for all the functions composed with it
-(:func:`ratfunc_compose` is a plan of one).  It clears the substituted
+(:func:`ratfunc_compose` is a plan of one): it reads its kinds and its
+layout (the denominator groups below) once, and a function's index
+tuples and column tops are made once per layout and kept on the
+function.  It clears the substituted
 denominators by groups: entries whose denominators are equal share one
 group g with denominator D_g, and a term c*x^e of f picks up
 D_g^(M_g - sum_{i in g} e_i), M_g being the largest such sum over the
@@ -74,8 +77,9 @@ terms of f's numerator and denominator.  So (a/D, b/D, c/D) adds no
 common power of D to the result, which nothing here could cancel later,
 and with no two denominators equal each variable is its own group.  The
 integer power rows of the substituted numerators and of each group's
-denominator grow only when a function first needs a higher power, in the
-order a fresh plan builds them.  A term's index tuple k is its power in
+denominator grow only when a function first needs a higher power (no
+row is looked at while every top is within its row), in the order a
+fresh plan builds them.  A term's index tuple k is its power in
 each row of its chain (a group's row right after the numerator row of its
 last variable).  The plan makes the product of the rows k picks once,
 with coefficient 1, for every term with that k in the numerator or the
@@ -118,10 +122,12 @@ operand's (kind, d) while every ``QuadExt`` lies in one field, and from
 the values (one per kind, field and irrationality) where two fields meet.
 So a rational coefficient of a sum or product whose operands mix
 ``Fraction`` and ``QuadExt`` is a rational ``QuadExt``, with the same
-value, hash, ``==`` and ``scalar_str`` as the ``Fraction``; f * c, c * f
-and c / f, f a ``RatFunc`` and c a scalar, form the products of the
-``RatFunc.const(c)`` route without building it.  A composition's kind
-also counts the substitution and the ``Fraction(1)`` that seeds the
+value, hash, ``==`` and ``scalar_str`` as the ``Fraction``.  For f a
+``RatFunc`` and c a scalar, f * c and c * f are f's numerator times c
+over f's denominator, and c / f is f's denominator times c over f's
+numerator, each int kind made ``Fraction``: the forms, kinds and term
+budget checks of the ``RatFunc.const(c)`` route, with no constant Poly.
+A composition's kind also counts the substitution and the ``Fraction(1)`` that seeds the
 power rows, so a nonzero result is never ``int`` (a zero result is 0/1).
 A matrix product with a ``Poly`` entry (``matrices.mat_mul``) is
 :func:`_mat_product`: each output entry sums its products as integers
@@ -166,7 +172,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import getitem, itemgetter, mul
+from operator import ge, getitem, itemgetter, mul
 from struct import unpack
 
 from .errors import (DegenerateError, ExponentOverflowError, FieldMismatchError,
@@ -277,14 +283,16 @@ def _quad_marks(forms) -> tuple:
                  for d, irrational in found)
 
 
-def _kind(polys, scalars=()) -> tuple:
+def _kind(polys, scalars=(), scalar_kinds=None) -> tuple:
     """(kind, d) of a kernel result over the coefficients of ``polys`` and
     the ``scalars``: the rule of ``field._domain``, read from each Poly's
     (kind, d) while every QuadExt lies in one field, and from the QuadExt
     marks of the Polys where two fields meet: ``_domain`` then gives a
-    QuadExt kind or raises, so no other coefficient counts."""
+    QuadExt kind or raises, so no other coefficient counts.  A caller that
+    passes the same scalars many times gives their (kind, d) pairs, read
+    once, as ``scalar_kinds``."""
     kinds = {p._int[2:] for p in polys}
-    kinds.update(map(_scalar_kind, scalars))
+    kinds.update(map(_scalar_kind, scalars) if scalar_kinds is None else scalar_kinds)
     ds = {d for k, d in kinds if k is QuadExt}
     if len(ds) > 1:
         return _domain(_quad_marks(p._int for p in polys), scalars)
@@ -383,6 +391,31 @@ def _times(a, b) -> "Poly":
     kind, d = (x[2], x[3]) if x[2] is y[2] and x[3] == y[3] else _kind((a, b))
     t, den = _mul(x, y, d, _ceiling(len(a.vars)))
     return _poly(a.vars, _sorted(t), den, kind, d)
+
+
+def _scale(a, c, charge=None) -> "Poly":
+    """a * c for a Poly a and a scalar c (a bool counts as an int): the form
+    and kind that :func:`_times` gives a and ``Poly.const(a.vars, c)``, with
+    no constant Poly made.  A c of 1 keeps a's terms and den, an int kind
+    made ``Fraction`` by a ``Fraction`` 1.  With ``charge`` "right" (the
+    constant the second factor) or "left" (the first), the term budget is
+    checked as :func:`_mul` checks that product, with its messages."""
+    x = a._int
+    t, den, own = x[0], x[1], x[2:]
+    kind, d = own if own == _scalar_kind(c) else _kind((a,), (c,))
+    if charge is not None:
+        n, budget = len(t) if c else 0, _term_budget.get()
+        if n > 16 * budget:
+            pair = f"1 x {n}" if charge == "left" else f"{n} x 1"
+            raise TermBudgetError(f"product of {pair} terms exceeds budget {budget}")
+        if n > budget:
+            raise TermBudgetError(f"{n} terms exceed budget {budget}")
+    if not c:
+        return _wrap(a.vars, _ZERO)
+    p, q, n = _scalar_triple(c)
+    if (p, q, n) == (1, 0, 1):
+        return a if own == (kind, d) else _wrap(a.vars, (t, den, kind, d))
+    return _poly(a.vars, _shift(t, (0, p, q), d), den * n, kind, d)
 
 
 class Poly:
@@ -536,11 +569,7 @@ class Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, _SCALAR_TYPES):
                 return NotImplemented
-            other = int(other) if type(other) is bool else other
-            t, den = self._int[:2]
-            kind, d = _kind((self,), (other,))
-            p, q, n = _scalar_triple(other)
-            return _poly(self.vars, _shift(t, (0, p, q), d) if other else (), den * n, kind, d)
+            return _scale(self, other)
         _check_vars(self.vars, other.vars)
         return _times(self, other)
 
@@ -754,7 +783,7 @@ class RatFunc:
     results stay deterministic.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_layouts")
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
@@ -793,9 +822,24 @@ class RatFunc:
                 den = _poly(den.vars, b, nb, kb, db)
         _set(self, "num", num)
         _set(self, "den", den)
+        _set(self, "_layouts", None)
 
     def __setattr__(self, *args):
         raise AttributeError("RatFunc values are immutable")
+
+    def _index(self, layout, order) -> tuple:
+        """(index tuples, column tops) of this function in a composition
+        over the denominator groups ``layout``, whose chain ``order`` they
+        fix (see :class:`ComposePlan`): made from the integer forms for the
+        first plan of that layout, and kept for every later one."""
+        layouts = self._layouts
+        if layouts is None:
+            layouts = {}
+            _set(self, "_layouts", layouts)
+        got = layouts.get(layout)
+        if got is None:
+            got = layouts[layout] = _index_tuples(self.num._int, self.den._int, layout, order)
+        return got
 
     # -- constructors --------------------------------------------------
 
@@ -852,14 +896,15 @@ class RatFunc:
 
     def __mul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
-            vs = self.vars
-            num = _times(self.num, Poly.const(vs, other))
-            den = _times(self.den, Poly.const(vs, Fraction(1)))
+            # the products of the RatFunc.const(other) route, by one term each
+            num = _scale(self.num, other, "right")
+            den = _scale(self.den, Fraction(1), "right")
             if not other:
                 return RatFunc(num, den)
             out = _new(RatFunc)     # nothing to strip, and den stays monic
             _set(out, "num", num)
             _set(out, "den", den)
+            _set(out, "_layouts", None)
             return out
         o = self._coerce(other)
         if o is None:
@@ -880,9 +925,8 @@ class RatFunc:
         if isinstance(other, _SCALAR_TYPES):
             if self.num.is_zero():
                 raise DegenerateError("division by the zero rational function")
-            vs = self.vars
-            return RatFunc(_times(Poly.const(vs, other), self.den),
-                           _times(Poly.const(vs, Fraction(1)), self.num))
+            return RatFunc(_scale(self.den, other, "left"),
+                           _scale(self.num, Fraction(1), "left"))
         o = self._coerce(other)
         return NotImplemented if o is None else o / self
 
@@ -1121,19 +1165,42 @@ def _cross(a: RatFunc, b: RatFunc, c: RatFunc, d: RatFunc) -> tuple:
     return (False, terms + len(den[0])) if terms else (True, 1)
 
 
+def _index_tuples(fn, fd, layout, order) -> tuple:
+    """The index tuples of the terms of the numerator form ``fn``, then of
+    the denominator form ``fd``, in a composition over the denominator
+    groups ``layout`` with chain ``order``, and the tops of the columns."""
+    # one column per variable, its exponent in each term, and one per group
+    # (column n + g), the sum of its members' columns; tops holds each
+    # column's largest
+    n = sum(map(len, layout))
+    cols = list(zip(*_exponents(n, [e for e, _, _ in fn[0] + fd[0]])))
+    cols += [[sum(t) for t in zip(*(cols[i] for i in m))] for m in layout]
+    tops = tuple(max(col) for col in cols)
+    # a term's index into each row of a chain: e_i for a numerator, and
+    # M_g - sum_{i in g} e_i for a group's denominator
+    return tuple(zip(*(cols[j] if j < n else [tops[j] - e for e in cols[j]]
+                       for j in order))), tops
+
+
 class ComposePlan:
     """A substitution of RatFuncs over one variable tuple, planned once for
     every RatFunc composed with it (see the module docstring): ``compose(f)``
     substitutes subst[i] for the i-th variable of f.
 
-    ``pows`` keeps the power rows, and ``chains`` each index tuple's product
-    of rows (coefficient 1) with the product of the row denominators, made
-    for the first term that needs it and read by every later one.  At most
-    the term budget in terms is kept (``held`` counts them).  Both are made
-    under one ``budget``, and made again under another."""
+    The plan reads once the (kind, d) pairs of its ``marks`` and its
+    ``layout``, the denominator groups (which fix the variable count and
+    the chain ``order``).  A function's index tuples and column tops are
+    made once per layout and kept on the function (``RatFunc._index``), so
+    every plan of that layout reads them.  ``pows`` keeps the power rows,
+    grown only when a top reaches past its row, and ``chains`` each index
+    tuple's product of rows (coefficient 1) with the product of the row
+    denominators, made for the first term that needs it and read by every
+    later one.  At most the term budget in terms is kept (``held`` counts
+    them).  Both are made under one ``budget``, and made again under
+    another."""
 
-    __slots__ = ("subst", "marks", "ceiling", "members", "blocks", "order", "bases", "pows",
-                 "chains", "budget", "held")
+    __slots__ = ("subst", "marks", "kinds", "ceiling", "layout", "blocks", "order", "bases",
+                 "pows", "rows", "chains", "budget", "held")
 
     def __init__(self, subst):
         subst = tuple(subst)
@@ -1145,16 +1212,18 @@ class ComposePlan:
                 raise StructureError("substitution entries over mixed variables")
         self.subst = subst
         self.marks = (*_quad_marks(p._int for s in subst for p in (s.num, s.den)), Fraction(1))
+        self.kinds = frozenset(map(_scalar_kind, self.marks))
         self.ceiling = _ceiling(len(out_vars))
         # members[g] lists the entries that share the denominator dens[g]
-        n, dens, self.members = len(subst), [], []
+        n, dens, members = len(subst), [], []
         for i, s in enumerate(subst):
             if s.den not in dens:
                 dens.append(s.den)
-                self.members.append([])
-            self.members[dens.index(s.den)].append(i)
+                members.append([])
+            members[dens.index(s.den)].append(i)
+        self.layout = tuple(map(tuple, members))
         # a group's row follows its last member's numerator row in a chain
-        ends = {m[-1]: n + g for g, m in enumerate(self.members)}
+        ends = {m[-1]: n + g for g, m in enumerate(members)}
         self.blocks = [(i, ends[i]) if i in ends else (i,) for i in range(n)]
         self.order = [j for block in self.blocks for j in block]
         # the powers of each entry's numerator and each group's denominator
@@ -1165,31 +1234,24 @@ class ComposePlan:
         n = len(self.subst)
         if n != len(f.vars):
             raise StructureError(f"substitution arity {n} != {len(f.vars)}")
-        kind, d = _kind((f.num, f.den), self.marks)
+        kind, d = _kind((f.num, f.den), self.marks, self.kinds)
         budget = _term_budget.get()
         if budget != self.budget:
             # rows and products made under another budget are made again
             self.pows = [[(((0, 1, 0),), 1)] for _ in self.bases]
+            self.rows = [self.pows[j] for j in self.order]
             self.chains, self.budget, self.held = {}, budget, 0
         ceiling, pows, chains, out_vars = self.ceiling, self.pows, self.chains, self.subst[0].vars
-        # one column per variable, its exponent in each term of f's numerator
-        # and denominator, and one per group (column n + g), the sum of its
-        # members' columns; tops holds each column's largest
-        fn, fd = f.num._int, f.den._int
-        cols = list(zip(*_exponents(n, [e for e, _, _ in fn[0] + fd[0]])))
-        cols += [[sum(t) for t in zip(*(cols[i] for i in m))] for m in self.members]
-        tops = [max(col) for col in cols]
+        index, tops = f._index(self.layout, self.order)
         # rows missing a power f needs grow block by block, in step
-        for block in self.blocks:
-            for k in range(min(len(pows[j]) for j in block) - 1, max(tops[j] for j in block)):
-                for j in block:
-                    if len(pows[j]) == k + 1 and k < tops[j]:
-                        pows[j].append(_mul(pows[j][-1], self.bases[j], d, ceiling))
-        # the power rows of a chain in order, and each term's index into each:
-        # e_i for a numerator, M_g - sum_{i in g} e_i for a group's denominator
-        chain_rows = [pows[j] for j in self.order]
-        index = list(zip(*(cols[j] if j < n else [tops[j] - e for e in cols[j]]
-                           for j in self.order)))
+        if any(map(ge, tops, map(len, pows))):
+            for block in self.blocks:
+                for k in range(min(len(pows[j]) for j in block) - 1,
+                               max(tops[j] for j in block)):
+                    for j in block:
+                        if len(pows[j]) == k + 1 and k < tops[j]:
+                            pows[j].append(_mul(pows[j][-1], self.bases[j], d, ceiling))
+        chain_rows = self.rows
 
         def times(val, mono):
             # val times a monomial (key, p, q), where val None stands for 1
@@ -1248,6 +1310,7 @@ class ComposePlan:
             return _poly(out_vars, _sorted([(e, p, q) for e, (p, q) in acc.items() if p or q]),
                          form[1] * big, kind, d)
 
+        fn, fd = f.num._int, f.den._int
         den = cleared(fd, index[len(fn[0]):])
         if den.is_zero():
             raise DegenerateError("composition produced an identically zero denominator")

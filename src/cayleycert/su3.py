@@ -279,17 +279,21 @@ def link_certificate(pair: MapPair, seed: int, trials: int) -> Certificate:
 
 
 def chain_certificate(seed: int = 42, trials: int = 100) -> Certificate:
-    """Per-link and end-to-end certificates for the whole chain."""
+    """Per-link and end-to-end certificates for the whole chain.  The group
+    relations are decided on the tables the links carry: the first link's
+    source, then each link's target, with their actions."""
     cert = Certificate(construction="su3.chain", seed=seed)
     links = build_su3_chain()
     for pair in links:
         sub = link_certificate(pair, seed=seed, trials=max(10, trials // 5))
         cert.extend(sub, prefix=f"{pair.forward.name}.")
-    varieties = [(quotient_variety, "quotient"), (torus_variety, "torus"),
-                 (pp_variety, "pp"), (quadric_variety, "quadric"),
-                 (diagonal_plane_variety, "plane"), (lie_variety, "lie")]
-    for build, tag in varieties:
-        cert.extend(check_group_relations(*build(), seed=seed),
+    # the tables the links carry: the first source, then each link's target
+    first = links[0].forward
+    tables = [(first.source, first.source_action)] + [
+        (pair.forward.target, pair.forward.target_action) for pair in links]
+    for (spec, group), tag in zip(tables, ("quotient", "torus", "pp", "quadric", "plane",
+                                           "lie")):
+        cert.extend(check_group_relations(spec, group, seed=seed),
                     prefix=f"group[{tag}].")
     e2e = end_to_end(links)
     stages = [links[0].reversed()] + links[1:]

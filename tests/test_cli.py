@@ -376,3 +376,26 @@ def test_json_render_parse_fixpoint():
     once = json.loads(render_json(report))
     twice = json.loads(render_json(once))
     assert once == twice
+
+
+# Each budget trips at one product of su3.chain; a composition that grew a
+# row for the wrong function, or skipped a growth product, would move it.
+@pytest.mark.parametrize("budget, detail", [
+    ("20", "30 terms exceed budget 20"),
+    ("50", "66 terms exceed budget 50"),
+    ("100", "105 terms exceed budget 100"),
+    ("200", "product of 105 x 46 terms exceeds budget 200"),
+    ("400", None),
+])
+def test_term_budget_trips_stay_where_they_are(capsys, budget, detail):
+    code, out, err = run_cli(capsys, "verify", "--only", "su3.chain,su3.phi,pgl.3",
+                             "--term-budget", budget)
+    if detail is None:
+        assert code == 0 and err == ""
+        return
+    assert code == 3
+    assert err == f"term budget exceeded in su3.chain: {detail}\n"
+    report = json.loads(out)
+    assert [r["id"] for r in report["results"]] == ["su3.chain"]
+    assert report["results"][0]["verdicts"] == [
+        {"name": "term-budget", "status": "fail", "detail": detail}]

@@ -307,6 +307,44 @@ def test_checker_flags_a_cache_read(tmp_path):
     assert sorted(cache_reads(path)) == [6, 9, 12, 12]
 
 
+# A RatFunc keeps its index tuples per composition layout in one write-once
+# slot, ``_layouts``, derived from its integer forms; ``RatFunc._index`` is
+# its one reader, so nothing else sees the slot as a second view.
+def layout_cache_reads(src: Path) -> list:
+    """``file:line`` for each read of a ``._layouts`` attribute in ``src``
+    outside the ``_index`` method of class ``RatFunc`` in poly.py."""
+    found = []
+    for p in sorted(src.glob("*.py")):
+        tree = ast.parse(p.read_text(), filename=str(p))
+        allowed = {id(node) for cls in tree.body if p.name == "poly.py"
+                   and isinstance(cls, ast.ClassDef) and cls.name == "RatFunc"
+                   for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "_index"
+                   for node in ast.walk(f)}
+        found += [f"{p.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_layouts"
+                  and id(node) not in allowed]
+    return sorted(found)
+
+
+def test_only_ratfunc_index_reads_the_layout_cache():
+    found = layout_cache_reads(SRC)
+    assert not found, "reads of ._layouts outside RatFunc._index: " + ", ".join(found)
+
+
+def test_checker_flags_a_layout_cache_read(tmp_path):
+    (tmp_path / "poly.py").write_text(
+        "class RatFunc:\n"
+        "    def _index(self, layout):\n"
+        "        return self._layouts\n"
+        "    def compose(self):\n"
+        "        return self._layouts\n"
+        "class ComposePlan:\n"
+        "    def _index(self, f):\n"
+        "        return f._layouts\n")
+    (tmp_path / "ratmap.py").write_text("def f(m):\n    return m.components[0]._layouts\n")
+    assert layout_cache_reads(tmp_path) == ["poly.py:5", "poly.py:8", "ratmap.py:2"]
+
+
 # How a QuadExt is stored, the triple (p, q, n), is known to ``field`` and
 # read by the integer kernels of ``matrices`` and ``poly`` alone.
 TRIPLE_HELPERS = {"_scalar_triple", "_make", "_quotient"}

@@ -1,3 +1,4 @@
+import contextlib
 import operator
 import random
 import re
@@ -10,8 +11,8 @@ from cayleycert.errors import (DegenerateError, ExponentOverflowError, FieldMism
                                StructureError, TermBudgetError)
 from cayleycert.field import QuadExt, QuadField
 from cayleycert import poly as poly_module, su3
-from cayleycert.poly import (ComposePlan, EvalPlan, Poly, RatFunc, Relation, _cross, _wrap,
-                             chart_restrict, ratfunc_compose, ratfunc_equal, term_budget)
+from cayleycert.poly import (ComposePlan, EvalPlan, Poly, RatFunc, Relation, _cross, _times,
+                             _wrap, chart_restrict, ratfunc_compose, ratfunc_equal, term_budget)
 from cayleycert.ratmap import Block, EquivMap, VarietySpec, map_of_point
 
 F = QuadField(-3)
@@ -1258,6 +1259,149 @@ def test_a_plan_checks_its_substitution_once_and_each_arity():
     assert plan.compose(RatFunc.variable(ST, "t") / 2) == RatFunc.variable(ST, "t") / 2
     with pytest.raises(StructureError, match="substitution arity 2 != 3"):
         plan.compose(X)
+
+
+# -- the compose caches: per plan, and per function and layout ---------------
+
+def fresh(f):
+    """f as a new RatFunc over the same Polys, with nothing kept on it."""
+    return RatFunc(f.num, f.den)
+
+
+def forms(f):
+    return f.num._int, f.den._int
+
+
+def composed(plan, f):
+    try:
+        return forms(plan.compose(f))
+    except DegenerateError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(FIELDS).flatmap(lambda d: st.tuples(
+    ratfuncs(d, XYZ, 3, 2), substitutions(d), substitutions(d))))
+# two layouts: groups {x, y}, {z} and each variable its own
+@example((xyz_rf({(2, 1, 0): 1, (0, 0, 1): 2}, {(1, 0, 1): 1, (0, 0, 0): 1}),
+          (st_rf({(1, 0): 1}, D_ST), st_rf({(0, 1): 2}, D_ST), st_rf({(1, 1): 1}, E_ST)),
+          (st_rf({(0, 1): 1}, E_ST), st_rf({(1, 0): 1}, D_ST), S_PLUS_1)))
+# one layout, {x, z} and {y}, under two substitutions
+@example((xyz_rf({(2, 1, 0): 1, (0, 0, 1): 2}, {(1, 0, 1): 1, (0, 1, 0): 1}),
+          (st_rf({(1, 0): 1}, D_ST), st_rf({(0, 1): 2}, E_ST), st_rf({(1, 1): 1}, D_ST)),
+          (st_rf({(0, 1): 3}, E_ST), st_rf({(1, 0): 1, (0, 0): 1}, D_ST),
+           st_rf({(0, 0): 2}, E_ST))))
+def test_a_function_composes_alike_under_plans_of_two_substitutions(case):
+    f, s1, s2 = case
+    want = [composed(ComposePlan(s), fresh(f)) for s in (s1, s2)]
+    for first, second in ((0, 1), (1, 0)):
+        g = fresh(f)
+        got = [None, None]
+        for i in (first, second):
+            got[i] = composed(ComposePlan((s1, s2)[i]), g)
+        assert got == want
+
+
+def reference_index(f, plan):
+    """The index tuples and column tops of f under plan, from exponent tuples."""
+    n, layout = len(f.vars), plan.layout
+    exps = [e for p in (f.num, f.den) for e, _ in p.items()]
+    tops = [max(e[i] for e in exps) for i in range(n)]
+    tops += [max(sum(e[i] for i in m) for e in exps) for m in layout]
+    index = tuple(tuple(e[j] if j < n else tops[j] - sum(e[i] for i in layout[j - n])
+                        for j in plan.order) for e in exps)
+    return index, tuple(tops)
+
+
+def test_a_function_keeps_its_index_tuples_per_layout():
+    f = PLAIN_FUNCS[2]
+    shared = (st_rf({(1, 0): 1}, D_ST), st_rf({(0, 1): 2}, E_ST), st_rf({(1, 1): 1}, D_ST))
+    other = (st_rf({(0, 1): 3}, E_ST), S_PLUS_1, st_rf({(0, 0): 2}, E_ST))
+    apart = (st_rf({(1, 0): 1}, D_ST), st_rf({(0, 1): 1}, E_ST), S_PLUS_1)
+    plans = [ComposePlan(s) for s in (PLAIN, apart, shared, other)]
+    assert len({p.layout for p in plans}) == 3 and plans[2].layout == plans[3].layout
+    for plan in plans:
+        plan.compose(f)
+        got = f._index(plan.layout, plan.order)
+        assert got == reference_index(f, plan)
+        assert f._index(plan.layout, plan.order) is got
+    # the two plans of one layout read one kept entry
+    assert f._index(plans[2].layout, plans[2].order) is f._index(plans[3].layout,
+                                                                  plans[3].order)
+
+
+def test_a_plan_whose_rows_reach_the_tops_grows_no_row(monkeypatch):
+    calls = []
+    mul = poly_module._mul
+    monkeypatch.setattr(poly_module, "_mul", lambda *a: calls.append(a) or mul(*a))
+    plan = ComposePlan(PLAIN)
+
+    def growth():
+        return [a for a in calls if any(a[1] is b for b in plan.bases)]
+    f = PLAIN_FUNCS[2]
+    plan.compose(f)
+    assert growth()
+    lengths = [len(r) for r in plan.pows]
+    calls.clear()
+    # lower tops than f's, and index tuples f did not have
+    g = xyz_rf({(2, 0, 0): 1, (0, 0, 1): 1}, {(0, 1, 0): 1, (1, 0, 0): 2})
+    got = plan.compose(g)
+    assert calls and not growth()
+    assert [len(r) for r in plan.pows] == lengths
+    assert forms(got) == forms(ratfunc_compose(fresh(g), PLAIN))
+
+
+def test_ratfunc_and_poly_refuse_every_attribute_write():
+    f = PLAIN_FUNCS[0]
+    ComposePlan(PLAIN).compose(f)
+    assert f._index(ComposePlan(PLAIN).layout, ComposePlan(PLAIN).order)
+    for value, names in ((f, ("num", "den", "_layouts", "vars", "other")),
+                         (f.num, ("vars", "_terms", "_int", "other"))):
+        for name in names:
+            with pytest.raises(AttributeError, match="values are immutable"):
+                setattr(value, name, None)
+
+
+# -- the scalar steps of RatFunc against the constant Polys they skip --------
+
+def constant_route(f, c, op):
+    """f * c or c / f as the products by ``Poly.const`` that they replace."""
+    vs = f.vars
+    if op == "/":
+        return forms(RatFunc(_times(Poly.const(vs, c), f.den),
+                             _times(Poly.const(vs, Fraction(1)), f.num)))
+    num = _times(f.num, Poly.const(vs, c))
+    den = _times(f.den, Poly.const(vs, Fraction(1)))
+    return forms(RatFunc(num, den)) if not c else (num._int, den._int)
+
+
+def outcome_of(fn):
+    try:
+        return fn()
+    except (TermBudgetError, FieldMismatchError, DegenerateError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+WIDE = RatFunc(Poly(XYZ, {(i, 0, 0): 1 for i in range(20)}), Poly(XYZ, {(0, 1, 0): 1}))
+
+
+@pytest.mark.parametrize("c", [3, Fraction(-2, 3), QUAD + 1, QuadExt(Fraction(1, 2), 0, -3),
+                               QuadExt(1, 1, 5), 0, True],
+                         ids=["int", "Fraction", "QuadExt", "rational-QuadExt",
+                              "QuadExt-5", "zero", "True"])
+@pytest.mark.parametrize("f", [
+    RatFunc(Poly(XYZ, {(1, 0, 0): 2, (0, 0, 0): 1}), Poly(XYZ, {(0, 1, 0): 1, (0, 0, 0): 3})),
+    (X * X / 3 + Y) / (Y * 2 + 3),
+    X * QUAD / (Y + QUAD),
+    RatFunc(Poly(XYZ, {(1, 0, 1): QuadExt(2, 0, 5)}), Poly(XYZ, {(0, 2, 0): 1, (0, 0, 0): 4})),
+    WIDE,
+], ids=["Q-int", "Q", "Q(sqrt-3)", "rational-QuadExt-5", "wide"])
+def test_scalar_steps_form_the_constant_route(f, c):
+    for budget in (1, 2, 3, 25, None):
+        with term_budget(budget) if budget else contextlib.nullcontext():
+            for op, got in (("*", lambda: forms(f * c)), ("*", lambda: forms(c * f)),
+                            ("/", lambda: forms(c / f))):
+                assert outcome_of(got) == outcome_of(lambda: constant_route(f, c, op)), budget
 
 
 @pytest.fixture(scope="module")

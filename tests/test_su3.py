@@ -158,3 +158,21 @@ def test_chain_compositions_clear_a_shared_denominator_once(monkeypatch):
     monkeypatch.setattr(ComposePlan, "compose", counting)
     assert chain_certificate(seed=23, trials=20).ok
     assert (len(terms), sum(terms)) == (298, 2580)
+
+
+def test_chain_certificate_checks_the_group_tables_its_links_carry(monkeypatch):
+    links = su3.build_su3_chain()
+    calls = []
+    check = su3.check_group_relations
+    monkeypatch.setattr(su3, "build_su3_chain", lambda: links)
+    monkeypatch.setattr(su3, "check_group_relations",
+                        lambda spec, group, **k: calls.append((spec, group)) or
+                        check(spec, group, **k))
+    assert su3.chain_certificate(seed=23, trials=10).ok
+    maps = [m for pair in links for m in (pair.forward, pair.inverse)]
+    tables = [(m.source, m.source_action) for m in maps] + \
+        [(m.target, m.target_action) for m in maps]
+    assert len(calls) == 6
+    assert all(any(spec is s and group is g for s, g in tables) for spec, group in calls)
+    assert [spec.name for spec, _ in calls] == [
+        "Gm3-mod-Gm", "T-twisted", "P(t)xP(t)", "Q", "V11-22", "t-twisted"]

@@ -66,14 +66,13 @@ accumulates nothing.  A result is sorted once, by its int keys.
 Composition and the exact equality tests stay on integers from input to
 verdict.  A :class:`ComposePlan`, the one composition, prepares a
 substitution once for all the functions composed with it
-(:func:`ratfunc_compose` is a plan of one): it reads its kinds and its
-layout (the denominator groups below) once, and a function's index
-tuples and column tops are made once per layout and kept on the
-function.  It clears the substituted
-denominators by groups: entries whose denominators are equal share one
-group g with denominator D_g, and a term c*x^e of f picks up
-D_g^(M_g - sum_{i in g} e_i), M_g being the largest such sum over the
-terms of f's numerator and denominator.  So (a/D, b/D, c/D) adds no
+(:func:`ratfunc_compose` is a plan of one): it reads its layout (the
+denominator groups below) once, and a function's index tuples and
+column tops are made once per layout and kept on the function.  It
+clears the substituted denominators by groups: entries whose
+denominators are equal share one group g with denominator D_g, and a
+term c*x^e of f picks up D_g^(M_g - sum_{i in g} e_i), M_g being the
+largest such sum over the terms of f's numerator and denominator.  So (a/D, b/D, c/D) adds no
 common power of D to the result, which nothing here could cancel later,
 and with no two denominators equal each variable is its own group.  The
 integer power rows of the substituted numerators and of each group's
@@ -283,16 +282,14 @@ def _quad_marks(forms) -> tuple:
                  for d, irrational in found)
 
 
-def _kind(polys, scalars=(), scalar_kinds=None) -> tuple:
+def _kind(polys, scalars=()) -> tuple:
     """(kind, d) of a kernel result over the coefficients of ``polys`` and
     the ``scalars``: the rule of ``field._domain``, read from each Poly's
     (kind, d) while every QuadExt lies in one field, and from the QuadExt
     marks of the Polys where two fields meet: ``_domain`` then gives a
-    QuadExt kind or raises, so no other coefficient counts.  A caller that
-    passes the same scalars many times gives their (kind, d) pairs, read
-    once, as ``scalar_kinds``."""
+    QuadExt kind or raises, so no other coefficient counts."""
     kinds = {p._int[2:] for p in polys}
-    kinds.update(map(_scalar_kind, scalars) if scalar_kinds is None else scalar_kinds)
+    kinds.update(map(_scalar_kind, scalars))
     ds = {d for k, d in kinds if k is QuadExt}
     if len(ds) > 1:
         return _domain(_quad_marks(p._int for p in polys), scalars)
@@ -396,8 +393,9 @@ def _times(a, b) -> "Poly":
 def _scale(a, c, charge=None) -> "Poly":
     """a * c for a Poly a and a scalar c (a bool counts as an int): the form
     and kind that :func:`_times` gives a and ``Poly.const(a.vars, c)``, with
-    no constant Poly made.  A c of 1 keeps a's terms and den, an int kind
-    made ``Fraction`` by a ``Fraction`` 1.  With ``charge`` "right" (the
+    no constant Poly made.  A zero a or c gives the one zero form; a c of
+    1 keeps a's terms and den, an int kind made ``Fraction`` by a
+    ``Fraction`` 1.  With ``charge`` "right" (the
     constant the second factor) or "left" (the first), the term budget is
     checked as :func:`_mul` checks that product, with its messages."""
     x = a._int
@@ -410,7 +408,7 @@ def _scale(a, c, charge=None) -> "Poly":
             raise TermBudgetError(f"product of {pair} terms exceeds budget {budget}")
         if n > budget:
             raise TermBudgetError(f"{n} terms exceed budget {budget}")
-    if not c:
+    if not (c and t):
         return _wrap(a.vars, _ZERO)
     p, q, n = _scalar_triple(c)
     if (p, q, n) == (1, 0, 1):
@@ -827,18 +825,18 @@ class RatFunc:
     def __setattr__(self, *args):
         raise AttributeError("RatFunc values are immutable")
 
-    def _index(self, layout, order) -> tuple:
+    def _index(self, layout) -> tuple:
         """(index tuples, column tops) of this function in a composition
-        over the denominator groups ``layout``, whose chain ``order`` they
-        fix (see :class:`ComposePlan`): made from the integer forms for the
-        first plan of that layout, and kept for every later one."""
+        over the denominator groups ``layout`` (see :class:`ComposePlan`):
+        made from the integer forms for the first plan of that layout, and
+        kept for every later one."""
         layouts = self._layouts
         if layouts is None:
             layouts = {}
             _set(self, "_layouts", layouts)
         got = layouts.get(layout)
         if got is None:
-            got = layouts[layout] = _index_tuples(self.num._int, self.den._int, layout, order)
+            got = layouts[layout] = _index_tuples(self.num._int, self.den._int, layout)
         return got
 
     # -- constructors --------------------------------------------------
@@ -1165,10 +1163,19 @@ def _cross(a: RatFunc, b: RatFunc, c: RatFunc, d: RatFunc) -> tuple:
     return (False, terms + len(den[0])) if terms else (True, 1)
 
 
-def _index_tuples(fn, fd, layout, order) -> tuple:
+def _blocks(layout) -> list:
+    """The blocks of a chain over the denominator groups ``layout``: each
+    variable's numerator row, with a group's row (n + g) right after the
+    row of its last member.  They fix the chain order."""
+    n = sum(map(len, layout))
+    ends = {m[-1]: n + g for g, m in enumerate(layout)}
+    return [(i, ends[i]) if i in ends else (i,) for i in range(n)]
+
+
+def _index_tuples(fn, fd, layout) -> tuple:
     """The index tuples of the terms of the numerator form ``fn``, then of
     the denominator form ``fd``, in a composition over the denominator
-    groups ``layout`` with chain ``order``, and the tops of the columns."""
+    groups ``layout``, and the tops of the columns."""
     # one column per variable, its exponent in each term, and one per group
     # (column n + g), the sum of its members' columns; tops holds each
     # column's largest
@@ -1179,7 +1186,7 @@ def _index_tuples(fn, fd, layout, order) -> tuple:
     # a term's index into each row of a chain: e_i for a numerator, and
     # M_g - sum_{i in g} e_i for a group's denominator
     return tuple(zip(*(cols[j] if j < n else [tops[j] - e for e in cols[j]]
-                       for j in order))), tops
+                       for b in _blocks(layout) for j in b))), tops
 
 
 class ComposePlan:
@@ -1187,20 +1194,19 @@ class ComposePlan:
     every RatFunc composed with it (see the module docstring): ``compose(f)``
     substitutes subst[i] for the i-th variable of f.
 
-    The plan reads once the (kind, d) pairs of its ``marks`` and its
-    ``layout``, the denominator groups (which fix the variable count and
-    the chain ``order``).  A function's index tuples and column tops are
-    made once per layout and kept on the function (``RatFunc._index``), so
-    every plan of that layout reads them.  ``pows`` keeps the power rows,
-    grown only when a top reaches past its row, and ``chains`` each index
-    tuple's product of rows (coefficient 1) with the product of the row
-    denominators, made for the first term that needs it and read by every
-    later one.  At most the term budget in terms is kept (``held`` counts
-    them).  Both are made under one ``budget``, and made again under
-    another."""
+    The plan reads its ``layout`` once: the denominator groups, which fix
+    the variable count and the chain ``order``.  A function's index tuples
+    and column tops are made once per layout and kept on the function
+    (``RatFunc._index``), so every plan of that layout reads them.
+    ``pows`` keeps the power rows, grown only when a top reaches past its
+    row, and ``chains`` each index tuple's product of rows (coefficient 1)
+    with the product of the row denominators, made for the first term that
+    needs it and read by every later one.  At most the term budget in terms
+    is kept (``held`` counts them).  Both are made under one ``budget``,
+    and made again under another."""
 
-    __slots__ = ("subst", "marks", "kinds", "ceiling", "layout", "blocks", "order", "bases",
-                 "pows", "rows", "chains", "budget", "held")
+    __slots__ = ("subst", "marks", "ceiling", "layout", "blocks", "order", "bases", "pows",
+                 "chains", "budget", "held")
 
     def __init__(self, subst):
         subst = tuple(subst)
@@ -1212,19 +1218,16 @@ class ComposePlan:
                 raise StructureError("substitution entries over mixed variables")
         self.subst = subst
         self.marks = (*_quad_marks(p._int for s in subst for p in (s.num, s.den)), Fraction(1))
-        self.kinds = frozenset(map(_scalar_kind, self.marks))
         self.ceiling = _ceiling(len(out_vars))
         # members[g] lists the entries that share the denominator dens[g]
-        n, dens, members = len(subst), [], []
+        dens, members = [], []
         for i, s in enumerate(subst):
             if s.den not in dens:
                 dens.append(s.den)
                 members.append([])
             members[dens.index(s.den)].append(i)
         self.layout = tuple(map(tuple, members))
-        # a group's row follows its last member's numerator row in a chain
-        ends = {m[-1]: n + g for g, m in enumerate(members)}
-        self.blocks = [(i, ends[i]) if i in ends else (i,) for i in range(n)]
+        self.blocks = _blocks(self.layout)
         self.order = [j for block in self.blocks for j in block]
         # the powers of each entry's numerator and each group's denominator
         self.bases = [p._int for p in [s.num for s in subst] + dens]
@@ -1234,15 +1237,14 @@ class ComposePlan:
         n = len(self.subst)
         if n != len(f.vars):
             raise StructureError(f"substitution arity {n} != {len(f.vars)}")
-        kind, d = _kind((f.num, f.den), self.marks, self.kinds)
+        kind, d = _kind((f.num, f.den), self.marks)
         budget = _term_budget.get()
         if budget != self.budget:
             # rows and products made under another budget are made again
             self.pows = [[(((0, 1, 0),), 1)] for _ in self.bases]
-            self.rows = [self.pows[j] for j in self.order]
             self.chains, self.budget, self.held = {}, budget, 0
         ceiling, pows, chains, out_vars = self.ceiling, self.pows, self.chains, self.subst[0].vars
-        index, tops = f._index(self.layout, self.order)
+        index, tops = f._index(self.layout)
         # rows missing a power f needs grow block by block, in step
         if any(map(ge, tops, map(len, pows))):
             for block in self.blocks:
@@ -1251,7 +1253,7 @@ class ComposePlan:
                     for j in block:
                         if len(pows[j]) == k + 1 and k < tops[j]:
                             pows[j].append(_mul(pows[j][-1], self.bases[j], d, ceiling))
-        chain_rows = self.rows
+        chain_rows = [pows[j] for j in self.order]
 
         def times(val, mono):
             # val times a monomial (key, p, q), where val None stands for 1

@@ -1322,12 +1322,11 @@ def test_a_function_keeps_its_index_tuples_per_layout():
     assert len({p.layout for p in plans}) == 3 and plans[2].layout == plans[3].layout
     for plan in plans:
         plan.compose(f)
-        got = f._index(plan.layout, plan.order)
+        got = f._index(plan.layout)
         assert got == reference_index(f, plan)
-        assert f._index(plan.layout, plan.order) is got
+        assert f._index(plan.layout) is got
     # the two plans of one layout read one kept entry
-    assert f._index(plans[2].layout, plans[2].order) is f._index(plans[3].layout,
-                                                                  plans[3].order)
+    assert f._index(plans[2].layout) is f._index(plans[3].layout)
 
 
 def test_a_plan_whose_rows_reach_the_tops_grows_no_row(monkeypatch):
@@ -1354,7 +1353,7 @@ def test_a_plan_whose_rows_reach_the_tops_grows_no_row(monkeypatch):
 def test_ratfunc_and_poly_refuse_every_attribute_write():
     f = PLAIN_FUNCS[0]
     ComposePlan(PLAIN).compose(f)
-    assert f._index(ComposePlan(PLAIN).layout, ComposePlan(PLAIN).order)
+    assert f._index(ComposePlan(PLAIN).layout)
     for value, names in ((f, ("num", "den", "_layouts", "vars", "other")),
                          (f.num, ("vars", "_terms", "_int", "other"))):
         for name in names:
@@ -1368,6 +1367,8 @@ def constant_route(f, c, op):
     """f * c or c / f as the products by ``Poly.const`` that they replace."""
     vs = f.vars
     if op == "/":
+        if f.num.is_zero():
+            raise DegenerateError("division by the zero rational function")
         return forms(RatFunc(_times(Poly.const(vs, c), f.den),
                              _times(Poly.const(vs, Fraction(1)), f.num)))
     num = _times(f.num, Poly.const(vs, c))
@@ -1386,16 +1387,17 @@ WIDE = RatFunc(Poly(XYZ, {(i, 0, 0): 1 for i in range(20)}), Poly(XYZ, {(0, 1, 0
 
 
 @pytest.mark.parametrize("c", [3, Fraction(-2, 3), QUAD + 1, QuadExt(Fraction(1, 2), 0, -3),
-                               QuadExt(1, 1, 5), 0, True],
+                               QuadExt(1, 1, 5), 0, True, Fraction(1)],
                          ids=["int", "Fraction", "QuadExt", "rational-QuadExt",
-                              "QuadExt-5", "zero", "True"])
+                              "QuadExt-5", "zero", "True", "one"])
 @pytest.mark.parametrize("f", [
     RatFunc(Poly(XYZ, {(1, 0, 0): 2, (0, 0, 0): 1}), Poly(XYZ, {(0, 1, 0): 1, (0, 0, 0): 3})),
     (X * X / 3 + Y) / (Y * 2 + 3),
     X * QUAD / (Y + QUAD),
     RatFunc(Poly(XYZ, {(1, 0, 1): QuadExt(2, 0, 5)}), Poly(XYZ, {(0, 2, 0): 1, (0, 0, 0): 4})),
     WIDE,
-], ids=["Q-int", "Q", "Q(sqrt-3)", "rational-QuadExt-5", "wide"])
+    RatFunc(Poly(XYZ, {})),
+], ids=["Q-int", "Q", "Q(sqrt-3)", "rational-QuadExt-5", "wide", "zero"])
 def test_scalar_steps_form_the_constant_route(f, c):
     for budget in (1, 2, 3, 25, None):
         with term_budget(budget) if budget else contextlib.nullcontext():

@@ -7,8 +7,11 @@ entrywise.  Negation is the scale -1, and the sign twist of a projective
 torus class is the inversion, written on the odd permutations only.
 Groups are given by concrete generator actions, not presentations;
 :func:`cayleycert.ratmap.check_group_relations` decides their defining
-relations exactly on a variety's chart, and :func:`same_action` decides
-whether two generators act alike.
+relations exactly: a word that :meth:`GroupSpec.word_action` collapses
+(through :func:`compose_actions`) to the identity as written passes on
+that collapse, and every other word is applied letter by letter to a
+variety's chart.  :func:`same_action` decides whether two generators act
+alike.
 """
 
 from __future__ import annotations
@@ -223,10 +226,14 @@ class GroupSpec:
         return tup
 
     def word_action(self, word) -> ActionGen:
-        """Collapse a word into a single ActionGen."""
+        """Collapse a word into a single ActionGen.  The empty word is the
+        identity at the generators' arity, so a group with no generators
+        has no arity to give it."""
         if not word:
-            arity = self.generators[0][1].arity
-            return ActionGen(perm=identity_perm(arity))
+            if not self.generators:
+                raise StructureError(f"the empty word has no arity in {self.name}: "
+                                     "the group has no generators")
+            return ActionGen(perm=identity_perm(self.generators[0][1].arity))
         gen = self.action(word[0])
         for label in word[1:]:
             gen = compose_actions(self.action(label), gen)

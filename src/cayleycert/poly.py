@@ -462,6 +462,8 @@ class Poly:
     def __setattr__(self, *args):
         raise AttributeError("Poly values are immutable")
 
+    __delattr__ = __setattr__
+
     @property
     def terms(self) -> dict:
         """The coefficient dict {packed key: coefficient}, the largest key
@@ -824,6 +826,8 @@ class RatFunc:
 
     def __setattr__(self, *args):
         raise AttributeError("RatFunc values are immutable")
+
+    __delattr__ = __setattr__
 
     def _index(self, layout) -> tuple:
         """(index tuples, column tops) of this function in a composition

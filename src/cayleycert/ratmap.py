@@ -11,8 +11,9 @@ identities modulo the source relations, with projective blocks compared
 through vanishing 2x2 cross products against one pivot coordinate
 (:func:`_pivot`, which the spot checks share), and round trips
 telescoped over stages (a plain pair is one stage).  A group's defining
-relations are decided the same way on the chart, and two generator
-actions are compared on a generic tuple.  Random points only confirm these identities
+relations are decided on each word's collapsed action when that is the
+identity, and else the same way on the chart; two generator actions are
+compared on a generic tuple.  Random points only confirm these identities
 (the spot check of a round trip) or localise a failure (a witness), and
 every draw goes through :func:`sample`, the package's one sampling loop:
 a draw on the exceptional locus raises, and only ``sample`` draws again,
@@ -37,9 +38,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegenerateError, SamplingError, StructureError
+from .errors import CayleyCertError, DegenerateError, SamplingError, StructureError
 from .field import random_rational, scalar_str
-from .group import GroupSpec, apply_action
+from .group import ActionGen, GroupSpec, apply_action, identity_perm
 from .poly import ComposePlan, EvalPlan, Relation, RatFunc, _cross, ratfunc_equal
 
 
@@ -634,16 +635,27 @@ def check_target_relations(m: EquivMap) -> Certificate:
 def check_group_relations(spec: VarietySpec, group: GroupSpec, seed=0) -> Certificate:
     """Decide the group's defining relations exactly on the chart of ``spec``.
 
-    A word acts as the identity when it has an even number of Galois
-    letters, which cancel in pairs, and moves the chart tuple to itself
-    (:func:`GroupSpec.apply_word` conjugates the coefficients at each
-    Galois letter).  A failing word comes with a witness point when one
-    can be sampled; rational points cannot show a lone conjugation.
+    A word whose collapse :meth:`GroupSpec.word_action` is the identity
+    as written (identity permutation at the chart's arity, no twist, no
+    scale, no conjugation) acts as the identity on every tuple, so it
+    passes with no work on the chart.  Every other word, a collapse that
+    raises, and every word on a chart with an identically zero coordinate
+    (where a letter may invert a zero or a projective block vanish) are
+    decided letter by letter: a word acts as the identity when it has an
+    even number of Galois letters, which cancel in pairs, and moves the
+    chart tuple to itself (:func:`GroupSpec.apply_word` conjugates the
+    coefficients at each Galois letter).  A failing word comes with a
+    witness point when one can be sampled; rational points cannot show a
+    lone conjugation.
     """
     cert = Certificate(construction=f"relations[{group.name} on {spec.name}]", seed=seed)
     x = spec.chart
+    identity = None if any(f.is_zero() for f in x) else ActionGen(perm=identity_perm(len(x)))
     for word in group.relations:
         vname = "relation[" + "*".join(word) + "]"
+        if identity is not None and _collapse(group, word) == identity:
+            cert.add(vname, "pass")
+            continue
         try:
             holds = (sum(group.action(label).conjugate for label in word) % 2 == 0
                      and _tuple_equal(spec, group.apply_word(word, x), x)[0])
@@ -658,3 +670,10 @@ def check_group_relations(spec: VarietySpec, group: GroupSpec, seed=0) -> Certif
             cert.add(vname, "fail", "relation does not act as the identity", witness)
     return cert
 
+
+def _collapse(group: GroupSpec, word):
+    """The word's single action, or None when collapsing it raises."""
+    try:
+        return group.word_action(word)
+    except CayleyCertError:
+        return None

@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleycert.errors import DegenerateError, StructureError
-from cayleycert.field import QuadField, random_rational
+from cayleycert.field import QuadExt, QuadField, random_rational
 from cayleycert.group import (ActionGen, GroupSpec, apply_action,
                               compose_actions, cycle, identity_perm, perm_sign,
                               same_action, st_tw_embed, transposition,
                               twist_action)
+from cayleycert.poly import RatFunc, ratfunc_equal
 
 F = QuadField(-3)
 ZETA = F.zeta()
@@ -108,6 +110,65 @@ def test_group_word_application():
         assert spec.apply_word(word, pt) == pt
     collapsed = spec.word_action(("c", "c", "c"))
     assert same_action(collapsed, ActionGen(perm=identity_perm(3)))
+
+
+def test_empty_word_takes_the_generators_arity():
+    grp = GroupSpec(name="C2", generators=(("s", ActionGen(perm=transposition(4, 0, 1))),))
+    assert grp.word_action(()) == ActionGen(perm=identity_perm(4))
+    with pytest.raises(StructureError, match="the empty word has no arity in none"):
+        GroupSpec(name="none", generators=()).word_action(())
+
+
+# -- compose_actions against letter-by-letter application --------------------
+#
+# Relation verdicts pass on a word's collapse (``GroupSpec.word_action``, a
+# fold of ``compose_actions``), so the collapse must act exactly as its
+# letters do, on scalars and on generic rational functions.
+
+FIELDS = (None, -3, -1)                 # Q, Q(sqrt(-3)), Q(sqrt(-1))
+rats = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+nonzero_rats = rats.filter(bool)
+
+
+def field_values(d, ints=True):
+    """Nonzero scalars of Q (ints too, unless not ``ints``) or of Q(sqrt(d))."""
+    if d is None:
+        return st.one_of(st.integers(-9, 9).filter(bool), nonzero_rats) if ints else nonzero_rats
+    return st.builds(lambda a, b: QuadExt(a, b, d), nonzero_rats, rats)
+
+
+@st.composite
+def actions(draw, n, d):
+    return ActionGen(perm=tuple(draw(st.permutations(range(n)))),
+                     twist=draw(st.sampled_from(("none", "invert"))),
+                     conjugate=draw(st.booleans()),
+                     scale=draw(st.none() | st.tuples(*[field_values(d)] * n)))
+
+
+@st.composite
+def words(draw):
+    """(group, word, d): a word of 1 to 6 random letters, one field per draw."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.sampled_from(FIELDS))
+    gens = draw(st.lists(actions(n, d), min_size=1, max_size=6))
+    group = GroupSpec("G", tuple((f"g{i}", g) for i, g in enumerate(gens)))
+    word = tuple(f"g{i}" for i in draw(st.lists(st.integers(0, len(gens) - 1),
+                                                min_size=1, max_size=6)))
+    return group, word, d
+
+
+@settings(max_examples=100, deadline=None)
+@given(words(), st.data())
+def test_a_collapsed_word_acts_as_its_letters(case, data):
+    group, word, d = case
+    n = group.generators[0][1].arity
+    collapsed = group.word_action(word)
+    # a tuple of Fractions: an int coordinate would invert to a float
+    t = data.draw(st.tuples(*[field_values(d, ints=False)] * n))
+    assert group.apply_word(word, t) == apply_action(collapsed, t)
+    x = RatFunc.variables(tuple(f"x{i}" for i in range(n)))
+    assert all(ratfunc_equal(p, q) for p, q in zip(group.apply_word(word, x),
+                                                  apply_action(collapsed, x)))
 
 
 def test_twist_action_with_eps_gives_conjugate_inverse():

@@ -1361,6 +1361,17 @@ def test_ratfunc_and_poly_refuse_every_attribute_write():
                 setattr(value, name, None)
 
 
+def test_ratfunc_and_poly_refuse_every_attribute_delete():
+    # a deleted slot would break the value at its next use
+    f = PLAIN_FUNCS[0]
+    ComposePlan(PLAIN).compose(f)
+    for value, kind in ((f, "RatFunc"), (f.num, "Poly")):
+        for name in (*type(value).__slots__, "other"):
+            with pytest.raises(AttributeError, match=f"^{kind} values are immutable$"):
+                delattr(value, name)
+    assert f.num.terms and f.den.terms and f._layouts
+
+
 # -- the scalar steps of RatFunc against the constant Polys they skip --------
 
 def constant_route(f, c, op):

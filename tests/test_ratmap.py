@@ -6,11 +6,12 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cayleycert.group
 from cayleycert import poly, rank2, ratmap, su3
 from cayleycert.catalog import run_construction
 from cayleycert.classical import pgl_cayley
 from cayleycert.errors import DegenerateError, SamplingError, StructureError
-from cayleycert.group import ActionGen, GroupSpec, identity_perm
+from cayleycert.group import ActionGen, GroupSpec, cycle, identity_perm
 from cayleycert.poly import RatFunc, chart_restrict, ratfunc_equal
 from cayleycert.ratmap import (NO_ACTION, Block, Certificate, EquivMap, Relation,
                                VarietySpec, check_equivariance, check_group_relations,
@@ -463,6 +464,152 @@ def test_swapped_generators_break_their_relations_with_witnesses():
         moved = grp.apply_word(word, point) != point
         assert moved == (word in (grp.relations[0], grp.relations[1],
                                   grp.relations[4], grp.relations[5]))
+
+
+# -- group relations: each word's collapse against its letters ---------------
+#
+# A word whose collapse is the identity as written passes with no work on
+# the chart; every other word is decided letter by letter.  The reference
+# is the letter-by-letter decision of every word, kept here.
+
+def letter_by_letter(spec, group, seed):
+    cert = Certificate(construction=f"relations[{group.name} on {spec.name}]", seed=seed)
+    x = spec.chart
+    for word in group.relations:
+        vname = "relation[" + "*".join(word) + "]"
+        try:
+            holds = (sum(group.action(label).conjugate for label in word) % 2 == 0
+                     and _tuple_equal(spec, group.apply_word(word, x), x)[0])
+        except DegenerateError as exc:
+            cert.add(vname, "fail", f"degenerate action: {exc}")
+            continue
+        if holds:
+            cert.add(vname, "pass")
+        else:
+            witness = ratmap._witness(spec, seed, lambda p: (group.apply_word(word, p), p),
+                                      spec)
+            cert.add(vname, "fail", "relation does not act as the identity", witness)
+    return cert
+
+
+def relation_outcome(check, spec, group, seed=7):
+    """(name, status, detail, witness) of each verdict, or the error raised."""
+    try:
+        cert = check(spec, group, seed=seed)
+    except StructureError as exc:
+        return type(exc).__name__, str(exc)
+    return [(v.name, v.status, v.detail, v.witness) for v in cert.verdicts]
+
+
+def catalog_tables():
+    """Every table whose relations a catalog certificate decides: su3.chain's
+    six, and rank2.twist's base, twisted, St and Tw tables on the torus and
+    the Lie slice."""
+    tables = [build() for build in (su3.quotient_variety, su3.torus_variety,
+                                     su3.pp_variety, su3.quadric_variety,
+                                     su3.diagonal_plane_variety, su3.lie_variety)]
+    for kind, spec in (("torus", torus("T", ("t1", "t2", "t3"))),
+                       ("lie", linear_slice("t", ("u1", "u2", "u3")))):
+        tables += [(spec, rank2.base_group(kind)), (spec, rank2.twisted_group(kind)),
+                   (spec, rank2.pullback_group("St", kind)),
+                   (spec, rank2.pullback_group("Tw", kind))]
+    return tables
+
+
+CATALOG_TABLES = catalog_tables()
+
+
+def one_site_mutants(gen):
+    """A generator replaced by the identity, or with its conjugation, its
+    twist, the sign of its scale or its first two permutation entries
+    changed."""
+    n = gen.arity
+    perm = (gen.perm[1], gen.perm[0]) + gen.perm[2:]
+    return (ActionGen(perm=identity_perm(n)),
+            replace(gen, conjugate=not gen.conjugate),
+            replace(gen, twist="none" if gen.twist == "invert" else "invert"),
+            replace(gen, scale=tuple(-s for s in gen.scale or (1,) * n)),
+            replace(gen, perm=perm))
+
+
+@pytest.mark.parametrize("i", range(len(CATALOG_TABLES)))
+def test_relations_agree_with_the_letter_by_letter_decision(i):
+    spec, table = CATALOG_TABLES[i]
+    want = relation_outcome(letter_by_letter, spec, table)
+    assert relation_outcome(check_group_relations, spec, table) == want
+    assert all(status == "pass" for _, status, _, _ in want)
+    failed = 0
+    for k, (label, gen) in enumerate(table.generators):
+        for mutant in one_site_mutants(gen):
+            grp = replace(table, generators=table.generators[:k] + ((label, mutant),)
+                          + table.generators[k + 1:])
+            want = relation_outcome(letter_by_letter, spec, grp)
+            assert relation_outcome(check_group_relations, spec, grp) == want, (label, mutant)
+            failed += any(status == "fail" for _, status, _, _ in want)
+    assert failed
+
+
+A2 = VarietySpec("A2", (Block("affine", ("a", "b")),))
+INVERT2 = ActionGen(perm=identity_perm(2), twist="invert")
+FALLBACKS = {
+    # an odd number of Galois letters
+    "odd-galois": (torus_variety()[0], replace(torus_variety()[1],
+                                                relations=(("gamma",),))),
+    # a constant scale acts trivially on a projective point
+    "projective-scale": (projective_space("P2", ("x1", "x2", "x3")), GroupSpec(
+        "scaled", (("s", ActionGen(perm=identity_perm(3), scale=(2, 2, 2))),), (("s",),))),
+    # the collapse inverts a zero scale
+    "collapse-raises": (A2, GroupSpec(
+        "zero", (("z", ActionGen(perm=identity_perm(2), scale=(0, 1))), ("i", INVERT2)),
+        (("z", "i"),))),
+    "unknown-label": (A2, GroupSpec("inv", (("i", INVERT2),), (("i", "j"),))),
+    # a 3-cycle cubed collapses to the identity of arity 3, not the chart's 2
+    "arity": (A2, GroupSpec("C3", (("c", ActionGen(perm=cycle(3, (0, 1, 2)))),),
+                            (("c", "c", "c"),))),
+    "no-generators": (A2, GroupSpec("none", (), ((),))),
+    # a coordinate that is zero on the whole chart
+    "zero-coordinate": (VarietySpec("A1", (Block("affine", ("a", "b"),
+                                                 (Relation("linear-sum", ("a",), "a"),)),)),
+                        GroupSpec("inv", (("i", INVERT2),), (("i", "i"),))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_relations_the_collapse_cannot_pass_are_read_on_the_chart(monkeypatch, case):
+    spec, group = FALLBACKS[case]
+    want = relation_outcome(letter_by_letter, spec, group)
+    applied = []
+    apply_action = cayleycert.group.apply_action
+    monkeypatch.setattr("cayleycert.group.apply_action",
+                        lambda gen, tup, **k: applied.append(gen) or apply_action(gen, tup, **k))
+    assert relation_outcome(check_group_relations, spec, group) == want
+    # the letters were applied, except where there is none or a label is unknown
+    assert bool(applied) == (case not in ("no-generators", "unknown-label"))
+
+
+def test_relations_that_collapse_to_the_identity_skip_the_chart(monkeypatch):
+    symbolic = []
+    tuple_equal = ratmap._tuple_equal
+    apply_action = cayleycert.group.apply_action
+
+    def counting(function):
+        def counted(*args, **kwargs):
+            symbolic.extend(a for a in args if isinstance(a, tuple)
+                            and any(isinstance(v, RatFunc) for v in a))
+            return function(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(ratmap, "_tuple_equal", counting(tuple_equal))
+    monkeypatch.setattr("cayleycert.group.apply_action", counting(apply_action))
+    for spec, table in CATALOG_TABLES:
+        identity = ActionGen(perm=identity_perm(len(spec.coords)))
+        assert all(table.word_action(word) == identity for word in table.relations)
+        cert = check_group_relations(spec, table, seed=7)
+        assert cert.ok and len(cert.verdicts) == len(table.relations)
+    assert len(CATALOG_TABLES) == 14 and symbolic == []
+    # the counters see the letter-by-letter path
+    check_group_relations(*FALLBACKS["projective-scale"])
+    assert symbolic
 
 
 # -- the evaluation plan of a map ---------------------------------------------
